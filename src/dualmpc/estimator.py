@@ -19,9 +19,7 @@ import numpy as np
 from . import qlpv, qp
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
-from .tmpc import TubeSolution, candidate_shift
-
-MEMBERSHIP_TOL = 1e-7
+from .tmpc import TubeSolution
 
 
 def default_noise(n_x: int, n_theta: int, n_y: int

@@ -77,11 +77,6 @@ class PolytopeTemplate:
         """The j-th vertex control input U_j c."""
         return self.U[j] @ c
 
-    def in_cone(self, s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        if s.min() < -tol:
-            return False
-        return self.E.shape[0] == 0 or (self.E @ s).max() <= tol
-
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -125,11 +120,6 @@ def contains(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray,
              tol: float = DEFAULT_TOL) -> bool:
     """Membership x in X(z, s), elementwise slack tol."""
     return bool((template.F @ (np.asarray(x) - pset.z) <= pset.s + tol).all())
-
-
-def membership_margin(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray) -> float:
-    """Largest constraint violation of x in X(z, s); <= 0 means inside."""
-    return float((template.F @ (np.asarray(x) - pset.z) - pset.s).max())
 
 
 @dataclass

@@ -10,7 +10,22 @@ matrices.  Every optimization in this package (invariant-set synthesis, the
 tube controller, barycentric-weight extraction, the constrained estimator
 correction) is dispatched through :func:`solve`.
 
-The solver is deterministic: identical inputs produce identical iterates.
+Termination is scale-relative, as in OSQP (Stellato et al. 2020): a point is
+optimal when its KKT residual is at most ``tol``, where primal infeasibility
+(violation of ``A_in x <= b_in`` and ``A_eq x = b_eq``) is taken as it is, and
+stationarity and complementarity are divided by
+
+    max(1, |Hx|_inf, |g|_inf, |A_in' lam|_inf, |A_eq' nu|_inf).
+
+So an OPTIMAL point is feasible to ``tol`` in absolute terms, while a cost of
+large norm is not asked for more significant digits than one of norm 1.  The
+same rule decides the interior-point loop, the acceptance of a warm start and
+the equality-constrained direct solve.
+
+The solver is deterministic: identical inputs produce identical iterates.  It
+never raises on a numerical failure: a non-finite iterate or Newton step ends
+the iteration with the best point seen and status ``MAX_ITER`` or
+``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -38,7 +53,11 @@ _STALL_WINDOW = 50
 
 @dataclass
 class QpProblem:
-    """Dense QP data. Missing constraint blocks are empty (0-row) arrays."""
+    """Dense QP data. Missing constraint blocks are empty (0-row) arrays.
+
+    Build problems with :meth:`build`, which validates them once; the solver
+    does not validate again.
+    """
 
     H: np.ndarray
     g: np.ndarray
@@ -48,7 +67,10 @@ class QpProblem:
     b_eq: np.ndarray
 
     @classmethod
-    def build(cls, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None) -> "QpProblem":
+    def build(cls, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None,
+              check_psd: bool = True) -> "QpProblem":
+        """Validated problem; ``check_psd=False`` skips the eigenvalue check
+        for a caller that has already proved H positive semidefinite."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
         g = np.asarray(g, dtype=float).ravel()
         n = g.size
@@ -64,14 +86,14 @@ class QpProblem:
             A_eq=np.atleast_2d(np.asarray(A_eq, dtype=float)).reshape(-1, n),
             b_eq=np.asarray(b_eq, dtype=float).ravel(),
         )
-        prob.validate()
+        prob.validate(check_psd)
         return prob
 
     @property
     def n(self) -> int:
         return self.g.size
 
-    def validate(self) -> None:
+    def validate(self, check_psd: bool = True) -> None:
         n = self.n
         if self.H.shape != (n, n):
             raise ConfigurationError(f"H shape {self.H.shape} incompatible with g size {n}")
@@ -79,9 +101,14 @@ class QpProblem:
             raise ConfigurationError("inequality block dimensions inconsistent")
         if self.A_eq.shape[0] != self.b_eq.size or self.A_eq.shape[1] != n:
             raise ConfigurationError("equality block dimensions inconsistent")
+        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.A_in, self.b_in,
+                                                   self.A_eq, self.b_eq)):
+            raise ConfigurationError("problem data must be finite")
         scale = max(1.0, float(np.abs(self.H).max()))
         if np.abs(self.H - self.H.T).max() > 1e-8 * scale:
             raise ConfigurationError("H must be symmetric")
+        if not check_psd:
+            return
         min_eig = float(np.linalg.eigvalsh(0.5 * (self.H + self.H.T)).min())
         if min_eig < -1e-9 * scale:
             raise ConfigurationError(f"H must be positive semidefinite (min eig {min_eig:.3e})")
@@ -95,6 +122,8 @@ class QpSolution:
     x: np.ndarray
     ineq_duals: np.ndarray
     eq_duals: np.ndarray
+    # Scaled KKT residual (see the module docstring): absolute primal
+    # infeasibility, stationarity and complementarity relative to the data.
     kkt_residual: float
     status: QpStatus
     iterations: int
@@ -104,60 +133,82 @@ class QpSolution:
 
 
 def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu) -> tuple[float, float]:
-    """(max KKT residual, primal infeasibility) at a primal-dual point."""
-    r_stat = H @ x + prob.g
+    """(scaled KKT residual, absolute primal infeasibility) at a primal-dual point."""
+    terms = [H @ x, prob.g]
     if prob.A_in.shape[0]:
-        r_stat = r_stat + prob.A_in.T @ lam
+        terms.append(prob.A_in.T @ lam)
     if prob.A_eq.shape[0]:
-        r_stat = r_stat + prob.A_eq.T @ nu
-    stat = float(np.abs(r_stat).max()) if x.size else 0.0
+        terms.append(prob.A_eq.T @ nu)
+    if x.size:
+        scale = max(1.0, max(float(np.abs(t).max()) for t in terms))
+        stat = float(np.abs(sum(terms)).max()) / scale
+    else:
+        scale, stat = 1.0, 0.0
     viol_in = 0.0
     comp = 0.0
     if prob.A_in.shape[0]:
         resid = prob.A_in @ x - prob.b_in
         viol_in = float(max(0.0, resid.max()))
-        comp = float(np.abs(lam * resid).max())
-        comp = max(comp, float(max(0.0, -lam.min())))
+        comp = max(float(np.abs(lam * resid).max()), float(max(0.0, -lam.min()))) / scale
     viol_eq = float(np.abs(prob.A_eq @ x - prob.b_eq).max()) if prob.A_eq.shape[0] else 0.0
     p_inf = max(viol_in, viol_eq)
     return max(stat, p_inf, comp), p_inf
 
 
+def _linear_solver(M: np.ndarray):
+    """``rhs -> M^-1 rhs`` for a finite M, through an LU factorization, or by
+    least squares when M is singular.  A failed least-squares solve gives
+    NaNs, which the caller checks for."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(M)
+    if info == 0:
+        return lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+    def least_squares(rhs):
+        try:
+            return np.linalg.lstsq(M, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return np.full(M.shape[0], np.nan)
+    return least_squares
+
+
 def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float) -> QpSolution:
     """Direct KKT solve when there are no inequality constraints."""
     n, p = prob.n, prob.A_eq.shape[0]
-    if p == 0:
-        x = np.linalg.solve(H, -prob.g)
-        nu = np.zeros(0)
-    else:
-        K = np.block([[H, prob.A_eq.T], [prob.A_eq, np.zeros((p, p))]])
-        rhs = np.concatenate([-prob.g, prob.b_eq])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        x, nu = sol[:n], sol[n:]
+    K = np.block([[H, prob.A_eq.T], [prob.A_eq, np.zeros((p, p))]]) if p else H
+    sol = _linear_solver(K)(np.concatenate([-prob.g, prob.b_eq]))
+    x, nu = sol[:n], sol[n:]
+    if not np.isfinite(sol).all():
+        return QpSolution(np.zeros(n), np.zeros(0), np.zeros(p), np.inf,
+                          QpStatus.INFEASIBLE, 1, np.inf)
     kkt, p_inf = _kkt_residual(prob, H, x, np.zeros(0), nu)
     status = QpStatus.OPTIMAL if kkt <= tol else QpStatus.INFEASIBLE
     return QpSolution(x, np.zeros(0), nu, kkt, status, 1, p_inf, prob.objective(x))
 
 
+# Overflow and division by zero show up as non-finite values, which the
+# iteration checks for, instead of as warnings.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve(
     prob: QpProblem,
     tol: float = 1e-8,
     max_iter: int = 500,
     warm_start: QpSolution | np.ndarray | None = None,
 ) -> QpSolution:
-    """Solve a dense convex QP to KKT residual <= tol.
+    """Solve a dense convex QP to scaled KKT residual <= tol.
+
+    Primal infeasibility must be at most ``tol`` in absolute terms;
+    stationarity and complementarity are divided by
+    max(1, |Hx|, |g|, |A_in' lam|, |A_eq' nu|) (infinity norms) first.
 
     A warm start carrying duals (a previous :class:`QpSolution`) is first
     checked against the KKT conditions and accepted outright when it already
     satisfies them; a bare primal vector only seeds the interior-point
-    iteration.
+    iteration.  A numerical failure (non-finite iterate or Newton step) ends
+    the iteration with the best point seen, status ``MAX_ITER`` when that
+    point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    prob.validate()
     n, m, p = prob.n, prob.A_in.shape[0], prob.A_eq.shape[0]
     H = prob.H + _RIDGE * np.eye(n)
 
@@ -165,7 +216,7 @@ def solve(
     if isinstance(warm_start, QpSolution):
         if warm_start.x.size == n and warm_start.ineq_duals.size == m and warm_start.eq_duals.size == p:
             kkt, p_inf = _kkt_residual(prob, H, warm_start.x, warm_start.ineq_duals, warm_start.eq_duals)
-            if kkt <= tol and (m == 0 or warm_start.ineq_duals.min() >= -tol):
+            if kkt <= tol:
                 return QpSolution(
                     warm_start.x.copy(), warm_start.ineq_duals.copy(), warm_start.eq_duals.copy(),
                     kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(warm_start.x),
@@ -212,22 +263,14 @@ def solve(
 
         D = lam / w
         K = H + (G.T * D) @ G
-        if p:
-            M = np.block([[K, A.T], [A, np.zeros((p, p))]])
-        else:
-            M = K
-        try:
-            lu = scipy.linalg.lu_factor(M)
-        except (np.linalg.LinAlgError, ValueError):
-            lu = None
+        M = np.block([[K, A.T], [A, np.zeros((p, p))]]) if p else K
+        if not np.isfinite(M).all():
+            break
+        kkt_solve = _linear_solver(M)
 
         def newton(r_c):
             rhs1 = -r_d + G.T @ ((r_c - lam * r_p) / w)
-            rhs = np.concatenate([rhs1, -r_e]) if p else rhs1
-            if lu is not None:
-                sol = scipy.linalg.lu_solve(lu, rhs)
-            else:
-                sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+            sol = kkt_solve(np.concatenate([rhs1, -r_e]) if p else rhs1)
             dx, dnu = sol[:n], sol[n:]
             dw = -r_p - G @ dx
             dlam = (-r_c - lam * dw) / w
@@ -241,7 +284,7 @@ def solve(
         dx_a, dw_a, dlam_a, dnu_a = newton(w * lam)
         alpha_a = min(max_step(w, dw_a), max_step(lam, dlam_a))
         mu_aff = float((w + alpha_a * dw_a) @ (lam + alpha_a * dlam_a)) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+        sigma = min(1.0, mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector step with centering.
         r_c = w * lam + dw_a * dlam_a - sigma * mu
@@ -253,6 +296,8 @@ def solve(
         lam = lam + alpha * dlam
         if p:
             nu = nu + alpha * dnu
+        if not np.isfinite(np.concatenate([x, w, lam, nu])).all():
+            break
 
     best.primal_infeasibility = min(p_inf_hist) if p_inf_hist else np.inf
     best.value = prob.objective(best.x)
@@ -278,6 +323,7 @@ def project_weighted(
     x0 = np.asarray(x0, dtype=float).ravel()
     M = np.asarray(M, dtype=float)
     try:
+        # Proves the cost 2M positive definite, so the problem skips that check.
         np.linalg.cholesky(0.5 * (M + M.T))
     except np.linalg.LinAlgError:
         raise ConfigurationError("projection weight matrix must be positive definite")
@@ -287,7 +333,7 @@ def project_weighted(
         lam = np.zeros(len(b_in))
         nu = np.zeros(0 if A_eq is None else len(b_eq))
         return QpSolution(x0.copy(), lam, nu, 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
-    prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, A_eq, b_eq)
+    prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, A_eq, b_eq, check_psd=False)
     sol = solve(prob, tol=tol)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from dualmpc import qp
+from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
+from dualmpc.polytope import Hpoly, box_template
+from conftest import random_model
 from oracles import qp_active_set_oracle
 
 
@@ -81,6 +85,92 @@ def test_warm_start_resolve_is_immediate(rng):
     assert resolved.status == qp.QpStatus.OPTIMAL
     assert resolved.iterations <= 2
     assert np.abs(resolved.x - sol.x).max() <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
+def test_cost_scaling_keeps_status_argmin_and_iterations(rng, scale):
+    # Stationarity and complementarity are measured relative to the cost, so
+    # scaling (H, g) up leaves the argmin where it was.  Below scale 1 the
+    # floor of the normaliser makes the rule absolute, so the argmin's error
+    # may grow like tol / scale.
+    tol = 1e-10
+    for _ in range(5):
+        H, g, A, b = random_strictly_convex(rng, 3, 5)
+        ref = solve_simple(H, g, A_in=A, b_in=b, tol=tol)
+        sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=tol)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert np.abs(sol.x - ref.x).max() <= 1e-7 * max(1.0, 1.0 / scale)
+        assert abs(sol.iterations - ref.iterations) <= 8
+
+
+def test_optimal_point_is_feasible_in_absolute_terms(rng):
+    # Primal infeasibility is not scaled: a large cost must not buy slack.
+    for scale in (1.0, 1e3, 1e6):
+        for _ in range(10):
+            H, g, A, b = random_strictly_convex(rng, 4, 8)
+            A_eq = rng.normal(size=(1, 4))
+            b_eq = A_eq @ qp_active_set_oracle(np.eye(4), np.zeros(4), A, b - 0.05)[0]
+            sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b,
+                               A_eq=A_eq, b_eq=b_eq, tol=1e-9)
+            assert sol.status == qp.QpStatus.OPTIMAL
+            assert (A @ sol.x <= b + 1e-9).all()
+            assert np.abs(A_eq @ sol.x - b_eq).max() <= 1e-9
+
+
+def test_tolerance_below_machine_precision_returns_status_without_warnings(rng):
+    H, g, A, b = random_strictly_convex(rng, 6, 10)
+    scale = 4e6 / np.abs(H).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=1e-16)
+    assert sol.status in (qp.QpStatus.MAX_ITER, qp.QpStatus.INFEASIBLE)
+    assert np.isfinite(sol.x).all()
+    assert (A @ sol.x <= b + 1e-12).all()
+
+
+def test_dual_loop_projection_converges(monkeypatch):
+    # Closed loop on a random scheduled model: the true plant is the model
+    # with perturbed parameters, the tube QP is warm-started and the
+    # reference is 0.4.  The joint (x, theta) projection made at step 12 has
+    # a cost of norm ~1e6.  With stationarity measured in absolute terms the
+    # solver ran all 500 iterations on it into MAX_ITER, as it did on the
+    # step-12 projection of the loop it drove itself, and the estimator fell
+    # back to the previous theta.
+    template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
+    cfg = tmpc.ControllerConfig()
+    model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
+    true = model.replace_theta(
+        model.pack() + 0.002 * np.random.default_rng(1).normal(size=model.n_theta))
+    noise = 0.01 * np.random.default_rng(0).normal(size=13)
+    state = estimator.EstimatorState.from_model(model)
+    x, warm = np.array([0.1, -0.05]), None
+    projections = []
+
+    def recording(*args, **kwargs):
+        projections.append(project(*args, **kwargs))
+        return projections[-1]
+
+    project = qp.project_weighted
+    monkeypatch.setattr(qp, "project_weighted", recording)
+    for k in range(13):
+        tube = tmpc.solve_tmpc(state.x_hat, state.model(), np.array([0.4]), cfg,
+                               template, Y, eps_u, warm_start=warm)
+        u = np.clip(tmpc.nominal_input(tube, state.x_hat, template)[0], -1.0, 1.0)
+        x = qlpv.step(true, x, u)
+        zeta_pred, P_pred = estimator.predict(state, u)
+        poly = estimator.build_theta_polytope(tube, template, state.model(), cfg.beta,
+                                              eps_u, cfg.gamma)
+        projections.clear()
+        corr = estimator.constrained_correct(state, zeta_pred, P_pred,
+                                             qlpv.output(true, x) + noise[k], poly)
+        state.zeta, state.P = corr.zeta, corr.P
+        warm = tmpc.warm_start_vector(tube, cfg.gamma)
+
+    (sol,) = projections
+    assert sol.status == qp.QpStatus.OPTIMAL
+    assert 0 < sol.iterations <= 60
+    assert poly.violation(sol.x) <= 1e-10
+    assert not corr.fallback
 
 
 def test_infeasible_problem_detected():
