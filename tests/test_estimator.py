@@ -136,6 +136,46 @@ class TestThetaPolytope:
         z_s = sol.rci.z_s
         assert poly.z_plus == pytest.approx(z_s + CFG.gamma * (sol.z[-1] - z_s))
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_rows_are_tube_qp_rows_at_shifted_candidate(self, N):
+        # For any (x, theta), the polytope rows derived from the tube QP read
+        # the same as the tube QP's own rows, assembled for the model theta
+        # and the estimate x, at the shifted candidate: the initial row as
+        # state_s, the mode rows as tube/tube_plus/terminal, the invariant-set
+        # vertex dynamics as rci, row for row.
+        rng = np.random.default_rng(100 + N)
+        cfg = tmpc.ControllerConfig(N=N)
+        model = random_model(rng, infnorm=0.6, gain=0.25)
+        sol = tmpc.solve_tmpc(np.array([0.2, -0.1]), model, np.array([0.4]), cfg,
+                              TEMPLATE, Y, EPS_U)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
+                                              EPS_U, cfg.gamma)
+        cand = tmpc.warm_start_vector(sol, cfg.gamma)
+
+        def rows(*names):
+            slices = sorted((sl for n in names for sl in poly.families.get(n, [])),
+                            key=lambda sl: sl.start)
+            return np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
+
+        f, v, n_p = TEMPLATE.n_rows, TEMPLATE.n_vertices, model.n_p
+        n_mode = n_p * (N + 1) * f
+        initial = n_mode + (N + 1) * v * (Y.H.shape[0] + 2)
+        qp_rows = {
+            ("state_s",): np.arange(initial, initial + f),
+            ("tube", "tube_plus", "terminal"): np.arange(n_mode),
+            ("rci",): np.arange(initial + f, initial + f + n_p * v * f),
+        }
+        for _ in range(5):
+            x = rng.uniform(-0.5, 0.5, size=2)
+            theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
+            A, b = tmpc._assemble_constraints(model.replace_theta(theta), x, cfg,
+                                              TEMPLATE, Y, EPS_U, sol.rci.d, sol.layout)
+            qp_resid = A @ cand - b
+            poly_resid = poly.A @ np.concatenate([x, theta]) - poly.b
+            for names, idx in qp_rows.items():
+                assert np.abs(poly_resid[rows(*names)] - qp_resid[idx]).max() <= 1e-12, names
+
 
 class TestConstrainedCorrect:
     def test_interior_update_equals_vanilla_ekf(self, tube_setup):
