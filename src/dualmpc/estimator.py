@@ -4,9 +4,12 @@ The augmented state zeta = (x, theta) follows the scheduled model for x and a
 random walk with zero drift for theta.  Prediction and gain are the standard
 extended-filter recursion; the correction is projected onto a polytope built
 from the current tube solution so that the controller's QP stays feasible at
-the next step no matter what the measurement says.  The polytope constrains
-the state block and the vertex-matrix entries of theta; scheduling-network
-weights are left free.
+the next step no matter what the measurement says.  Its (x, theta) rows are
+the tube QP's own rows at the shifted candidate with x and theta free; only
+two families, the state in the q-tightened first set and the scaled input
+images below the disturbance allowance, are the estimator's own.  The rows
+constrain the state block and the vertex-matrix entries of theta;
+scheduling-network weights are left free.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from . import qlpv, qp
+from . import qlpv, qp, rci, tmpc
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
 from .tmpc import TubeSolution
@@ -119,8 +122,10 @@ def gain(P_pred: np.ndarray, C_tilde: np.ndarray, Re: np.ndarray) -> np.ndarray:
 class FeasibilityPolytope:
     """Rows A (x, theta) <= b guaranteeing next-step controller feasibility.
 
-    Built from a tube solution's shifted candidate; the stored (z_plus,
-    v_plus) and witness document which variables generated the rows.
+    Apart from the state_q and dist families, the rows are the tube QP's own
+    rows at the shifted candidate, with the estimate x and the model theta
+    free; the stored (z_plus, v_plus) and witness document which variables
+    generated them.
     """
 
     A: np.ndarray
@@ -135,20 +140,6 @@ class FeasibilityPolytope:
         return float((self.A @ zeta - self.b).max())
 
 
-def _theta_row_block(F: np.ndarray, n_x: int, n_theta: int, n_p: int, n_u: int,
-                     i: int, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of F (A_i w + B_i r) as linear coefficients over (x, theta)."""
-    f = F.shape[0]
-    block = np.zeros((f, n_x + n_theta))
-    a_off = n_x + i * n_x * n_x
-    for k in range(n_x):
-        block[:, a_off + k * n_x:a_off + (k + 1) * n_x] = np.outer(F[:, k], w)
-    b_off = n_x + n_p * n_x * n_x + i * n_x * n_u
-    for k in range(n_x):
-        block[:, b_off + k * n_u:b_off + (k + 1) * n_u] = np.outer(F[:, k], r)
-    return block
-
-
 def build_theta_polytope(
     tube: TubeSolution,
     template: PolytopeTemplate,
@@ -160,11 +151,16 @@ def build_theta_polytope(
 ) -> FeasibilityPolytope:
     """Constraint polytope over (x, theta) from the current tube solution.
 
-    Rows freeze the optimal tube (z*, v*, x_r*) and its shifted candidate;
-    the estimate must keep the candidate feasible: state inside the first
-    shifted set (both its q-tightened and full version), each mode's scaled
-    input image below the frozen disturbance allowance, the candidate tube
-    and terminal rows, and the invariant-set rows tightened by d + q.
+    The estimate must keep the shifted candidate y =
+    ``tmpc.warm_start_vector(tube, gamma)`` feasible for the next tube QP.
+    Those rows are the tube QP's own, evaluated at y with x and theta free:
+    the initial row puts x in the full first shifted set (state_s), the mode
+    rows give the candidate tube, the last shifted tube row into (z+, v+) and
+    the terminal contraction (tube, tube_plus, terminal), and the vertex
+    dynamics give the invariant-set rows tightened by d + q (rci).  Only two
+    families are the estimator's own: x in the q-tightened first set
+    (state_q), and each mode's scaled input image below the frozen
+    disturbance allowance d (dist).
     """
     lay = tube.layout
     n_x, n_u, f = lay.n_x, lay.n_u, template.n_rows
@@ -175,69 +171,36 @@ def build_theta_polytope(
     if d is None:
         d = tube.rci.d
     F = template.F
-    z_s, v_s = tube.rci.z_s, tube.rci.v_s
-    s, c, q = tube.rci.s, tube.rci.c, tube.rci.q
-    z_plus = z_s + gamma * (tube.z[N] - z_s)
-    v_plus = v_s + gamma * (tube.v[N] - v_s)
-    eps_u = np.atleast_1d(np.asarray(eps_u, dtype=float))
+    y = tmpc.warm_start_vector(tube, gamma)
+    signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))
+    r = beta * signs * np.atleast_1d(np.asarray(eps_u, dtype=float))
+    dist_A = qlpv.theta_rows(params, F, np.hstack([np.zeros((len(r), n_x)), r]))
+    mode_A, mode_b = tmpc.mode_rows(gamma, template, lay).over_theta(params, y)
+    rci_A, rci_b = rci.vertex_rows(template, d).over_theta(params, y[lay.xr_cols])
+    state = np.hstack([F, np.zeros((f, n_theta))])
 
-    rows_A: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
+    def theta_only(A):
+        A = A.reshape(-1, n_theta)
+        return np.hstack([np.zeros((len(A), n_x)), A])
+
+    # (family of each block of f rows, rows, right-hand sides)
+    blocks = [
+        (["state_q"], state, tube.rci.q + F @ tube.z[1]),
+        (["state_s"], state, -tmpc.initial_row(template, lay) @ y),
+        (["dist"] * n_p * len(r), theta_only(dist_A), np.tile(d, n_p * len(r))),
+        ((["tube"] * (N - 1) + ["tube_plus", "terminal"]) * n_p, theta_only(mode_A), mode_b),
+        (["rci"] * n_p * template.n_vertices, theta_only(rci_A), rci_b),
+    ]
+    A = np.vstack([blk[1] for blk in blocks])
+    b = np.concatenate([blk[2] for blk in blocks])
     families: dict = {}
-
-    def add(name, A, b):
-        start = sum(r.shape[0] for r in rows_A)
-        rows_A.append(A)
-        rows_b.append(np.atleast_1d(b))
-        stop = start + A.shape[0]
-        families.setdefault(name, []).append(slice(start, stop))
-
-    dim = n_x + n_theta
-
-    # (a) State inside the first candidate set, q-tightened and full.
-    A = np.zeros((f, dim))
-    A[:, :n_x] = F
-    add("state_q", A, q + F @ tube.z[1])
-    A = np.zeros((f, dim))
-    A[:, :n_x] = F
-    add("state_s", A, s + F @ tube.z[1])
-
-    # (b) Scaled input image of each mode below the frozen allowance d.
-    for i in range(n_p):
-        for signs in product((-1.0, 1.0), repeat=n_u):
-            r = beta * np.asarray(signs) * eps_u
-            add("dist", _theta_row_block(F, n_x, n_theta, n_p, n_u, i, np.zeros(n_x), r), d)
-
-    # (c) Candidate tube rows for k = 1..N-1.
-    for i in range(n_p):
-        for k in range(1, N):
-            A = _theta_row_block(F, n_x, n_theta, n_p, n_u, i,
-                                 tube.z[k] - z_s, tube.v[k] - v_s)
-            add("tube", A, q + F @ (tube.z[k + 1] - z_s))
-        # (d) Last shifted tube row into (z+, v+).
-        A = _theta_row_block(F, n_x, n_theta, n_p, n_u, i,
-                             tube.z[N] - z_s, tube.v[N] - v_s)
-        add("tube_plus", A, q + F @ (z_plus - z_s))
-        # (e) Terminal contraction at the shifted pair.
-        A = _theta_row_block(F, n_x, n_theta, n_p, n_u, i,
-                             z_plus - z_s, v_plus - v_s)
-        add("terminal", A, q + gamma * F @ (z_plus - z_s))
-
-    # (f) Invariant-set rows, tightened by d + q.
-    for i in range(n_p):
-        for j in range(template.n_vertices):
-            A = _theta_row_block(F, n_x, n_theta, n_p, n_u, i,
-                                 z_s + template.V[j] @ s,
-                                 v_s + template.U[j] @ c)
-            add("rci", A, s + F @ z_s - (d + q))
-
-    A = np.vstack(rows_A)
-    b = np.concatenate(rows_b)
+    for k, name in enumerate(n for names, _, _ in blocks for n in names):
+        families.setdefault(name, []).append(slice(k * f, (k + 1) * f))
     x_rows = np.abs(A[:, :n_x]).sum(axis=1) > 0
     # The shifted first center with the generating parameters satisfies every
     # row; it certifies nonemptiness and backs the empty-polytope fallback.
     witness = np.concatenate([tube.z[1], params.pack()])
-    return FeasibilityPolytope(A=A, b=b, z_plus=z_plus, v_plus=v_plus,
+    return FeasibilityPolytope(A=A, b=b, z_plus=y[lay.z(N)], v_plus=y[lay.v(N)],
                                witness=witness, families=families, x_rows=x_rows)
 
 
@@ -269,7 +232,6 @@ class CorrectionResult:
     projection_loss: float
     theta_poly_violation: float
     fallback: bool = False
-    one_shot: bool = False
 
 
 def constrained_correct(
@@ -278,14 +240,11 @@ def constrained_correct(
     P_pred: np.ndarray,
     y: np.ndarray,
     theta_poly: FeasibilityPolytope | None,
-    one_shot: bool = False,
 ) -> CorrectionResult:
     """Measurement update followed by projection onto the feasibility polytope.
 
-    Default is the two-stage form: standard update, then project the mean
-    under the posterior-information metric; the covariance is left at the
-    unconstrained posterior.  The one-shot form solves the joint
-    prior/measurement QP over the polytope instead.
+    Standard update, then project the mean under the posterior-information
+    metric; the covariance is left at the unconstrained posterior.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     C_tilde = state.output_map()
@@ -302,18 +261,6 @@ def constrained_correct(
 
     if state.freeze_theta:
         return _project_state_block(state, zeta_u, P_new, theta_poly)
-
-    if one_shot:
-        Pinv = _inverse_psd(P_pred)
-        Rinv = _inverse_psd(state.Re)
-        H = 2.0 * (Pinv + C_tilde.T @ Rinv @ C_tilde)
-        g = -2.0 * (Pinv @ zeta_pred + C_tilde.T @ Rinv @ y)
-        sol = qp.solve(qp.QpProblem.build(H, g, theta_poly.A, theta_poly.b), tol=1e-9)
-        if sol.status == qp.QpStatus.OPTIMAL:
-            loss = float((sol.x - zeta_u) @ _inverse_psd(P_new) @ (sol.x - zeta_u))
-            return CorrectionResult(sol.x, P_new, loss,
-                                    theta_poly.violation(sol.x), one_shot=True)
-        return _keep_theta_fallback(state, zeta_u, P_new, theta_poly)
 
     M = _inverse_psd(P_new)
     proj = qp.project_weighted(zeta_u, M, A_in=theta_poly.A, b_in=theta_poly.b, tol=1e-10)

@@ -52,12 +52,10 @@ class Hpoly:
 
 @dataclass(frozen=True)
 class PolytopeTemplate:
-    """Fixed template F with offset cone rows E, vertex maps V and input selectors U."""
+    """Fixed template F with vertex maps V; vertex j has input block j of c."""
 
     F: np.ndarray
-    E: np.ndarray
     V: tuple[np.ndarray, ...]
-    U: tuple[np.ndarray, ...]
     n_x: int
     n_u: int
 
@@ -74,8 +72,8 @@ class PolytopeTemplate:
         return np.array([z + Vj @ s for Vj in self.V])
 
     def vertex_input(self, c: np.ndarray, j: int) -> np.ndarray:
-        """The j-th vertex control input U_j c."""
-        return self.U[j] @ c
+        """The j-th vertex control input, block j of the stacked vector c."""
+        return c.reshape(self.n_vertices, self.n_u)[j]
 
 
 @dataclass(frozen=True)
@@ -92,13 +90,12 @@ def box_template(n_x: int, n_u: int) -> PolytopeTemplate:
     Vertex ordering is lexicographic over sign patterns with (+,...,+)
     first, so the stacked vertex-input vector c has a fixed block layout.
     For this template s >= 0 alone guarantees a nonempty set with constant
-    normal fan, so the cone matrix E needs no rows.
+    normal fan.
     """
     if n_x < 1:
         raise ConfigurationError("n_x must be >= 1")
     F = np.vstack([np.eye(n_x), -np.eye(n_x)])
     f = 2 * n_x
-    v = 2 ** n_x
     V = []
     for signs in product((0, 1), repeat=n_x):
         Vj = np.zeros((n_x, f))
@@ -108,12 +105,7 @@ def box_template(n_x: int, n_u: int) -> PolytopeTemplate:
             else:
                 Vj[k, k] = 1.0
         V.append(Vj)
-    U = []
-    for j in range(v):
-        Uj = np.zeros((n_u, v * n_u))
-        Uj[:, j * n_u:(j + 1) * n_u] = np.eye(n_u)
-        U.append(Uj)
-    return PolytopeTemplate(F=F, E=np.zeros((0, f)), V=tuple(V), U=tuple(U), n_x=n_x, n_u=n_u)
+    return PolytopeTemplate(F=F, V=tuple(V), n_x=n_x, n_u=n_u)
 
 
 def contains(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray,

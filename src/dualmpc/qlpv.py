@@ -6,7 +6,7 @@ so p always lies on the simplex and the state update stays inside the convex
 hull of the vertex-model updates.  The flattened parameter vector theta stacks,
 in order: all A_i row-major, all B_i row-major, then W1, b1, W2, b2.  That
 order is load-bearing: estimator covariance indices and the feasibility
-polytope rows address theta by position.
+polytope rows (built here, by :func:`theta_rows`) address theta by position.
 """
 
 from __future__ import annotations
@@ -237,6 +237,51 @@ def augmented_jacobian(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.
     top = np.hstack([fx, ftheta])
     bottom = np.hstack([np.zeros((n_theta, params.n_x)), np.eye(n_theta)])
     return np.vstack([top, bottom])
+
+
+def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Coefficients over theta of F (A_i w + B_i r) at fixed points (w, r).
+
+    ``points`` stacks one (w, r) per row; the result has shape
+    (n_p, len(points), f, n_theta), and row (i, p) touches only the A_i and
+    B_i blocks of theta: d/dA_i[k, l] = F[:, k] w_l, d/dB_i[k, l] = F[:, k] r_l.
+    """
+    n_x, n_u, n_p = params.n_x, params.n_u, params.n_p
+    shape = (n_p, len(points), F.shape[0], -1)
+    modes = np.eye(n_p)
+    A = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, :n_x]).reshape(shape)
+    B = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, n_x:]).reshape(shape)
+    net = np.zeros(shape[:3] + (params.n_theta - n_p * n_x * (n_x + n_u),))
+    return np.concatenate([A, B, net], axis=3)
+
+
+@dataclass(frozen=True)
+class ModeRows:
+    """Rows F (A_i w_p + B_i r_p) + G_p y <= h_p for every mode i and point p.
+
+    The points (w_p, r_p) = S_p y are linear in a decision vector y, so the
+    rows are linear in y for a numeric model and linear in theta for a fixed
+    y: the tube propagation, terminal and invariant-set vertex rows of the
+    controller, and the same rows over theta in the feasibility polytope.
+    Rows are ordered mode-major, (i, p, row of F).
+    """
+
+    F: np.ndarray    # (f, n_x) template
+    S: np.ndarray    # (P, n_x + n_u, dim) point maps
+    G: np.ndarray    # (P, f, dim) model-free part
+    h: np.ndarray    # (P, f) right-hand sides
+
+    def over_y(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with A y <= b for the model params."""
+        AB = np.concatenate([np.array(params.A), np.array(params.B)], axis=2)
+        A = (self.F @ AB)[:, None] @ self.S + self.G
+        return A.reshape(-1, self.S.shape[2]), np.tile(self.h.ravel(), params.n_p)
+
+    def over_theta(self, params: ModelParams, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with A theta <= b at the fixed y; params gives theta's layout."""
+        A = theta_rows(params, self.F, self.S @ y)
+        b = self.h - self.G @ y
+        return A.reshape(-1, params.n_theta), np.tile(b.ravel(), params.n_p)
 
 
 def disturbance_vector(params: ModelParams, template: PolytopeTemplate,

@@ -205,7 +205,9 @@ def solve(
     satisfies them; a bare primal vector only seeds the interior-point
     iteration.  A numerical failure (non-finite iterate or Newton step) ends
     the iteration with the best point seen, status ``MAX_ITER`` when that
-    point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.
+    point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.  Without
+    convergence the best point seen is returned, and ``iterations`` counts
+    the iterations run, not the index of that point.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
@@ -239,6 +241,7 @@ def solve(
     best = QpSolution(x.copy(), lam.copy(), nu.copy(), np.inf, QpStatus.MAX_ITER, 0, np.inf)
     p_inf_hist: list[float] = []
 
+    it = 0
     for it in range(1, max_iter + 1):
         kkt, p_inf = _kkt_residual(prob, H, x, lam, nu)
         p_inf_hist.append(p_inf)
@@ -299,6 +302,7 @@ def solve(
         if not np.isfinite(np.concatenate([x, w, lam, nu])).all():
             break
 
+    best.iterations = it
     best.primal_infeasibility = min(p_inf_hist) if p_inf_hist else np.inf
     best.value = prob.objective(best.x)
     if best.primal_infeasibility > tol:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import qlpv, qp
 from .errors import ConfigurationError
@@ -99,6 +100,28 @@ def default_weights(template: PolytopeTemplate, n_y: int) -> tuple[np.ndarray, n
     return Q1, Q2
 
 
+def vertex_points(template: PolytopeTemplate) -> np.ndarray:
+    """Maps S_j with S_j x_r = (z_s + V_j s, v_s + c_j): each vertex of the
+    invariant set with its vertex input, shape (v, n_x + n_u, dim)."""
+    lay = XrLayout.of(template)
+    S = np.zeros((lay.v, lay.n_x + lay.n_u, lay.dim))
+    S[:, :, :lay.n_x + lay.n_u] = np.eye(lay.n_x + lay.n_u)   # (z_s, v_s) lead x_r
+    S[:, :lay.n_x, lay.s] = template.V
+    S[:, lay.n_x:, lay.c] = np.eye(lay.v * lay.n_u).reshape(lay.v, lay.n_u, -1)
+    return S
+
+
+def vertex_rows(template: PolytopeTemplate, d: np.ndarray) -> qlpv.ModeRows:
+    """Vertex dynamics over x_r: the mode image of each vertex under its input
+    stays inside the set, with room for the disturbance d and the slack q."""
+    lay = XrLayout.of(template)
+    G = np.zeros((lay.v, lay.f, lay.dim))
+    G[:, :, lay.z_s] = -template.F
+    G[:, :, lay.s] = -np.eye(lay.f)
+    G[:, :, lay.q] = np.eye(lay.f)
+    return qlpv.ModeRows(template.F, vertex_points(template), G, np.tile(-d, (lay.v, 1)))
+
+
 def rci_constraint_block(
     params: qlpv.ModelParams,
     template: PolytopeTemplate,
@@ -109,70 +132,26 @@ def rci_constraint_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear inequalities A x_r <= b encoding the invariant-set conditions."""
     lay = XrLayout.of(template)
-    F, C = template.F, params.C
-    f, v, n_p = lay.f, lay.v, params.n_p
     if d is None:
         d = qlpv.disturbance_vector(params, template, beta, eps_u)
     U_box = Hpoly.box(eps_u).scale(1.0 - beta)
-
-    rows_A: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-
-    def blank():
-        return np.zeros((f, lay.dim))
-
-    # Vertex dynamics: image of each vertex under its input stays inside,
-    # with room for the disturbance d and the slack q.
-    for Ai, Bi in zip(params.A, params.B):
-        FA, FB = F @ Ai, F @ Bi
-        for j in range(v):
-            A = blank()
-            A[:, lay.z_s] = FA - F
-            A[:, lay.s] = FA @ template.V[j] - np.eye(f)
-            A[:, lay.v_s] = FB
-            A[:, lay.c] = FB @ template.U[j]
-            A[:, lay.q] = np.eye(f)
-            rows_A.append(A)
-            rows_b.append(-d)
-
+    A_dyn, b_dyn = vertex_rows(template, d).over_y(params)
     # Vertex outputs inside Y; vertex inputs inside the tracking input share.
-    for j in range(v):
-        A = np.zeros((Y.H.shape[0], lay.dim))
-        A[:, lay.z_s] = Y.H @ C
-        A[:, lay.s] = Y.H @ C @ template.V[j]
-        rows_A.append(A)
-        rows_b.append(Y.h)
-
-        A = np.zeros((U_box.H.shape[0], lay.dim))
-        A[:, lay.v_s] = U_box.H
-        A[:, lay.c] = U_box.H @ template.U[j]
-        rows_A.append(A)
-        rows_b.append(U_box.h)
-
-    # Sign constraints q >= 0 and offset-cone membership s >= 0 (E has no rows).
-    A = np.zeros((f, lay.dim))
-    A[:, lay.q] = -np.eye(f)
-    rows_A.append(A)
-    rows_b.append(np.zeros(f))
-    A = np.zeros((f, lay.dim))
-    A[:, lay.s] = -np.eye(f)
-    rows_A.append(A)
-    rows_b.append(np.zeros(f))
-    if template.E.shape[0]:
-        A = np.zeros((template.E.shape[0], lay.dim))
-        A[:, lay.s] = template.E
-        rows_A.append(A)
-        rows_b.append(np.zeros(template.E.shape[0]))
-
-    return np.vstack(rows_A), np.concatenate(rows_b)
+    box = block_diag(Y.H @ params.C, U_box.H)
+    A_box = (box @ vertex_points(template)).reshape(-1, lay.dim)
+    b_box = np.tile(np.concatenate([Y.h, U_box.h]), lay.v)
+    # Sign constraints q >= 0 and s >= 0.
+    A_sign = np.zeros((2 * lay.f, lay.dim))
+    A_sign[:lay.f, lay.q] = A_sign[lay.f:, lay.s] = -np.eye(lay.f)
+    return (np.vstack([A_dyn, A_box, A_sign]),
+            np.concatenate([b_dyn, b_box, np.zeros(2 * lay.f)]))
 
 
 def constraint_row_count(template: PolytopeTemplate, n_p: int, n_y_rows: int) -> int:
     lay = XrLayout.of(template)
     return (n_p * lay.v * lay.f                    # vertex dynamics
             + lay.v * (n_y_rows + 2 * lay.n_u)     # vertex outputs + inputs
-            + 2 * lay.f                            # q >= 0 and s >= 0
-            + template.E.shape[0])
+            + 2 * lay.f)                           # q >= 0 and s >= 0
 
 
 def cost_matrices(

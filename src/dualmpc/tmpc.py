@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import polytope, qlpv, qp, rci
 from .errors import ConfigurationError
@@ -85,6 +86,25 @@ class TmpcLayout:
         off = (self.N + 1) * self.stage
         return slice(off, off + self.xr.dim)
 
+    def _in_xr(self, part: slice) -> slice:
+        off = self.xr_cols.start
+        return slice(off + part.start, off + part.stop)
+
+    @property
+    def s(self) -> slice:
+        return self._in_xr(self.xr.s)
+
+    @property
+    def q(self) -> slice:
+        return self._in_xr(self.xr.q)
+
+    @property
+    def deviations(self) -> np.ndarray:
+        """Maps D_k with D_k y = (z_k - z_s, v_k - v_s), k = 0..N."""
+        center = np.eye(self.stage, self.dim, self.xr_cols.start)  # (z_s, v_s) lead x_r
+        return np.array([np.eye(self.stage, self.dim, k * self.stage) - center
+                         for k in range(self.N + 1)])
+
 
 @dataclass
 class TubeSolution:
@@ -104,6 +124,37 @@ class TubeSolution:
         return ParamSet(self.z[0], self.rci.s)
 
 
+def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv.ModeRows:
+    """Tube propagation and terminal rows over the full vector.
+
+    Point k is the deviation (z_k - z_s, v_k - v_s) of stage k from the set
+    center.  For k < N its mode images land in the next tube set with slack q,
+    F(A_i w + B_i r) <= F(z_{k+1} - z_s) + q; for k = N they contract toward
+    the set center at rate gamma.
+    """
+    F, f, N = template.F, template.n_rows, lay.N
+    D = lay.deviations
+    G = np.zeros((N + 1, f, lay.dim))
+    for k in range(N + 1):
+        nxt, rate = (k + 1, 1.0) if k < N else (N, gamma)
+        G[k] = -rate * F @ D[nxt, :lay.n_x]
+    G[:, :, lay.q] = -np.eye(f)
+    return qlpv.ModeRows(F, D, G, np.zeros((N + 1, f)))
+
+
+def initial_row(template: PolytopeTemplate, lay: TmpcLayout) -> np.ndarray:
+    """G with G y <= -F x_hat: the estimate lies in the first tube set X(z_0, s).
+
+    Using the full offset s here (not the slack q) is what the time-shift
+    feasibility argument needs: the propagated state is only guaranteed to
+    land in X(z_1, s), and it keeps the barycentric-weight problem feasible.
+    """
+    G = np.zeros((template.n_rows, lay.dim))
+    G[:, lay.z(0)] = -template.F
+    G[:, lay.s] = -np.eye(template.n_rows)
+    return G
+
+
 def _assemble_constraints(
     params: qlpv.ModelParams,
     x_hat: np.ndarray,
@@ -114,74 +165,22 @@ def _assemble_constraints(
     d: np.ndarray,
     lay: TmpcLayout,
 ) -> tuple[np.ndarray, np.ndarray]:
-    F, C = template.F, params.C
-    f = template.n_rows
-    N = lay.N
-    xr_off = lay.xr_cols.start
+    mode = mode_rows(cfg.gamma, template, lay)
+    A_mode, b_mode = mode.over_y(params)
+    # Vertex outputs in Y and vertex inputs in the tracking input share along
+    # the whole tube: vertex j of set k with its input is the deviation point
+    # k plus vertex j of the invariant set.
     U_track = Hpoly.box(eps_u).scale(1.0 - cfg.beta)
-
-    rows_A: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-
-    def add(A_row, b_row):
-        rows_A.append(A_row)
-        rows_b.append(np.atleast_1d(b_row))
-
-    z_s_cols = slice(xr_off + lay.xr.z_s.start, xr_off + lay.xr.z_s.stop)
-    v_s_cols = slice(xr_off + lay.xr.v_s.start, xr_off + lay.xr.v_s.stop)
-    s_cols = slice(xr_off + lay.xr.s.start, xr_off + lay.xr.s.stop)
-    c_cols = slice(xr_off + lay.xr.c.start, xr_off + lay.xr.c.stop)
-    q_cols = slice(xr_off + lay.xr.q.start, xr_off + lay.xr.q.stop)
-
-    # Tube propagation: mode image of set k lands in set k+1 with q slack.
-    for Ai, Bi in zip(params.A, params.B):
-        FA, FB = F @ Ai, F @ Bi
-        for k in range(N):
-            A = np.zeros((f, lay.dim))
-            A[:, lay.z(k)] = FA
-            A[:, lay.v(k)] = FB
-            A[:, lay.z(k + 1)] = -F
-            A[:, z_s_cols] = F - FA
-            A[:, v_s_cols] = -FB
-            A[:, q_cols] = -np.eye(f)
-            add(A, np.zeros(f))
-        # Terminal contraction toward the set center.
-        A = np.zeros((f, lay.dim))
-        A[:, lay.z(N)] = FA - cfg.gamma * F
-        A[:, lay.v(N)] = FB
-        A[:, z_s_cols] = cfg.gamma * F - FA
-        A[:, v_s_cols] = -FB
-        A[:, q_cols] = -np.eye(f)
-        add(A, np.zeros(f))
-
-    # Vertex outputs and inputs along the whole tube, terminal included.
-    for k in range(N + 1):
-        for j in range(template.n_vertices):
-            A = np.zeros((Y.H.shape[0], lay.dim))
-            A[:, lay.z(k)] = Y.H @ C
-            A[:, s_cols] = Y.H @ C @ template.V[j]
-            add(A, Y.h)
-            A = np.zeros((U_track.H.shape[0], lay.dim))
-            A[:, lay.v(k)] = U_track.H
-            A[:, c_cols] = U_track.H @ template.U[j]
-            add(A, U_track.h)
-
-    # Initial state anchored in the first tube set X(z_0, s).  Using the
-    # full offset s here (not the slack q) is what the time-shift feasibility
-    # argument needs: the propagated state is only guaranteed to land in
-    # X(z_1, s), and it keeps the barycentric-weight problem feasible.
-    A = np.zeros((f, lay.dim))
-    A[:, lay.z(0)] = -F
-    A[:, s_cols] = -np.eye(f)
-    add(A, -F @ x_hat)
-
-    # Invariant-set block over the x_r columns.
+    box = block_diag(Y.H @ params.C, U_track.H)
+    vertices = np.zeros((template.n_vertices, lay.stage, lay.dim))
+    vertices[..., lay.xr_cols] = rci.vertex_points(template)
+    A_box = (box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
+    b_box = np.tile(np.concatenate([Y.h, U_track.h]), (lay.N + 1) * template.n_vertices)
+    # Invariant-set block over the x_r columns, which close the vector.
     A_rci, b_rci = rci.rci_constraint_block(params, template, cfg.beta, eps_u, Y, d)
-    A = np.zeros((A_rci.shape[0], lay.dim))
-    A[:, lay.xr_cols] = A_rci
-    add(A, b_rci)
-
-    return np.vstack(rows_A), np.concatenate(rows_b)
+    A_rci = np.hstack([np.zeros((len(b_rci), lay.xr_cols.start)), A_rci])
+    return (np.vstack([A_mode, A_box, initial_row(template, lay), A_rci]),
+            np.concatenate([b_mode, b_box, -template.F @ x_hat, b_rci]))
 
 
 def _assemble_cost(
@@ -200,15 +199,8 @@ def _assemble_cost(
 
     H = np.zeros((lay.dim, lay.dim))
     g = np.zeros(lay.dim)
-    xr_off = lay.xr_cols.start
-
-    for k in range(lay.N + 1):
+    for k, D in enumerate(lay.deviations):
         W = P if k == lay.N else Q
-        D = np.zeros((lay.stage, lay.dim))
-        D[: lay.n_x, lay.z(k)] = np.eye(lay.n_x)
-        D[: lay.n_x, xr_off + lay.xr.z_s.start:xr_off + lay.xr.z_s.stop] = -np.eye(lay.n_x)
-        D[lay.n_x:, lay.v(k)] = np.eye(lay.n_u)
-        D[lay.n_x:, xr_off + lay.xr.v_s.start:xr_off + lay.xr.v_s.stop] = -np.eye(lay.n_u)
         H += 2.0 * D.T @ W @ D
 
     H_xr, g_xr, const = rci.cost_matrices(template, y_ref, params.C, Q1, Q2)

@@ -14,7 +14,6 @@ def test_box_template_dimensions_match_paper_setup():
     t = box2()
     assert t.n_rows == 4 and t.n_vertices == 4
     assert t.F.shape == (4, 2)
-    assert t.E.shape[0] == 0
 
 
 def test_vertices_from_halfspace_intersections():

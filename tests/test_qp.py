@@ -128,6 +128,21 @@ def test_tolerance_below_machine_precision_returns_status_without_warnings(rng):
     assert (A @ sol.x <= b + 1e-12).all()
 
 
+@pytest.mark.parametrize("norm", [1.0, 4e6])
+def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, norm):
+    # The loop evaluates the KKT residual once per iteration; a solve that
+    # ends without meeting tol reports that count, not the index of the best
+    # iterate it returns.
+    H, g, A, b = random_strictly_convex(rng, 6, 10)
+    scale = norm / np.abs(H).max()
+    calls = []
+    residual = qp._kkt_residual
+    monkeypatch.setattr(qp, "_kkt_residual", lambda *a: (calls.append(1), residual(*a))[1])
+    sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=1e-16)
+    assert sol.status in (qp.QpStatus.MAX_ITER, qp.QpStatus.INFEASIBLE)
+    assert sol.iterations == len(calls) > 0
+
+
 def test_dual_loop_projection_converges(monkeypatch):
     # Closed loop on a random scheduled model: the true plant is the model
     # with perturbed parameters, the tube QP is warm-started and the
