@@ -139,9 +139,11 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
 
     A_eq = np.vstack([np.ones((1, v)), W])
     b_eq = np.concatenate([[1.0], rhs])
+    # Both costs, 2I here and 2(I + penalty W'W) below, are positive definite
+    # by construction, so the eigenvalue check is skipped.
     prob = qp.QpProblem.build(2.0 * np.eye(v), np.zeros(v),
                               A_in=-np.eye(v), b_in=np.zeros(v),
-                              A_eq=A_eq, b_eq=b_eq)
+                              A_eq=A_eq, b_eq=b_eq, check_psd=False)
     sol = qp.solve(prob, tol=tol)
     if sol.status == qp.QpStatus.OPTIMAL:
         lam = sol.x
@@ -152,7 +154,7 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
     H = 2.0 * (np.eye(v) + penalty * (W.T @ W))
     g = -2.0 * penalty * (W.T @ rhs)
     prob = qp.QpProblem.build(H, g, A_in=-np.eye(v), b_in=np.zeros(v),
-                              A_eq=np.ones((1, v)), b_eq=np.array([1.0]))
+                              A_eq=np.ones((1, v)), b_eq=np.array([1.0]), check_psd=False)
     sol = qp.solve(prob, tol=tol)
     lam = sol.x
     return LambdaResult(lam, float(np.linalg.norm(W @ lam - rhs)), relaxed=True)

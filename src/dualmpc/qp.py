@@ -22,6 +22,13 @@ large norm is not asked for more significant digits than one of norm 1.  The
 same rule decides the interior-point loop, the acceptance of a warm start and
 the equality-constrained direct solve.
 
+The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
+at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s then
+scales every dual iterate by s and keeps the primal ones and the iteration
+count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
+end).  Each iteration evaluates the KKT residuals once, for the termination
+test and the Newton step; predictor and corrector share one LU factorization.
+
 The solver is deterministic: identical inputs produce identical iterates.  It
 never raises on a numerical failure: a non-finite iterate or Newton step ends
 the iteration with the best point seen and status ``MAX_ITER`` or
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError
 
@@ -132,36 +139,28 @@ class QpSolution:
     value: float = field(default=float("nan"))
 
 
-def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu) -> tuple[float, float]:
-    """(scaled KKT residual, absolute primal infeasibility) at a primal-dual point."""
-    terms = [H @ x, prob.g]
-    if prob.A_in.shape[0]:
-        terms.append(prob.A_in.T @ lam)
-    if prob.A_eq.shape[0]:
-        terms.append(prob.A_eq.T @ nu)
-    if x.size:
-        scale = max(1.0, max(float(np.abs(t).max()) for t in terms))
-        stat = float(np.abs(sum(terms)).max()) / scale
-    else:
-        scale, stat = 1.0, 0.0
-    viol_in = 0.0
-    comp = 0.0
-    if prob.A_in.shape[0]:
-        resid = prob.A_in @ x - prob.b_in
-        viol_in = float(max(0.0, resid.max()))
-        comp = max(float(np.abs(lam * resid).max()), float(max(0.0, -lam.min()))) / scale
-    viol_eq = float(np.abs(prob.A_eq @ x - prob.b_eq).max()) if prob.A_eq.shape[0] else 0.0
-    p_inf = max(viol_in, viol_eq)
-    return max(stat, p_inf, comp), p_inf
+def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu):
+    """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, r_eq)
+    at a primal-dual point, where r_d = Hx + g + A_in' lam + A_eq' nu,
+    r_in = A_in x - b_in and r_eq = A_eq x - b_eq feed the Newton step."""
+    terms = [H @ x, prob.g, prob.A_in.T @ lam, prob.A_eq.T @ nu]
+    r_d = sum(terms)
+    r_in = prob.A_in @ x - prob.b_in
+    r_eq = prob.A_eq @ x - prob.b_eq
+    scale = max(1.0, float(np.abs(terms).max(initial=0.0)))
+    stat = float(np.abs(r_d).max(initial=0.0)) / scale
+    comp = max(float(np.abs(lam * r_in).max(initial=0.0)), -float(lam.min(initial=0.0))) / scale
+    p_inf = max(float(r_in.max(initial=0.0)), float(np.abs(r_eq).max(initial=0.0)))
+    return max(stat, p_inf, comp), p_inf, r_d, r_in, r_eq
 
 
 def _linear_solver(M: np.ndarray):
-    """``rhs -> M^-1 rhs`` for a finite M, through an LU factorization, or by
+    """``rhs -> M^-1 rhs`` for a finite M, through one LU factorization, or by
     least squares when M is singular.  A failed least-squares solve gives
     NaNs, which the caller checks for."""
-    lu, piv, info = scipy.linalg.lapack.dgetrf(M)
+    lu, piv, info = lapack.dgetrf(M)
     if info == 0:
-        return lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
 
     def least_squares(rhs):
         try:
@@ -169,6 +168,12 @@ def _linear_solver(M: np.ndarray):
         except np.linalg.LinAlgError:
             return np.full(M.shape[0], np.nan)
     return least_squares
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + step * dv >= 0."""
+    neg = dv < 0
+    return float((-v[neg] / dv[neg]).min(initial=1.0))
 
 
 def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float) -> QpSolution:
@@ -180,7 +185,7 @@ def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float) -> QpSolution
     if not np.isfinite(sol).all():
         return QpSolution(np.zeros(n), np.zeros(0), np.zeros(p), np.inf,
                           QpStatus.INFEASIBLE, 1, np.inf)
-    kkt, p_inf = _kkt_residual(prob, H, x, np.zeros(0), nu)
+    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), nu)
     status = QpStatus.OPTIMAL if kkt <= tol else QpStatus.INFEASIBLE
     return QpSolution(x, np.zeros(0), nu, kkt, status, 1, p_inf, prob.objective(x))
 
@@ -217,7 +222,7 @@ def solve(
     x0 = None
     if isinstance(warm_start, QpSolution):
         if warm_start.x.size == n and warm_start.ineq_duals.size == m and warm_start.eq_duals.size == p:
-            kkt, p_inf = _kkt_residual(prob, H, warm_start.x, warm_start.ineq_duals, warm_start.eq_duals)
+            kkt, p_inf, *_ = _kkt_residual(prob, H, warm_start.x, warm_start.ineq_duals, warm_start.eq_duals)
             if kkt <= tol:
                 return QpSolution(
                     warm_start.x.copy(), warm_start.ineq_duals.copy(), warm_start.eq_duals.copy(),
@@ -232,82 +237,75 @@ def solve(
     if m == 0:
         return _solve_equality_qp(prob, H, tol)
 
-    G, h, A, b = prob.A_in, prob.b_in, prob.A_eq, prob.b_eq
+    G, h, A = prob.A_in, prob.b_in, prob.A_eq
     x = x0.copy() if x0 is not None else np.zeros(n)
-    w = np.maximum(h - G @ x, 1.0)
-    lam = np.ones(m)
+    # Slacks w and duals lam, stacked so one ratio test covers both.  The
+    # duals start at the cost's gradient norm (see the module docstring).
+    lam0 = max(1.0, float(np.abs(H @ x + prob.g).max(initial=0.0)))
+    wl = np.concatenate([np.maximum(h - G @ x, 1.0), np.full(m, lam0)])
     nu = np.zeros(p)
+    # KKT matrix [[K, A_eq'], [A_eq, 0]]; only the K block changes.
+    M = np.block([[np.zeros((n, n)), A.T], [A, np.zeros((p, p))]])
+    K = M[:n, :n]
 
-    best = QpSolution(x.copy(), lam.copy(), nu.copy(), np.inf, QpStatus.MAX_ITER, 0, np.inf)
+    best = (x, wl[m:], nu, np.inf)
     p_inf_hist: list[float] = []
 
     it = 0
     for it in range(1, max_iter + 1):
-        kkt, p_inf = _kkt_residual(prob, H, x, lam, nu)
+        w, lam = wl[:m], wl[m:]
+        kkt, p_inf, r_d, r_in, r_e = _kkt_residual(prob, H, x, lam, nu)
         p_inf_hist.append(p_inf)
-        if kkt < best.kkt_residual:
-            best = QpSolution(x.copy(), lam.copy(), nu.copy(), kkt, QpStatus.MAX_ITER, it, p_inf)
+        if kkt < best[3]:
+            best = (x, lam, nu, kkt)
         if kkt <= tol:
-            return QpSolution(x.copy(), lam.copy(), nu.copy(), kkt, QpStatus.OPTIMAL,
+            return QpSolution(x, lam.copy(), nu, kkt, QpStatus.OPTIMAL,
                               it, p_inf, prob.objective(x))
         stalled = (
             len(p_inf_hist) > _STALL_WINDOW
             and min(p_inf_hist) > tol
             and min(p_inf_hist[-_STALL_WINDOW:]) >= 0.999 * min(p_inf_hist[:-_STALL_WINDOW])
         )
-        if stalled or (np.abs(lam).max() > 1e13 and p_inf > tol):
-            return QpSolution(x.copy(), lam.copy(), nu.copy(), kkt, QpStatus.INFEASIBLE,
+        if stalled or (lam.max() > 1e13 * lam0 and p_inf > tol):
+            return QpSolution(x, lam.copy(), nu, kkt, QpStatus.INFEASIBLE,
                               it, min(p_inf_hist), prob.objective(x))
 
-        r_d = H @ x + prob.g + G.T @ lam + (A.T @ nu if p else 0.0)
-        r_p = G @ x + w - h
-        r_e = A @ x - b if p else np.zeros(0)
-        mu = float(w @ lam) / m
-
-        D = lam / w
-        K = H + (G.T * D) @ G
-        M = np.block([[K, A.T], [A, np.zeros((p, p))]]) if p else K
-        if not np.isfinite(M).all():
+        r_p = r_in + w
+        wlam = w * lam
+        mu = float(wlam.sum()) / m
+        np.matmul(G.T * (lam / w), G, out=K)
+        K += H
+        if not np.isfinite(K).all():
             break
         kkt_solve = _linear_solver(M)
 
         def newton(r_c):
-            rhs1 = -r_d + G.T @ ((r_c - lam * r_p) / w)
-            sol = kkt_solve(np.concatenate([rhs1, -r_e]) if p else rhs1)
-            dx, dnu = sol[:n], sol[n:]
+            rhs = G.T @ ((r_c - lam * r_p) / w) - r_d
+            sol = kkt_solve(np.concatenate([rhs, -r_e]) if p else rhs)
+            dx = sol[:n]
             dw = -r_p - G @ dx
-            dlam = (-r_c - lam * dw) / w
-            return dx, dw, dlam, dnu
-
-        def max_step(v, dv):
-            neg = dv < 0
-            return float(min(1.0, (-v[neg] / dv[neg]).min())) if neg.any() else 1.0
+            return dx, np.concatenate([dw, (-r_c - lam * dw) / w]), sol[n:]
 
         # Predictor (affine scaling) step.
-        dx_a, dw_a, dlam_a, dnu_a = newton(w * lam)
-        alpha_a = min(max_step(w, dw_a), max_step(lam, dlam_a))
-        mu_aff = float((w + alpha_a * dw_a) @ (lam + alpha_a * dlam_a)) / m
+        _, dwl_a, _ = newton(wlam)
+        wl_a = wl + _max_step(wl, dwl_a) * dwl_a
+        mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
         sigma = min(1.0, mu_aff / mu) ** 3 if mu > 0 else 0.0
 
-        # Corrector step with centering.
-        r_c = w * lam + dw_a * dlam_a - sigma * mu
-        dx, dw, dlam, dnu = newton(r_c)
-        alpha = 0.99 * min(max_step(w, dw), max_step(lam, dlam))
+        # Corrector step with centering, on the same factorization.
+        dx, dwl, dnu = newton(wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu)
+        alpha = max(0.99, 1.0 - mu) * _max_step(wl, dwl)
 
         x = x + alpha * dx
-        w = w + alpha * dw
-        lam = lam + alpha * dlam
-        if p:
-            nu = nu + alpha * dnu
-        if not np.isfinite(np.concatenate([x, w, lam, nu])).all():
+        wl = wl + alpha * dwl
+        nu = nu + alpha * dnu
+        if not np.isfinite(np.concatenate([x, wl, nu])).all():
             break
 
-    best.iterations = it
-    best.primal_infeasibility = min(p_inf_hist) if p_inf_hist else np.inf
-    best.value = prob.objective(best.x)
-    if best.primal_infeasibility > tol:
-        best.status = QpStatus.INFEASIBLE
-    return best
+    x, lam, nu, kkt = best
+    p_inf = min(p_inf_hist) if p_inf_hist else np.inf
+    status = QpStatus.INFEASIBLE if p_inf > tol else QpStatus.MAX_ITER
+    return QpSolution(x, lam.copy(), nu, kkt, status, it, p_inf, prob.objective(x))
 
 
 def project_weighted(

@@ -35,7 +35,10 @@ def qp_active_set_oracle(H, g, A_in, b_in, A_eq=None, b_eq=None):
             except np.linalg.LinAlgError:
                 continue
             x = sol[:n]
+            # A singular K can still solve to a point off the constraints.
             if m and (A_in @ x - b_in).max() > 1e-9:
+                continue
+            if len(b_eq) and np.abs(A_eq @ x - b_eq).max() > 1e-9:
                 continue
             val = 0.5 * x @ H @ x + g @ x
             if val < best_val - 1e-12:

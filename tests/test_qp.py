@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
@@ -101,6 +102,39 @@ def test_cost_scaling_keeps_status_argmin_and_iterations(rng, scale):
         assert sol.status == qp.QpStatus.OPTIMAL
         assert np.abs(sol.x - ref.x).max() <= 1e-7 * max(1.0, 1.0 / scale)
         assert abs(sol.iterations - ref.iterations) <= 8
+
+
+def test_iteration_count_does_not_grow_with_cost_scale(rng):
+    # The duals start at the cost's gradient at the start point, so scaling
+    # (H, g) scales every dual iterate with it and leaves the primal path.
+    for _ in range(30):
+        H, g, A, b = random_strictly_convex(rng, 3, 5)
+        ref = solve_simple(H, g, A_in=A, b_in=b, tol=1e-10)
+        for scale in (1e2, 1e4, 1e6):
+            sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=1e-10)
+            assert sol.status == qp.QpStatus.OPTIMAL
+            assert abs(sol.iterations - ref.iterations) <= 2
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6),
+       with_eq=st.booleans(), log_scale=st.floats(-3.0, 6.0))
+def test_solution_matches_active_set_oracle(seed, n, m, with_eq, log_scale):
+    rng = np.random.default_rng(seed)
+    H, g, A, b = random_strictly_convex(rng, n, m)
+    A_eq = b_eq = None
+    if with_eq:
+        # The equality passes through a point strictly inside the inequalities.
+        A_eq = rng.normal(size=(1, n))
+        b_eq = A_eq @ qp_active_set_oracle(np.eye(n), np.zeros(n), A, b - 0.05)[0]
+    scale, tol = 10.0 ** log_scale, 1e-10
+    sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, A_eq=A_eq, b_eq=b_eq, tol=tol)
+    x_ref, _ = qp_active_set_oracle(H, g, A, b, A_eq, b_eq)
+    assert sol.status == qp.QpStatus.OPTIMAL
+    assert np.abs(sol.x - x_ref).max() <= 1e-6
+    assert (A @ sol.x - b).max() <= tol
+    if with_eq:
+        assert np.abs(A_eq @ sol.x - b_eq).max() <= tol
 
 
 def test_optimal_point_is_feasible_in_absolute_terms(rng):
