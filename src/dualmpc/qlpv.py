@@ -5,8 +5,10 @@ vector p is the softmax of a one-hidden-layer network with swish activations,
 so p always lies on the simplex and the state update stays inside the convex
 hull of the vertex-model updates.  The flattened parameter vector theta stacks,
 in order: all A_i row-major, all B_i row-major, then W1, b1, W2, b2.  That
-order is load-bearing: estimator covariance indices and the feasibility
-polytope rows (built here, by :func:`theta_rows`) address theta by position.
+order is load-bearing: estimator covariance indices address theta by
+position.  Besides packing and :func:`unpack`, only :func:`theta_rows` knows
+where the A_i and B_i blocks sit; it builds both the feasibility-polytope rows
+and the A/B columns of the Jacobian in :func:`jacobians`.
 """
 
 from __future__ import annotations
@@ -209,24 +211,17 @@ def jacobians(params: ModelParams, x: np.ndarray, u: np.ndarray
     """(df/dx, df/dtheta) of the one-step map at (x, u)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n_x, n_u, n_p = params.n_x, params.n_u, params.n_p
+    n_x = params.n_x
     p, dp_dxi, dp_dnet = _scheduling_grads(params, x, u)
 
     modes = np.column_stack([Ai @ x + Bi @ u for Ai, Bi in zip(params.A, params.B)])
 
     fx = sum(pi * Ai for pi, Ai in zip(p, params.A)) + modes @ dp_dxi[:, :n_x]
 
-    ftheta = np.zeros((n_x, params.n_theta))
-    # A_i blocks: df_k/dA_i[k,l] = p_i x_l
-    for i in range(n_p):
-        block = p[i] * np.kron(np.eye(n_x), x)
-        ftheta[:, i * n_x * n_x:(i + 1) * n_x * n_x] = block
-    off = n_p * n_x * n_x
-    for i in range(n_p):
-        block = p[i] * np.kron(np.eye(n_x), u)
-        ftheta[:, off + i * n_x * n_u:off + (i + 1) * n_x * n_u] = block
-    off += n_p * n_x * n_u
-    ftheta[:, off:] = modes @ dp_dnet
+    # df/dA_i and df/dB_i are p_i times the rows of A_i x + B_i u over theta.
+    rows = theta_rows(params, np.eye(n_x), np.concatenate([x, u])[None])
+    ftheta = np.tensordot(p, rows[:, 0], axes=1)
+    ftheta[:, -dp_dnet.shape[1]:] = modes @ dp_dnet
     return fx, ftheta
 
 

@@ -11,7 +11,7 @@ against the size weights, as a strictly convex QP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -212,10 +212,8 @@ def solve_optimal_rci(
 @dataclass
 class RciReport:
     worst_violation: float
-    worst_case: tuple
+    worst_case: tuple            # (template vertex, mode, disturbance vertex)
     n_checks: int
-    vertex_violation: float = field(default=0.0)
-    sample_violation: float = field(default=0.0)
 
     @property
     def ok(self) -> bool:
@@ -237,14 +235,11 @@ def verify_rci(
     template: PolytopeTemplate,
     beta: float,
     eps_u: np.ndarray,
-    n_samples: int = 1000,
-    seed: int = 0,
 ) -> RciReport:
     """Certify invariance by direct evaluation.
 
     Checks every (template vertex, mode, disturbance vertex) triple, which is
-    sufficient by convexity, then samples disturbance hull points as a
-    belt-and-braces diagnostic.  Violations are halfspace excesses of the
+    sufficient by convexity.  Violations are halfspace excesses of the
     successor state, so <= 0 means inside.
     """
     F = template.F
@@ -262,24 +257,5 @@ def verify_rci(
                 viol = float((F @ (base + w - sol.z_s) - sol.s).max())
                 n_checks += 1
                 if viol > worst:
-                    worst, worst_case = viol, ("vertex", j, i, k)
-    vertex_violation = worst
-
-    rng = np.random.default_rng(seed)
-    sample_violation = -np.inf
-    if len(w_vertices) and n_samples > 0:
-        weights = rng.dirichlet(np.ones(len(w_vertices)), size=n_samples)
-        samples = weights @ w_vertices
-        for j, (xj, uj) in enumerate(zip(verts, inputs)):
-            for i, (Ai, Bi) in enumerate(zip(params.A, params.B)):
-                base = Ai @ xj + Bi @ uj
-                viols = (samples + (base - sol.z_s)) @ F.T - sol.s
-                m = float(viols.max())
-                n_checks += n_samples
-                if m > sample_violation:
-                    sample_violation = m
-                if m > worst:
-                    worst, worst_case = m, ("sample", j, i)
-
-    return RciReport(worst_violation=worst, worst_case=worst_case, n_checks=n_checks,
-                     vertex_violation=vertex_violation, sample_violation=sample_violation)
+                    worst, worst_case = viol, (j, i, k)
+    return RciReport(worst_violation=worst, worst_case=worst_case, n_checks=n_checks)

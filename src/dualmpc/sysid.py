@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,26 +82,34 @@ def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int,
 
 
 def simulate(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Open-loop model outputs, one row per recorded step."""
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.zeros((len(u_seq), params.n_y))
-    for t, u in enumerate(u_seq):
-        out[t] = params.C @ x
-        if t + 1 < len(u_seq):
+    """Open-loop model states, one row per recorded step.
+
+    The roll-out stops at the first non-finite state; the rows after it are NaN.
+    """
+    xs = np.full((len(u_seq), params.n_x), np.nan)
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, u in enumerate(u_seq):
+            xs[t] = x
+            if t + 1 == len(u_seq) or not np.isfinite(x).all():
+                break
             x = qlpv.step(params, x, u)
-    return out
+    return xs
+
+
+def _output_error(params: qlpv.ModelParams, data: IoDataset,
+                  xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residuals y - C x and their MSE, which is inf for a diverged roll-out."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = data.y_seq - xs @ params.C.T
+        mse = float(np.sum(err ** 2) / len(data))
+    return err, mse if np.isfinite(mse) else float("inf")
 
 
 def simulate_mse(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray) -> float:
     if len(data) == 0:
         raise ConfigurationError("dataset is empty")
-    try:
-        y_hat = simulate(params, data.u_seq, x0)
-    except FloatingPointError:
-        return float("inf")
-    if not np.isfinite(y_hat).all():
-        return float("inf")
-    return float(np.sum((data.y_seq - y_hat) ** 2) / len(data))
+    return _output_error(params, data, simulate(params, data.u_seq, x0))[1]
 
 
 def _loss_only(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
@@ -115,30 +123,19 @@ def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
                      weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
     """(total loss, bare MSE, d loss / d theta) by reverse accumulation."""
     T = len(data)
-    n_x = params.n_x
-    xs = np.zeros((T, n_x))
-    x = np.asarray(x0, dtype=float).copy()
-    fxs, fths = [], []
-    for t in range(T):
-        xs[t] = x
-        if t + 1 < T:
-            fx, fth = qlpv.jacobians(params, x, data.u_seq[t])
-            fxs.append(fx)
-            fths.append(fth)
-            x = qlpv.step(params, x, data.u_seq[t])
-            if not np.isfinite(x).all():
-                return float("inf"), float("inf"), np.zeros(params.n_theta)
-
-    err = data.y_seq - xs @ params.C.T
-    mse = float(np.sum(err ** 2) / T)
+    xs = simulate(params, data.u_seq, x0)
+    err, mse = _output_error(params, data, xs)
+    if mse == float("inf"):
+        return mse, mse, np.zeros(params.n_theta)
     theta = params.pack()
     loss = mse + weight_decay * float(theta @ theta)
 
     grad = 2.0 * weight_decay * theta
     lam = -(2.0 / T) * params.C.T @ err[T - 1]
     for t in range(T - 2, -1, -1):
-        grad += fths[t].T @ lam
-        lam = -(2.0 / T) * params.C.T @ err[t] + fxs[t].T @ lam
+        fx, ftheta = qlpv.jacobians(params, xs[t], data.u_seq[t])
+        grad += ftheta.T @ lam
+        lam = -(2.0 / T) * params.C.T @ err[t] + fx.T @ lam
     return loss, mse, grad
 
 
@@ -286,7 +283,7 @@ def fit_feasible_model(
     wd = cfg.weight_decay
     last_diag: dict = {}
     for attempt in range(max_retries + 1):
-        attempt_cfg = TrainConfig(**{**cfg.__dict__, "weight_decay": wd})
+        attempt_cfg = replace(cfg, weight_decay=wd)
         params, report = fit_initial_model(data, attempt_cfg, seed, x0)
         ok, diag = feasibility_gate(params, controller, x0, template, Y, eps_u)
         if ok:

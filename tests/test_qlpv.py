@@ -97,20 +97,22 @@ class TestAugmentedJacobian:
         assert np.array_equal(J[2:, 2:], np.eye(42))
         assert np.array_equal(J[2:, :2], np.zeros((42, 2)))
 
-    def test_matches_central_differences(self, rng):
+    @pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (1, 1, 1)],
+                             ids=["2-1-3", "3-2-2", "1-1-1"])
+    def test_matches_central_differences(self, rng, n_x, n_u, n_p):
         for _ in range(100):
-            model = random_model(rng)
-            x, u = rng.normal(size=2), rng.normal(size=1)
+            model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
+            x, u = rng.normal(size=n_x), rng.normal(size=n_u)
             theta = model.pack()
 
             def f_of_zeta(zeta):
-                m = model.replace_theta(zeta[2:])
-                return qlpv.step(m, zeta[:2], u)
+                m = model.replace_theta(zeta[n_x:])
+                return qlpv.step(m, zeta[:n_x], u)
 
             J = qlpv.augmented_jacobian(model, x, u)
             J_fd = central_difference_jacobian(f_of_zeta, np.concatenate([x, theta]))
             scale = max(1.0, np.abs(J_fd).max())
-            assert np.abs(J[:2] - J_fd).max() / scale < 1e-5
+            assert np.abs(J[:n_x] - J_fd).max() / scale < 1e-5
 
 
 class TestDisturbanceVector:

@@ -115,7 +115,7 @@ class TestVerifyRci:
     def test_feasible_solution_certified(self, rng):
         model = random_model(rng, infnorm=0.6, gain=0.2)
         sol, _ = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, EPS_U, Y)
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.3, EPS_U, n_samples=500)
+        report = rci.verify_rci(sol, model, TEMPLATE, 0.3, EPS_U)
         assert report.worst_violation <= 1e-7
         assert report.ok
 
@@ -123,23 +123,32 @@ class TestVerifyRci:
         model = random_model(rng, infnorm=0.7, gain=0.5)
         sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, EPS_U, Y)
         assert qsol.status == qp.QpStatus.OPTIMAL
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.6, EPS_U, n_samples=200)
+        report = rci.verify_rci(sol, model, TEMPLATE, 0.6, EPS_U)
         assert report.worst_violation > 0
 
     def test_zero_budget_reduces_to_nominal_invariance(self):
         model = stable_single_mode()
         sol, _ = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.0, EPS_U, Y)
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.0, EPS_U, n_samples=100)
+        report = rci.verify_rci(sol, model, TEMPLATE, 0.0, EPS_U)
         assert report.worst_violation <= 1e-9
         # All disturbance candidates collapse to the origin.
         assert np.abs(rci.perturbation_vertices(model, 0.0, EPS_U)).max() == 0.0
 
     def test_vertex_check_dominates_samples(self, rng):
+        # Each successor row is affine in the disturbance, so no point of the
+        # disturbance hull violates more than the worst hull vertex.
         for k in range(5):
             model = random_model(np.random.default_rng(100 + k), infnorm=0.6, gain=0.3)
             sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.25, EPS_U, Y)
             if qsol.status != qp.QpStatus.OPTIMAL:
                 continue
-            report = rci.verify_rci(sol, model, TEMPLATE, 0.25, EPS_U, n_samples=2000, seed=k)
-            if report.vertex_violation <= 1e-7:
-                assert report.sample_violation <= report.vertex_violation + 1e-12
+            report = rci.verify_rci(sol, model, TEMPLATE, 0.25, EPS_U)
+            w_vertices = rci.perturbation_vertices(model, 0.25, EPS_U)
+            samples = np.random.default_rng(k).dirichlet(
+                np.ones(len(w_vertices)), size=2000) @ w_vertices
+            verts = TEMPLATE.vertices(sol.z_s, sol.s)
+            for j, xj in enumerate(verts):
+                uj = sol.v_s + TEMPLATE.vertex_input(sol.c, j)
+                for Ai, Bi in zip(model.A, model.B):
+                    succ = samples + (Ai @ xj + Bi @ uj - sol.z_s)
+                    assert (succ @ TEMPLATE.F.T - sol.s).max() <= report.worst_violation + 1e-12

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from dualmpc import plant, sysid
+from dualmpc import plant, sysid, tmpc
+from dualmpc.errors import ConfigurationError
+from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
 from oracles import central_difference_jacobian
+
+# The controller set-up of the benchmark's surrogate loop.
+CONTROLLER = tmpc.ControllerConfig()
+TEMPLATE = box_template(2, 1)
+Y = Hpoly.box(0.8)
+EPS_U = np.ones(1)
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +39,82 @@ def test_fit_is_deterministic(record):
     second, _ = sysid.fit_initial_model(record, cfg, seed=0)
     assert report.epochs == 3
     assert np.array_equal(first.pack(), second.pack())
+
+
+@pytest.mark.parametrize("n_steps", [200, 300])
+def test_diverging_model_gives_inf_loss(n_steps):
+    # The states of this model grow over tenfold per step: over 200 steps
+    # the squared errors overflow, over 300 the states themselves do.  A
+    # RuntimeWarning fails the suite, so an unguarded overflow raises here.
+    params = random_model(np.random.default_rng(1))
+    for A in params.A:
+        A *= 20.0
+    data = sysid.collect_dataset(plant.PlantConfig(), n_steps, seed=3)
+    x0 = np.ones(2)
+    assert sysid.simulate_mse(params, data, x0) == np.inf
+    assert sysid._loss_only(params, data, x0, 1e-3) == (np.inf, np.inf)
+    loss, mse, grad = sysid.mse_and_gradient(params, data, x0, 1e-3)
+    assert loss == mse == np.inf
+    assert np.array_equal(grad, np.zeros(params.n_theta))
+
+
+def test_csv_round_trip_is_bit_exact(record):
+    again = sysid.IoDataset.from_csv(record.to_csv(), scale=record.scale)
+    assert again.u_seq.tobytes() == record.u_seq.tobytes()
+    assert again.y_seq.tobytes() == record.y_seq.tobytes()
+
+
+@pytest.mark.parametrize("n_u,n_y", [(2, 1), (1, 2)])
+def test_csv_rejects_vector_records(n_u, n_y):
+    data = sysid.IoDataset(u_seq=np.zeros((4, n_u)), y_seq=np.zeros((4, n_y)))
+    with pytest.raises(ConfigurationError):
+        data.to_csv()
+
+
+def test_feasibility_gate():
+    model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
+    ok, diag = sysid.feasibility_gate(model, CONTROLLER, np.zeros(2), TEMPLATE, Y, EPS_U)
+    assert ok and diag["status"] == "optimal"
+    # C x0 = 2 lies outside the output set |y| <= 0.8.
+    ok, diag = sysid.feasibility_gate(model, CONTROLLER, np.array([2.0, 0.0]),
+                                      TEMPLATE, Y, EPS_U)
+    assert not ok and diag["status"] != "optimal"
+
+
+def _gate_failing(monkeypatch, failures):
+    """Patch the gate to fail its first ``failures`` calls; return the weight
+    decay of every fit that ``fit_feasible_model`` runs."""
+    decays = []
+    fit = sysid.fit_initial_model
+
+    def spy_fit(data, cfg, seed, x0=None):
+        decays.append(cfg.weight_decay)
+        return fit(data, cfg, seed, x0)
+
+    def gate(*args, **kwargs):
+        return len(decays) > failures, {"attempt": len(decays)}
+
+    monkeypatch.setattr(sysid, "fit_initial_model", spy_fit)
+    monkeypatch.setattr(sysid, "feasibility_gate", gate)
+    return decays
+
+
+@pytest.mark.parametrize("failures", [0, 1, 3])
+def test_retry_ladder_raises_weight_decay_tenfold(record, monkeypatch, failures):
+    decays = _gate_failing(monkeypatch, failures)
+    cfg = sysid.TrainConfig(max_epochs=1, weight_decay=1e-4)
+    _, report = sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U,
+                                         max_retries=3)
+    assert decays == pytest.approx([1e-4 * 10.0 ** k for k in range(failures + 1)],
+                                   rel=1e-12)
+    assert report.weight_decay == decays[-1]
+    assert cfg.weight_decay == 1e-4
+
+
+def test_retry_ladder_gives_up_with_last_diagnostics(record, monkeypatch):
+    decays = _gate_failing(monkeypatch, failures=10)
+    cfg = sysid.TrainConfig(max_epochs=1)
+    with pytest.raises(ConfigurationError, match=r"after 3 attempts.*'attempt': 3"):
+        sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U,
+                                 max_retries=2)
+    assert len(decays) == 3
