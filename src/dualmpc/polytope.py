@@ -15,7 +15,6 @@ from itertools import product
 
 import numpy as np
 
-from . import qp
 from .errors import ConfigurationError
 
 DEFAULT_TOL = 1e-9
@@ -118,43 +117,33 @@ def contains(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray,
 class LambdaResult:
     weights: np.ndarray
     residual: float
-    # True when the exact interpolation constraint had to be relaxed to a
-    # penalty because the equality-constrained QP was (numerically) infeasible.
-    relaxed: bool = False
+    # True when x lay farther than tol outside X(z, s); the weights then
+    # interpolate the nearest point of the set instead of x.
+    relaxed: bool
 
 
 def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
                        x: np.ndarray, tol: float = 1e-8) -> LambdaResult:
-    """Minimum-norm simplex weights reproducing x from the vertices.
+    """Multilinear vertex weights reproducing x from the vertices of the box.
 
-    Solves min ||lambda||^2 over the simplex subject to
-    z + sum_j lambda_j V_j s = x.  Falls back to a quadratic penalty
-    (weight 1e6) on the interpolation residual when the equality version
-    is reported infeasible, flagging the step for diagnostics.
+    On axis k, t_k = (x_k - z_k + s-_k) / (s+_k + s-_k) with s+ = s[:n_x] and
+    s- = s[n_x:] is the position of x between the lower and the upper face,
+    clipped to [0, 1]; a degenerate axis (s+_k + s-_k = 0) takes t_k = 1/2,
+    the minimum-norm choice.  Vertex j gets the product over k of t_k or
+    1 - t_k as V_j picks the upper or the lower face of axis k (Gutman &
+    Cwikel 1986), so the weights lie on the simplex and z + sum_j lambda_j
+    V_j s is the clipped point.  ``residual`` is the Euclidean distance from
+    x to X(z, s), and ``relaxed`` flags a residual above tol.
     """
+    n = template.n_x
     x = np.asarray(x, dtype=float).ravel()
-    v = template.n_vertices
-    W = np.column_stack([Vj @ pset.s for Vj in template.V])  # n_x × v
-    rhs = x - pset.z
-
-    A_eq = np.vstack([np.ones((1, v)), W])
-    b_eq = np.concatenate([[1.0], rhs])
-    # Both costs, 2I here and 2(I + penalty W'W) below, are positive definite
-    # by construction, so the eigenvalue check is skipped.
-    prob = qp.QpProblem.build(2.0 * np.eye(v), np.zeros(v),
-                              A_in=-np.eye(v), b_in=np.zeros(v),
-                              A_eq=A_eq, b_eq=b_eq, check_psd=False)
-    sol = qp.solve(prob, tol=tol)
-    if sol.status == qp.QpStatus.OPTIMAL:
-        lam = sol.x
-        return LambdaResult(lam, float(np.linalg.norm(W @ lam - rhs)), relaxed=False)
-
-    # Penalized retry: keep the simplex exact, soften the interpolation rows.
-    penalty = 1e6
-    H = 2.0 * (np.eye(v) + penalty * (W.T @ W))
-    g = -2.0 * penalty * (W.T @ rhs)
-    prob = qp.QpProblem.build(H, g, A_in=-np.eye(v), b_in=np.zeros(v),
-                              A_eq=np.ones((1, v)), b_eq=np.array([1.0]), check_psd=False)
-    sol = qp.solve(prob, tol=tol)
-    lam = sol.x
-    return LambdaResult(lam, float(np.linalg.norm(W @ lam - rhs)), relaxed=True)
+    s_up, s_lo = pset.s[:n], pset.s[n:]
+    width = s_up + s_lo
+    near = np.clip(x - pset.z, -s_lo, s_up)      # nearest point of the box, minus z
+    # near + s_lo lies in [0, width], so t needs no clip of its own.
+    t = np.divide(near + s_lo, width, out=np.full(n, 0.5), where=width > 0)
+    # Vertex j is on the upper face of axis k when V_j maps s+_k to x_k.
+    upper = np.array([Vj.diagonal() for Vj in template.V]) > 0
+    weights = np.where(upper, t, 1.0 - t).prod(axis=1)
+    residual = float(np.linalg.norm(x - pset.z - near))
+    return LambdaResult(weights, residual, relaxed=residual > tol)

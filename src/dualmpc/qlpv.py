@@ -36,11 +36,6 @@ def swish(a: np.ndarray) -> np.ndarray:
     return a * sigmoid(a)
 
 
-def swish_deriv(a: np.ndarray) -> np.ndarray:
-    sig = sigmoid(a)
-    return sig + a * sig * (1.0 - sig)
-
-
 def softmax(o: np.ndarray) -> np.ndarray:
     e = np.exp(o - o.max())
     return e / e.sum()
@@ -183,8 +178,9 @@ def _scheduling_grads(params: ModelParams, x, u):
     n_p, n_h = params.n_p, params.n_h
     xi = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]).astype(float)
     a = params.W1 @ xi + params.b1
-    hderiv = swish_deriv(a)
-    hidden = swish(a)
+    sig = sigmoid(a)
+    hidden = a * sig                           # swish(a)
+    hderiv = sig + hidden * (1.0 - sig)        # swish'(a)
     p = softmax(params.W2 @ hidden + params.b2)
 
     S = np.diag(p) - np.outer(p, p)            # softmax Jacobian

@@ -7,8 +7,8 @@ Solves problems of the form
 
 with a Mehrotra predictor-corrector interior-point iteration over dense
 matrices.  Every optimization in this package (invariant-set synthesis, the
-tube controller, barycentric-weight extraction, the constrained estimator
-correction) is dispatched through :func:`solve`.
+tube controller, the constrained estimator correction) is dispatched through
+:func:`solve`.
 
 Termination is scale-relative, as in OSQP (Stellato et al. 2020): a point is
 optimal when its KKT residual is at most ``tol``, where primal infeasibility

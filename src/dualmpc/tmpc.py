@@ -147,7 +147,8 @@ def initial_row(template: PolytopeTemplate, lay: TmpcLayout) -> np.ndarray:
 
     Using the full offset s here (not the slack q) is what the time-shift
     feasibility argument needs: the propagated state is only guaranteed to
-    land in X(z_1, s), and it keeps the barycentric-weight problem feasible.
+    land in X(z_1, s), and it keeps x_hat inside X(z_0, s), so the barycentric
+    weights reproduce x_hat exactly.
     """
     G = np.zeros((template.n_rows, lay.dim))
     G[:, lay.z(0)] = -template.F
@@ -268,10 +269,8 @@ def nominal_input(
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
     """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at x_hat."""
     lam = polytope.barycentric_lambda(template, sol.first_set(), x_hat)
-    u = sol.v[0].copy()
-    for j, w in enumerate(lam.weights):
-        u += w * template.vertex_input(sol.rci.c, j)
-    return u, lam
+    c = sol.rci.c.reshape(template.n_vertices, template.n_u)
+    return sol.v[0] + c.T @ lam.weights, lam
 
 
 def lyapunov_value(sol: TubeSolution, r_value: float) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmpc import polytope
 from dualmpc.errors import ConfigurationError
@@ -122,6 +123,53 @@ class TestBarycentricLambda:
             assert res.weights.min() >= -1e-9
             recon = z + sum(l * (Vj @ s) for l, Vj in zip(res.weights, t.V))
             assert np.linalg.norm(recon - x) <= 1e-6
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 3), n_flat=st.integers(0, 3))
+def test_closed_form_weights_on_box_templates(seed, n_x, n_flat):
+    """Simplex weights, exact inside, nearest point outside, unit vertex weight.
+
+    Offsets are drawn with some one-sided faces (s+_k or s-_k zero) and at
+    least n_flat degenerate axes (s+_k = s-_k = 0); the vertices that
+    coincide there share their weight.
+    """
+    rng = np.random.default_rng(seed)
+    t = polytope.box_template(n_x, 1)
+    z = rng.uniform(-10, 10, size=n_x)
+    s = rng.uniform(0.05, 5.0, size=2 * n_x) * (rng.uniform(size=2 * n_x) > 0.2)
+    flat = rng.permutation(n_x)[:n_flat]
+    s[flat] = s[n_x + flat] = 0.0
+    pset = polytope.ParamSet(z, s)
+    W = np.column_stack([Vj @ s for Vj in t.V])
+    lo, hi = z - s[n_x:], z + s[:n_x]
+    tol = 1e-12 * max(1.0, np.abs(s).max())
+
+    def weights_at(x):
+        res = polytope.barycentric_lambda(t, pset, x)
+        assert res.weights.min() >= 0.0
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        return res
+
+    inside = lo + rng.uniform(size=n_x) * (hi - lo)
+    res = weights_at(inside)
+    assert np.abs(z + W @ res.weights - inside).max() <= tol
+    assert not res.relaxed
+
+    outside = rng.uniform(lo - 3.0, hi + 3.0)
+    k = rng.integers(n_x)
+    outside[k] = hi[k] + rng.uniform(0.01, 3.0) if rng.uniform() < 0.5 \
+        else lo[k] - rng.uniform(0.01, 3.0)
+    nearest = np.clip(outside, lo, hi)
+    res = weights_at(outside)
+    assert res.relaxed
+    assert res.residual == pytest.approx(np.linalg.norm(outside - nearest), rel=1e-12, abs=tol)
+    assert np.abs(z + W @ res.weights - nearest).max() <= tol
+
+    j = rng.integers(t.n_vertices)
+    res = weights_at(z + W[:, j])
+    at_vertex = (W == W[:, [j]]).all(axis=0)
+    assert res.weights[at_vertex].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invalid_dimension_rejected():
