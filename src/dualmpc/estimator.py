@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from . import qlpv, qp, rci, tmpc
+from . import qlpv, qp, tmpc
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
 from .tmpc import TubeSolution
@@ -162,12 +162,13 @@ def build_theta_polytope(
     (state_q), and each mode's scaled input image below the frozen
     disturbance allowance d (dist).
     """
-    lay = tube.layout
+    tq = tube.tube_qp
+    lay = tq.layout
     n_x, n_u, f = lay.n_x, lay.n_u, template.n_rows
     n_p, n_theta = params.n_p, params.n_theta
-    N = tube.N
-    if tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u):
-        raise ConfigurationError("malformed tube solution")
+    N = lay.N
+    if tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u) or gamma != tq.gamma:
+        raise ConfigurationError("tube solution malformed or from a controller with other gamma")
     if d is None:
         d = tube.rci.d
     F = template.F
@@ -175,8 +176,8 @@ def build_theta_polytope(
     signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))
     r = beta * signs * np.atleast_1d(np.asarray(eps_u, dtype=float))
     dist_A = qlpv.theta_rows(params, F, np.hstack([np.zeros((len(r), n_x)), r]))
-    mode_A, mode_b = tmpc.mode_rows(gamma, template, lay).over_theta(params, y)
-    rci_A, rci_b = rci.vertex_rows(template, d).over_theta(params, y[lay.xr_cols])
+    mode_A, mode_b = tq.mode.over_theta(params, y)
+    rci_A, rci_b = tq.rci.vertex_rows(d).over_theta(params, y[lay.xr_cols])
     state = np.hstack([F, np.zeros((f, n_theta))])
 
     def theta_only(A):
@@ -186,7 +187,7 @@ def build_theta_polytope(
     # (family of each block of f rows, rows, right-hand sides)
     blocks = [
         (["state_q"], state, tube.rci.q + F @ tube.z[1]),
-        (["state_s"], state, -tmpc.initial_row(template, lay) @ y),
+        (["state_s"], state, -tq.initial @ y),
         (["dist"] * n_p * len(r), theta_only(dist_A), np.tile(d, n_p * len(r))),
         ((["tube"] * (N - 1) + ["tube_plus", "terminal"]) * n_p, theta_only(mode_A), mode_b),
         (["rci"] * n_p * template.n_vertices, theta_only(rci_A), rci_b),

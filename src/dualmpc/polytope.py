@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hpoly:
     """Constraint set {y : H y <= h}; boxes are the common special case."""
 
@@ -49,7 +49,7 @@ class Hpoly:
         return float((self.H @ np.atleast_1d(y) - self.h).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolytopeTemplate:
     """Fixed template F with vertex maps V; vertex j has input block j of c."""
 

@@ -11,7 +11,7 @@ against the size weights, as a strictly convex QP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -100,26 +100,51 @@ def default_weights(template: PolytopeTemplate, n_y: int) -> tuple[np.ndarray, n
     return Q1, Q2
 
 
-def vertex_points(template: PolytopeTemplate) -> np.ndarray:
-    """Maps S_j with S_j x_r = (z_s + V_j s, v_s + c_j): each vertex of the
-    invariant set with its vertex input, shape (v, n_x + n_u, dim)."""
-    lay = XrLayout.of(template)
-    S = np.zeros((lay.v, lay.n_x + lay.n_u, lay.dim))
-    S[:, :, :lay.n_x + lay.n_u] = np.eye(lay.n_x + lay.n_u)   # (z_s, v_s) lead x_r
-    S[:, :lay.n_x, lay.s] = template.V
-    S[:, lay.n_x:, lay.c] = np.eye(lay.v * lay.n_u).reshape(lay.v, lay.n_u, -1)
-    return S
+@dataclass(frozen=True, eq=False)
+class RciRows:
+    """Invariant-set rows A x_r <= b.  Only the vertex dynamics depend on the
+    model and the disturbance allowance d; the vertex output/input box rows and
+    the sign rows are fixed by (template, beta, eps_u, Y, C)."""
 
+    vertex: qlpv.ModeRows    # vertex dynamics; h is set from d per call
+    box: np.ndarray          # block_diag(Y.H C, U.H) over (x, u)
+    box_h: np.ndarray
+    A_fixed: np.ndarray      # box rows at every vertex, then the sign rows
+    b_fixed: np.ndarray
 
-def vertex_rows(template: PolytopeTemplate, d: np.ndarray) -> qlpv.ModeRows:
-    """Vertex dynamics over x_r: the mode image of each vertex under its input
-    stays inside the set, with room for the disturbance d and the slack q."""
-    lay = XrLayout.of(template)
-    G = np.zeros((lay.v, lay.f, lay.dim))
-    G[:, :, lay.z_s] = -template.F
-    G[:, :, lay.s] = -np.eye(lay.f)
-    G[:, :, lay.q] = np.eye(lay.f)
-    return qlpv.ModeRows(template.F, vertex_points(template), G, np.tile(-d, (lay.v, 1)))
+    @classmethod
+    def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray,
+              Y: Hpoly, C: np.ndarray) -> "RciRows":
+        lay = XrLayout.of(template)
+        # Points S_j x_r = (z_s + V_j s, v_s + c_j), each vertex with its input, whose
+        # mode images stay inside the set with room for the disturbance d and slack q.
+        S = np.zeros((lay.v, lay.n_x + lay.n_u, lay.dim))
+        S[:, :, :lay.n_x + lay.n_u] = np.eye(lay.n_x + lay.n_u)   # (z_s, v_s) lead x_r
+        S[:, :lay.n_x, lay.s] = template.V
+        S[:, lay.n_x:, lay.c] = np.eye(lay.v * lay.n_u).reshape(lay.v, lay.n_u, -1)
+        G = np.zeros((lay.v, lay.f, lay.dim))
+        G[:, :, lay.z_s], G[:, :, lay.s] = -template.F, -np.eye(lay.f)
+        G[:, :, lay.q] = np.eye(lay.f)
+        vertex = qlpv.ModeRows(template.F, S, G, np.zeros((lay.v, lay.f)))
+        # Vertex outputs inside Y; vertex inputs inside the tracking input share.
+        U_box = Hpoly.box(eps_u).scale(1.0 - beta)
+        box = block_diag(Y.H @ C, U_box.H)
+        box_h = np.concatenate([Y.h, U_box.h])
+        # Sign constraints q >= 0 and s >= 0.
+        A_sign = np.zeros((2 * lay.f, lay.dim))
+        A_sign[:lay.f, lay.q] = A_sign[lay.f:, lay.s] = -np.eye(lay.f)
+        return cls(vertex, box, box_h,
+                   np.vstack([(box @ vertex.S).reshape(-1, lay.dim), A_sign]),
+                   np.concatenate([np.tile(box_h, lay.v), np.zeros(2 * lay.f)]))
+
+    def vertex_rows(self, d: np.ndarray) -> qlpv.ModeRows:
+        """The vertex dynamics with room for the disturbance allowance d."""
+        return replace(self.vertex, h=np.tile(-d, (len(self.vertex.h), 1)))
+
+    def over_y(self, params: qlpv.ModelParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with A x_r <= b for the model params and allowance d."""
+        A_dyn, b_dyn = self.vertex_rows(d).over_y(params)
+        return np.vstack([A_dyn, self.A_fixed]), np.concatenate([b_dyn, self.b_fixed])
 
 
 def rci_constraint_block(
@@ -131,20 +156,9 @@ def rci_constraint_block(
     d: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear inequalities A x_r <= b encoding the invariant-set conditions."""
-    lay = XrLayout.of(template)
     if d is None:
         d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    U_box = Hpoly.box(eps_u).scale(1.0 - beta)
-    A_dyn, b_dyn = vertex_rows(template, d).over_y(params)
-    # Vertex outputs inside Y; vertex inputs inside the tracking input share.
-    box = block_diag(Y.H @ params.C, U_box.H)
-    A_box = (box @ vertex_points(template)).reshape(-1, lay.dim)
-    b_box = np.tile(np.concatenate([Y.h, U_box.h]), lay.v)
-    # Sign constraints q >= 0 and s >= 0.
-    A_sign = np.zeros((2 * lay.f, lay.dim))
-    A_sign[:lay.f, lay.q] = A_sign[lay.f:, lay.s] = -np.eye(lay.f)
-    return (np.vstack([A_dyn, A_box, A_sign]),
-            np.concatenate([b_dyn, b_box, np.zeros(2 * lay.f)]))
+    return RciRows.build(template, beta, eps_u, Y, params.C).over_y(params, d)
 
 
 def constraint_row_count(template: PolytopeTemplate, n_p: int, n_y_rows: int) -> int:
@@ -154,27 +168,34 @@ def constraint_row_count(template: PolytopeTemplate, n_p: int, n_y_rows: int) ->
             + 2 * lay.f)                           # q >= 0 and s >= 0
 
 
-def cost_matrices(
-    template: PolytopeTemplate,
-    y_ref: np.ndarray,
-    C: np.ndarray,
-    Q1: np.ndarray,
-    Q2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(H, g, constant) of the set-tracking objective over x_r.
+@dataclass(frozen=True, eq=False)
+class SetCost:
+    """Set-tracking objective 0.5 x_r' H x_r + g' x_r + constant, where only g
+    (G y_ref on z_s) and the constant depend on the reference.  The output term
+    is summed over all vertices of the template, so it enters with multiplicity v."""
 
-    The output term is summed over all vertices of the template, so it
-    enters with multiplicity v.
-    """
-    lay = XrLayout.of(template)
-    y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
-    v = lay.v
-    H = 2.0 * Q2.copy()
-    H[lay.z_s, lay.z_s] += 2.0 * v * C.T @ Q1 @ C
-    g = np.zeros(lay.dim)
-    g[lay.z_s] = -2.0 * v * C.T @ Q1 @ y_ref
-    const = float(v * y_ref @ Q1 @ y_ref)
-    return H, g, const
+    H: np.ndarray
+    G: np.ndarray
+    Q1: np.ndarray
+    lay: XrLayout
+
+    @classmethod
+    def build(cls, template: PolytopeTemplate, C: np.ndarray, Q1: np.ndarray | None = None,
+              Q2: np.ndarray | None = None) -> "SetCost":
+        """Q1 and Q2 default to :func:`default_weights`."""
+        lay = XrLayout.of(template)
+        dQ1, dQ2 = default_weights(template, C.shape[0])
+        Q1 = dQ1 if Q1 is None else Q1
+        H = 2.0 * (dQ2 if Q2 is None else Q2).copy()
+        H[lay.z_s, lay.z_s] += 2.0 * lay.v * C.T @ Q1 @ C
+        return cls(H, -2.0 * lay.v * C.T @ Q1, Q1, lay)
+
+    def at(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
+        """(g, constant) at the reference."""
+        y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
+        g = np.zeros(self.lay.dim)
+        g[self.lay.z_s] = self.G @ y_ref
+        return g, float(self.lay.v * y_ref @ self.Q1 @ y_ref)
 
 
 def solve_optimal_rci(
@@ -191,14 +212,11 @@ def solve_optimal_rci(
 ) -> tuple[RciSolution, qp.QpSolution]:
     """Smallest admissible invariant set whose center output tracks y_ref."""
     lay = XrLayout.of(template)
-    if Q1 is None or Q2 is None:
-        dQ1, dQ2 = default_weights(template, params.n_y)
-        Q1 = dQ1 if Q1 is None else Q1
-        Q2 = dQ2 if Q2 is None else Q2
     d = qlpv.disturbance_vector(params, template, beta, eps_u)
     A, b = rci_constraint_block(params, template, beta, eps_u, Y, d)
-    H, g, const = cost_matrices(template, y_ref, params.C, Q1, Q2)
-    sol = qp.solve(qp.QpProblem.build(H, g, A, b), tol=tol, warm_start=warm_start)
+    cost = SetCost.build(template, params.C, Q1, Q2)
+    g, const = cost.at(y_ref)
+    sol = qp.solve(qp.QpProblem.build(cost.H, g, A, b), tol=tol, warm_start=warm_start)
     if sol.status != qp.QpStatus.OPTIMAL:
         return RciSolution(np.zeros(lay.n_x), np.zeros(lay.n_u), np.zeros(lay.f),
                            np.zeros(lay.v * lay.n_u), np.zeros(lay.f),

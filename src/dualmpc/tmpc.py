@@ -5,17 +5,23 @@ at the same time, the invariant-set block (z_s, v_s, s, c, q) that serves as
 the artificial steady state: tube rows force each mode image of one center
 into the next center's slack-enlarged set, terminal rows contract toward the
 set center at rate gamma, and the initial row anchors the current state
-estimate in the q-tightened first set.  Because the invariant-set rows are
+estimate in the first set.  Because the invariant-set rows are
 part of the QP, feasibility for any reference is preserved and the optimal
 value minus the standalone set-tracking optimum acts as a Lyapunov function.
+
+:class:`TubeQp` holds what is built once per controller (cfg, template, Y,
+eps_u, C): H, the y_ref -> g map, the model-free rows and both ``ModeRows``.
+Each step refreshes only d, their model rows, -F x_hat and g.  solve_tmpc
+caches TubeQps by the identity of cfg, template and Y and the values of
+eps_u and C; change neither those objects nor a TubeQp's arrays in place.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import polytope, qlpv, qp, rci
 from .errors import ConfigurationError
@@ -24,7 +30,7 @@ from .polytope import Hpoly, ParamSet, PolytopeTemplate
 POST_CHECK_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerConfig:
     N: int = 2
     gamma: float = 0.95
@@ -44,12 +50,13 @@ class ControllerConfig:
 
     def weights(self, n_x: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
         Q = np.eye(n_x + n_u) if self.Q is None else self.Q
-        P = Q / (1.0 - self.gamma ** 2) if self.P is None else self.P
+        if self.P is None:
+            return Q, Q / (1.0 - self.gamma ** 2)
         # Terminal decrement requires P >= Q / (1 - gamma^2).
-        gap = np.linalg.eigvalsh(P - Q / (1.0 - self.gamma ** 2)).min()
+        gap = np.linalg.eigvalsh(self.P - Q / (1.0 - self.gamma ** 2)).min()
         if gap < -1e-9:
             raise ConfigurationError(f"P too small for contraction rate (gap {gap:.2e})")
-        return Q, P
+        return Q, self.P
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,11 @@ class TubeSolution:
     cost: float
     status: qp.QpStatus
     qp_solution: qp.QpSolution
-    layout: TmpcLayout
+    tube_qp: TubeQp               # the controller's prebuilt QP
+
+    @property
+    def layout(self) -> TmpcLayout:
+        return self.tube_qp.layout
 
     @property
     def N(self) -> int:
@@ -142,72 +153,69 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv
     return qlpv.ModeRows(F, D, G, np.zeros((N + 1, f)))
 
 
-def initial_row(template: PolytopeTemplate, lay: TmpcLayout) -> np.ndarray:
-    """G with G y <= -F x_hat: the estimate lies in the first tube set X(z_0, s).
+@dataclass(frozen=True, eq=False)
+class TubeQp:
+    """The tube QP of one controller; :meth:`rows` and :meth:`cost` fill in a step."""
 
-    Using the full offset s here (not the slack q) is what the time-shift
-    feasibility argument needs: the propagated state is only guaranteed to
-    land in X(z_1, s), and it keeps x_hat inside X(z_0, s), so the barycentric
-    weights reproduce x_hat exactly.
-    """
-    G = np.zeros((template.n_rows, lay.dim))
-    G[:, lay.z(0)] = -template.F
-    G[:, lay.s] = -np.eye(template.n_rows)
-    return G
+    gamma: float
+    layout: TmpcLayout
+    H: np.ndarray
+    set_cost: rci.SetCost         # the x_r part of the cost
+    mode: qlpv.ModeRows           # tube propagation and terminal rows
+    rci: rci.RciRows              # invariant-set rows over x_r
+    A_box: np.ndarray             # vertex outputs and inputs along the tube
+    b_box: np.ndarray
+    initial: np.ndarray           # G with G y <= -F x_hat
+
+    @classmethod
+    def build(cls, cfg: ControllerConfig, template: PolytopeTemplate, Y: Hpoly,
+              eps_u: np.ndarray, C: np.ndarray) -> "TubeQp":
+        lay = TmpcLayout(cfg.N, rci.XrLayout.of(template))
+        Q, P = cfg.weights(lay.n_x, lay.n_u)
+        H = np.zeros((lay.dim, lay.dim))
+        for k, D in enumerate(lay.deviations):
+            W = P if k == lay.N else Q
+            H += 2.0 * D.T @ W @ D
+        set_cost = rci.SetCost.build(template, C, cfg.Q1, cfg.Q2)
+        H[lay.xr_cols, lay.xr_cols] += set_cost.H
+        qp.QpProblem.build(H, np.zeros(lay.dim))   # the one positive-semidefinite check
+
+        mode = mode_rows(cfg.gamma, template, lay)
+        rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C)
+        # Vertex outputs in Y and vertex inputs in the tracking input share along
+        # the tube: vertex j of set k with its input is point k plus vertex j of x_r.
+        vertices = np.pad(rci_rows.vertex.S, ((0, 0), (0, 0), (lay.xr_cols.start, 0)))
+        A_box = (rci_rows.box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
+        b_box = np.tile(rci_rows.box_h, (lay.N + 1) * template.n_vertices)
+        # The estimate lies in the first tube set X(z_0, s).  The full offset s
+        # (not the slack q) is what the time-shift feasibility argument needs:
+        # the propagated state is only guaranteed to land in X(z_1, s), and it
+        # keeps x_hat inside X(z_0, s), so the barycentric weights reproduce it.
+        initial = np.zeros((template.n_rows, lay.dim))
+        initial[:, lay.z(0)], initial[:, lay.s] = -template.F, -np.eye(template.n_rows)
+        return cls(cfg.gamma, lay, H, set_cost, mode, rci_rows, A_box, b_box, initial)
+
+    def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
+             d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of the step: model rows at (params, d), initial row at x_hat."""
+        A_mode, b_mode = self.mode.over_y(params)
+        A_rci, b_rci = self.rci.over_y(params, d)
+        # The invariant-set block sits on the x_r columns, which close the vector.
+        A_rci = np.hstack([np.zeros((len(b_rci), self.layout.xr_cols.start)), A_rci])
+        return (np.vstack([A_mode, self.A_box, self.initial, A_rci]),
+                np.concatenate([b_mode, self.b_box, -self.mode.F @ x_hat, b_rci]))
+
+    def cost(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
+        """(g, constant) of the cost at the reference; H is fixed."""
+        g_xr, const = self.set_cost.at(y_ref)
+        g = np.zeros(self.layout.dim)
+        g[self.layout.xr_cols] += g_xr
+        return g, const
 
 
-def _assemble_constraints(
-    params: qlpv.ModelParams,
-    x_hat: np.ndarray,
-    cfg: ControllerConfig,
-    template: PolytopeTemplate,
-    Y: Hpoly,
-    eps_u: np.ndarray,
-    d: np.ndarray,
-    lay: TmpcLayout,
-) -> tuple[np.ndarray, np.ndarray]:
-    mode = mode_rows(cfg.gamma, template, lay)
-    A_mode, b_mode = mode.over_y(params)
-    # Vertex outputs in Y and vertex inputs in the tracking input share along
-    # the whole tube: vertex j of set k with its input is the deviation point
-    # k plus vertex j of the invariant set.
-    U_track = Hpoly.box(eps_u).scale(1.0 - cfg.beta)
-    box = block_diag(Y.H @ params.C, U_track.H)
-    vertices = np.zeros((template.n_vertices, lay.stage, lay.dim))
-    vertices[..., lay.xr_cols] = rci.vertex_points(template)
-    A_box = (box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
-    b_box = np.tile(np.concatenate([Y.h, U_track.h]), (lay.N + 1) * template.n_vertices)
-    # Invariant-set block over the x_r columns, which close the vector.
-    A_rci, b_rci = rci.rci_constraint_block(params, template, cfg.beta, eps_u, Y, d)
-    A_rci = np.hstack([np.zeros((len(b_rci), lay.xr_cols.start)), A_rci])
-    return (np.vstack([A_mode, A_box, initial_row(template, lay), A_rci]),
-            np.concatenate([b_mode, b_box, -template.F @ x_hat, b_rci]))
-
-
-def _assemble_cost(
-    params: qlpv.ModelParams,
-    y_ref: np.ndarray,
-    cfg: ControllerConfig,
-    template: PolytopeTemplate,
-    lay: TmpcLayout,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    Q, P = cfg.weights(lay.n_x, lay.n_u)
-    Q1, Q2 = cfg.Q1, cfg.Q2
-    if Q1 is None or Q2 is None:
-        dQ1, dQ2 = rci.default_weights(template, params.n_y)
-        Q1 = dQ1 if Q1 is None else Q1
-        Q2 = dQ2 if Q2 is None else Q2
-
-    H = np.zeros((lay.dim, lay.dim))
-    g = np.zeros(lay.dim)
-    for k, D in enumerate(lay.deviations):
-        W = P if k == lay.N else Q
-        H += 2.0 * D.T @ W @ D
-
-    H_xr, g_xr, const = rci.cost_matrices(template, y_ref, params.C, Q1, Q2)
-    H[lay.xr_cols, lay.xr_cols] += H_xr
-    g[lay.xr_cols] += g_xr
-    return H, g, const
+@functools.lru_cache(maxsize=8)
+def _tube_qp(cfg, template, Y, eps_u: bytes, C: bytes, n_y: int) -> TubeQp:
+    return TubeQp.build(cfg, template, Y, np.frombuffer(eps_u), np.frombuffer(C).reshape(n_y, -1))
 
 
 def solve_tmpc(
@@ -223,11 +231,14 @@ def solve_tmpc(
 ) -> TubeSolution:
     """Solve the tube QP at the current estimate; d comes from these params."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
-    lay = TmpcLayout(cfg.N, rci.XrLayout.of(template))
+    C = np.asarray(params.C, dtype=float)
+    tq = _tube_qp(cfg, template, Y, np.asarray(eps_u, dtype=float).tobytes(), C.tobytes(), len(C))
+    lay = tq.layout
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
-    A, b = _assemble_constraints(params, x_hat, cfg, template, Y, eps_u, d, lay)
-    H, g, const = _assemble_cost(params, y_ref, cfg, template, lay)
-    sol = qp.solve(qp.QpProblem.build(H, g, A, b), tol=tol, warm_start=warm_start)
+    A, b = tq.rows(params, x_hat, d)
+    g, const = tq.cost(y_ref)
+    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False),
+                   tol=tol, warm_start=warm_start)
 
     z = np.array([sol.x[lay.z(k)] for k in range(cfg.N + 1)])
     v = np.array([sol.x[lay.v(k)] for k in range(cfg.N + 1)])
@@ -238,7 +249,7 @@ def solve_tmpc(
         if resid > POST_CHECK_TOL:
             raise ConfigurationError(f"tube rows violated post-solve by {resid:.2e}")
     return TubeSolution(z=z, v=v, rci=rci_sol, cost=cost, status=sol.status,
-                        qp_solution=sol, layout=lay)
+                        qp_solution=sol, tube_qp=tq)
 
 
 def candidate_shift(sol: TubeSolution, gamma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualmpc import estimator, qlpv, qp, tmpc
+from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
 from oracles import kalman_filter_oracle
@@ -129,6 +130,11 @@ class TestThetaPolytope:
             assert np.abs(poly.A[sl]).max() == 0.0
             assert (poly.b[sl] >= -1e-15).all()
 
+    def test_gamma_of_another_controller_rejected(self, tube_setup):
+        model, _, sol = tube_setup
+        with pytest.raises(ConfigurationError):
+            estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, 0.9)
+
     def test_shifted_variables_recorded(self, tube_setup):
         model, _, sol = tube_setup
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
@@ -169,8 +175,7 @@ class TestThetaPolytope:
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, size=2)
             theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
-            A, b = tmpc._assemble_constraints(model.replace_theta(theta), x, cfg,
-                                              TEMPLATE, Y, EPS_U, sol.rci.d, sol.layout)
+            A, b = sol.tube_qp.rows(model.replace_theta(theta), x, sol.rci.d)
             qp_resid = A @ cand - b
             poly_resid = poly.A @ np.concatenate([x, theta]) - poly.b
             for names, idx in qp_rows.items():

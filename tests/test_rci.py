@@ -78,8 +78,8 @@ class TestSolveOptimalRci:
         y_ref = np.array([0.2])
         sol, qsol = rci.solve_optimal_rci(model, y_ref, TEMPLATE, 0.1, EPS_U, Y)
         A, b = rci.rci_constraint_block(model, TEMPLATE, 0.1, EPS_U, Y)
-        Q1, Q2 = rci.default_weights(TEMPLATE, 1)
-        H, g, const = rci.cost_matrices(TEMPLATE, y_ref, model.C, Q1, Q2)
+        cost = rci.SetCost.build(TEMPLATE, model.C)
+        H, (g, const) = cost.H, cost.at(y_ref)
         lay = rci.XrLayout.of(TEMPLATE)
         for _ in range(25):
             target = qsol.x + rng.normal(scale=0.1, size=lay.dim)

@@ -1,7 +1,11 @@
+import copy
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from dualmpc import qlpv, qp, rci, tmpc
+from dualmpc import estimator, qlpv, qp, rci, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
@@ -104,8 +108,7 @@ class TestCandidateShift:
         # Propagate through the model with a perturbation inside the budget.
         u = u_c + np.array([CFG.beta * 0.9])
         x_next = qlpv.step(model, x_hat, u)
-        A, b = tmpc._assemble_constraints(model, x_next, CFG, TEMPLATE, Y, EPS_U,
-                                          sol.rci.d, sol.layout)
+        A, b = sol.tube_qp.rows(model, x_next, sol.rci.d)
         cand = tmpc.warm_start_vector(sol, CFG.gamma)
         assert (A @ cand - b).max() <= 1e-9
         assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.rci.s).max() <= 1e-9
@@ -177,3 +180,115 @@ class TestLyapunov:
             assert lyap - lyap_prev <= -(m0 @ Q @ m0) + 1e-6
             lyap_prev = lyap
         assert lyap < 1e-3
+
+
+@pytest.mark.parametrize("make", [lambda: tmpc.ControllerConfig(Q=np.eye(3)),
+                                  lambda: box_template(2, 1),
+                                  lambda: Hpoly.box([0.8])],
+                         ids=["ControllerConfig", "PolytopeTemplate", "Hpoly"])
+def test_frozen_configs_compare_and_hash_by_identity(make):
+    a = make()
+    assert a == a
+    assert a != copy.copy(a)
+    assert a != make()
+    assert hash(a) == hash(a)
+    assert len({a, make()}) == 2
+
+
+def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
+    """(A, b, H, g) of the tube QP written out in one function, row for row."""
+    lay = tmpc.TmpcLayout(cfg.N, rci.XrLayout.of(template))
+    xr, F = lay.xr, template.F
+    d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
+    mode = tmpc.mode_rows(cfg.gamma, template, lay)
+    A_mode, b_mode = mode.over_y(params)
+    U = Hpoly.box(eps_u).scale(1.0 - cfg.beta)
+    box, h_box = block_diag(Y.H @ params.C, U.H), np.concatenate([Y.h, U.h])
+    S = np.zeros((xr.v, lay.stage, xr.dim))   # vertex j with its input, over x_r
+    S[:, :, :lay.stage] = np.eye(lay.stage)
+    S[:, :xr.n_x, xr.s] = template.V
+    S[:, xr.n_x:, xr.c] = np.eye(xr.v * xr.n_u).reshape(xr.v, xr.n_u, -1)
+    vertices = np.zeros((xr.v, lay.stage, lay.dim))
+    vertices[..., lay.xr_cols] = S
+    A_box = (box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
+    G = np.zeros((xr.v, xr.f, xr.dim))
+    G[:, :, xr.z_s], G[:, :, xr.s], G[:, :, xr.q] = -F, -np.eye(xr.f), np.eye(xr.f)
+    A_dyn, b_dyn = qlpv.ModeRows(F, S, G, np.tile(-d, (xr.v, 1))).over_y(params)
+    A_sign = np.zeros((2 * xr.f, xr.dim))
+    A_sign[:xr.f, xr.q] = A_sign[xr.f:, xr.s] = -np.eye(xr.f)
+    A_rci = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
+    initial = np.zeros((xr.f, lay.dim))
+    initial[:, lay.z(0)], initial[:, lay.s] = -F, -np.eye(xr.f)
+    A = np.vstack([A_mode, A_box, initial,
+                   np.hstack([np.zeros((len(A_rci), lay.xr_cols.start)), A_rci])])
+    b = np.concatenate([b_mode, np.tile(h_box, (cfg.N + 1) * xr.v), -F @ x_hat,
+                        b_dyn, np.tile(h_box, xr.v), np.zeros(2 * xr.f)])
+
+    Q, P = cfg.weights(lay.n_x, lay.n_u)
+    Q1, Q2 = rci.default_weights(template, params.n_y)
+    H, g = np.zeros((lay.dim, lay.dim)), np.zeros(lay.dim)
+    for k, D in enumerate(lay.deviations):
+        W = P if k == lay.N else Q
+        H += 2.0 * D.T @ W @ D
+    H_xr, g_xr = 2.0 * Q2.copy(), np.zeros(xr.dim)
+    H_xr[xr.z_s, xr.z_s] += 2.0 * xr.v * params.C.T @ Q1 @ params.C
+    g_xr[xr.z_s] = -2.0 * xr.v * params.C.T @ Q1 @ y_ref
+    H[lay.xr_cols, lay.xr_cols] += H_xr
+    g[lay.xr_cols] += g_xr
+    return A, b, H, g
+
+
+@pytest.mark.parametrize("cfg, n_y", [(tmpc.ControllerConfig(N=1, beta=0.0), 1),
+                                      (CFG, 1), (tmpc.ControllerConfig(N=3, beta=0.1), 2)])
+def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
+    rng = np.random.default_rng(31 + cfg.N)
+    Y_n = Hpoly.box(0.8 * np.ones(n_y))
+    for _ in range(5):
+        model = random_model(rng, infnorm=0.6, gain=0.25)
+        C = np.eye(2)[:n_y] + 0.1 * rng.normal(size=(n_y, 2))
+        model = qlpv.unpack(model.pack(), model.n_x, model.n_u, model.n_p, model.n_h, C)
+        x_hat, y_ref = rng.uniform(-0.3, 0.3, size=2), rng.uniform(-0.5, 0.5, size=n_y)
+        tq = tmpc.TubeQp.build(cfg, TEMPLATE, Y_n, EPS_U, model.C)
+        d = qlpv.disturbance_vector(model, TEMPLATE, cfg.beta, EPS_U)
+        g, const = tq.cost(y_ref)
+        built = (*tq.rows(model, x_hat, d), tq.H, g)
+        for got, want in zip(built, assemble_from_scratch(model, x_hat, y_ref, cfg,
+                                                          TEMPLATE, Y_n, EPS_U)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        Q1, _ = rci.default_weights(TEMPLATE, n_y)
+        assert const == float(TEMPLATE.n_vertices * y_ref @ Q1 @ y_ref)
+
+
+def test_cache_never_serves_another_controllers_qp(model):
+    # Each setting differs from the first in one key: cfg (beta, N), Y or eps_u.
+    x_hat, y_ref = np.array([0.2, -0.1]), np.array([0.3])
+    settings = [(CFG, Y, EPS_U), (tmpc.ControllerConfig(beta=0.1), Y, EPS_U),
+                (tmpc.ControllerConfig(N=3), Y, EPS_U), (CFG, Hpoly.box([0.6]), EPS_U),
+                (CFG, Y, np.array([0.8]))]
+    for cfg, Y_k, eps_u in settings + settings[::-1]:
+        sol = tmpc.solve_tmpc(x_hat, model, y_ref, cfg, TEMPLATE, Y_k, eps_u)
+        A, b, H, g = assemble_from_scratch(model, x_hat, y_ref, cfg, TEMPLATE, Y_k, eps_u)
+        fresh = qp.solve(qp.QpProblem.build(H, g, A, b), tol=1e-8)
+        assert sol.qp_solution.x.tobytes() == fresh.x.tobytes()
+
+
+def test_tube_qp_built_once_per_controller(model, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(tmpc, "mode_rows", counted("mode_rows", tmpc.mode_rows))
+    cfg = tmpc.ControllerConfig()          # a new controller: its QP is not built yet
+    x_hat, warm = np.array([0.2, -0.1]), None
+    for _ in range(5):
+        sol = solve(model, x_hat, 0.3, cfg=cfg, warm_start=warm)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta, EPS_U, cfg.gamma)
+        u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
+        x_hat, warm = qlpv.step(model, x_hat, u), tmpc.warm_start_vector(sol, cfg.gamma)
+    assert calls == {"eigvalsh": 1, "mode_rows": 1}
