@@ -17,28 +17,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
-
-
-def sigmoid(a: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(a, dtype=float)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def swish(a: np.ndarray) -> np.ndarray:
-    return a * sigmoid(a)
-
-
-def softmax(o: np.ndarray) -> np.ndarray:
-    e = np.exp(o - o.max())
-    return e / e.sum()
 
 
 def theta_dim(n_x: int, n_u: int, n_p: int, n_h: int) -> int:
@@ -146,78 +128,87 @@ def unpack(theta: np.ndarray, n_x: int, n_u: int, n_p: int, n_h: int,
     return ModelParams(A=A, B=B, W1=W1, b1=b1, W2=W2, b2=b2, C=C.copy())
 
 
+def _stacked(params: ModelParams) -> np.ndarray:
+    """The vertex systems [A_i B_i] as one (n_p, n_x, n_x + n_u) array."""
+    return np.concatenate([params.A, params.B], axis=2)
+
+
+def _network(params: ModelParams, xi: np.ndarray):
+    """Forward pass of the scheduling network at the rows of xi = (x, u).
+
+    Returns the hidden layer's sigmoid and swish values and the softmax
+    weights before their normalisation, exp(o - max o), over xi's last axis.
+    """
+    a = xi @ params.W1.T + params.b1
+    sig = expit(a)
+    hidden = a * sig
+    o = hidden @ params.W2.T + params.b2
+    return sig, hidden, np.exp(o - o.max(axis=-1, keepdims=True))
+
+
 def scheduling(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Simplex-valued scheduling vector p(x, u)."""
-    xi = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)])
-    hidden = swish(params.W1 @ xi + params.b1)
-    return softmax(params.W2 @ hidden + params.b2)
+    _, _, e = _network(params, np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
+    return e / e.sum()
 
 
 def step(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One-step state update of the scheduled model."""
-    p = scheduling(params, x, u)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.zeros(params.n_x)
-    for pi, Ai, Bi in zip(p, params.A, params.B):
-        out += pi * (Ai @ x + Bi @ u)
-    return out
+    xi = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)])
+    _, _, e = _network(params, xi)
+    return e @ (_stacked(params) @ xi) / e.sum()
 
 
 def output(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return params.C @ np.atleast_1d(x)
 
 
-def _scheduling_grads(params: ModelParams, x, u):
-    """p, dp/d(x,u) and dp/dtheta_net, all analytic.
+def _scheduling_grads(params: ModelParams, xi: np.ndarray):
+    """p, dp/dxi and dp/dtheta_net at the T rows of xi = (x, u), all analytic.
 
-    Returns (p, dp_dxi, dp_dnet) with dp_dxi of shape (n_p, n_x+n_u) and
-    dp_dnet of shape (n_p, n_net) where n_net counts W1, b1, W2, b2 entries
-    in packing order.
+    Returns (p, dp_dxi, dp_dnet) of shapes (T, n_p), (T, n_p, n_x + n_u) and
+    (T, n_p, n_net), where n_net counts the W1, b1, W2, b2 entries in
+    packing order.
     """
-    n_p, n_h = params.n_p, params.n_h
-    xi = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]).astype(float)
-    a = params.W1 @ xi + params.b1
-    sig = sigmoid(a)
-    hidden = a * sig                           # swish(a)
-    hderiv = sig + hidden * (1.0 - sig)        # swish'(a)
-    p = softmax(params.W2 @ hidden + params.b2)
+    T, n_p, n_h = len(xi), params.n_p, params.n_h
+    sig, hidden, e = _network(params, xi)
+    p = e / e.sum(axis=1, keepdims=True)
+    hderiv = sig + hidden * (1.0 - sig)                    # swish'(a)
 
-    S = np.diag(p) - np.outer(p, p)            # softmax Jacobian
-    SW2 = S @ params.W2                        # n_p × n_h
-    SW2d = SW2 * hderiv                        # chain through swish
-    dp_dxi = SW2d @ params.W1                  # n_p × (n_x+n_u)
-
-    n_xi = xi.size
-    dp_dnet = np.zeros((n_p, n_h * n_xi + n_h + n_p * n_h + n_p))
-    # W1 entries (row-major): d a_k / d W1[k, l] = xi_l
-    dp_dnet[:, :n_h * n_xi] = np.einsum("pk,l->pkl", SW2d, xi).reshape(n_p, -1)
-    off = n_h * n_xi
-    dp_dnet[:, off:off + n_h] = SW2d           # b1
-    off += n_h
-    # W2 entries (row-major): d o_k / d W2[k, l] = hidden_l
-    dp_dnet[:, off:off + n_p * n_h] = np.einsum("pk,l->pkl", S, hidden).reshape(n_p, -1)
-    off += n_p * n_h
-    dp_dnet[:, off:] = S                       # b2
+    S = p[:, :, None] * (np.eye(n_p) - p[:, None, :])      # softmax Jacobian
+    SW2d = (S @ params.W2) * hderiv[:, None, :]            # chain through swish
+    dp_dxi = SW2d @ params.W1
+    # d a_k / d W1[k, l] = xi_l and d o_k / d W2[k, l] = hidden_l, row-major.
+    dp_dnet = np.concatenate([
+        np.einsum("tpk,tl->tpkl", SW2d, xi).reshape(T, n_p, n_h * xi.shape[1]), SW2d,
+        np.einsum("tpk,tl->tpkl", S, hidden).reshape(T, n_p, n_p * n_h), S], axis=2)
     return p, dp_dxi, dp_dnet
 
 
 def jacobians(params: ModelParams, x: np.ndarray, u: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dx, df/dtheta) of the one-step map at (x, u)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n_x = params.n_x
-    p, dp_dxi, dp_dnet = _scheduling_grads(params, x, u)
+    """(df/dx, df/dtheta) of the one-step map at (x, u).
 
-    modes = np.column_stack([Ai @ x + Bi @ u for Ai, Bi in zip(params.A, params.B)])
+    x (T, n_x) and u (T, n_u) give a batch of T points, with df/dx of shape
+    (T, n_x, n_x) and df/dtheta of shape (T, n_x, n_theta); T may be 0.  A
+    single point, x (n_x,) and u (n_u,), is a batch of one and gives the two
+    matrices without the batch axis.
+    """
+    n_x, n_u = params.n_x, params.n_u
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1, n_x)
+    xi = np.concatenate([xs, np.reshape(u, (len(xs), n_u))], axis=1)
+    p, dp_dxi, dp_dnet = _scheduling_grads(params, xi)
 
-    fx = sum(pi * Ai for pi, Ai in zip(p, params.A)) + modes @ dp_dxi[:, :n_x]
+    AB = _stacked(params)
+    modes = np.einsum("ijk,tk->tji", AB, xi)               # (T, n_x, n_p)
+    fx = np.einsum("ti,ijk->tjk", p, AB[:, :, :n_x]) + modes @ dp_dxi[:, :, :n_x]
 
     # df/dA_i and df/dB_i are p_i times the rows of A_i x + B_i u over theta.
-    rows = theta_rows(params, np.eye(n_x), np.concatenate([x, u])[None])
-    ftheta = np.tensordot(p, rows[:, 0], axes=1)
-    ftheta[:, -dp_dnet.shape[1]:] = modes @ dp_dnet
+    ftheta = np.einsum("ti,itjk->tjk", p, theta_rows(params, np.eye(n_x), xi))
+    ftheta[:, :, -dp_dnet.shape[2]:] = modes @ dp_dnet
+    if x.ndim < 2:
+        return fx[0], ftheta[0]
     return fx, ftheta
 
 
@@ -238,11 +229,13 @@ def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.nda
     B_i blocks of theta: d/dA_i[k, l] = F[:, k] w_l, d/dB_i[k, l] = F[:, k] r_l.
     """
     n_x, n_u, n_p = params.n_x, params.n_u, params.n_p
-    shape = (n_p, len(points), F.shape[0], -1)
+    shape = (n_p, len(points), F.shape[0])
     modes = np.eye(n_p)
-    A = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, :n_x]).reshape(shape)
-    B = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, n_x:]).reshape(shape)
-    net = np.zeros(shape[:3] + (params.n_theta - n_p * n_x * (n_x + n_u),))
+    A = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, :n_x])
+    B = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, n_x:])
+    A = A.reshape(shape + (n_p * n_x * n_x,))
+    B = B.reshape(shape + (n_p * n_x * n_u,))
+    net = np.zeros(shape + (params.n_theta - n_p * n_x * (n_x + n_u),))
     return np.concatenate([A, B, net], axis=3)
 
 
@@ -264,8 +257,7 @@ class ModeRows:
 
     def over_y(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with A y <= b for the model params."""
-        AB = np.concatenate([np.array(params.A), np.array(params.B)], axis=2)
-        A = (self.F @ AB)[:, None] @ self.S + self.G
+        A = (self.F @ _stacked(params))[:, None] @ self.S + self.G
         return A.reshape(-1, self.S.shape[2]), np.tile(self.h.ravel(), params.n_p)
 
     def over_theta(self, params: ModelParams, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,16 @@
 """Offline identification of the initial scheduled model.
 
 Fits the flattened parameter vector by minimizing open-loop simulation MSE
-over an input-output record, with gradients obtained by reverse accumulation
-through the unrolled simulation.  Full-batch gradient descent with a
-backtracking Armijo line search keeps training deterministic; the trial step
-is seeded by a safeguarded Barzilai-Borwein estimate so the line search
-starts near the right scale.  A feasibility gate then checks that the tube
-controller is actually solvable at the identified model before it is let
-anywhere near the closed loop.
+over an input-output record.  One batched call of :func:`qlpv.jacobians`
+gives f_x and f_theta at every simulated step of the record; the adjoint
+recursion lambda_t = c_t + f_x,t^T lambda_{t+1} runs backwards through them,
+and the gradient is sum_t f_theta,t^T lambda_{t+1} plus the weight decay's.
+Full-batch gradient descent with a backtracking Armijo line search keeps
+training deterministic; the trial step is seeded by a safeguarded
+Barzilai-Borwein estimate so the line search starts near the right scale.
+A feasibility gate then checks that the tube controller is actually
+solvable at the identified model before it is let anywhere near the closed
+loop.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ class IoDataset:
     scale: float = 1.0           # output scaling already applied to y_seq
 
     def __post_init__(self):
-        self.u_seq = np.atleast_2d(np.asarray(self.u_seq, dtype=float))
-        self.y_seq = np.atleast_2d(np.asarray(self.y_seq, dtype=float))
-        if self.u_seq.ndim == 2 and self.u_seq.shape[0] == 1 and self.u_seq.shape[1] > 1:
-            self.u_seq = self.u_seq.T
-        if self.y_seq.ndim == 2 and self.y_seq.shape[0] == 1 and self.y_seq.shape[1] > 1:
-            self.y_seq = self.y_seq.T
+        # A 1-D record is a scalar signal, one sample per entry.
+        self.u_seq, self.y_seq = (a[:, None] if a.ndim == 1 else a for a in (
+            np.asarray(self.u_seq, dtype=float), np.asarray(self.y_seq, dtype=float)))
+        if self.u_seq.ndim != 2 or self.y_seq.ndim != 2:
+            raise ConfigurationError("records must be (T,) or (T, n) arrays")
         if len(self.u_seq) != len(self.y_seq):
             raise ConfigurationError("input and output records must be equally long")
         if not (np.isfinite(self.u_seq).all() and np.isfinite(self.y_seq).all()):
@@ -121,7 +123,7 @@ def _loss_only(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
 
 def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
                      weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
-    """(total loss, bare MSE, d loss / d theta) by reverse accumulation."""
+    """(total loss, bare MSE, d loss / d theta) by the adjoint recursion."""
     T = len(data)
     xs = simulate(params, data.u_seq, x0)
     err, mse = _output_error(params, data, xs)
@@ -130,12 +132,13 @@ def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
     theta = params.pack()
     loss = mse + weight_decay * float(theta @ theta)
 
-    grad = 2.0 * weight_decay * theta
-    lam = -(2.0 / T) * params.C.T @ err[T - 1]
-    for t in range(T - 2, -1, -1):
-        fx, ftheta = qlpv.jacobians(params, xs[t], data.u_seq[t])
-        grad += ftheta.T @ lam
-        lam = -(2.0 / T) * params.C.T @ err[t] + fx.T @ lam
+    # lam_t = d loss / d x_t = c_t + f_x,t^T lam_{t+1} with c_t = -(2/T) C^T err_t;
+    # x_0 is fixed, so the recursion stops at lam_1.
+    fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
+    lam = -(2.0 / T) * err @ params.C
+    for t in range(T - 2, 0, -1):
+        lam[t] += fx[t].T @ lam[t + 1]
+    grad = 2.0 * weight_decay * theta + np.einsum("tjk,tj->k", ftheta, lam[1:])
     return loss, mse, grad
 
 

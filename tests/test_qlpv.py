@@ -6,6 +6,10 @@ from dualmpc.polytope import box_template
 from conftest import random_model
 from oracles import central_difference_jacobian, hull_membership_lp
 
+# (n_x, n_u, n_p) of the Jacobian tests.
+SHAPES = [(2, 1, 3), (3, 2, 2), (1, 1, 1)]
+SHAPE_IDS = ["2-1-3", "3-2-2", "1-1-1"]
+
 
 def test_paper_configuration_has_42_parameters():
     assert qlpv.theta_dim(n_x=2, n_u=1, n_p=3, n_h=3) == 42
@@ -69,6 +73,15 @@ class TestStep:
         expected = model.A[0] @ x + model.B[0] @ u
         assert qlpv.step(model, x, u) == pytest.approx(expected)
 
+    def test_matches_scheduled_mode_sum(self, rng):
+        for _ in range(25):
+            model = random_model(rng, n_x=3, n_u=2)
+            x, u = rng.normal(size=3), rng.normal(size=2)
+            p = qlpv.scheduling(model, x, u)
+            expected = sum(pi * (Ai @ x + Bi @ u) for pi, Ai, Bi in zip(p, model.A, model.B))
+            error = np.abs(qlpv.step(model, x, u) - expected).max()
+            assert error <= 1e-14 * np.abs(expected).max()
+
     def test_step_in_convex_hull_of_modes(self, rng):
         for _ in range(25):
             model = random_model(rng)
@@ -97,8 +110,7 @@ class TestAugmentedJacobian:
         assert np.array_equal(J[2:, 2:], np.eye(42))
         assert np.array_equal(J[2:, :2], np.zeros((42, 2)))
 
-    @pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (1, 1, 1)],
-                             ids=["2-1-3", "3-2-2", "1-1-1"])
+    @pytest.mark.parametrize("n_x,n_u,n_p", SHAPES, ids=SHAPE_IDS)
     def test_matches_central_differences(self, rng, n_x, n_u, n_p):
         for _ in range(100):
             model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
@@ -113,6 +125,22 @@ class TestAugmentedJacobian:
             J_fd = central_difference_jacobian(f_of_zeta, np.concatenate([x, theta]))
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J[:n_x] - J_fd).max() / scale < 1e-5
+
+    @pytest.mark.parametrize("T", [0, 1, 7])
+    @pytest.mark.parametrize("n_x,n_u,n_p", SHAPES, ids=SHAPE_IDS)
+    def test_batch_matches_single_points(self, rng, n_x, n_u, n_p, T):
+        for _ in range(10):
+            model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
+            x, u = rng.normal(size=(T, n_x)), rng.normal(size=(T, n_u))
+            fx, ftheta = qlpv.jacobians(model, x, u)
+            assert fx.shape == (T, n_x, n_x)
+            assert ftheta.shape == (T, n_x, model.n_theta)
+            # Relative to each matrix's largest entry: an entry that cancels
+            # to near zero may round differently in a batch than alone.
+            for t in range(T):
+                single = qlpv.jacobians(model, x[t], u[t])
+                for batched, alone in zip((fx[t], ftheta[t]), single):
+                    assert np.abs(batched - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
 class TestDisturbanceVector:

@@ -20,17 +20,35 @@ def record():
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-def test_gradient_matches_central_differences(record, weight_decay):
-    params = random_model(np.random.default_rng(5), infnorm=0.6)
+@pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (2, 1, 1)],
+                         ids=["2-1-3", "3-2-2", "2-1-1"])
+def test_gradient_matches_central_differences(record, n_x, n_u, n_p, weight_decay):
+    rng = np.random.default_rng(5)
+    params = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p, infnorm=0.6)
+    data = record if n_u == 1 else sysid.IoDataset(
+        u_seq=rng.uniform(-1.0, 1.0, size=(len(record), n_u)), y_seq=record.y_seq)
     x0 = np.zeros(params.n_x)
-    loss, mse, grad = sysid.mse_and_gradient(params, record, x0, weight_decay)
+    loss, mse, grad = sysid.mse_and_gradient(params, data, x0, weight_decay)
 
     def loss_only(theta):
-        return sysid._loss_only(params.replace_theta(theta), record, x0, weight_decay)[0]
+        return sysid._loss_only(params.replace_theta(theta), data, x0, weight_decay)[0]
 
-    assert (loss, mse) == pytest.approx(sysid._loss_only(params, record, x0, weight_decay), rel=1e-12)
+    expected = sysid._loss_only(params, data, x0, weight_decay)
+    assert (loss, mse) == pytest.approx(expected, rel=1e-12)
     jac = central_difference_jacobian(loss_only, params.pack())
     assert np.abs(grad - jac[0]).max() <= 1e-7
+
+
+def test_one_sample_record_gradient_is_weight_decay():
+    # x_0 is fixed, so a single sample's loss depends on theta only through
+    # the weight decay.
+    params = random_model(np.random.default_rng(5), infnorm=0.6)
+    data = sysid.IoDataset(u_seq=[[0.3]], y_seq=[[0.2]])
+    theta = params.pack()
+    loss, mse, grad = sysid.mse_and_gradient(params, data, np.array([0.5, -1.0]), 1e-3)
+    assert mse == pytest.approx(0.3 ** 2, rel=1e-12)
+    assert loss == pytest.approx(mse + 1e-3 * theta @ theta, rel=1e-12)
+    assert np.array_equal(grad, 2.0 * 1e-3 * theta)
 
 
 def test_fit_is_deterministic(record):
@@ -56,6 +74,28 @@ def test_diverging_model_gives_inf_loss(n_steps):
     loss, mse, grad = sysid.mse_and_gradient(params, data, x0, 1e-3)
     assert loss == mse == np.inf
     assert np.array_equal(grad, np.zeros(params.n_theta))
+
+
+def test_one_sample_vector_record_keeps_its_shape():
+    data = sysid.IoDataset(u_seq=np.zeros((1, 2)), y_seq=np.ones((1, 2)))
+    assert data.u_seq.shape == data.y_seq.shape == (1, 2)
+    assert len(data) == 1
+    mixed = sysid.IoDataset(u_seq=np.zeros((1, 2)), y_seq=np.ones((1, 1)))
+    assert (mixed.u_seq.shape, mixed.y_seq.shape) == ((1, 2), (1, 1))
+
+
+@pytest.mark.parametrize("T", [1, 4])
+def test_one_dimensional_record_loads_as_columns(T):
+    data = sysid.IoDataset(u_seq=np.arange(T, dtype=float), y_seq=np.ones(T))
+    assert data.u_seq.shape == data.y_seq.shape == (T, 1)
+    assert len(data) == T
+    assert np.array_equal(data.u_seq[:, 0], np.arange(T))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 1, 1)], ids=["scalar", "3-D"])
+def test_record_of_other_rank_is_rejected(shape):
+    with pytest.raises(ConfigurationError, match=r"\(T,\) or \(T, n\)"):
+        sysid.IoDataset(u_seq=np.zeros(shape), y_seq=np.zeros(shape))
 
 
 def test_csv_round_trip_is_bit_exact(record):
