@@ -152,7 +152,7 @@ def build_theta_polytope(
     """Constraint polytope over (x, theta) from the current tube solution.
 
     The estimate must keep the shifted candidate y =
-    ``tmpc.warm_start_vector(tube, gamma)`` feasible for the next tube QP.
+    ``tmpc.warm_start_vector(tube, gamma).x`` feasible for the next tube QP.
     Those rows are the tube QP's own, evaluated at y with x and theta free:
     the initial row puts x in the full first shifted set (state_s), the mode
     rows give the candidate tube, the last shifted tube row into (z+, v+) and
@@ -172,7 +172,7 @@ def build_theta_polytope(
     if d is None:
         d = tube.rci.d
     F = template.F
-    y = tmpc.warm_start_vector(tube, gamma)
+    y = tmpc.warm_start_vector(tube, gamma).x
     signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))
     r = beta * signs * np.atleast_1d(np.asarray(eps_u, dtype=float))
     dist_A = qlpv.theta_rows(params, F, np.hstack([np.zeros((len(r), n_x)), r]))

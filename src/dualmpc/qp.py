@@ -22,12 +22,18 @@ large norm is not asked for more significant digits than one of norm 1.  The
 same rule decides the interior-point loop, the acceptance of a warm start and
 the equality-constrained direct solve.
 
+A warm start is read for its ``x``, ``ineq_duals`` and ``eq_duals`` only:
+when they meet the KKT test they are returned with 0 iterations, otherwise x
+alone seeds the iteration.  Duals of a nearby problem are a poorly centred
+start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
+
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
 at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s then
 scales every dual iterate by s and keeps the primal ones and the iteration
 count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
 end).  Each iteration evaluates the KKT residuals once, for the termination
-test and the Newton step; predictor and corrector share one LU factorization.
+test and the Newton step; predictor and corrector share one LU factorization,
+and one ratio test over the stacked (slack, dual) vector bounds each step.
 
 The solver is deterministic: identical inputs produce identical iterates.  It
 never raises on a numerical failure: a non-finite iterate or Newton step ends
@@ -139,53 +145,50 @@ class QpSolution:
     value: float = field(default=float("nan"))
 
 
-def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu):
+def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu, g_inf: float):
     """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, r_eq)
     at a primal-dual point, where r_d = Hx + g + A_in' lam + A_eq' nu,
-    r_in = A_in x - b_in and r_eq = A_eq x - b_eq feed the Newton step."""
-    terms = [H @ x, prob.g, prob.A_in.T @ lam, prob.A_eq.T @ nu]
-    r_d = sum(terms)
+    r_in = A_in x - b_in and r_eq = A_eq x - b_eq feed the Newton step.
+    ``g_inf`` is |g|_inf; without equality rows r_eq is the empty b_eq."""
+    Hx, Gl = H @ x, prob.A_in.T @ lam
+    r_d = Hx + prob.g + Gl
     r_in = prob.A_in @ x - prob.b_in
-    r_eq = prob.A_eq @ x - prob.b_eq
-    scale = max(1.0, float(np.abs(terms).max(initial=0.0)))
+    scale = max(1.0, g_inf, float(np.abs(Hx).max(initial=0.0)), float(np.abs(Gl).max(initial=0.0)))
+    p_inf = float(r_in.max(initial=0.0))
+    r_eq = prob.b_eq
+    if r_eq.size:
+        Anu = prob.A_eq.T @ nu
+        r_d += Anu
+        r_eq = prob.A_eq @ x - prob.b_eq
+        scale = max(scale, float(np.abs(Anu).max()))
+        p_inf = max(p_inf, float(np.abs(r_eq).max()))
     stat = float(np.abs(r_d).max(initial=0.0)) / scale
     comp = max(float(np.abs(lam * r_in).max(initial=0.0)), -float(lam.min(initial=0.0))) / scale
-    p_inf = max(float(r_in.max(initial=0.0)), float(np.abs(r_eq).max(initial=0.0)))
     return max(stat, p_inf, comp), p_inf, r_d, r_in, r_eq
 
 
-def _linear_solver(M: np.ndarray):
-    """``rhs -> M^-1 rhs`` for a finite M, through one LU factorization, or by
-    least squares when M is singular.  A failed least-squares solve gives
-    NaNs, which the caller checks for."""
-    lu, piv, info = lapack.dgetrf(M)
-    if info == 0:
-        return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
-
-    def least_squares(rhs):
-        try:
-            return np.linalg.lstsq(M, rhs, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return np.full(M.shape[0], np.nan)
-    return least_squares
+def _linear_solve(M: np.ndarray, lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs for a finite M, given ``lu = lapack.dgetrf(M)``, or by least
+    squares when M is singular.  A failed least-squares solve gives NaNs,
+    which the caller checks for."""
+    if lu[2] == 0:
+        return lapack.dgetrs(lu[0], lu[1], rhs)[0]
+    try:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return np.full(M.shape[0], np.nan)
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps v + step * dv >= 0."""
-    neg = dv < 0
-    return float((-v[neg] / dv[neg]).min(initial=1.0))
-
-
-def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float) -> QpSolution:
+def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float, g_inf: float) -> QpSolution:
     """Direct KKT solve when there are no inequality constraints."""
     n, p = prob.n, prob.A_eq.shape[0]
     K = np.block([[H, prob.A_eq.T], [prob.A_eq, np.zeros((p, p))]]) if p else H
-    sol = _linear_solver(K)(np.concatenate([-prob.g, prob.b_eq]))
+    sol = _linear_solve(K, lapack.dgetrf(K), np.concatenate([-prob.g, prob.b_eq]))
     x, nu = sol[:n], sol[n:]
     if not np.isfinite(sol).all():
         return QpSolution(np.zeros(n), np.zeros(0), np.zeros(p), np.inf,
                           QpStatus.INFEASIBLE, 1, np.inf)
-    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), nu)
+    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), nu, g_inf)
     status = QpStatus.OPTIMAL if kkt <= tol else QpStatus.INFEASIBLE
     return QpSolution(x, np.zeros(0), nu, kkt, status, 1, p_inf, prob.objective(x))
 
@@ -205,37 +208,38 @@ def solve(
     stationarity and complementarity are divided by
     max(1, |Hx|, |g|, |A_in' lam|, |A_eq' nu|) (infinity norms) first.
 
-    A warm start carrying duals (a previous :class:`QpSolution`) is first
-    checked against the KKT conditions and accepted outright when it already
-    satisfies them; a bare primal vector only seeds the interior-point
-    iteration.  A numerical failure (non-finite iterate or Newton step) ends
-    the iteration with the best point seen, status ``MAX_ITER`` when that
-    point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.  Without
-    convergence the best point seen is returned, and ``iterations`` counts
-    the iterations run, not the index of that point.
+    A warm start carrying duals (a :class:`QpSolution`) is first checked
+    against the KKT conditions and accepted outright when it already
+    satisfies them; otherwise, and for a bare primal vector, its x only
+    seeds the interior-point iteration.  A warm start of another size raises
+    ``ConfigurationError``.  A numerical failure (non-finite iterate or
+    Newton step) ends the iteration with the best point seen, status
+    ``MAX_ITER`` when that point is feasible to ``tol`` and ``INFEASIBLE``
+    otherwise.  Without convergence the best point seen is returned, and
+    ``iterations`` counts the iterations run, not the index of that point.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     n, m, p = prob.n, prob.A_in.shape[0], prob.A_eq.shape[0]
     H = prob.H + _RIDGE * np.eye(n)
+    g_inf = float(np.abs(prob.g).max(initial=0.0))
 
-    x0 = None
+    x0 = warm_start
     if isinstance(warm_start, QpSolution):
-        if warm_start.x.size == n and warm_start.ineq_duals.size == m and warm_start.eq_duals.size == p:
-            kkt, p_inf, *_ = _kkt_residual(prob, H, warm_start.x, warm_start.ineq_duals, warm_start.eq_duals)
-            if kkt <= tol:
-                return QpSolution(
-                    warm_start.x.copy(), warm_start.ineq_duals.copy(), warm_start.eq_duals.copy(),
-                    kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(warm_start.x),
-                )
-            x0 = warm_start.x
-    elif warm_start is not None:
-        x0 = np.asarray(warm_start, dtype=float).ravel()
+        x0, lam, nu = warm_start.x, warm_start.ineq_duals, warm_start.eq_duals
+        if (x0.size, lam.size, nu.size) != (n, m, p):
+            raise ConfigurationError("warm start has wrong dimension")
+        kkt, p_inf, *_ = _kkt_residual(prob, H, x0, lam, nu, g_inf)
+        if kkt <= tol:
+            return QpSolution(x0.copy(), lam.copy(), nu.copy(), kkt, QpStatus.OPTIMAL, 0,
+                              p_inf, prob.objective(x0))
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != n:
             raise ConfigurationError("warm start has wrong dimension")
 
     if m == 0:
-        return _solve_equality_qp(prob, H, tol)
+        return _solve_equality_qp(prob, H, tol, g_inf)
 
     G, h, A = prob.A_in, prob.b_in, prob.A_eq
     x = x0.copy() if x0 is not None else np.zeros(n)
@@ -245,7 +249,8 @@ def solve(
     wl = np.concatenate([np.maximum(h - G @ x, 1.0), np.full(m, lam0)])
     nu = np.zeros(p)
     # KKT matrix [[K, A_eq'], [A_eq, 0]]; only the K block changes.
-    M = np.block([[np.zeros((n, n)), A.T], [A, np.zeros((p, p))]])
+    M = np.zeros((n + p, n + p))
+    M[:n, n:], M[n:, :n] = A.T, A
     K = M[:n, :n]
 
     best = (x, wl[m:], nu, np.inf)
@@ -254,7 +259,7 @@ def solve(
     it = 0
     for it in range(1, max_iter + 1):
         w, lam = wl[:m], wl[m:]
-        kkt, p_inf, r_d, r_in, r_e = _kkt_residual(prob, H, x, lam, nu)
+        kkt, p_inf, r_d, r_in, r_e = _kkt_residual(prob, H, x, lam, nu, g_inf)
         p_inf_hist.append(p_inf)
         if kkt < best[3]:
             best = (x, lam, nu, kkt)
@@ -270,35 +275,39 @@ def solve(
             return QpSolution(x, lam.copy(), nu, kkt, QpStatus.INFEASIBLE,
                               it, min(p_inf_hist), prob.objective(x))
 
-        r_p = r_in + w
-        wlam = w * lam
+        # Newton step for complementarity target r_c (w o lam -> r_c), with
+        # d = lam / w: dw = -r_p - G dx, dlam = -r_c / w - d o dw, and
+        # (H + G'DG) dx + A_eq' dnu = G'(r_c / w - d o r_p) - r_d.
+        r_p, d, wlam = r_in + w, lam / w, w * lam
+        d_rp = d * r_p
         mu = float(wlam.sum()) / m
-        np.matmul(G.T * (lam / w), G, out=K)
+        np.matmul(G.T * d, G, out=K)
         K += H
         if not np.isfinite(K).all():
             break
-        kkt_solve = _linear_solver(M)
+        lu = lapack.dgetrf(M)
 
-        def newton(r_c):
-            rhs = G.T @ ((r_c - lam * r_p) / w) - r_d
-            sol = kkt_solve(np.concatenate([rhs, -r_e]) if p else rhs)
-            dx = sol[:n]
-            dw = -r_p - G @ dx
-            return dx, np.concatenate([dw, (-r_c - lam * dw) / w]), sol[n:]
-
-        # Predictor (affine scaling) step.
-        _, dwl_a, _ = newton(wlam)
-        wl_a = wl + _max_step(wl, dwl_a) * dwl_a
+        # Predictor (affine scaling) step, r_c = w o lam.
+        rhs = G.T @ (lam - d_rp) - r_d
+        dx = _linear_solve(M, lu, np.concatenate([rhs, -r_e]) if p else rhs)[:n]
+        dw = -r_p - G @ dx
+        dwl_a = np.concatenate([dw, -lam - d * dw])
+        wl_a = wl + dwl_a / max(1.0, -float((dwl_a / wl).min()))
         mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
         sigma = min(1.0, mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector step with centering, on the same factorization.
-        dx, dwl, dnu = newton(wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu)
-        alpha = max(0.99, 1.0 - mu) * _max_step(wl, dwl)
+        rc_w = (wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu) / w
+        rhs = G.T @ (rc_w - d_rp) - r_d
+        sol = _linear_solve(M, lu, np.concatenate([rhs, -r_e]) if p else rhs)
+        dx = sol[:n]
+        dw = -r_p - G @ dx
+        dwl = np.concatenate([dw, -rc_w - d * dw])
+        alpha = max(0.99, 1.0 - mu) / max(1.0, -float((dwl / wl).min()))
 
         x = x + alpha * dx
         wl = wl + alpha * dwl
-        nu = nu + alpha * dnu
+        nu = nu + alpha * sol[n:]
         if not np.isfinite(np.concatenate([x, wl, nu])).all():
             break
 
@@ -329,7 +338,7 @@ def project_weighted(
         np.linalg.cholesky(0.5 * (M + M.T))
     except np.linalg.LinAlgError:
         raise ConfigurationError("projection weight matrix must be positive definite")
-    if (b_in - A_in @ x0).min() >= 0.0 and (
+    if (b_in - A_in @ x0).min(initial=0.0) >= 0.0 and (
         A_eq is None or not len(b_eq) or np.abs(A_eq @ x0 - b_eq).max() <= tol
     ):
         lam = np.zeros(len(b_in))

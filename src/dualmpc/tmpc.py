@@ -14,6 +14,10 @@ eps_u, C): H, the y_ref -> g map, the model-free rows and both ``ModeRows``.
 Each step refreshes only d, their model rows, -F x_hat and g.  solve_tmpc
 caches TubeQps by the identity of cfg, template and Y and the values of
 eps_u and C; change neither those objects nor a TubeQp's arrays in place.
+
+:func:`warm_start_vector` gives the next solve the time-shifted plan with
+this solve's duals, which qp.solve accepts without iterating while it is
+still optimal; otherwise the plan alone seeds the interior-point iteration.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def solve_tmpc(
     template: PolytopeTemplate,
     Y: Hpoly,
     eps_u: np.ndarray,
-    warm_start: np.ndarray | None = None,
+    warm_start: qp.QpSolution | np.ndarray | None = None,
     tol: float = 1e-8,
 ) -> TubeSolution:
     """Solve the tube QP at the current estimate; d comes from these params."""
@@ -261,16 +265,16 @@ def candidate_shift(sol: TubeSolution, gamma: float) -> tuple[np.ndarray, np.nda
     return z, v
 
 
-def warm_start_vector(sol: TubeSolution, gamma: float) -> np.ndarray:
-    """Primal warm start for the next solve, built from the shifted candidate."""
-    lay = sol.layout
+def warm_start_vector(sol: TubeSolution, gamma: float) -> qp.QpSolution:
+    """Warm start for the next solve: the shifted candidate with this solve's
+    duals.  qp.solve returns it unchanged when it still meets the KKT test;
+    otherwise only its x seeds the interior-point iteration.  Its
+    ``kkt_residual`` is nan until that test evaluates it."""
     z, v = candidate_shift(sol, gamma)
-    x = np.empty(lay.dim)
-    for k in range(lay.N + 1):
-        x[lay.z(k)] = z[k]
-        x[lay.v(k)] = v[k]
-    x[lay.xr_cols] = sol.rci.stack(lay.xr)
-    return x
+    # Stage k of the vector is (z_k, v_k); the x_r block closes it.
+    x = np.concatenate([np.hstack([z, v]).ravel(), sol.rci.stack(sol.layout.xr)])
+    duals = sol.qp_solution
+    return qp.QpSolution(x, duals.ineq_duals, duals.eq_duals, float("nan"), duals.status, 0)
 
 
 def nominal_input(

@@ -157,7 +157,7 @@ class TestThetaPolytope:
         assert sol.status == qp.QpStatus.OPTIMAL
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
                                               EPS_U, cfg.gamma)
-        cand = tmpc.warm_start_vector(sol, cfg.gamma)
+        cand = tmpc.warm_start_vector(sol, cfg.gamma).x
 
         def rows(*names):
             slices = sorted((sl for n in names for sl in poly.families.get(n, [])),

@@ -88,6 +88,18 @@ def test_warm_start_resolve_is_immediate(rng):
     assert np.abs(resolved.x - sol.x).max() <= 1e-9
 
 
+def test_warm_start_of_wrong_size_rejected(rng):
+    # A solution of another problem is refused, duals or not, like a bare
+    # vector of the wrong length; it is never dropped for a cold start.
+    H, g, A, b = random_strictly_convex(rng, 4, 8)
+    sol = qp.solve(qp.QpProblem.build(H, g, A, b))
+    fewer_rows = qp.QpProblem.build(H, g, A[:6], b[:6])
+    fewer_vars = qp.QpProblem.build(H[:3, :3], g[:3], A[:, :3], b)
+    for prob, warm in ((fewer_rows, sol), (fewer_vars, sol), (fewer_vars, sol.x)):
+        with pytest.raises(ConfigurationError, match="wrong dimension"):
+            qp.solve(prob, warm_start=warm)
+
+
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
 def test_cost_scaling_keeps_status_argmin_and_iterations(rng, scale):
     # Stationarity and complementarity are measured relative to the cost, so
@@ -270,6 +282,13 @@ class TestProjectWeighted:
         x_ref = x0 - 0.5 * np.linalg.inv(M) @ a * mu
         sol = qp.project_weighted(x0, M, A_in=a[None, :], b_in=np.array([2.0]))
         assert sol.x == pytest.approx(x_ref, abs=1e-8)
+
+    def test_no_inequality_rows_returns_start(self):
+        sol = qp.project_weighted(np.array([0.2, 0.1]), np.eye(2),
+                                  A_in=np.zeros((0, 2)), b_in=np.zeros(0))
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert sol.x.tolist() == [0.2, 0.1]
+        assert sol.value == 0.0
 
     def test_empty_polyhedron_reports_infeasible(self):
         sol = qp.project_weighted(np.zeros(1), np.eye(1),

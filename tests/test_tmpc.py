@@ -109,13 +109,43 @@ class TestCandidateShift:
         u = u_c + np.array([CFG.beta * 0.9])
         x_next = qlpv.step(model, x_hat, u)
         A, b = sol.tube_qp.rows(model, x_next, sol.rci.d)
-        cand = tmpc.warm_start_vector(sol, CFG.gamma)
+        cand = tmpc.warm_start_vector(sol, CFG.gamma).x
         assert (A @ cand - b).max() <= 1e-9
         assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.rci.s).max() <= 1e-9
         # And the next solve, warm-started from the candidate, succeeds.
         nxt = solve(model, x_next, 0.6, warm_start=cand)
         assert nxt.status == qp.QpStatus.OPTIMAL
 
+
+    def test_still_optimal_shifted_plan_accepted_without_iterations(self, model):
+        # At the set-centre fixed point the shifted plan is the plan, and with
+        # this solve's duals it meets the KKT test as it stands.
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        nxt = solve(model, [0.0, 0.0], warm_start=warm)
+        assert nxt.status == qp.QpStatus.OPTIMAL
+        assert nxt.qp_solution.iterations == 0
+        assert np.abs(nxt.qp_solution.x - cold.qp_solution.x).max() <= 1e-8
+
+    def test_duals_never_seed_the_interior_point_iteration(self, model):
+        # After a reference switch the shifted plan is no longer optimal: the
+        # duals then feed only the acceptance test, and the solve is the one
+        # the bare shifted plan seeds, bit for bit.
+        x_hat = np.array([0.2, -0.1])
+        sol = solve(model, x_hat, 0.6)
+        u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
+        x_next = qlpv.step(model, x_hat, u)
+        warm = tmpc.warm_start_vector(sol, CFG.gamma)
+        with_duals = solve(model, x_next, -0.3, warm_start=warm).qp_solution
+        bare = solve(model, x_next, -0.3, warm_start=warm.x).qp_solution
+        assert with_duals.iterations == bare.iterations > 0
+        assert with_duals.x.tobytes() == bare.x.tobytes()
+
+    def test_warm_start_from_another_controller_rejected(self, model):
+        sol = solve(model, [0.1, 0.0])
+        with pytest.raises(ConfigurationError, match="wrong dimension"):
+            solve(model, [0.1, 0.0], cfg=tmpc.ControllerConfig(N=3),
+                  warm_start=tmpc.warm_start_vector(sol, CFG.gamma))
 
 class TestNominalInput:
     def test_center_with_symmetric_inputs_returns_v0(self, model):
