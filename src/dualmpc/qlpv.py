@@ -152,11 +152,16 @@ def scheduling(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _step_at(params: ModelParams, AB: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The map of :func:`step` at xi = (x, u), given AB = _stacked(params)."""
+    _, _, e = _network(params, xi)
+    return e @ (AB @ xi) / e.sum()
+
+
 def step(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One-step state update of the scheduled model."""
-    xi = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)])
-    _, _, e = _network(params, xi)
-    return e @ (_stacked(params) @ xi) / e.sum()
+    return _step_at(params, _stacked(params),
+                    np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
 
 
 def output(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ and the gradient is sum_t f_theta,t^T lambda_{t+1} plus the weight decay's.
 Full-batch gradient descent with a backtracking Armijo line search keeps
 training deterministic; the trial step is seeded by a safeguarded
 Barzilai-Borwein estimate so the line search starts near the right scale.
+The fit rolls each distinct theta out once: every line-search probe
+simulates the record once, and the gradient at an accepted probe reuses
+that probe's states and residuals.
 A feasibility gate then checks that the tube controller is actually
 solvable at the identified model before it is let anywhere near the closed
 loop.
@@ -86,17 +89,22 @@ def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int,
 def simulate(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Open-loop model states, one row per recorded step.
 
+    [A_i B_i] and the (x, u) rows are built once; each step writes x into its
+    row and applies the kernel of :func:`qlpv.step`, so the states equal a loop over it.
     The roll-out stops at the first non-finite state; the rows after it are NaN.
     """
-    xs = np.full((len(u_seq), params.n_x), np.nan)
+    T, n_x = len(u_seq), params.n_x
+    xi = np.full((T, n_x + params.n_u), np.nan)
+    xi[:, n_x:] = np.reshape(u_seq, (T, params.n_u))
+    AB = qlpv._stacked(params)
     x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, u in enumerate(u_seq):
-            xs[t] = x
-            if t + 1 == len(u_seq) or not np.isfinite(x).all():
+        for t in range(T):
+            xi[t, :n_x] = x
+            if t + 1 == T or not np.isfinite(x).all():
                 break
-            x = qlpv.step(params, x, u)
-    return xs
+            x = qlpv._step_at(params, AB, xi[t])
+    return np.ascontiguousarray(xi[:, :n_x])
 
 
 def _output_error(params: qlpv.ModelParams, data: IoDataset,
@@ -109,37 +117,41 @@ def _output_error(params: qlpv.ModelParams, data: IoDataset,
 
 
 def simulate_mse(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray) -> float:
+    return _rollout_loss(params, data, x0, 0.0)[1]
+
+
+def _rollout_loss(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
+                  weight_decay: float) -> tuple[float, float, tuple]:
+    """(total loss, bare MSE, roll-out) from one roll-out, (states, residuals)."""
     if len(data) == 0:
         raise ConfigurationError("dataset is empty")
-    return _output_error(params, data, simulate(params, data.u_seq, x0))[1]
-
-
-def _loss_only(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
-               weight_decay: float) -> tuple[float, float]:
-    mse = simulate_mse(params, data, x0)
-    theta = params.pack()
-    return mse + weight_decay * float(theta @ theta), mse
-
-
-def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
-                     weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
-    """(total loss, bare MSE, d loss / d theta) by the adjoint recursion."""
-    T = len(data)
     xs = simulate(params, data.u_seq, x0)
     err, mse = _output_error(params, data, xs)
-    if mse == float("inf"):
-        return mse, mse, np.zeros(params.n_theta)
     theta = params.pack()
-    loss = mse + weight_decay * float(theta @ theta)
+    return mse + weight_decay * float(theta @ theta), mse, (xs, err)
 
+
+def _rollout_gradient(params: qlpv.ModelParams, data: IoDataset, rollout: tuple,
+                      weight_decay: float) -> np.ndarray:
+    """d loss / d theta by the adjoint recursion through a finite roll-out."""
+    xs, err = rollout
+    T = len(data)
     # lam_t = d loss / d x_t = c_t + f_x,t^T lam_{t+1} with c_t = -(2/T) C^T err_t;
     # x_0 is fixed, so the recursion stops at lam_1.
     fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
     lam = -(2.0 / T) * err @ params.C
     for t in range(T - 2, 0, -1):
         lam[t] += fx[t].T @ lam[t + 1]
-    grad = 2.0 * weight_decay * theta + np.einsum("tjk,tj->k", ftheta, lam[1:])
-    return loss, mse, grad
+    return 2.0 * weight_decay * params.pack() + np.einsum("tjk,tj->k", ftheta, lam[1:])
+
+
+def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
+                     weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
+    """(total loss, bare MSE, d loss / d theta); (inf, inf, 0) if the roll-out diverges."""
+    loss, mse, rollout = _rollout_loss(params, data, x0, weight_decay)
+    if mse == float("inf"):
+        return loss, mse, np.zeros(params.n_theta)
+    return loss, mse, _rollout_gradient(params, data, rollout, weight_decay)
 
 
 @dataclass
@@ -159,7 +171,7 @@ class TrainConfig:
 @dataclass
 class FitReport:
     train_mse: float
-    epochs: int
+    epochs: int                  # accepted descent steps, len(history) - 1
     reached_target: bool
     weight_decay: float
     history: list = field(default_factory=list)
@@ -195,9 +207,8 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     history = [mse]
     prev_theta, prev_grad = None, None
-    epoch = 0
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    for _ in range(cfg.max_epochs):
         if best_mse <= cfg.target:
             break
         gnorm2 = float(grad @ grad)
@@ -216,31 +227,30 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
             step *= 2.0
         step = float(np.clip(step, 1e-14, 1e6))
 
-        # The line search probes loss only; the gradient is computed once the
-        # step is accepted.
-        accepted = False
+        # Each probe rolls the record out once; the gradient at the accepted
+        # probe differentiates that same roll-out.  No accepted probe ends the fit.
         alpha = step
         for _ in range(cfg.max_halvings):
             cand = theta - alpha * grad
             cand_params = params.replace_theta(cand)
-            cand_loss, cand_mse = _loss_only(cand_params, data, x0, cfg.weight_decay)
+            cand_loss, cand_mse, rollout = _rollout_loss(cand_params, data, x0,
+                                                         cfg.weight_decay)
             if cand_loss <= loss - cfg.armijo_c * alpha * gnorm2:
                 prev_theta, prev_grad = theta, grad
                 theta, loss, mse = cand, cand_loss, cand_mse
                 params = cand_params
-                _, _, grad = mse_and_gradient(params, data, x0, cfg.weight_decay)
+                grad = _rollout_gradient(params, data, rollout, cfg.weight_decay)
                 step = alpha
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
         history.append(mse)
         if mse < best_mse:
             best_mse, best_theta = mse, theta.copy()
 
     best = params.replace_theta(best_theta)
-    return best, FitReport(train_mse=best_mse, epochs=epoch,
+    return best, FitReport(train_mse=best_mse, epochs=len(history) - 1,
                            reached_target=best_mse <= cfg.target,
                            weight_decay=cfg.weight_decay, history=history)
 

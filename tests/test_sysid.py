@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualmpc import plant, sysid, tmpc
+from dualmpc import plant, qlpv, sysid, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
@@ -31,12 +31,68 @@ def test_gradient_matches_central_differences(record, n_x, n_u, n_p, weight_deca
     loss, mse, grad = sysid.mse_and_gradient(params, data, x0, weight_decay)
 
     def loss_only(theta):
-        return sysid._loss_only(params.replace_theta(theta), data, x0, weight_decay)[0]
+        return sysid._rollout_loss(params.replace_theta(theta), data, x0, weight_decay)[0]
 
-    expected = sysid._loss_only(params, data, x0, weight_decay)
+    expected = sysid._rollout_loss(params, data, x0, weight_decay)[:2]
     assert (loss, mse) == pytest.approx(expected, rel=1e-12)
     jac = central_difference_jacobian(loss_only, params.pack())
     assert np.abs(grad - jac[0]).max() <= 1e-7
+
+
+def step_loop(params, u_seq, x0):
+    """Reference roll-out: qlpv.step one point at a time, up to the record's
+    length or the first non-finite state, whichever comes first."""
+    states = [np.asarray(x0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(states) < len(u_seq) and np.isfinite(states[-1]).all():
+            states.append(qlpv.step(params, states[-1], u_seq[len(states) - 1]))
+    return np.array(states[:len(u_seq)]).reshape(-1, params.n_x)
+
+
+@pytest.mark.parametrize("T", [0, 1, 30])
+@pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (2, 1, 1)],
+                         ids=["2-1-3", "3-2-2", "2-1-1"])
+def test_rollout_matches_step_loop(n_x, n_u, n_p, T):
+    rng = np.random.default_rng(7)
+    params = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p, infnorm=0.6)
+    u_seq = rng.uniform(-1.0, 1.0, size=(T, n_u))
+    x0 = rng.uniform(-1.0, 1.0, size=n_x)
+    xs = sysid.simulate(params, u_seq, x0)
+    assert xs.shape == (T, n_x)
+    assert np.array_equal(xs, step_loop(params, u_seq, x0))
+
+
+def test_rollout_of_one_dimensional_input_record():
+    rng = np.random.default_rng(7)
+    params = random_model(rng)
+    u_seq = rng.uniform(-1.0, 1.0, size=30)
+    xs = sysid.simulate(params, u_seq, np.ones(2))
+    assert np.array_equal(xs, step_loop(params, u_seq, np.ones(2)))
+    assert np.array_equal(xs, sysid.simulate(params, u_seq[:, None], np.ones(2)))
+
+
+def test_diverging_rollout_matches_step_loop_then_is_nan():
+    # The model of test_diverging_model_gives_inf_loss, whose states overflow.
+    params = random_model(np.random.default_rng(1))
+    for A in params.A:
+        A *= 20.0
+    u_seq = sysid.collect_dataset(plant.PlantConfig(), 300, seed=3).u_seq
+    xs = sysid.simulate(params, u_seq, np.ones(2))
+    ref = step_loop(params, u_seq, np.ones(2))
+    k = len(ref)
+    assert k < len(u_seq) and not np.isfinite(ref[-1]).all()
+    assert np.isfinite(ref[:-1]).all()
+    assert np.array_equal(xs[:k - 1], ref[:-1])
+    assert np.array_equal(xs[k - 1], ref[-1], equal_nan=True)
+    assert np.isnan(xs[k:]).all()
+
+
+def test_empty_record_is_rejected():
+    params = random_model(np.random.default_rng(5))
+    data = sysid.IoDataset(u_seq=np.zeros((0, 1)), y_seq=np.zeros((0, 1)))
+    for fn in (sysid.simulate_mse, sysid.mse_and_gradient):
+        with pytest.raises(ConfigurationError, match="dataset is empty"):
+            fn(params, data, np.zeros(2))
 
 
 def test_one_sample_record_gradient_is_weight_decay():
@@ -59,6 +115,38 @@ def test_fit_is_deterministic(record):
     assert np.array_equal(first.pack(), second.pack())
 
 
+@pytest.mark.parametrize("cfg", [sysid.TrainConfig(target=1e9),
+                                 sysid.TrainConfig(max_halvings=0)],
+                         ids=["target-met", "line-search-fails"])
+def test_early_stop_counts_only_accepted_steps(record, cfg):
+    _, report = sysid.fit_initial_model(record, cfg, seed=0)
+    assert report.epochs == 0
+    assert len(report.history) == 1
+
+
+def test_fit_rolls_out_each_theta_once(record, monkeypatch):
+    rolled, built = [], []
+    simulate, replace_theta = sysid.simulate, qlpv.ModelParams.replace_theta
+
+    def spy_simulate(params, u_seq, x0):
+        rolled.append(params.pack().tobytes())
+        return simulate(params, u_seq, x0)
+
+    def spy_replace_theta(self, theta):
+        built.append(1)
+        return replace_theta(self, theta)
+
+    monkeypatch.setattr(sysid, "simulate", spy_simulate)
+    monkeypatch.setattr(qlpv.ModelParams, "replace_theta", spy_replace_theta)
+    _, report = sysid.fit_initial_model(record, sysid.TrainConfig(max_epochs=5), 0)
+    assert report.epochs == 5
+    assert len(set(rolled)) == len(rolled)
+    # Every probe builds its candidate with replace_theta, and so does the
+    # returned best model.
+    probes = len(built) - 1
+    assert len(rolled) == 1 + probes
+
+
 @pytest.mark.parametrize("n_steps", [200, 300])
 def test_diverging_model_gives_inf_loss(n_steps):
     # The states of this model grow over tenfold per step: over 200 steps
@@ -70,7 +158,7 @@ def test_diverging_model_gives_inf_loss(n_steps):
     data = sysid.collect_dataset(plant.PlantConfig(), n_steps, seed=3)
     x0 = np.ones(2)
     assert sysid.simulate_mse(params, data, x0) == np.inf
-    assert sysid._loss_only(params, data, x0, 1e-3) == (np.inf, np.inf)
+    assert sysid._rollout_loss(params, data, x0, 1e-3)[:2] == (np.inf, np.inf)
     loss, mse, grad = sysid.mse_and_gradient(params, data, x0, 1e-3)
     assert loss == mse == np.inf
     assert np.array_equal(grad, np.zeros(params.n_theta))
