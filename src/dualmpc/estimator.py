@@ -147,7 +147,6 @@ def build_theta_polytope(
     beta: float,
     eps_u: np.ndarray,
     gamma: float,
-    d: np.ndarray | None = None,
 ) -> FeasibilityPolytope:
     """Constraint polytope over (x, theta) from the current tube solution.
 
@@ -169,8 +168,7 @@ def build_theta_polytope(
     N = lay.N
     if tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u) or gamma != tq.gamma:
         raise ConfigurationError("tube solution malformed or from a controller with other gamma")
-    if d is None:
-        d = tube.rci.d
+    d = tube.rci.d
     F = template.F
     y = tmpc.warm_start_vector(tube, gamma).x
     signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 DEFAULT_TOL = 1e-9
+# Distance from x to X(z, s) above which barycentric_lambda flags relaxed.
+LAMBDA_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +119,13 @@ def contains(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray,
 class LambdaResult:
     weights: np.ndarray
     residual: float
-    # True when x lay farther than tol outside X(z, s); the weights then
+    # True when x lay farther than LAMBDA_TOL outside X(z, s); the weights then
     # interpolate the nearest point of the set instead of x.
     relaxed: bool
 
 
 def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
-                       x: np.ndarray, tol: float = 1e-8) -> LambdaResult:
+                       x: np.ndarray) -> LambdaResult:
     """Multilinear vertex weights reproducing x from the vertices of the box.
 
     On axis k, t_k = (x_k - z_k + s-_k) / (s+_k + s-_k) with s+ = s[:n_x] and
@@ -133,7 +135,7 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
     1 - t_k as V_j picks the upper or the lower face of axis k (Gutman &
     Cwikel 1986), so the weights lie on the simplex and z + sum_j lambda_j
     V_j s is the clipped point.  ``residual`` is the Euclidean distance from
-    x to X(z, s), and ``relaxed`` flags a residual above tol.
+    x to X(z, s), and ``relaxed`` flags a residual above LAMBDA_TOL.
     """
     n = template.n_x
     x = np.asarray(x, dtype=float).ravel()
@@ -146,4 +148,4 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
     upper = np.array([Vj.diagonal() for Vj in template.V]) > 0
     weights = np.where(upper, t, 1.0 - t).prod(axis=1)
     residual = float(np.linalg.norm(x - pset.z - near))
-    return LambdaResult(weights, residual, relaxed=residual > tol)
+    return LambdaResult(weights, residual, relaxed=residual > LAMBDA_TOL)

@@ -1,30 +1,30 @@
 """Dense convex quadratic programming.
 
-Solves problems of the form
+Solves problems of the one form the package poses,
 
     min  0.5 x'Hx + g'x
-    s.t. A_in x <= b_in,  A_eq x = b_eq
+    s.t. A_in x <= b_in,
 
 with a Mehrotra predictor-corrector interior-point iteration over dense
-matrices.  Every optimization in this package (invariant-set synthesis, the
-tube controller, the constrained estimator correction) is dispatched through
-:func:`solve`.
+matrices; a problem without rows is solved directly from Hx = -g.  Every
+optimization in this package (invariant-set synthesis, the tube controller,
+the constrained estimator correction) is dispatched through :func:`solve`.
 
 Termination is scale-relative, as in OSQP (Stellato et al. 2020): a point is
 optimal when its KKT residual is at most ``tol``, where primal infeasibility
-(violation of ``A_in x <= b_in`` and ``A_eq x = b_eq``) is taken as it is, and
-stationarity and complementarity are divided by
+(violation of ``A_in x <= b_in``) is taken as it is, and stationarity and
+complementarity are divided by
 
-    max(1, |Hx|_inf, |g|_inf, |A_in' lam|_inf, |A_eq' nu|_inf).
+    max(1, |Hx|_inf, |g|_inf, |A_in' lam|_inf).
 
 So an OPTIMAL point is feasible to ``tol`` in absolute terms, while a cost of
 large norm is not asked for more significant digits than one of norm 1.  The
 same rule decides the interior-point loop, the acceptance of a warm start and
-the equality-constrained direct solve.
+the direct solve of a problem without rows.
 
-A warm start is read for its ``x``, ``ineq_duals`` and ``eq_duals`` only:
-when they meet the KKT test they are returned with 0 iterations, otherwise x
-alone seeds the iteration.  Duals of a nearby problem are a poorly centred
+A warm start is read for its ``x`` and ``ineq_duals`` only: when they meet
+the KKT test they are returned with 0 iterations, otherwise x alone seeds
+the iteration.  Duals of a nearby problem are a poorly centred
 start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
@@ -62,11 +62,13 @@ class QpStatus(Enum):
 _RIDGE = 1e-10
 # Iterations of primal-residual stagnation before declaring infeasibility.
 _STALL_WINDOW = 50
+# Interior-point iterations before giving up with the best point seen.
+_MAX_ITER = 500
 
 
 @dataclass
 class QpProblem:
-    """Dense QP data. Missing constraint blocks are empty (0-row) arrays.
+    """Dense QP data. A missing constraint block is an empty (0-row) array.
 
     Build problems with :meth:`build`, which validates them once; the solver
     does not validate again.
@@ -76,12 +78,9 @@ class QpProblem:
     g: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
 
     @classmethod
-    def build(cls, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None,
-              check_psd: bool = True) -> "QpProblem":
+    def build(cls, H, g, A_in=None, b_in=None, check_psd: bool = True) -> "QpProblem":
         """Validated problem; ``check_psd=False`` skips the eigenvalue check
         for a caller that has already proved H positive semidefinite."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -89,15 +88,11 @@ class QpProblem:
         n = g.size
         if A_in is None:
             A_in, b_in = np.zeros((0, n)), np.zeros(0)
-        if A_eq is None:
-            A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
         prob = cls(
             H=H,
             g=g,
             A_in=np.atleast_2d(np.asarray(A_in, dtype=float)).reshape(-1, n),
             b_in=np.asarray(b_in, dtype=float).ravel(),
-            A_eq=np.atleast_2d(np.asarray(A_eq, dtype=float)).reshape(-1, n),
-            b_eq=np.asarray(b_eq, dtype=float).ravel(),
         )
         prob.validate(check_psd)
         return prob
@@ -112,10 +107,7 @@ class QpProblem:
             raise ConfigurationError(f"H shape {self.H.shape} incompatible with g size {n}")
         if self.A_in.shape[0] != self.b_in.size or self.A_in.shape[1] != n:
             raise ConfigurationError("inequality block dimensions inconsistent")
-        if self.A_eq.shape[0] != self.b_eq.size or self.A_eq.shape[1] != n:
-            raise ConfigurationError("equality block dimensions inconsistent")
-        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.A_in, self.b_in,
-                                                   self.A_eq, self.b_eq)):
+        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.A_in, self.b_in)):
             raise ConfigurationError("problem data must be finite")
         scale = max(1.0, float(np.abs(self.H).max()))
         if np.abs(self.H - self.H.T).max() > 1e-8 * scale:
@@ -134,7 +126,6 @@ class QpProblem:
 class QpSolution:
     x: np.ndarray
     ineq_duals: np.ndarray
-    eq_duals: np.ndarray
     # Scaled KKT residual (see the module docstring): absolute primal
     # infeasibility, stationarity and complementarity relative to the data.
     kkt_residual: float
@@ -145,26 +136,20 @@ class QpSolution:
     value: float = field(default=float("nan"))
 
 
-def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, nu, g_inf: float):
-    """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, r_eq)
-    at a primal-dual point, where r_d = Hx + g + A_in' lam + A_eq' nu,
-    r_in = A_in x - b_in and r_eq = A_eq x - b_eq feed the Newton step.
-    ``g_inf`` is |g|_inf; without equality rows r_eq is the empty b_eq."""
+def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, g_inf: float):
+    """(scaled KKT residual, absolute primal infeasibility, r_d, r_in) at a
+    primal-dual point of min 0.5 x'Hx + g'x s.t. A_in x <= b_in, where
+    r_d = Hx + g + A_in' lam and r_in = A_in x - b_in feed the Newton step.
+    Stationarity and complementarity are divided by
+    max(1, |Hx|, |g|, |A_in' lam|); ``g_inf`` is |g|_inf."""
     Hx, Gl = H @ x, prob.A_in.T @ lam
     r_d = Hx + prob.g + Gl
     r_in = prob.A_in @ x - prob.b_in
     scale = max(1.0, g_inf, float(np.abs(Hx).max(initial=0.0)), float(np.abs(Gl).max(initial=0.0)))
     p_inf = float(r_in.max(initial=0.0))
-    r_eq = prob.b_eq
-    if r_eq.size:
-        Anu = prob.A_eq.T @ nu
-        r_d += Anu
-        r_eq = prob.A_eq @ x - prob.b_eq
-        scale = max(scale, float(np.abs(Anu).max()))
-        p_inf = max(p_inf, float(np.abs(r_eq).max()))
     stat = float(np.abs(r_d).max(initial=0.0)) / scale
     comp = max(float(np.abs(lam * r_in).max(initial=0.0)), -float(lam.min(initial=0.0))) / scale
-    return max(stat, p_inf, comp), p_inf, r_d, r_in, r_eq
+    return max(stat, p_inf, comp), p_inf, r_d, r_in
 
 
 def _linear_solve(M: np.ndarray, lu: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -179,18 +164,14 @@ def _linear_solve(M: np.ndarray, lu: tuple, rhs: np.ndarray) -> np.ndarray:
         return np.full(M.shape[0], np.nan)
 
 
-def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float, g_inf: float) -> QpSolution:
-    """Direct KKT solve when there are no inequality constraints."""
-    n, p = prob.n, prob.A_eq.shape[0]
-    K = np.block([[H, prob.A_eq.T], [prob.A_eq, np.zeros((p, p))]]) if p else H
-    sol = _linear_solve(K, lapack.dgetrf(K), np.concatenate([-prob.g, prob.b_eq]))
-    x, nu = sol[:n], sol[n:]
-    if not np.isfinite(sol).all():
-        return QpSolution(np.zeros(n), np.zeros(0), np.zeros(p), np.inf,
-                          QpStatus.INFEASIBLE, 1, np.inf)
-    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), nu, g_inf)
+def _solve_unconstrained(prob: QpProblem, H: np.ndarray, tol: float, g_inf: float) -> QpSolution:
+    """Direct solve of Hx = -g for a problem without rows."""
+    x = _linear_solve(H, lapack.dgetrf(H), -prob.g)
+    if not np.isfinite(x).all():
+        return QpSolution(np.zeros(prob.n), np.zeros(0), np.inf, QpStatus.INFEASIBLE, 1, np.inf)
+    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), g_inf)
     status = QpStatus.OPTIMAL if kkt <= tol else QpStatus.INFEASIBLE
-    return QpSolution(x, np.zeros(0), nu, kkt, status, 1, p_inf, prob.objective(x))
+    return QpSolution(x, np.zeros(0), kkt, status, 1, p_inf, prob.objective(x))
 
 
 # Overflow and division by zero show up as non-finite values, which the
@@ -199,14 +180,14 @@ def _solve_equality_qp(prob: QpProblem, H: np.ndarray, tol: float, g_inf: float)
 def solve(
     prob: QpProblem,
     tol: float = 1e-8,
-    max_iter: int = 500,
     warm_start: QpSolution | np.ndarray | None = None,
 ) -> QpSolution:
-    """Solve a dense convex QP to scaled KKT residual <= tol.
+    """Solve min 0.5 x'Hx + g'x s.t. A_in x <= b_in to scaled KKT residual
+    <= tol; a problem without rows is solved directly from Hx = -g.
 
     Primal infeasibility must be at most ``tol`` in absolute terms;
     stationarity and complementarity are divided by
-    max(1, |Hx|, |g|, |A_in' lam|, |A_eq' nu|) (infinity norms) first.
+    max(1, |Hx|, |g|, |A_in' lam|) (infinity norms) first.
 
     A warm start carrying duals (a :class:`QpSolution`) is first checked
     against the KKT conditions and accepted outright when it already
@@ -220,18 +201,18 @@ def solve(
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    n, m, p = prob.n, prob.A_in.shape[0], prob.A_eq.shape[0]
+    n, m = prob.n, prob.A_in.shape[0]
     H = prob.H + _RIDGE * np.eye(n)
     g_inf = float(np.abs(prob.g).max(initial=0.0))
 
     x0 = warm_start
     if isinstance(warm_start, QpSolution):
-        x0, lam, nu = warm_start.x, warm_start.ineq_duals, warm_start.eq_duals
-        if (x0.size, lam.size, nu.size) != (n, m, p):
+        x0, lam = warm_start.x, warm_start.ineq_duals
+        if (x0.size, lam.size) != (n, m):
             raise ConfigurationError("warm start has wrong dimension")
-        kkt, p_inf, *_ = _kkt_residual(prob, H, x0, lam, nu, g_inf)
+        kkt, p_inf, *_ = _kkt_residual(prob, H, x0, lam, g_inf)
         if kkt <= tol:
-            return QpSolution(x0.copy(), lam.copy(), nu.copy(), kkt, QpStatus.OPTIMAL, 0,
+            return QpSolution(x0.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0,
                               p_inf, prob.objective(x0))
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
@@ -239,32 +220,28 @@ def solve(
             raise ConfigurationError("warm start has wrong dimension")
 
     if m == 0:
-        return _solve_equality_qp(prob, H, tol, g_inf)
+        return _solve_unconstrained(prob, H, tol, g_inf)
 
-    G, h, A = prob.A_in, prob.b_in, prob.A_eq
+    G, h = prob.A_in, prob.b_in
     x = x0.copy() if x0 is not None else np.zeros(n)
     # Slacks w and duals lam, stacked so one ratio test covers both.  The
     # duals start at the cost's gradient norm (see the module docstring).
     lam0 = max(1.0, float(np.abs(H @ x + prob.g).max(initial=0.0)))
     wl = np.concatenate([np.maximum(h - G @ x, 1.0), np.full(m, lam0)])
-    nu = np.zeros(p)
-    # KKT matrix [[K, A_eq'], [A_eq, 0]]; only the K block changes.
-    M = np.zeros((n + p, n + p))
-    M[:n, n:], M[n:, :n] = A.T, A
-    K = M[:n, :n]
+    K = np.empty((n, n))
 
-    best = (x, wl[m:], nu, np.inf)
+    best = (x, wl[m:], np.inf)
     p_inf_hist: list[float] = []
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w, lam = wl[:m], wl[m:]
-        kkt, p_inf, r_d, r_in, r_e = _kkt_residual(prob, H, x, lam, nu, g_inf)
+        kkt, p_inf, r_d, r_in = _kkt_residual(prob, H, x, lam, g_inf)
         p_inf_hist.append(p_inf)
-        if kkt < best[3]:
-            best = (x, lam, nu, kkt)
+        if kkt < best[2]:
+            best = (x, lam, kkt)
         if kkt <= tol:
-            return QpSolution(x, lam.copy(), nu, kkt, QpStatus.OPTIMAL,
+            return QpSolution(x, lam.copy(), kkt, QpStatus.OPTIMAL,
                               it, p_inf, prob.objective(x))
         stalled = (
             len(p_inf_hist) > _STALL_WINDOW
@@ -272,12 +249,12 @@ def solve(
             and min(p_inf_hist[-_STALL_WINDOW:]) >= 0.999 * min(p_inf_hist[:-_STALL_WINDOW])
         )
         if stalled or (lam.max() > 1e13 * lam0 and p_inf > tol):
-            return QpSolution(x, lam.copy(), nu, kkt, QpStatus.INFEASIBLE,
+            return QpSolution(x, lam.copy(), kkt, QpStatus.INFEASIBLE,
                               it, min(p_inf_hist), prob.objective(x))
 
         # Newton step for complementarity target r_c (w o lam -> r_c), with
         # d = lam / w: dw = -r_p - G dx, dlam = -r_c / w - d o dw, and
-        # (H + G'DG) dx + A_eq' dnu = G'(r_c / w - d o r_p) - r_d.
+        # (H + G'DG) dx = G'(r_c / w - d o r_p) - r_d.
         r_p, d, wlam = r_in + w, lam / w, w * lam
         d_rp = d * r_p
         mu = float(wlam.sum()) / m
@@ -285,11 +262,11 @@ def solve(
         K += H
         if not np.isfinite(K).all():
             break
-        lu = lapack.dgetrf(M)
+        lu = lapack.dgetrf(K)
 
         # Predictor (affine scaling) step, r_c = w o lam.
         rhs = G.T @ (lam - d_rp) - r_d
-        dx = _linear_solve(M, lu, np.concatenate([rhs, -r_e]) if p else rhs)[:n]
+        dx = _linear_solve(K, lu, rhs)
         dw = -r_p - G @ dx
         dwl_a = np.concatenate([dw, -lam - d * dw])
         wl_a = wl + dwl_a / max(1.0, -float((dwl_a / wl).min()))
@@ -299,22 +276,20 @@ def solve(
         # Corrector step with centering, on the same factorization.
         rc_w = (wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu) / w
         rhs = G.T @ (rc_w - d_rp) - r_d
-        sol = _linear_solve(M, lu, np.concatenate([rhs, -r_e]) if p else rhs)
-        dx = sol[:n]
+        dx = _linear_solve(K, lu, rhs)
         dw = -r_p - G @ dx
         dwl = np.concatenate([dw, -rc_w - d * dw])
         alpha = max(0.99, 1.0 - mu) / max(1.0, -float((dwl / wl).min()))
 
         x = x + alpha * dx
         wl = wl + alpha * dwl
-        nu = nu + alpha * sol[n:]
-        if not np.isfinite(np.concatenate([x, wl, nu])).all():
+        if not np.isfinite(np.concatenate([x, wl])).all():
             break
 
-    x, lam, nu, kkt = best
+    x, lam, kkt = best
     p_inf = min(p_inf_hist) if p_inf_hist else np.inf
     status = QpStatus.INFEASIBLE if p_inf > tol else QpStatus.MAX_ITER
-    return QpSolution(x, lam.copy(), nu, kkt, status, it, p_inf, prob.objective(x))
+    return QpSolution(x, lam.copy(), kkt, status, it, p_inf, prob.objective(x))
 
 
 def project_weighted(
@@ -322,14 +297,14 @@ def project_weighted(
     M: np.ndarray,
     A_in: np.ndarray,
     b_in: np.ndarray,
-    A_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
     tol: float = 1e-9,
 ) -> QpSolution:
-    """Projection arg min ||x - x0||_M^2 onto a polyhedron, M symmetric PD.
+    """Projection arg min ||x - x0||_M^2 onto {x : A_in x <= b_in}, M
+    symmetric PD: the QP min x'Mx - 2 x0'Mx s.t. A_in x <= b_in.
 
     Returns the full solution so callers can inspect status; when x0 is
-    already feasible it is returned unchanged with zero distance.
+    already feasible, as it is for a polyhedron without rows, it is
+    returned unchanged with zero distance.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     M = np.asarray(M, dtype=float)
@@ -338,13 +313,9 @@ def project_weighted(
         np.linalg.cholesky(0.5 * (M + M.T))
     except np.linalg.LinAlgError:
         raise ConfigurationError("projection weight matrix must be positive definite")
-    if (b_in - A_in @ x0).min(initial=0.0) >= 0.0 and (
-        A_eq is None or not len(b_eq) or np.abs(A_eq @ x0 - b_eq).max() <= tol
-    ):
-        lam = np.zeros(len(b_in))
-        nu = np.zeros(0 if A_eq is None else len(b_eq))
-        return QpSolution(x0.copy(), lam, nu, 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
-    prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, A_eq, b_eq, check_psd=False)
+    if (b_in - A_in @ x0).min(initial=0.0) >= 0.0:
+        return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
+    prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, check_psd=False)
     sol = solve(prob, tol=tol)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

@@ -207,8 +207,6 @@ def solve_optimal_rci(
     Y: Hpoly,
     Q1: np.ndarray | None = None,
     Q2: np.ndarray | None = None,
-    tol: float = 1e-8,
-    warm_start: qp.QpSolution | None = None,
 ) -> tuple[RciSolution, qp.QpSolution]:
     """Smallest admissible invariant set whose center output tracks y_ref."""
     lay = XrLayout.of(template)
@@ -216,7 +214,7 @@ def solve_optimal_rci(
     A, b = rci_constraint_block(params, template, beta, eps_u, Y, d)
     cost = SetCost.build(template, params.C, Q1, Q2)
     g, const = cost.at(y_ref)
-    sol = qp.solve(qp.QpProblem.build(cost.H, g, A, b), tol=tol, warm_start=warm_start)
+    sol = qp.solve(qp.QpProblem.build(cost.H, g, A, b))
     if sol.status != qp.QpStatus.OPTIMAL:
         return RciSolution(np.zeros(lay.n_x), np.zeros(lay.n_u), np.zeros(lay.f),
                            np.zeros(lay.v * lay.n_u), np.zeros(lay.f),

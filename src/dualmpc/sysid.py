@@ -68,17 +68,16 @@ class IoDataset:
         return cls(u_seq=u, y_seq=y, scale=scale)
 
 
-def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int,
-                    hold: int = 5) -> IoDataset:
-    """Excite the benchmark plant with uniform inputs held constant for a few
-    steps and record the scaled output, starting from rest."""
+def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int) -> IoDataset:
+    """Excite the benchmark plant with uniform inputs, each held constant for
+    5 steps, and record the scaled output, starting from rest."""
     rng = np.random.default_rng(seed)
     state = np.zeros(4)
     u_seq = np.zeros((n_steps, 1))
     y_seq = np.zeros((n_steps, 1))
     u = 0.0
     for t in range(n_steps):
-        if t % hold == 0:
+        if t % 5 == 0:
             u = float(rng.uniform(-1.0, 1.0))
         y_seq[t, 0] = plant_mod.measure(cfg, state)
         u_seq[t, 0] = u

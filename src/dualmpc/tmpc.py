@@ -231,7 +231,6 @@ def solve_tmpc(
     Y: Hpoly,
     eps_u: np.ndarray,
     warm_start: qp.QpSolution | np.ndarray | None = None,
-    tol: float = 1e-8,
 ) -> TubeSolution:
     """Solve the tube QP at the current estimate; d comes from these params."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
@@ -241,8 +240,7 @@ def solve_tmpc(
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     A, b = tq.rows(params, x_hat, d)
     g, const = tq.cost(y_ref)
-    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False),
-                   tol=tol, warm_start=warm_start)
+    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False), warm_start=warm_start)
 
     z = np.array([sol.x[lay.z(k)] for k in range(cfg.N + 1)])
     v = np.array([sol.x[lay.v(k)] for k in range(cfg.N + 1)])
@@ -274,7 +272,7 @@ def warm_start_vector(sol: TubeSolution, gamma: float) -> qp.QpSolution:
     # Stage k of the vector is (z_k, v_k); the x_r block closes it.
     x = np.concatenate([np.hstack([z, v]).ravel(), sol.rci.stack(sol.layout.xr)])
     duals = sol.qp_solution
-    return qp.QpSolution(x, duals.ineq_duals, duals.eq_duals, float("nan"), duals.status, 0)
+    return qp.QpSolution(x, duals.ineq_duals, float("nan"), duals.status, 0)
 
 
 def nominal_input(

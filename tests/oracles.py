@@ -74,18 +74,16 @@ def central_difference_jacobian(fun, x, h=1e-6):
 
 
 def hull_membership_lp(point, generators, tol=1e-9):
-    """Check point in CH{generators} by solving the small feasibility QP."""
-    from dualmpc import qp
-
+    """Check point in CH{generators} from the least-norm convex weights:
+    min |lam|^2 s.t. lam >= 0, 1'lam = 1, G lam = point, solved by
+    enumerating active sets."""
     G = np.asarray(generators, dtype=float).T  # n × k
     k = G.shape[1]
     A_eq = np.vstack([np.ones((1, k)), G])
     b_eq = np.concatenate([[1.0], np.asarray(point, dtype=float)])
-    prob = qp.QpProblem.build(2.0 * np.eye(k), np.zeros(k),
-                              A_in=-np.eye(k), b_in=np.zeros(k),
-                              A_eq=A_eq, b_eq=b_eq)
-    sol = qp.solve(prob, tol=1e-10)
-    if sol.status != qp.QpStatus.OPTIMAL:
+    lam, _ = qp_active_set_oracle(2.0 * np.eye(k), np.zeros(k), -np.eye(k), np.zeros(k),
+                                  A_eq, b_eq)
+    if lam is None:
         return False
-    resid = max(np.abs(A_eq @ sol.x - b_eq).max(), max(0.0, -sol.x.min()))
+    resid = max(np.abs(A_eq @ lam - b_eq).max(), max(0.0, -lam.min()))
     return resid <= tol

@@ -75,10 +75,14 @@ def test_vertex_halfspace_duality_random_offsets(rng):
 
 def test_halfspace_points_inside_vertex_hull(rng):
     t = box2()
-    for _ in range(25):
+    for k in range(25):
         s = rng.uniform(0.1, 2, size=4)
         x = np.array([rng.uniform(-s[2], s[0]), rng.uniform(-s[3], s[1])])
-        assert hull_membership_lp(x, [Vj @ s for Vj in t.V], tol=1e-8)
+        vertices = [Vj @ s for Vj in t.V]
+        assert hull_membership_lp(x, vertices, tol=1e-8)
+        # A vertex pushed outward by 1% lies just outside the box.
+        outside = 1.01 * vertices[k % len(vertices)]
+        assert not hull_membership_lp(outside, vertices, tol=1e-8)
 
 
 def test_selection_maps_extract_blocks():

@@ -11,8 +11,8 @@ from conftest import random_model
 from oracles import qp_active_set_oracle
 
 
-def solve_simple(H, g, A_in=None, b_in=None, A_eq=None, b_eq=None, **kw):
-    return qp.solve(qp.QpProblem.build(H, g, A_in, b_in, A_eq, b_eq), **kw)
+def solve_simple(H, g, A_in=None, b_in=None, **kw):
+    return qp.solve(qp.QpProblem.build(H, g, A_in, b_in), **kw)
 
 
 def test_single_active_constraint_clips_optimum():
@@ -32,11 +32,6 @@ def test_unconstrained_reduces_to_linear_solve():
     g = np.array([-2.0, -8.0])
     sol = solve_simple(H, g)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
-
-
-def test_equality_only_kkt():
-    sol = solve_simple(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[2.0])
-    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def random_strictly_convex(rng, n, m):
@@ -130,23 +125,16 @@ def test_iteration_count_does_not_grow_with_cost_scale(rng):
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6),
-       with_eq=st.booleans(), log_scale=st.floats(-3.0, 6.0))
-def test_solution_matches_active_set_oracle(seed, n, m, with_eq, log_scale):
+       log_scale=st.floats(-3.0, 6.0))
+def test_solution_matches_active_set_oracle(seed, n, m, log_scale):
     rng = np.random.default_rng(seed)
     H, g, A, b = random_strictly_convex(rng, n, m)
-    A_eq = b_eq = None
-    if with_eq:
-        # The equality passes through a point strictly inside the inequalities.
-        A_eq = rng.normal(size=(1, n))
-        b_eq = A_eq @ qp_active_set_oracle(np.eye(n), np.zeros(n), A, b - 0.05)[0]
     scale, tol = 10.0 ** log_scale, 1e-10
-    sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, A_eq=A_eq, b_eq=b_eq, tol=tol)
-    x_ref, _ = qp_active_set_oracle(H, g, A, b, A_eq, b_eq)
+    sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=tol)
+    x_ref, _ = qp_active_set_oracle(H, g, A, b)
     assert sol.status == qp.QpStatus.OPTIMAL
     assert np.abs(sol.x - x_ref).max() <= 1e-6
     assert (A @ sol.x - b).max() <= tol
-    if with_eq:
-        assert np.abs(A_eq @ sol.x - b_eq).max() <= tol
 
 
 def test_optimal_point_is_feasible_in_absolute_terms(rng):
@@ -154,13 +142,9 @@ def test_optimal_point_is_feasible_in_absolute_terms(rng):
     for scale in (1.0, 1e3, 1e6):
         for _ in range(10):
             H, g, A, b = random_strictly_convex(rng, 4, 8)
-            A_eq = rng.normal(size=(1, 4))
-            b_eq = A_eq @ qp_active_set_oracle(np.eye(4), np.zeros(4), A, b - 0.05)[0]
-            sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b,
-                               A_eq=A_eq, b_eq=b_eq, tol=1e-9)
+            sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=1e-9)
             assert sol.status == qp.QpStatus.OPTIMAL
             assert (A @ sol.x <= b + 1e-9).all()
-            assert np.abs(A_eq @ sol.x - b_eq).max() <= 1e-9
 
 
 def test_tolerance_below_machine_precision_returns_status_without_warnings(rng):
