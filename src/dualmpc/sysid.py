@@ -8,9 +8,11 @@ and the gradient is sum_t f_theta,t^T lambda_{t+1} plus the weight decay's.
 Full-batch gradient descent with a backtracking Armijo line search keeps
 training deterministic; the trial step is seeded by a safeguarded
 Barzilai-Borwein estimate so the line search starts near the right scale.
-The fit rolls each distinct theta out once: every line-search probe
-simulates the record once, and the gradient at an accepted probe reuses
-that probe's states and residuals.
+The fit rolls each distinct theta out at most once, and the gradient at an
+accepted probe reuses that probe's states and residuals.  A probe stops after
+the first chunk of rows whose squared output error already rules out the
+Armijo decrease, with a margin that keeps every decision, and so every
+iterate, that of the full roll-out.
 A feasibility gate then checks that the tube controller is actually
 solvable at the identified model before it is let anywhere near the closed
 loop.
@@ -28,6 +30,9 @@ from . import plant as plant_mod
 from . import qlpv, qp, tmpc
 from .errors import ConfigurationError
 from .polytope import Hpoly, PolytopeTemplate
+
+_CHUNK = 50                  # rows rolled out between two checks of the states
+_REJECT_MARGIN = 1e-9        # relative margin of the early-rejection test
 
 
 @dataclass
@@ -88,27 +93,52 @@ def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int) -> IoDa
 def simulate(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Open-loop model states, one row per recorded step.
 
-    [A_i B_i] and the (x, u) rows are built once; each step writes x into its
-    row and applies the kernel of :func:`qlpv.step`, so the states equal a loop over it.
-    The roll-out stops at the first non-finite state; the rows after it are NaN.
+    The states equal a loop over :func:`qlpv.step` up to the first
+    non-finite state; the rows after it are NaN.
+    """
+    return _rollout(params, u_seq, x0)[0]
+
+
+def _rollout(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray,
+             y_seq: np.ndarray | None = None,
+             sse_bound: float = np.inf) -> tuple[np.ndarray, int]:
+    """The states of :func:`simulate` and the number of model steps taken.
+
+    [A_i B_i] and the (x, u) rows are built once; each step applies the
+    kernel of :func:`qlpv.step` to the row before it.  Each chunk of _CHUNK
+    rows is checked once, after it is rolled out.  The roll-out stops at the
+    chunk's first non-finite state, or, given the outputs y_seq, once the
+    squared output errors of the chunks so far sum past sse_bound; the rows
+    after the stop are NaN.
     """
     T, n_x = len(u_seq), params.n_x
     xi = np.full((T, n_x + params.n_u), np.nan)
     xi[:, n_x:] = np.reshape(u_seq, (T, params.n_u))
+    xi[:1, :n_x] = x0
     AB = qlpv._stacked(params)
-    x = np.asarray(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            xi[t, :n_x] = x
-            if t + 1 == T or not np.isfinite(x).all():
+    sse, end = 0.0, 1
+    # A chunk steps on past a non-finite state until the chunk's check finds it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, T, _CHUNK):
+            end = min(start + _CHUNK, T)
+            for t in range(max(start, 1), end):
+                xi[t, :n_x] = qlpv._step_at(params, AB, xi[t - 1])
+            xs = xi[start:end, :n_x]
+            finite = np.isfinite(xs).all(axis=1)
+            if not finite.all():
+                xi[start + int(np.argmin(finite)) + 1:, :n_x] = np.nan
                 break
-            x = qlpv._step_at(params, AB, xi[t])
-    return np.ascontiguousarray(xi[:, :n_x])
+            if y_seq is not None:
+                sse += float(np.sum((y_seq[start:end] - xs @ params.C.T) ** 2))
+                if sse > sse_bound:
+                    break
+    return np.ascontiguousarray(xi[:, :n_x]), end - 1
 
 
 def _output_error(params: qlpv.ModelParams, data: IoDataset,
                   xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Residuals y - C x and their MSE, which is inf for a diverged roll-out."""
+    """Residuals y - C x and their MSE, which is inf for a diverged or
+    abandoned roll-out."""
     with np.errstate(over="ignore", invalid="ignore"):
         err = data.y_seq - xs @ params.C.T
         mse = float(np.sum(err ** 2) / len(data))
@@ -120,14 +150,24 @@ def simulate_mse(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray) -> f
 
 
 def _rollout_loss(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
-                  weight_decay: float) -> tuple[float, float, tuple]:
-    """(total loss, bare MSE, roll-out) from one roll-out, (states, residuals)."""
+                  weight_decay: float,
+                  reject_above: float = np.inf) -> tuple[float, float, tuple, int]:
+    """(total loss, bare MSE, (states, residuals), model steps) of one roll-out.
+
+    The roll-out is abandoned, and both losses read inf, once its finished
+    chunks put the total loss above reject_above by _REJECT_MARGIN relative to
+    the bound's terms, far above the rounding of the sums: the loss of the
+    full roll-out would exceed reject_above too.
+    """
     if len(data) == 0:
         raise ConfigurationError("dataset is empty")
-    xs = simulate(params, data.u_seq, x0)
-    err, mse = _output_error(params, data, xs)
     theta = params.pack()
-    return mse + weight_decay * float(theta @ theta), mse, (xs, err)
+    decay = weight_decay * float(theta @ theta)
+    sse_bound = len(data) * (reject_above - decay
+                             + _REJECT_MARGIN * (abs(reject_above) + decay))
+    xs, steps = _rollout(params, data.u_seq, x0, data.y_seq, sse_bound)
+    err, mse = _output_error(params, data, xs)
+    return mse + decay, mse, (xs, err), steps
 
 
 def _rollout_gradient(params: qlpv.ModelParams, data: IoDataset, rollout: tuple,
@@ -147,7 +187,7 @@ def _rollout_gradient(params: qlpv.ModelParams, data: IoDataset, rollout: tuple,
 def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
                      weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
     """(total loss, bare MSE, d loss / d theta); (inf, inf, 0) if the roll-out diverges."""
-    loss, mse, rollout = _rollout_loss(params, data, x0, weight_decay)
+    loss, mse, rollout, _ = _rollout_loss(params, data, x0, weight_decay)
     if mse == float("inf"):
         return loss, mse, np.zeros(params.n_theta)
     return loss, mse, _rollout_gradient(params, data, rollout, weight_decay)
@@ -174,6 +214,7 @@ class FitReport:
     reached_target: bool
     weight_decay: float
     history: list = field(default_factory=list)
+    rollout_steps: int = 0       # model steps simulated, abandoned probes included
 
 
 def initial_guess(cfg: TrainConfig, seed: int) -> qlpv.ModelParams:
@@ -195,13 +236,19 @@ def initial_guess(cfg: TrainConfig, seed: int) -> qlpv.ModelParams:
 
 def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
                       x0: np.ndarray | None = None) -> tuple[qlpv.ModelParams, FitReport]:
-    """Deterministic full-batch descent to the simulation-MSE target."""
+    """Deterministic full-batch descent to the simulation-MSE target.
+
+    A line-search probe is rolled out only until it fails the Armijo test;
+    the iterates are those of full roll-outs.
+    """
     if len(data) < 2:
         raise ConfigurationError("need at least two samples to fit")
     params = initial_guess(cfg, seed)
     x0 = np.zeros(cfg.n_x) if x0 is None else np.asarray(x0, dtype=float)
     theta = params.pack()
-    loss, mse, grad = mse_and_gradient(params, data, x0, cfg.weight_decay)
+    loss, mse, rollout, steps = _rollout_loss(params, data, x0, cfg.weight_decay)
+    grad = (np.zeros(params.n_theta) if mse == float("inf")
+            else _rollout_gradient(params, data, rollout, cfg.weight_decay))
     best_theta, best_mse = theta.copy(), mse
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     history = [mse]
@@ -226,15 +273,18 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
             step *= 2.0
         step = float(np.clip(step, 1e-14, 1e6))
 
-        # Each probe rolls the record out once; the gradient at the accepted
-        # probe differentiates that same roll-out.  No accepted probe ends the fit.
+        # Each probe rolls the record out at most once, and stops as soon as
+        # it fails the Armijo test; the gradient at the accepted probe
+        # differentiates that same roll-out.  No accepted probe ends the fit.
         alpha = step
         for _ in range(cfg.max_halvings):
             cand = theta - alpha * grad
             cand_params = params.replace_theta(cand)
-            cand_loss, cand_mse, rollout = _rollout_loss(cand_params, data, x0,
-                                                         cfg.weight_decay)
-            if cand_loss <= loss - cfg.armijo_c * alpha * gnorm2:
+            threshold = loss - cfg.armijo_c * alpha * gnorm2
+            cand_loss, cand_mse, rollout, cand_steps = _rollout_loss(
+                cand_params, data, x0, cfg.weight_decay, threshold)
+            steps += cand_steps
+            if cand_loss <= threshold:
                 prev_theta, prev_grad = theta, grad
                 theta, loss, mse = cand, cand_loss, cand_mse
                 params = cand_params
@@ -251,7 +301,8 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
     best = params.replace_theta(best_theta)
     return best, FitReport(train_mse=best_mse, epochs=len(history) - 1,
                            reached_target=best_mse <= cfg.target,
-                           weight_decay=cfg.weight_decay, history=history)
+                           weight_decay=cfg.weight_decay, history=history,
+                           rollout_steps=steps)
 
 
 def feasibility_gate(

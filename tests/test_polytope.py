@@ -176,6 +176,16 @@ def test_closed_form_weights_on_box_templates(seed, n_x, n_flat):
     assert res.weights[at_vertex].sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_scale_multiplies_offsets_and_rejects_negative_factor():
+    box = polytope.Hpoly.box([1.0, 2.0])
+    assert np.array_equal(box.scale(0.5).h, [0.5, 1.0, 0.5, 1.0])
+    assert box.scale(0.0).contains(np.zeros(2))
+    # -1 * box is the same box, but {Hy <= -h} is empty.
+    for factor in (-1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="scale factor"):
+            box.scale(factor)
+
+
 def test_invalid_dimension_rejected():
     with pytest.raises(ConfigurationError):
         polytope.box_template(0, 1)

@@ -49,7 +49,11 @@ def step_loop(params, u_seq, x0):
     return np.array(states[:len(u_seq)]).reshape(-1, params.n_x)
 
 
-@pytest.mark.parametrize("T", [0, 1, 30])
+# Record lengths on both sides of the roll-out's chunk boundaries.
+CHUNK_EDGES = [sysid._CHUNK - 1, sysid._CHUNK, sysid._CHUNK + 1, 2 * sysid._CHUNK + 1]
+
+
+@pytest.mark.parametrize("T", [0, 1, 30] + CHUNK_EDGES)
 @pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (2, 1, 1)],
                          ids=["2-1-3", "3-2-2", "2-1-1"])
 def test_rollout_matches_step_loop(n_x, n_u, n_p, T):
@@ -71,20 +75,45 @@ def test_rollout_of_one_dimensional_input_record():
     assert np.array_equal(xs, sysid.simulate(params, u_seq[:, None], np.ones(2)))
 
 
-def test_diverging_rollout_matches_step_loop_then_is_nan():
-    # The model of test_diverging_model_gives_inf_loss, whose states overflow.
+def diverging_model():
+    """The model of test_diverging_model_gives_inf_loss, whose states overflow."""
     params = random_model(np.random.default_rng(1))
     for A in params.A:
         A *= 20.0
-    u_seq = sysid.collect_dataset(plant.PlantConfig(), 300, seed=3).u_seq
-    xs = sysid.simulate(params, u_seq, np.ones(2))
-    ref = step_loop(params, u_seq, np.ones(2))
+    return params
+
+
+def assert_step_loop_then_nan(params, u_seq, x0):
+    """simulate equals step_loop up to its first non-finite state, which
+    comes before the record ends, and every row after it is NaN.  Returns
+    the row of that state."""
+    xs = sysid.simulate(params, u_seq, x0)
+    ref = step_loop(params, u_seq, x0)
     k = len(ref)
     assert k < len(u_seq) and not np.isfinite(ref[-1]).all()
     assert np.isfinite(ref[:-1]).all()
     assert np.array_equal(xs[:k - 1], ref[:-1])
     assert np.array_equal(xs[k - 1], ref[-1], equal_nan=True)
     assert np.isnan(xs[k:]).all()
+    return k - 1
+
+
+def test_diverging_rollout_matches_step_loop_then_is_nan():
+    u_seq = sysid.collect_dataset(plant.PlantConfig(), 300, seed=3).u_seq
+    assert_step_loop_then_nan(diverging_model(), u_seq, np.ones(2))
+
+
+@pytest.mark.parametrize("first_bad", [0, sysid._CHUNK - 1, sysid._CHUNK,
+                                       2 * sysid._CHUNK - 1])
+def test_diverging_rollout_at_chunk_edges(first_bad):
+    # Join the trajectory of the test above later, so that its first
+    # non-finite state falls on row first_bad: the first or the last row of
+    # a chunk.
+    params = diverging_model()
+    u_seq = sysid.collect_dataset(plant.PlantConfig(), 300, seed=3).u_seq
+    ref = step_loop(params, u_seq, np.ones(2))
+    start = len(ref) - 1 - first_bad
+    assert assert_step_loop_then_nan(params, u_seq[start:], ref[start]) == first_bad
 
 
 def test_empty_record_is_rejected():
@@ -126,17 +155,17 @@ def test_early_stop_counts_only_accepted_steps(record, cfg):
 
 def test_fit_rolls_out_each_theta_once(record, monkeypatch):
     rolled, built = [], []
-    simulate, replace_theta = sysid.simulate, qlpv.ModelParams.replace_theta
+    rollout, replace_theta = sysid._rollout, qlpv.ModelParams.replace_theta
 
-    def spy_simulate(params, u_seq, x0):
+    def spy_rollout(params, u_seq, x0, y_seq=None, sse_bound=np.inf):
         rolled.append(params.pack().tobytes())
-        return simulate(params, u_seq, x0)
+        return rollout(params, u_seq, x0, y_seq, sse_bound)
 
     def spy_replace_theta(self, theta):
         built.append(1)
         return replace_theta(self, theta)
 
-    monkeypatch.setattr(sysid, "simulate", spy_simulate)
+    monkeypatch.setattr(sysid, "_rollout", spy_rollout)
     monkeypatch.setattr(qlpv.ModelParams, "replace_theta", spy_replace_theta)
     _, report = sysid.fit_initial_model(record, sysid.TrainConfig(max_epochs=5), 0)
     assert report.epochs == 5
@@ -147,14 +176,65 @@ def test_fit_rolls_out_each_theta_once(record, monkeypatch):
     assert len(rolled) == 1 + probes
 
 
+@pytest.fixture(scope="module")
+def twomass_fit():
+    """The 40-epoch fit on a 300-step two-mass record, with the arguments and
+    step count of every roll-out, and the number of model steps taken."""
+    data = sysid.collect_dataset(plant.PlantConfig(), 300, seed=0)
+    rollouts, steps = [], []
+    rollout_loss, step_at = sysid._rollout_loss, qlpv._step_at
+
+    def spy_rollout_loss(params, data, x0, weight_decay, reject_above=np.inf):
+        out = rollout_loss(params, data, x0, weight_decay, reject_above)
+        rollouts.append((params, x0, weight_decay, reject_above, out[3]))
+        return out
+
+    def spy_step_at(*args):
+        steps.append(1)
+        return step_at(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "_rollout_loss", spy_rollout_loss)
+        mp.setattr(qlpv, "_step_at", spy_step_at)
+        params, report = sysid.fit_initial_model(data, sysid.TrainConfig(max_epochs=40), 0)
+    return data, params, report, rollouts, len(steps)
+
+
+def test_early_rejection_leaves_the_fit_bit_identical(twomass_fit, monkeypatch):
+    data, params, report, _, _ = twomass_fit
+    # One chunk spans the record: every probe is rolled out in full.
+    monkeypatch.setattr(sysid, "_CHUNK", len(data))
+    full_params, full_report = sysid.fit_initial_model(
+        data, sysid.TrainConfig(max_epochs=40), 0)
+    assert report.epochs == full_report.epochs == 40
+    assert report.history == full_report.history
+    assert np.array_equal(params.pack(), full_params.pack())
+    assert report.rollout_steps < full_report.rollout_steps
+
+
+def test_abandoned_probes_fail_the_armijo_test_in_full(twomass_fit):
+    data, _, _, rollouts, _ = twomass_fit
+    abandoned = [r for r in rollouts if r[4] < len(data) - 1]
+    assert abandoned
+    for params, x0, weight_decay, threshold, _ in abandoned:
+        loss, _, (xs, _), steps = sysid._rollout_loss(params, data, x0, weight_decay)
+        assert steps == len(data) - 1 and np.isfinite(xs).all()
+        assert not loss <= threshold
+
+
+def test_rollout_steps_counts_model_steps(twomass_fit):
+    _, _, report, rollouts, steps = twomass_fit
+    assert report.rollout_steps == steps == sum(r[4] for r in rollouts)
+    # 73 full roll-outs of the record without early rejection.
+    assert report.rollout_steps < 73 * 299
+
+
 @pytest.mark.parametrize("n_steps", [200, 300])
 def test_diverging_model_gives_inf_loss(n_steps):
     # The states of this model grow over tenfold per step: over 200 steps
     # the squared errors overflow, over 300 the states themselves do.  A
     # RuntimeWarning fails the suite, so an unguarded overflow raises here.
-    params = random_model(np.random.default_rng(1))
-    for A in params.A:
-        A *= 20.0
+    params = diverging_model()
     data = sysid.collect_dataset(plant.PlantConfig(), n_steps, seed=3)
     x0 = np.ones(2)
     assert sysid.simulate_mse(params, data, x0) == np.inf
