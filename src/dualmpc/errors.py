@@ -8,16 +8,3 @@ class ConfigurationError(ValueError):
 class DivergenceError(RuntimeError):
     """A simulation produced non-finite state."""
 
-
-class MidRunInfeasibleError(RuntimeError):
-    """The tube controller became infeasible after t=0.
-
-    Recursive feasibility is guaranteed when the estimator respects its
-    feasibility polytope, so this signals an implementation or tolerance
-    problem.  Carries a forensic report of the last estimator step.
-    """
-
-    def __init__(self, step: int, report: str):
-        super().__init__(f"tube MPC infeasible at step {step}; {report}")
-        self.step = step
-        self.report = report

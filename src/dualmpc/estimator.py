@@ -5,9 +5,9 @@ random walk with zero drift for theta.  Prediction and gain are the standard
 extended-filter recursion; the correction is projected onto a polytope built
 from the current tube solution so that the controller's QP stays feasible at
 the next step no matter what the measurement says.  Its (x, theta) rows are
-the tube QP's own rows at the shifted candidate with x and theta free; only
-two families, the state in the q-tightened first set and the scaled input
-images below the disturbance allowance, are the estimator's own.  The rows
+the tube QP's own rows at the shifted candidate with x and theta free, less
+those whose theta normal is roundoff; only one family, the scaled input
+images below the disturbance allowance, is the estimator's own.  The rows
 constrain the state block and the vertex-matrix entries of theta;
 scheduling-network weights are left free.
 """
@@ -15,7 +15,7 @@ scheduling-network weights are left free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -122,19 +122,13 @@ def gain(P_pred: np.ndarray, C_tilde: np.ndarray, Re: np.ndarray) -> np.ndarray:
 class FeasibilityPolytope:
     """Rows A (x, theta) <= b guaranteeing next-step controller feasibility.
 
-    Apart from the state_q and dist families, the rows are the tube QP's own
-    rows at the shifted candidate, with the estimate x and the model theta
-    free; the stored (z_plus, v_plus) and witness document which variables
-    generated them.
+    ``families`` maps each row family to its blocks of f rows, as slices of A.
     """
 
     A: np.ndarray
     b: np.ndarray
-    z_plus: np.ndarray
-    v_plus: np.ndarray
     witness: np.ndarray            # center point satisfying every row
     families: dict = field(default_factory=dict)
-    x_rows: np.ndarray | None = None   # boolean mask of rows touching x
 
     def violation(self, zeta: np.ndarray) -> float:
         return float((self.A @ zeta - self.b).max())
@@ -156,10 +150,12 @@ def build_theta_polytope(
     the initial row puts x in the full first shifted set (state_s), the mode
     rows give the candidate tube, the last shifted tube row into (z+, v+) and
     the terminal contraction (tube, tube_plus, terminal), and the vertex
-    dynamics give the invariant-set rows tightened by d + q (rci).  Only two
-    families are the estimator's own: x in the q-tightened first set
-    (state_q), and each mode's scaled input image below the frozen
-    disturbance allowance d (dist).
+    dynamics give the invariant-set rows tightened by d + q (rci).  Mode and
+    vertex blocks whose points are roundoff are left out
+    (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
+    each mode's scaled input image below the frozen disturbance allowance d
+    (dist), one input corner per +/- pair, since F = [I; -I] gives the rows
+    of -r as those of r reordered.
     """
     tq = tube.tube_qp
     lay = tq.layout
@@ -172,11 +168,11 @@ def build_theta_polytope(
     F = template.F
     y = tmpc.warm_start_vector(tube, gamma).x
     signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))
-    r = beta * signs * np.atleast_1d(np.asarray(eps_u, dtype=float))
+    r = beta * signs[signs[:, 0] > 0] * np.atleast_1d(np.asarray(eps_u, dtype=float))
     dist_A = qlpv.theta_rows(params, F, np.hstack([np.zeros((len(r), n_x)), r]))
-    mode_A, mode_b = tq.mode.over_theta(params, y)
-    rci_A, rci_b = tq.rci.vertex_rows(d).over_theta(params, y[lay.xr_cols])
-    state = np.hstack([F, np.zeros((f, n_theta))])
+    mode_A, mode_b, mode_kept = tq.mode.over_theta(params, y)
+    rci_A, rci_b, rci_kept = tq.rci.vertex_rows(d).over_theta(params, y[lay.xr_cols])
+    mode_names = list(compress(["tube"] * (N - 1) + ["tube_plus", "terminal"], mode_kept))
 
     def theta_only(A):
         A = A.reshape(-1, n_theta)
@@ -184,33 +180,20 @@ def build_theta_polytope(
 
     # (family of each block of f rows, rows, right-hand sides)
     blocks = [
-        (["state_q"], state, tube.rci.q + F @ tube.z[1]),
-        (["state_s"], state, -tq.initial @ y),
+        (["state_s"], np.hstack([F, np.zeros((f, n_theta))]), -tq.initial @ y),
         (["dist"] * n_p * len(r), theta_only(dist_A), np.tile(d, n_p * len(r))),
-        ((["tube"] * (N - 1) + ["tube_plus", "terminal"]) * n_p, theta_only(mode_A), mode_b),
-        (["rci"] * n_p * template.n_vertices, theta_only(rci_A), rci_b),
+        (mode_names * n_p, theta_only(mode_A), mode_b),
+        (["rci"] * n_p * int(rci_kept.sum()), theta_only(rci_A), rci_b),
     ]
     A = np.vstack([blk[1] for blk in blocks])
     b = np.concatenate([blk[2] for blk in blocks])
     families: dict = {}
     for k, name in enumerate(n for names, _, _ in blocks for n in names):
         families.setdefault(name, []).append(slice(k * f, (k + 1) * f))
-    x_rows = np.abs(A[:, :n_x]).sum(axis=1) > 0
     # The shifted first center with the generating parameters satisfies every
     # row; it certifies nonemptiness and backs the empty-polytope fallback.
     witness = np.concatenate([tube.z[1], params.pack()])
-    return FeasibilityPolytope(A=A, b=b, z_plus=y[lay.z(N)], v_plus=y[lay.v(N)],
-                               witness=witness, families=families, x_rows=x_rows)
-
-
-def theta_polytope_row_count(template: PolytopeTemplate, n_p: int, n_u: int, N: int) -> int:
-    f, v = template.n_rows, template.n_vertices
-    return (2 * f                      # state membership, q-tightened + full
-            + n_p * (2 ** n_u) * f     # disturbance-allowance rows
-            + n_p * (N - 1) * f        # candidate tube rows
-            + n_p * f                  # shifted tube row
-            + n_p * f                  # shifted terminal row
-            + n_p * v * f)             # invariant-set rows
+    return FeasibilityPolytope(A=A, b=b, witness=witness, families=families)
 
 
 def _inverse_psd(M: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
@@ -272,7 +255,7 @@ def _state_rows(state: EstimatorState, theta_poly: FeasibilityPolytope,
                 theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows restricted to the x block with theta substituted."""
     n_x = state.n_x
-    mask = theta_poly.x_rows
+    mask = np.abs(theta_poly.A[:, :n_x]).any(axis=1)
     A_x = theta_poly.A[mask, :n_x]
     b_x = theta_poly.b[mask] - theta_poly.A[mask, n_x:] @ theta
     return A_x, b_x

@@ -265,11 +265,22 @@ class ModeRows:
         A = (self.F @ _stacked(params))[:, None] @ self.S + self.G
         return A.reshape(-1, self.S.shape[2]), np.tile(self.h.ravel(), params.n_p)
 
-    def over_theta(self, params: ModelParams, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with A theta <= b at the fixed y; params gives theta's layout."""
-        A = theta_rows(params, self.F, self.S @ y)
-        b = self.h - self.G @ y
-        return A.reshape(-1, params.n_theta), np.tile(b.ravel(), params.n_p)
+    def over_theta(self, params: ModelParams, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, b, kept) with A theta <= b at the fixed y; params gives theta's layout.
+
+        A point S_p y whose every entry is within n eps (|S_p| |y|), n = len(y),
+        is roundoff of terms that cancel (the dot-product error bound), so its
+        rows have no true theta normal; all n_p f of them are dropped.  The
+        bound is relative to the magnitudes summed into each entry.  kept marks
+        the points whose rows remain, in order.
+        """
+        points = self.S @ y
+        bound = len(y) * np.finfo(float).eps * (np.abs(self.S) @ np.abs(y))
+        kept = (np.abs(points) > bound).any(axis=1)
+        A = theta_rows(params, self.F, points[kept])
+        b = (self.h - self.G @ y)[kept]
+        return A.reshape(-1, params.n_theta), np.tile(b.ravel(), params.n_p), kept
 
 
 def disturbance_vector(params: ModelParams, template: PolytopeTemplate,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ def linear_model(A, B, n_h=1):
                             W1=np.zeros((n_h, n_x + n_u)), b1=np.zeros(n_h),
                             W2=np.zeros((1, n_h)), b2=np.zeros(1),
                             C=np.eye(n_x)[:1])
+
+
+def settled(sol):
+    """sol with its plan settled at the set center, z_k = z_s and v_k = v_s,
+    up to one unit in the last place at odd stages."""
+    z_s, v_s = sol.rci.z_s, sol.rci.v_s
+    odd = (np.arange(sol.N + 1) % 2)[:, None]
+    return dataclasses.replace(sol, z=z_s + odd * np.spacing(z_s),
+                               v=np.tile(v_s, (sol.N + 1, 1)))
 
 
 @pytest.fixture
@@ -86,15 +97,28 @@ class TestGain:
 
 
 class TestThetaPolytope:
-    def test_row_count_matches_symbolic_formula(self, tube_setup):
-        model, _, sol = tube_setup
-        poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
-                                              EPS_U, CFG.gamma)
-        expected = estimator.theta_polytope_row_count(TEMPLATE, model.n_p, 1, CFG.N)
-        # 2*4 state + 3*2*4 disturbance + 12 tube + 12 shifted + 12 terminal + 48 rci
-        assert expected == 8 + 24 + 12 + 12 + 12 + 48
-        assert poly.A.shape == (expected, 2 + 42)
-        assert poly.b.shape == (expected,)
+    @pytest.mark.parametrize("n_u", [1, 2])
+    def test_families_partition_rows(self, n_u):
+        rng = np.random.default_rng(8)
+        template = box_template(2, n_u)
+        eps_u = np.ones(n_u)
+        model = random_model(rng, n_u=n_u, infnorm=0.6, gain=0.25)
+        sol = tmpc.solve_tmpc(np.array([0.2, -0.1]), model, np.array([0.4]), CFG,
+                              template, Y, eps_u)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        poly = estimator.build_theta_polytope(sol, template, model, CFG.beta,
+                                              eps_u, CFG.gamma)
+        f = template.n_rows
+        starts = sorted(sl.start for slices in poly.families.values() for sl in slices)
+        assert starts == list(range(0, len(poly.b), f))
+        assert all(sl.stop - sl.start == f
+                   for slices in poly.families.values() for sl in slices)
+        assert poly.A.shape == (len(poly.b), 2 + model.n_theta)
+        # One input corner per +/- pair: n_p 2^(n_u - 1) blocks of f rows.
+        assert len(poly.families["dist"]) == model.n_p * 2 ** (n_u - 1)
+        assert len(poly.families["state_s"]) == 1
+        assert set(poly.families) <= {"state_s", "dist", "tube", "tube_plus",
+                                      "terminal", "rci"}
 
     def test_witness_satisfies_every_row(self, tube_setup):
         model, _, sol = tube_setup
@@ -104,8 +128,7 @@ class TestThetaPolytope:
 
     def test_model_step_candidate_feasible_for_theta_rows(self, tube_setup):
         # The propagated state keeps the full-set membership rows and the
-        # frozen parameters keep every parameter row; the q-tightened state
-        # rows are enforced by projection, not by the dynamics.
+        # frozen parameters keep every parameter row.
         model, x_hat, sol = tube_setup
         u_c, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
         u = u_c + np.array([0.9 * CFG.beta])
@@ -115,8 +138,6 @@ class TestThetaPolytope:
         cand = np.concatenate([x_next, model.pack()])
         viol = poly.A @ cand - poly.b
         for name, slices in poly.families.items():
-            if name == "state_q":
-                continue
             for sl in slices:
                 assert viol[sl].max() <= 1e-9, name
 
@@ -126,6 +147,7 @@ class TestThetaPolytope:
         sol0 = tmpc.solve_tmpc(x_hat, model, np.array([0.4]), cfg0, TEMPLATE, Y, EPS_U)
         poly = estimator.build_theta_polytope(sol0, TEMPLATE, model, 0.0,
                                               EPS_U, cfg0.gamma)
+        assert len(poly.families["dist"]) == model.n_p
         for sl in poly.families["dist"]:
             assert np.abs(poly.A[sl]).max() == 0.0
             assert (poly.b[sl] >= -1e-15).all()
@@ -135,12 +157,23 @@ class TestThetaPolytope:
         with pytest.raises(ConfigurationError):
             estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, 0.9)
 
-    def test_shifted_variables_recorded(self, tube_setup):
-        model, _, sol = tube_setup
+    def test_settled_plan_leaves_no_roundoff_rows(self, tube_setup):
+        # A settled plan makes every tube point z_k - z_s roundoff: the rows
+        # it would give read 0 <= 0 with random normals of size 1e-16.  They
+        # must not reach the polytope, and the projection must still solve.
+        model, x_hat, sol = tube_setup
+        sol = settled(sol)
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
                                               EPS_U, CFG.gamma)
-        z_s = sol.rci.z_s
-        assert poly.z_plus == pytest.approx(z_s + CFG.gamma * (sol.z[-1] - z_s))
+        assert np.abs(poly.A).max(axis=1).min() > 1e-12 * np.abs(poly.A).max()
+        assert poly.violation(poly.witness) <= 1e-12
+        state = estimator.EstimatorState.from_model(model, x0=x_hat)
+        zeta_pred, P_pred = estimator.predict(state, sol.v[0])
+        y = state.output_map() @ zeta_pred + 2.0
+        res = estimator.constrained_correct(state, zeta_pred, P_pred, y, poly)
+        assert res.projection_loss > 0.0
+        assert not res.fallback
+        assert res.theta_poly_violation <= 1e-9
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_rows_are_tube_qp_rows_at_shifted_candidate(self, N):
@@ -148,38 +181,54 @@ class TestThetaPolytope:
         # the same as the tube QP's own rows, assembled for the model theta
         # and the estimate x, at the shifted candidate: the initial row as
         # state_s, the mode rows as tube/tube_plus/terminal, the invariant-set
-        # vertex dynamics as rci, row for row.
+        # vertex dynamics as rci, block for kept block.  The blocks left out
+        # hold at the candidate whatever (x, theta) is.
         rng = np.random.default_rng(100 + N)
         cfg = tmpc.ControllerConfig(N=N)
         model = random_model(rng, infnorm=0.6, gain=0.25)
-        sol = tmpc.solve_tmpc(np.array([0.2, -0.1]), model, np.array([0.4]), cfg,
-                              TEMPLATE, Y, EPS_U)
-        assert sol.status == qp.QpStatus.OPTIMAL
-        poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
-                                              EPS_U, cfg.gamma)
-        cand = tmpc.warm_start_vector(sol, cfg.gamma).x
-
-        def rows(*names):
-            slices = sorted((sl for n in names for sl in poly.families.get(n, [])),
-                            key=lambda sl: sl.start)
-            return np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
-
+        solved = tmpc.solve_tmpc(np.array([0.2, -0.1]), model, np.array([0.4]), cfg,
+                                 TEMPLATE, Y, EPS_U)
+        assert solved.status == qp.QpStatus.OPTIMAL
         f, v, n_p = TEMPLATE.n_rows, TEMPLATE.n_vertices, model.n_p
         n_mode = n_p * (N + 1) * f
         initial = n_mode + (N + 1) * v * (Y.H.shape[0] + 2)
-        qp_rows = {
-            ("state_s",): np.arange(initial, initial + f),
-            ("tube", "tube_plus", "terminal"): np.arange(n_mode),
-            ("rci",): np.arange(initial + f, initial + f + n_p * v * f),
-        }
-        for _ in range(5):
-            x = rng.uniform(-0.5, 0.5, size=2)
-            theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
-            A, b = sol.tube_qp.rows(model.replace_theta(theta), x, sol.rci.d)
-            qp_resid = A @ cand - b
-            poly_resid = poly.A @ np.concatenate([x, theta]) - poly.b
-            for names, idx in qp_rows.items():
-                assert np.abs(poly_resid[rows(*names)] - qp_resid[idx]).max() <= 1e-12, names
+
+        def blocks(start, kept):
+            # Row indices of the kept and the dropped blocks, mode-major.
+            idx = start + np.arange(n_p * len(kept) * f).reshape(n_p, len(kept), f)
+            return idx[:, kept].ravel(), idx[:, ~kept].ravel()
+
+        for sol in (solved, settled(solved)):
+            poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
+                                                  EPS_U, cfg.gamma)
+            cand = tmpc.warm_start_vector(sol, cfg.gamma).x
+            tq = sol.tube_qp
+            mode_kept, mode_dropped = blocks(0, tq.mode.over_theta(model, cand)[2])
+            rci_kept, rci_dropped = blocks(initial + f, tq.rci.vertex_rows(sol.rci.d)
+                                           .over_theta(model, cand[tq.layout.xr_cols])[2])
+
+            def rows(*names):
+                slices = sorted((sl for n in names for sl in poly.families.get(n, [])),
+                                key=lambda sl: sl.start)
+                return np.array([i for sl in slices for i in range(sl.start, sl.stop)], int)
+
+            qp_rows = {
+                ("state_s",): np.arange(initial, initial + f),
+                ("tube", "tube_plus", "terminal"): mode_kept,
+                ("rci",): rci_kept,
+            }
+            dropped = np.concatenate([mode_dropped, rci_dropped])
+            for _ in range(5):
+                x = rng.uniform(-0.5, 0.5, size=2)
+                theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
+                A, b = tq.rows(model.replace_theta(theta), x, sol.rci.d)
+                qp_resid = A @ cand - b
+                poly_resid = poly.A @ np.concatenate([x, theta]) - poly.b
+                for names, idx in qp_rows.items():
+                    assert len(rows(*names)) == len(idx), names
+                    assert np.abs(poly_resid[rows(*names)] - qp_resid[idx]).max(initial=0.0) \
+                        <= 1e-12, names
+                assert qp_resid[dropped].max(initial=-np.inf) <= 1e-12
 
 
 class TestConstrainedCorrect:
@@ -221,9 +270,7 @@ class TestConstrainedCorrect:
         zeta_pred[0] = 1.0
         A = np.zeros((1, n))
         A[0, 0] = 1.0
-        poly = estimator.FeasibilityPolytope(
-            A=A, b=np.array([1.0]), z_plus=np.zeros(1), v_plus=np.zeros(1),
-            witness=np.zeros(n), families={}, x_rows=np.array([True]))
+        poly = estimator.FeasibilityPolytope(A=A, b=np.array([1.0]), witness=np.zeros(n))
         y = np.array([2.0])  # update: 1 + 0.5*(2-1) = 1.5, variance (1-K)*2 = 1
         res = estimator.constrained_correct(state, zeta_pred, P_pred, y, poly)
         assert res.zeta[0] == pytest.approx(1.0, abs=1e-7)
@@ -240,9 +287,7 @@ class TestConstrainedCorrect:
         A_x = np.zeros((1, n))
         A_x[0, 0] = 1.0
         poly = estimator.FeasibilityPolytope(
-            A=np.vstack([A, A_x]), b=np.array([-1.0, -1.0, 10.0]),
-            z_plus=np.zeros(2), v_plus=np.zeros(1), witness=np.zeros(n),
-            families={}, x_rows=np.array([False, False, True]))
+            A=np.vstack([A, A_x]), b=np.array([-1.0, -1.0, 10.0]), witness=np.zeros(n))
         res = estimator.constrained_correct(state, zeta_pred, P_pred,
                                             np.array([0.3]), poly)
         assert res.fallback
