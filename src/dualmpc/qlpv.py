@@ -14,6 +14,7 @@ and the A/B columns of the Jacobian in :func:`jacobians`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def unpack(theta: np.ndarray, n_x: int, n_u: int, n_p: int, n_h: int,
 
     def take(shape):
         nonlocal pos
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         block = theta[pos:pos + size].reshape(shape)
         pos += size
         return block

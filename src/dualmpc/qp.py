@@ -28,7 +28,8 @@ the iteration.  Duals of a nearby problem are a poorly centred
 start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
-at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s then
+at the start point x0, which A_in' lam must balance; a projection starts at
+the point it projects, where that gradient is 0.  Scaling (H, g) by s then
 scales every dual iterate by s and keeps the primal ones and the iteration
 count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
 end).  Each iteration evaluates the KKT residuals once, for the termination
@@ -271,7 +272,7 @@ def solve(
         dwl_a = np.concatenate([dw, -lam - d * dw])
         wl_a = wl + dwl_a / max(1.0, -float((dwl_a / wl).min()))
         mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
-        sigma = min(1.0, mu_aff / mu) ** 3 if mu > 0 else 0.0
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
         # Corrector step with centering, on the same factorization.
         rc_w = (wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu) / w
@@ -302,9 +303,10 @@ def project_weighted(
     """Projection arg min ||x - x0||_M^2 onto {x : A_in x <= b_in}, M
     symmetric PD: the QP min x'Mx - 2 x0'Mx s.t. A_in x <= b_in.
 
-    Returns the full solution so callers can inspect status; when x0 is
-    already feasible, as it is for a polyhedron without rows, it is
-    returned unchanged with zero distance.
+    The interior-point iteration starts at x0, where the cost's gradient is
+    zero, so the duals start at 1 (Wright 1997).  Returns the full solution
+    so callers can inspect status; when x0 is already feasible, as it is for
+    a polyhedron without rows, it is returned unchanged with zero distance.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     M = np.asarray(M, dtype=float)
@@ -316,6 +318,6 @@ def project_weighted(
     if (b_in - A_in @ x0).min(initial=0.0) >= 0.0:
         return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
     prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, check_psd=False)
-    sol = solve(prob, tol=tol)
+    sol = solve(prob, tol=tol, warm_start=x0)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,23 @@ def test_tolerance_below_machine_precision_returns_status_without_warnings(rng):
     assert (A @ sol.x <= b + 1e-12).all()
 
 
+def test_negative_affine_complementarity_returns_status():
+    # A projection over 13 columns, posed in displacement coordinates
+    # (g = 0, rows b - A x0).  Once mu < 1e-16 the step rule steps onto the
+    # boundary and leaves an exact zero in the (slack, dual) vector; 0/0 in
+    # the next ratio test lets the predictor take a full step, and at
+    # iteration 11 mu_aff / mu reads -1.3e121, whose cube overflows a Python
+    # float.  The path needs the roundoff of the double-precision OpenBLAS
+    # (Haswell kernels) it was recorded with: one ulp more or less in the
+    # data avoids it, and elsewhere the test checks only the status.
+    data = json.loads((Path(__file__).parent / "data" / "qp_sigma_overflow.json").read_text())
+    H = np.array(data["H"])
+    prob = qp.QpProblem.build(H, np.zeros(len(H)), data["A_in"], data["b_in"])
+    sol = qp.solve(prob, tol=data["tol"])
+    assert isinstance(sol.status, qp.QpStatus)
+    assert np.isfinite(sol.x).all()
+
+
 @pytest.mark.parametrize("norm", [1.0, 4e6])
 def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, norm):
     # The loop evaluates the KKT residual once per iteration; a solve that
@@ -214,7 +233,7 @@ def test_dual_loop_projection_converges(monkeypatch):
     (sol,) = projections
     assert sol.status == qp.QpStatus.OPTIMAL
     assert 0 < sol.iterations <= 60
-    assert poly.violation(sol.x) <= 1e-10
+    assert poly.violation(corr.zeta) <= 1e-10
     assert not corr.fallback
 
 
@@ -266,6 +285,27 @@ class TestProjectWeighted:
         x_ref = x0 - 0.5 * np.linalg.inv(M) @ a * mu
         sol = qp.project_weighted(x0, M, A_in=a[None, :], b_in=np.array([2.0]))
         assert sol.x == pytest.approx(x_ref, abs=1e-8)
+
+    def test_nearly_settled_rows_solve_from_the_projected_point(self):
+        # Rows of norm ~1e-10, as a nearly settled tube plan gives the
+        # estimator, hold at x0 by 1e-13 to 1e-11; only the last row is violated,
+        # and x[3] alone moves, to 0.2 / 0.7.  Started at 0 with its duals at
+        # |2 M x0| ~ 2e4, the iteration ran all 500 iterations into MAX_ITER
+        # with duals up to 1.4e9.
+        x0 = np.array([0.95, -0.0249, 0.553, 0.0, -0.16])
+        M = np.diag([1e4, 1e4, 1.4e4, 1e4, 3e4])
+        A = np.array([[-2e-10, 0.0, 0.0, 0.0, 0.0],
+                      [2e-10, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, -1.86e-10, -3.6e-12, 0.0, 2.4e-11],
+                      [0.0, 0.47, 0.1235, 0.0, 0.073],
+                      [0.0, 0.0, 0.0, -0.7, 0.0]])
+        b = np.array([-1.8e-10, 2e-10, -1.1e-12, 0.0453, -0.2])
+        sol = qp.project_weighted(x0, M, A_in=A, b_in=b, tol=1e-10)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        x_ref = x0.copy()
+        x_ref[3] = 2.0 / 7.0
+        assert np.abs(sol.x - x_ref).max() <= 1e-9
+        assert sol.value == pytest.approx(1e4 * x_ref[3] ** 2, rel=1e-9)
 
     def test_no_inequality_rows_returns_start(self):
         sol = qp.project_weighted(np.array([0.2, 0.1]), np.eye(2),
