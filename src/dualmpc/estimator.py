@@ -4,12 +4,16 @@ The augmented state zeta = (x, theta) follows the scheduled model for x and a
 random walk with zero drift for theta.  Prediction and gain are the standard
 extended-filter recursion; the correction is projected onto a polytope built
 from the current tube solution so that the controller's QP stays feasible at
-the next step no matter what the measurement says.  Its (x, theta) rows are
-the tube QP's own rows at the shifted candidate with x and theta free, less
-those whose theta normal is roundoff; only one family, the scaled input
-images below the disturbance allowance, is the estimator's own.  The rows
-constrain the state block and the vertex-matrix entries of theta;
-scheduling-network weights are left free.
+the next step no matter what the measurement says (the estimate-projection
+method of Simon 2010).  Its (x, theta) rows are the tube QP's own rows at the
+shifted candidate with x and theta free, less those whose theta normal is
+roundoff; only one family, the scaled input images below the disturbance
+allowance, is the estimator's own.  The rows constrain the state block and
+the vertex-matrix entries of theta; scheduling-network weights are left free.
+
+A frozen theta is one with zero covariance.  With its rows and columns of P
+and of the process noise exactly 0, the prediction and the gain leave them
+0 and theta unchanged, and the projection moves x alone.
 """
 
 from __future__ import annotations
@@ -25,18 +29,6 @@ from .polytope import PolytopeTemplate
 from .tmpc import TubeSolution
 
 
-def default_noise(n_x: int, n_theta: int, n_y: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Qe, Re, P0) defaults: tiny state process noise, parameters driftless,
-    confident parameter prior to keep per-step parameter motion small."""
-    Qe = np.zeros((n_x + n_theta, n_x + n_theta))
-    Qe[:n_x, :n_x] = 1e-6 * np.eye(n_x)
-    Re = 0.1 * np.eye(n_y)
-    P0 = np.eye(n_x + n_theta)
-    P0[n_x:, n_x:] = 1e-4 * np.eye(n_theta)
-    return Qe, Re, P0
-
-
 @dataclass
 class EstimatorState:
     zeta: np.ndarray
@@ -48,7 +40,6 @@ class EstimatorState:
     n_p: int
     n_h: int
     C: np.ndarray
-    freeze_theta: bool = False
 
     def __post_init__(self):
         n = self.zeta.size
@@ -57,21 +48,19 @@ class EstimatorState:
         self.assert_valid_covariance()
 
     @classmethod
-    def from_model(cls, params: qlpv.ModelParams, Qe=None, Re=None, P0=None,
-                   x0=None, freeze_theta: bool = False) -> "EstimatorState":
+    def from_model(cls, params: qlpv.ModelParams, x0=None,
+                   freeze_theta: bool = False) -> "EstimatorState":
+        """Filter at (x0, params.pack()): tiny state process noise, a driftless
+        theta and a confident theta prior that keeps per-step theta motion
+        small.  ``freeze_theta`` gives theta zero prior covariance instead,
+        which freezes it (see the module docstring)."""
         n_x, n_theta = params.n_x, params.n_theta
-        dQe, dRe, dP0 = default_noise(n_x, n_theta, params.n_y)
-        Qe = dQe if Qe is None else Qe
-        Re = dRe if Re is None else Re
-        P0 = (dP0 if P0 is None else P0).copy()
-        if freeze_theta:
-            P0[n_x:, :] = 0.0
-            P0[:, n_x:] = 0.0
+        Qe = np.diag(np.r_[np.full(n_x, 1e-6), np.zeros(n_theta)])
+        P0 = np.diag(np.r_[np.ones(n_x), np.full(n_theta, 0.0 if freeze_theta else 1e-4)])
         zeta = np.concatenate([np.zeros(n_x) if x0 is None else np.asarray(x0, float),
                                params.pack()])
-        return cls(zeta=zeta, P=P0, Qe=Qe, Re=Re, n_x=n_x, n_u=params.n_u,
-                   n_p=params.n_p, n_h=params.n_h, C=params.C.copy(),
-                   freeze_theta=freeze_theta)
+        return cls(zeta=zeta, P=P0, Qe=Qe, Re=0.1 * np.eye(params.n_y), n_x=n_x,
+                   n_u=params.n_u, n_p=params.n_p, n_h=params.n_h, C=params.C.copy())
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -106,8 +95,6 @@ def predict(state: EstimatorState, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     x_next = qlpv.step(params, state.x_hat, u)
     zeta_pred = np.concatenate([x_next, state.theta_hat])
     J = qlpv.augmented_jacobian(params, state.x_hat, u)
-    if state.freeze_theta:
-        J[:state.n_x, state.n_x:] = 0.0
     P_pred = J @ state.P @ J.T + state.Qe
     P_pred = 0.5 * (P_pred + P_pred.T)
     return zeta_pred, P_pred
@@ -226,57 +213,34 @@ def constrained_correct(
     """Measurement update followed by projection onto the feasibility polytope.
 
     Standard update, then project the mean under the posterior-information
-    metric; the covariance is left at the unconstrained posterior.
+    metric; the covariance is left at the unconstrained posterior.  The
+    projection moves the prefix zeta[:k] of variables with posterior
+    variance, all of zeta or, for a frozen theta, x alone, over the rows
+    that involve it with the rest substituted.  When it fails (a numerically
+    empty polytope) theta reverts to its pre-update value, which the
+    construction guarantees feasible, x alone is projected, and ``fallback``
+    is set.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     C_tilde = state.output_map()
     n_x = state.n_x
     K = gain(P_pred, C_tilde, state.Re)
-    if state.freeze_theta:
-        K[n_x:, :] = 0.0
-    zeta_u = zeta_pred + K @ (y - C_tilde @ zeta_pred)
+    zeta = zeta_pred + K @ (y - C_tilde @ zeta_pred)
     P_new = (np.eye(zeta_pred.size) - K @ C_tilde) @ P_pred
     P_new = 0.5 * (P_new + P_new.T)
 
     if theta_poly is None:
-        return CorrectionResult(zeta_u, P_new, 0.0, 0.0)
+        return CorrectionResult(zeta, P_new, 0.0, 0.0)
 
-    if state.freeze_theta:
-        return _project_state_block(state, zeta_u, P_new, theta_poly)
-
-    M = _inverse_psd(P_new)
-    proj = qp.project_weighted(zeta_u, M, A_in=theta_poly.A, b_in=theta_poly.b, tol=1e-10)
-    if proj.status == qp.QpStatus.OPTIMAL:
-        return CorrectionResult(proj.x, P_new, proj.value, theta_poly.violation(proj.x))
-    return _keep_theta_fallback(state, zeta_u, P_new, theta_poly)
-
-
-def _state_rows(state: EstimatorState, theta_poly: FeasibilityPolytope,
-                theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows restricted to the x block with theta substituted."""
-    n_x = state.n_x
-    mask = np.abs(theta_poly.A[:, :n_x]).any(axis=1)
-    A_x = theta_poly.A[mask, :n_x]
-    b_x = theta_poly.b[mask] - theta_poly.A[mask, n_x:] @ theta
-    return A_x, b_x
-
-
-def _project_state_block(state, zeta_u, P_new, theta_poly) -> CorrectionResult:
-    """Project only x, keeping theta at its current (feasible) value."""
-    n_x = state.n_x
-    theta = zeta_u[n_x:]
-    A_x, b_x = _state_rows(state, theta_poly, theta)
-    Mx = _inverse_psd(P_new[:n_x, :n_x])
-    proj = qp.project_weighted(zeta_u[:n_x], Mx, A_in=A_x, b_in=b_x, tol=1e-10)
-    zeta = zeta_u.copy()
-    zeta[:n_x] = proj.x
-    return CorrectionResult(zeta, P_new, proj.value, theta_poly.violation(zeta),
-                            fallback=not state.freeze_theta)
-
-
-def _keep_theta_fallback(state, zeta_u, P_new, theta_poly) -> CorrectionResult:
-    """Numerically empty polytope: revert theta to the pre-update value, which
-    the construction guarantees feasible, and project the state block only."""
-    zeta = zeta_u.copy()
-    zeta[state.n_x:] = state.theta_hat
-    return _project_state_block(state, zeta, P_new, theta_poly)
+    A, b = theta_poly.A, theta_poly.b
+    k = zeta.size if P_new[n_x:].any() else n_x
+    for fallback in (False, True):
+        rows = A[:, :k].any(axis=1)
+        proj = qp.project_weighted(zeta[:k], _inverse_psd(P_new[:k, :k]),
+                                   A_in=A[:, :k].compress(rows, axis=0),
+                                   b_in=(b - A[:, k:] @ zeta[k:])[rows], tol=1e-10)
+        if proj.status == qp.QpStatus.OPTIMAL or fallback:
+            break
+        zeta, k = np.concatenate([zeta[:n_x], state.theta_hat]), n_x
+    zeta = np.concatenate([proj.x, zeta[k:]])
+    return CorrectionResult(zeta, P_new, proj.value, theta_poly.violation(zeta), fallback)

@@ -6,7 +6,7 @@ Solves problems of the one form the package poses,
     s.t. A_in x <= b_in,
 
 with a Mehrotra predictor-corrector interior-point iteration over dense
-matrices; a problem without rows is solved directly from Hx = -g.  Every
+matrices; a problem without rows is rejected.  Every
 optimization in this package (invariant-set synthesis, the tube controller,
 the constrained estimator correction) is dispatched through :func:`solve`.
 
@@ -19,8 +19,8 @@ complementarity are divided by
 
 So an OPTIMAL point is feasible to ``tol`` in absolute terms, while a cost of
 large norm is not asked for more significant digits than one of norm 1.  The
-same rule decides the interior-point loop, the acceptance of a warm start and
-the direct solve of a problem without rows.
+same rule decides the interior-point loop and the acceptance of a warm
+start.
 
 A warm start is read for its ``x`` and ``ineq_duals`` only: when they meet
 the KKT test they are returned with 0 iterations, otherwise x alone seeds
@@ -165,14 +165,13 @@ def _linear_solve(M: np.ndarray, lu: tuple, rhs: np.ndarray) -> np.ndarray:
         return np.full(M.shape[0], np.nan)
 
 
-def _solve_unconstrained(prob: QpProblem, H: np.ndarray, tol: float, g_inf: float) -> QpSolution:
-    """Direct solve of Hx = -g for a problem without rows."""
-    x = _linear_solve(H, lapack.dgetrf(H), -prob.g)
-    if not np.isfinite(x).all():
-        return QpSolution(np.zeros(prob.n), np.zeros(0), np.inf, QpStatus.INFEASIBLE, 1, np.inf)
-    kkt, p_inf, *_ = _kkt_residual(prob, H, x, np.zeros(0), g_inf)
-    status = QpStatus.OPTIMAL if kkt <= tol else QpStatus.INFEASIBLE
-    return QpSolution(x, np.zeros(0), kkt, status, 1, p_inf, prob.objective(x))
+def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
+    """Divisor that keeps wl + dwl / divisor in the closed positive orthant:
+    max(1, -min(dwl / wl)).  An exact zero that does not move gives the
+    ratio 0/0, which bounds nothing; np.fmin skips it where min would return
+    NaN and let the full step leave the orthant.  Call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``."""
+    return max(1.0, -float(np.fmin.reduce(dwl / wl)))
 
 
 # Overflow and division by zero show up as non-finite values, which the
@@ -184,7 +183,7 @@ def solve(
     warm_start: QpSolution | np.ndarray | None = None,
 ) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. A_in x <= b_in to scaled KKT residual
-    <= tol; a problem without rows is solved directly from Hx = -g.
+    <= tol; a problem without rows raises ``ConfigurationError``.
 
     Primal infeasibility must be at most ``tol`` in absolute terms;
     stationarity and complementarity are divided by
@@ -203,6 +202,8 @@ def solve(
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     n, m = prob.n, prob.A_in.shape[0]
+    if m == 0:
+        raise ConfigurationError("a QP without rows is not posed by this package")
     H = prob.H + _RIDGE * np.eye(n)
     g_inf = float(np.abs(prob.g).max(initial=0.0))
 
@@ -219,9 +220,6 @@ def solve(
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != n:
             raise ConfigurationError("warm start has wrong dimension")
-
-    if m == 0:
-        return _solve_unconstrained(prob, H, tol, g_inf)
 
     G, h = prob.A_in, prob.b_in
     x = x0.copy() if x0 is not None else np.zeros(n)
@@ -270,7 +268,7 @@ def solve(
         dx = _linear_solve(K, lu, rhs)
         dw = -r_p - G @ dx
         dwl_a = np.concatenate([dw, -lam - d * dw])
-        wl_a = wl + dwl_a / max(1.0, -float((dwl_a / wl).min()))
+        wl_a = wl + dwl_a / _step_divisor(dwl_a, wl)
         mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
@@ -280,7 +278,7 @@ def solve(
         dx = _linear_solve(K, lu, rhs)
         dw = -r_p - G @ dx
         dwl = np.concatenate([dw, -rc_w - d * dw])
-        alpha = max(0.99, 1.0 - mu) / max(1.0, -float((dwl / wl).min()))
+        alpha = max(0.99, 1.0 - mu) / _step_divisor(dwl, wl)
 
         x = x + alpha * dx
         wl = wl + alpha * dwl
@@ -288,7 +286,7 @@ def solve(
             break
 
     x, lam, kkt = best
-    p_inf = min(p_inf_hist) if p_inf_hist else np.inf
+    p_inf = min(p_inf_hist)
     status = QpStatus.INFEASIBLE if p_inf > tol else QpStatus.MAX_ITER
     return QpSolution(x, lam.copy(), kkt, status, it, p_inf, prob.objective(x))
 

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import qlpv, qp
-from .errors import ConfigurationError
 from .polytope import Hpoly, PolytopeTemplate
 
 POST_CHECK_TOL = 1e-7
@@ -219,9 +218,6 @@ def solve_optimal_rci(
         return RciSolution(np.zeros(lay.n_x), np.zeros(lay.n_u), np.zeros(lay.f),
                            np.zeros(lay.v * lay.n_u), np.zeros(lay.f),
                            cost=float("inf"), d=d), sol
-    resid = float((A @ sol.x - b).max())
-    if resid > POST_CHECK_TOL:
-        raise ConfigurationError(f"invariant-set rows violated post-solve by {resid:.2e}")
     return RciSolution.unstack(sol.x, lay, sol.value + const, d), sol
 
 

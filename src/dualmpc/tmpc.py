@@ -31,8 +31,6 @@ from . import polytope, qlpv, qp, rci
 from .errors import ConfigurationError
 from .polytope import Hpoly, ParamSet, PolytopeTemplate
 
-POST_CHECK_TOL = 1e-7
-
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
@@ -245,12 +243,7 @@ def solve_tmpc(
     z = np.array([sol.x[lay.z(k)] for k in range(cfg.N + 1)])
     v = np.array([sol.x[lay.v(k)] for k in range(cfg.N + 1)])
     rci_sol = rci.RciSolution.unstack(sol.x[lay.xr_cols], lay.xr, float("nan"), d)
-    cost = sol.value + const
-    if sol.status == qp.QpStatus.OPTIMAL:
-        resid = float((A @ sol.x - b).max())
-        if resid > POST_CHECK_TOL:
-            raise ConfigurationError(f"tube rows violated post-solve by {resid:.2e}")
-    return TubeSolution(z=z, v=v, rci=rci_sol, cost=cost, status=sol.status,
+    return TubeSolution(z=z, v=v, rci=rci_sol, cost=sol.value + const, status=sol.status,
                         qp_solution=sol, tube_qp=tq)
 
 

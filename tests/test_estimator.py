@@ -293,6 +293,24 @@ class TestConstrainedCorrect:
         assert res.fallback
         assert np.array_equal(res.zeta[2:], state.theta_hat)
 
+    def test_frozen_theta_projects_x_alone_onto_the_polytope(self, tube_setup):
+        # A measurement off the plan pulls x out of the first shifted set;
+        # a theta of zero covariance stays put while x alone is projected.
+        model, x_hat, sol = tube_setup
+        poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
+                                              EPS_U, CFG.gamma)
+        state = estimator.EstimatorState.from_model(model, x0=x_hat, freeze_theta=True)
+        zeta_pred, P_pred = estimator.predict(state, sol.v[0])
+        y = state.output_map() @ zeta_pred + 5.0
+        res = estimator.constrained_correct(state, zeta_pred, P_pred, y, poly)
+        assert np.array_equal(res.zeta[2:], state.theta_hat)
+        assert not res.P[2:].any() and not res.P[:, 2:].any()
+        (state_s,) = poly.families["state_s"]
+        assert (poly.A[state_s] @ res.zeta - poly.b[state_s]).max() <= 1e-9
+        assert res.projection_loss > 0.0
+        assert res.theta_poly_violation <= 1e-9
+        assert not res.fallback
+
     def test_frozen_theta_mode_never_touches_theta(self, rng):
         model = random_model(rng)
         state = estimator.EstimatorState.from_model(model, freeze_theta=True)
@@ -304,6 +322,7 @@ class TestConstrainedCorrect:
             res = estimator.constrained_correct(state, zeta_pred, P_pred, y, None)
             state.zeta, state.P = res.zeta, res.P
             assert np.array_equal(state.theta_hat, theta0)
+            assert not state.P[2:].any() and not state.P[:, 2:].any()
             state.assert_valid_covariance()
 
 

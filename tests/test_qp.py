@@ -29,11 +29,20 @@ def test_separable_projection_onto_corner():
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
-def test_unconstrained_reduces_to_linear_solve():
-    H = np.diag([2.0, 4.0])
-    g = np.array([-2.0, -8.0])
-    sol = solve_simple(H, g)
-    assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
+def test_problem_without_rows_rejected():
+    with pytest.raises(ConfigurationError, match="without rows"):
+        solve_simple(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]))
+
+
+def test_ratio_test_skips_an_exact_zero_at_rest():
+    # A (slack, dual) entry exactly at 0 that does not move reads 0/0 in the
+    # ratio test; it must not hide the entry that does bound the step.
+    wl = np.array([0.0, 1.0, 2.0])
+    dwl = np.array([0.0, -4.0, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert qp._step_divisor(dwl, wl) == 4.0
+        assert qp._step_divisor(np.zeros(3), wl) == 1.0
+        assert np.all(wl + dwl / qp._step_divisor(dwl, wl) >= 0.0)
 
 
 def random_strictly_convex(rng, n, m):
@@ -80,9 +89,12 @@ def test_warm_start_resolve_is_immediate(rng):
     prob = qp.QpProblem.build(H, g, A, b)
     sol = qp.solve(prob)
     resolved = qp.solve(prob, warm_start=sol)
+    # The solution meets the KKT test, so it is accepted without iterating,
+    # and the test alone makes it feasible to tol (1e-8).
     assert resolved.status == qp.QpStatus.OPTIMAL
-    assert resolved.iterations <= 2
-    assert np.abs(resolved.x - sol.x).max() <= 1e-9
+    assert resolved.iterations == 0
+    assert np.array_equal(resolved.x, sol.x)
+    assert (A @ resolved.x - b).max() <= 1e-8
 
 
 def test_warm_start_of_wrong_size_rejected(rng):
