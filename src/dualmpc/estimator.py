@@ -11,6 +11,10 @@ roundoff; only one family, the scaled input images below the disturbance
 allowance, is the estimator's own.  The rows constrain the state block and
 the vertex-matrix entries of theta; scheduling-network weights are left free.
 
+The state keeps the model it started from, ``prior``: its shapes give
+theta's layout and its C the output map, and the model at the estimate is
+the prior with theta_hat in place of its parameters.
+
 A frozen theta is one with zero covariance.  With its rows and columns of P
 and of the process noise exactly 0, the prediction and the gain leave them
 0 and theta unchanged, and the projection moves x alone.
@@ -35,11 +39,7 @@ class EstimatorState:
     P: np.ndarray
     Qe: np.ndarray
     Re: np.ndarray
-    n_x: int
-    n_u: int
-    n_p: int
-    n_h: int
-    C: np.ndarray
+    prior: qlpv.ModelParams
 
     def __post_init__(self):
         n = self.zeta.size
@@ -50,17 +50,24 @@ class EstimatorState:
     @classmethod
     def from_model(cls, params: qlpv.ModelParams, x0=None,
                    freeze_theta: bool = False) -> "EstimatorState":
-        """Filter at (x0, params.pack()): tiny state process noise, a driftless
-        theta and a confident theta prior that keeps per-step theta motion
-        small.  ``freeze_theta`` gives theta zero prior covariance instead,
-        which freezes it (see the module docstring)."""
+        """Filter at (x0, params.pack()) with prior params: tiny state process
+        noise, a driftless theta and a confident theta prior that keeps
+        per-step theta motion small.  ``freeze_theta`` gives theta zero prior
+        covariance instead, which freezes it (see the module docstring)."""
         n_x, n_theta = params.n_x, params.n_theta
         Qe = np.diag(np.r_[np.full(n_x, 1e-6), np.zeros(n_theta)])
         P0 = np.diag(np.r_[np.ones(n_x), np.full(n_theta, 0.0 if freeze_theta else 1e-4)])
         zeta = np.concatenate([np.zeros(n_x) if x0 is None else np.asarray(x0, float),
                                params.pack()])
-        return cls(zeta=zeta, P=P0, Qe=Qe, Re=0.1 * np.eye(params.n_y), n_x=n_x,
-                   n_u=params.n_u, n_p=params.n_p, n_h=params.n_h, C=params.C.copy())
+        return cls(zeta=zeta, P=P0, Qe=Qe, Re=0.1 * np.eye(params.n_y), prior=params)
+
+    @property
+    def n_x(self) -> int:
+        return self.prior.n_x
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.prior.C
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -70,16 +77,13 @@ class EstimatorState:
     def theta_hat(self) -> np.ndarray:
         return self.zeta[self.n_x:]
 
-    @property
-    def n_theta(self) -> int:
-        return self.zeta.size - self.n_x
-
     def model(self) -> qlpv.ModelParams:
-        return qlpv.unpack(self.theta_hat, self.n_x, self.n_u, self.n_p, self.n_h, self.C)
+        """The prior's model at the estimate theta_hat."""
+        return self.prior.replace_theta(self.theta_hat)
 
     def output_map(self) -> np.ndarray:
         """C_tilde = [C 0] over the augmented state."""
-        return np.hstack([self.C, np.zeros((self.C.shape[0], self.n_theta))])
+        return np.hstack([self.C, np.zeros((self.C.shape[0], self.prior.n_theta))])
 
     def assert_valid_covariance(self, tol: float = 1e-8) -> None:
         scale = max(1.0, float(np.abs(self.P).max()))
@@ -114,7 +118,6 @@ class FeasibilityPolytope:
 
     A: np.ndarray
     b: np.ndarray
-    witness: np.ndarray            # center point satisfying every row
     families: dict = field(default_factory=dict)
 
     def violation(self, zeta: np.ndarray) -> float:
@@ -177,10 +180,7 @@ def build_theta_polytope(
     families: dict = {}
     for k, name in enumerate(n for names, _, _ in blocks for n in names):
         families.setdefault(name, []).append(slice(k * f, (k + 1) * f))
-    # The shifted first center with the generating parameters satisfies every
-    # row; it certifies nonemptiness and backs the empty-polytope fallback.
-    witness = np.concatenate([tube.z[1], params.pack()])
-    return FeasibilityPolytope(A=A, b=b, witness=witness, families=families)
+    return FeasibilityPolytope(A=A, b=b, families=families)
 
 
 def _inverse_psd(M: np.ndarray, ridge: float = 1e-10) -> np.ndarray:

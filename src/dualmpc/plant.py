@@ -75,13 +75,3 @@ def measure(cfg: PlantConfig, state: np.ndarray) -> float:
     """Scaled position of the second mass."""
     return cfg.output_scale * float(state[2])
 
-
-def energy(cfg: PlantConfig, state: np.ndarray) -> float:
-    """Total mechanical energy including the cubic spring potentials."""
-    x1, v1, x2, v2 = state
-
-    def potential(x):
-        return 0.5 * cfg.a * x ** 2 + 0.25 * cfg.b * x ** 4
-
-    kinetic = 0.5 * cfg.m1 * v1 ** 2 + 0.5 * cfg.m2 * v2 ** 2
-    return kinetic + potential(x1) + potential(x2) + potential(x1 - x2)

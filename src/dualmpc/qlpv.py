@@ -6,14 +6,14 @@ so p always lies on the simplex and the state update stays inside the convex
 hull of the vertex-model updates.  The flattened parameter vector theta stacks,
 in order: all A_i row-major, all B_i row-major, then W1, b1, W2, b2.  That
 order is load-bearing: estimator covariance indices address theta by
-position.  Besides packing and :func:`unpack`, only :func:`theta_rows` knows
-where the A_i and B_i blocks sit; it builds both the feasibility-polytope rows
-and the A/B columns of the Jacobian in :func:`jacobians`.
+position.  Besides packing and :meth:`ModelParams.replace_theta`, the one way
+to rebuild a model from theta, only :func:`theta_rows` knows where the A_i and
+B_i blocks sit; it builds both the feasibility-polytope rows and the A/B
+columns of the Jacobian in :func:`jacobians`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,10 +22,6 @@ from scipy.special import expit
 
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
-
-
-def theta_dim(n_x: int, n_u: int, n_p: int, n_h: int) -> int:
-    return n_p * n_x * n_x + n_p * n_x * n_u + n_h * (n_x + n_u) + n_h + n_p * n_h + n_p
 
 
 @dataclass
@@ -81,7 +77,8 @@ class ModelParams:
 
     @property
     def n_theta(self) -> int:
-        return theta_dim(self.n_x, self.n_u, self.n_p, self.n_h)
+        n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
+        return n_p * n_x * (n_x + n_u) + n_h * (n_x + n_u) + n_h + n_p * n_h + n_p
 
     def pack(self) -> np.ndarray:
         parts = [M.ravel() for M in self.A] + [M.ravel() for M in self.B]
@@ -89,44 +86,28 @@ class ModelParams:
         return np.concatenate(parts)
 
     def replace_theta(self, theta: np.ndarray) -> "ModelParams":
-        return unpack(theta, self.n_x, self.n_u, self.n_p, self.n_h, self.C)
+        """The model of these shapes and this C with the parameters theta."""
+        theta = np.asarray(theta, dtype=float).ravel()
+        if theta.size != self.n_theta:
+            raise ConfigurationError(
+                f"theta has {theta.size} entries, expected {self.n_theta}")
+        n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
+        pos = 0
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_x": self.n_x, "n_u": self.n_u, "n_p": self.n_p, "n_h": self.n_h,
-            "theta": self.pack().tolist(),
-            "C": self.C.tolist(),
-        })
+        def take(shape):
+            nonlocal pos
+            size = math.prod(shape)
+            block = theta[pos:pos + size].reshape(shape)
+            pos += size
+            return block
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        d = json.loads(text)
-        return unpack(np.asarray(d["theta"], dtype=float), d["n_x"], d["n_u"],
-                      d["n_p"], d["n_h"], np.asarray(d["C"], dtype=float))
-
-
-def unpack(theta: np.ndarray, n_x: int, n_u: int, n_p: int, n_h: int,
-           C: np.ndarray) -> ModelParams:
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != theta_dim(n_x, n_u, n_p, n_h):
-        raise ConfigurationError(
-            f"theta has {theta.size} entries, expected {theta_dim(n_x, n_u, n_p, n_h)}")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = math.prod(shape)
-        block = theta[pos:pos + size].reshape(shape)
-        pos += size
-        return block
-
-    A = [take((n_x, n_x)) for _ in range(n_p)]
-    B = [take((n_x, n_u)) for _ in range(n_p)]
-    W1 = take((n_h, n_x + n_u))
-    b1 = take((n_h,))
-    W2 = take((n_p, n_h))
-    b2 = take((n_p,))
-    return ModelParams(A=A, B=B, W1=W1, b1=b1, W2=W2, b2=b2, C=C.copy())
+        A = [take((n_x, n_x)) for _ in range(n_p)]
+        B = [take((n_x, n_u)) for _ in range(n_p)]
+        W1 = take((n_h, n_x + n_u))
+        b1 = take((n_h,))
+        W2 = take((n_p, n_h))
+        b2 = take((n_p,))
+        return ModelParams(A=A, B=B, W1=W1, b1=b1, W2=W2, b2=b2, C=self.C.copy())
 
 
 def _stacked(params: ModelParams) -> np.ndarray:

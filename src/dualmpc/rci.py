@@ -19,8 +19,6 @@ from scipy.linalg import block_diag
 from . import qlpv, qp
 from .polytope import Hpoly, PolytopeTemplate
 
-POST_CHECK_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class XrLayout:
@@ -160,13 +158,6 @@ def rci_constraint_block(
     return RciRows.build(template, beta, eps_u, Y, params.C).over_y(params, d)
 
 
-def constraint_row_count(template: PolytopeTemplate, n_p: int, n_y_rows: int) -> int:
-    lay = XrLayout.of(template)
-    return (n_p * lay.v * lay.f                    # vertex dynamics
-            + lay.v * (n_y_rows + 2 * lay.n_u)     # vertex outputs + inputs
-            + 2 * lay.f)                           # q >= 0 and s >= 0
-
-
 @dataclass(frozen=True, eq=False)
 class SetCost:
     """Set-tracking objective 0.5 x_r' H x_r + g' x_r + constant, where only g
@@ -219,55 +210,3 @@ def solve_optimal_rci(
                            np.zeros(lay.v * lay.n_u), np.zeros(lay.f),
                            cost=float("inf"), d=d), sol
     return RciSolution.unstack(sol.x, lay, sol.value + const, d), sol
-
-
-@dataclass
-class RciReport:
-    worst_violation: float
-    worst_case: tuple            # (template vertex, mode, disturbance vertex)
-    n_checks: int
-
-    @property
-    def ok(self) -> bool:
-        return self.worst_violation <= POST_CHECK_TOL
-
-
-def perturbation_vertices(params: qlpv.ModelParams, beta: float, eps_u: np.ndarray) -> np.ndarray:
-    """Candidate extreme points of the disturbance set CH{beta B_i U}."""
-    eps_u = np.atleast_1d(eps_u)
-    n_u = eps_u.size
-    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * n_u)).T.reshape(-1, n_u)
-    points = [beta * Bi @ (sg * eps_u) for Bi in params.B for sg in signs]
-    return np.array(points)
-
-
-def verify_rci(
-    sol: RciSolution,
-    params: qlpv.ModelParams,
-    template: PolytopeTemplate,
-    beta: float,
-    eps_u: np.ndarray,
-) -> RciReport:
-    """Certify invariance by direct evaluation.
-
-    Checks every (template vertex, mode, disturbance vertex) triple, which is
-    sufficient by convexity.  Violations are halfspace excesses of the
-    successor state, so <= 0 means inside.
-    """
-    F = template.F
-    w_vertices = perturbation_vertices(params, beta, eps_u)
-    verts = template.vertices(sol.z_s, sol.s)
-    inputs = [sol.v_s + template.vertex_input(sol.c, j) for j in range(template.n_vertices)]
-
-    worst = -np.inf
-    worst_case: tuple = ()
-    n_checks = 0
-    for j, (xj, uj) in enumerate(zip(verts, inputs)):
-        for i, (Ai, Bi) in enumerate(zip(params.A, params.B)):
-            base = Ai @ xj + Bi @ uj
-            for k, w in enumerate(w_vertices):
-                viol = float((F @ (base + w - sol.z_s) - sol.s).max())
-                n_checks += 1
-                if viol > worst:
-                    worst, worst_case = viol, (j, i, k)
-    return RciReport(worst_violation=worst, worst_case=worst_case, n_checks=n_checks)

@@ -20,8 +20,6 @@ loop.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,13 +31,15 @@ from .polytope import Hpoly, PolytopeTemplate
 
 _CHUNK = 50                  # rows rolled out between two checks of the states
 _REJECT_MARGIN = 1e-9        # relative margin of the early-rejection test
+_ARMIJO_C = 1e-4             # sufficient-decrease constant of the line search
+_MAX_RETRIES = 3             # refits with stronger weight decay after a failed gate
+_N_X, _N_P, _N_H, _N_U, _N_Y = 2, 3, 3, 1, 1   # fitted model's n_x, n_p, n_h, n_u, n_y
 
 
 @dataclass
 class IoDataset:
     u_seq: np.ndarray            # (T, n_u)
     y_seq: np.ndarray            # (T, n_y)
-    scale: float = 1.0           # output scaling already applied to y_seq
 
     def __post_init__(self):
         # A 1-D record is a scalar signal, one sample per entry.
@@ -54,23 +54,6 @@ class IoDataset:
 
     def __len__(self) -> int:
         return len(self.u_seq)
-
-    def to_csv(self) -> str:
-        if self.u_seq.shape[1] != 1 or self.y_seq.shape[1] != 1:
-            raise ConfigurationError("CSV schema covers scalar input/output records")
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "u", "y"])
-        for t, (u, y) in enumerate(zip(self.u_seq[:, 0], self.y_seq[:, 0])):
-            w.writerow([t, repr(float(u)), repr(float(y))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, scale: float = 1.0) -> "IoDataset":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        u = np.array([[float(r["u"])] for r in rows])
-        y = np.array([[float(r["y"])] for r in rows])
-        return cls(u_seq=u, y_seq=y, scale=scale)
 
 
 def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int) -> IoDataset:
@@ -87,7 +70,7 @@ def collect_dataset(cfg: plant_mod.PlantConfig, n_steps: int, seed: int) -> IoDa
         y_seq[t, 0] = plant_mod.measure(cfg, state)
         u_seq[t, 0] = u
         state = plant_mod.rk4_step(cfg, state, u)
-    return IoDataset(u_seq=u_seq, y_seq=y_seq, scale=cfg.output_scale)
+    return IoDataset(u_seq=u_seq, y_seq=y_seq)
 
 
 def simulate(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -198,13 +181,7 @@ class TrainConfig:
     target: float = 0.01
     max_epochs: int = 4000
     weight_decay: float = 1e-4
-    armijo_c: float = 1e-4
     max_halvings: int = 50
-    n_x: int = 2
-    n_p: int = 3
-    n_h: int = 3
-    n_u: int = 1
-    n_y: int = 1
 
 
 @dataclass
@@ -217,19 +194,19 @@ class FitReport:
     rollout_steps: int = 0       # model steps simulated, abandoned probes included
 
 
-def initial_guess(cfg: TrainConfig, seed: int) -> qlpv.ModelParams:
+def initial_guess(seed: int) -> qlpv.ModelParams:
     """Contractive start: near 0.5*I vertex matrices, small everything else."""
     rng = np.random.default_rng(seed)
-    A = [0.5 * np.eye(cfg.n_x) + rng.uniform(-0.01, 0.01, size=(cfg.n_x, cfg.n_x))
-         for _ in range(cfg.n_p)]
-    B = [rng.uniform(-0.1, 0.1, size=(cfg.n_x, cfg.n_u)) for _ in range(cfg.n_p)]
-    C = np.eye(cfg.n_x)[:cfg.n_y]
+    A = [0.5 * np.eye(_N_X) + rng.uniform(-0.01, 0.01, size=(_N_X, _N_X))
+         for _ in range(_N_P)]
+    B = [rng.uniform(-0.1, 0.1, size=(_N_X, _N_U)) for _ in range(_N_P)]
+    C = np.eye(_N_X)[:_N_Y]
     return qlpv.ModelParams(
         A=A, B=B,
-        W1=rng.uniform(-0.1, 0.1, size=(cfg.n_h, cfg.n_x + cfg.n_u)),
-        b1=rng.uniform(-0.1, 0.1, size=cfg.n_h),
-        W2=rng.uniform(-0.1, 0.1, size=(cfg.n_p, cfg.n_h)),
-        b2=rng.uniform(-0.1, 0.1, size=cfg.n_p),
+        W1=rng.uniform(-0.1, 0.1, size=(_N_H, _N_X + _N_U)),
+        b1=rng.uniform(-0.1, 0.1, size=_N_H),
+        W2=rng.uniform(-0.1, 0.1, size=(_N_P, _N_H)),
+        b2=rng.uniform(-0.1, 0.1, size=_N_P),
         C=C,
     )
 
@@ -243,8 +220,8 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
     """
     if len(data) < 2:
         raise ConfigurationError("need at least two samples to fit")
-    params = initial_guess(cfg, seed)
-    x0 = np.zeros(cfg.n_x) if x0 is None else np.asarray(x0, dtype=float)
+    params = initial_guess(seed)
+    x0 = np.zeros(_N_X) if x0 is None else np.asarray(x0, dtype=float)
     theta = params.pack()
     loss, mse, rollout, steps = _rollout_loss(params, data, x0, cfg.weight_decay)
     grad = (np.zeros(params.n_theta) if mse == float("inf")
@@ -280,7 +257,7 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
         for _ in range(cfg.max_halvings):
             cand = theta - alpha * grad
             cand_params = params.replace_theta(cand)
-            threshold = loss - cfg.armijo_c * alpha * gnorm2
+            threshold = loss - _ARMIJO_C * alpha * gnorm2
             cand_loss, cand_mse, rollout, cand_steps = _rollout_loss(
                 cand_params, data, x0, cfg.weight_decay, threshold)
             steps += cand_steps
@@ -312,11 +289,9 @@ def feasibility_gate(
     template: PolytopeTemplate,
     Y: Hpoly,
     eps_u: np.ndarray,
-    y_ref: np.ndarray | None = None,
 ) -> tuple[bool, dict]:
-    """True iff the tube controller's QP is solvable at (x0, params)."""
-    y_ref = np.zeros(params.n_y) if y_ref is None else y_ref
-    sol = tmpc.solve_tmpc(np.asarray(x0, dtype=float), params, y_ref,
+    """True iff the tube controller's QP is solvable at (x0, params), y_ref = 0."""
+    sol = tmpc.solve_tmpc(np.asarray(x0, dtype=float), params, np.zeros(params.n_y),
                           controller, template, Y, eps_u)
     ok = sol.status == qp.QpStatus.OPTIMAL
     diag = {
@@ -336,16 +311,15 @@ def fit_feasible_model(
     Y: Hpoly,
     eps_u: np.ndarray,
     x0: np.ndarray | None = None,
-    max_retries: int = 3,
 ) -> tuple[qlpv.ModelParams, FitReport]:
     """Fit, then gate; on gate failure retrain with 10x stronger weight decay.
 
     Aborts with the gate diagnostics once the retry ladder is exhausted.
     """
-    x0 = np.zeros(cfg.n_x) if x0 is None else x0
+    x0 = np.zeros(_N_X) if x0 is None else x0
     wd = cfg.weight_decay
     last_diag: dict = {}
-    for attempt in range(max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         attempt_cfg = replace(cfg, weight_decay=wd)
         params, report = fit_initial_model(data, attempt_cfg, seed, x0)
         ok, diag = feasibility_gate(params, controller, x0, template, Y, eps_u)
@@ -355,4 +329,4 @@ def fit_feasible_model(
         wd *= 10.0
     raise ConfigurationError(
         f"no identified model passed the controller feasibility gate "
-        f"after {max_retries + 1} attempts; last diagnostics: {last_diag}")
+        f"after {_MAX_RETRIES + 1} attempts; last diagnostics: {last_diag}")

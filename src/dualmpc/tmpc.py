@@ -37,10 +37,6 @@ class ControllerConfig:
     N: int = 2
     gamma: float = 0.95
     beta: float = 0.3
-    Q: np.ndarray | None = None          # stage weight over (z_k - z_s, v_k - v_s)
-    P: np.ndarray | None = None          # terminal weight; default Q / (1 - gamma^2)
-    Q1: np.ndarray | None = None         # set-tracking output weight
-    Q2: np.ndarray | None = None         # set-size weight over x_r
 
     def __post_init__(self):
         if self.N < 1:
@@ -51,14 +47,9 @@ class ControllerConfig:
             raise ConfigurationError("beta must lie in [0, 1)")
 
     def weights(self, n_x: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
-        Q = np.eye(n_x + n_u) if self.Q is None else self.Q
-        if self.P is None:
-            return Q, Q / (1.0 - self.gamma ** 2)
-        # Terminal decrement requires P >= Q / (1 - gamma^2).
-        gap = np.linalg.eigvalsh(self.P - Q / (1.0 - self.gamma ** 2)).min()
-        if gap < -1e-9:
-            raise ConfigurationError(f"P too small for contraction rate (gap {gap:.2e})")
-        return Q, self.P
+        """(Q, P): Q = I, and P = Q / (1 - gamma^2) gives the terminal decrement."""
+        Q = np.eye(n_x + n_u)
+        return Q, Q / (1.0 - self.gamma ** 2)
 
 
 @dataclass(frozen=True)
@@ -178,9 +169,10 @@ class TubeQp:
         for k, D in enumerate(lay.deviations):
             W = P if k == lay.N else Q
             H += 2.0 * D.T @ W @ D
-        set_cost = rci.SetCost.build(template, C, cfg.Q1, cfg.Q2)
+        set_cost = rci.SetCost.build(template, C)
+        # A sum of 2 D'WD with W > 0 and the set cost's H: positive semidefinite
+        # by construction, so solve_tmpc skips the eigenvalue check.
         H[lay.xr_cols, lay.xr_cols] += set_cost.H
-        qp.QpProblem.build(H, np.zeros(lay.dim))   # the one positive-semidefinite check
 
         mode = mode_rows(cfg.gamma, template, lay)
         rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C)

@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: the QP oracle
 enumerates active sets instead of running an interior-point iteration, the
-Kalman oracle is the textbook recursion, and derivative checks use central
-finite differences.
+Kalman oracle is the textbook recursion, derivative checks use central
+finite differences, and the invariant-set check evaluates every successor
+state directly.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,3 +89,50 @@ def hull_membership_lp(point, generators, tol=1e-9):
         return False
     resid = max(np.abs(A_eq @ lam - b_eq).max(), max(0.0, -lam.min()))
     return resid <= tol
+
+
+POST_CHECK_TOL = 1e-7
+
+
+@dataclass
+class RciReport:
+    worst_violation: float
+    worst_case: tuple            # (template vertex, mode, disturbance vertex)
+    n_checks: int
+
+    @property
+    def ok(self):
+        return self.worst_violation <= POST_CHECK_TOL
+
+
+def perturbation_vertices(B, beta, eps_u):
+    """Candidate extreme points of the disturbance set CH{beta B_i U}, where
+    U is the box |u_k| <= eps_u_k."""
+    eps_u = np.atleast_1d(eps_u)
+    n_u = eps_u.size
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * n_u)).T.reshape(-1, n_u)
+    return np.array([beta * Bi @ (sg * eps_u) for Bi in B for sg in signs])
+
+
+def verify_rci(A, B, F, V, z_s, s, v_s, c, beta, eps_u):
+    """Certify that the set z_s + {x : F(x - z_s) <= s} with vertex inputs
+    v_s + c_j is robustly invariant by direct evaluation.
+
+    Vertex j of the set is z_s + V_j s and its input is block j of c.  Every
+    (vertex, mode A_i/B_i, disturbance vertex) triple is checked, which is
+    sufficient by convexity.  Violations are halfspace excesses of the
+    successor state, so <= 0 means inside.
+    """
+    w_vertices = perturbation_vertices(B, beta, eps_u)
+    c = np.reshape(c, (len(V), -1))
+    worst, worst_case, n_checks = -np.inf, (), 0
+    for j, Vj in enumerate(V):
+        xj, uj = z_s + Vj @ s, v_s + c[j]
+        for i, (Ai, Bi) in enumerate(zip(A, B)):
+            base = Ai @ xj + Bi @ uj
+            for k, w in enumerate(w_vertices):
+                viol = float((F @ (base + w - z_s) - s).max())
+                n_checks += 1
+                if viol > worst:
+                    worst, worst_case = viol, (j, i, k)
+    return RciReport(worst_violation=worst, worst_case=worst_case, n_checks=n_checks)

@@ -33,6 +33,12 @@ def settled(sol):
                                v=np.tile(v_s, (sol.N + 1, 1)))
 
 
+def witness(sol, model):
+    """The shifted first center with the generating parameters, which
+    satisfies every row of the polytope built from sol at model."""
+    return np.concatenate([sol.z[1], model.pack()])
+
+
 @pytest.fixture
 def tube_setup():
     model = random_model(np.random.default_rng(8), infnorm=0.6, gain=0.25)
@@ -124,7 +130,7 @@ class TestThetaPolytope:
         model, _, sol = tube_setup
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
                                               EPS_U, CFG.gamma)
-        assert poly.violation(poly.witness) <= 1e-9
+        assert poly.violation(witness(sol, model)) <= 1e-9
 
     def test_model_step_candidate_feasible_for_theta_rows(self, tube_setup):
         # The propagated state keeps the full-set membership rows and the
@@ -166,7 +172,7 @@ class TestThetaPolytope:
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,
                                               EPS_U, CFG.gamma)
         assert np.abs(poly.A).max(axis=1).min() > 1e-12 * np.abs(poly.A).max()
-        assert poly.violation(poly.witness) <= 1e-12
+        assert poly.violation(witness(sol, model)) <= 1e-12
         state = estimator.EstimatorState.from_model(model, x0=x_hat)
         zeta_pred, P_pred = estimator.predict(state, sol.v[0])
         y = state.output_map() @ zeta_pred + 2.0
@@ -240,10 +246,11 @@ class TestConstrainedCorrect:
                                               EPS_U, CFG.gamma)
         # A measurement equal to the prediction keeps the update at the prior
         # mean; force feasibility by replacing the mean with the witness.
-        y = state.output_map() @ poly.witness
-        res_free = estimator.constrained_correct(state, poly.witness.copy(), P_pred,
+        center = witness(sol, model)
+        y = state.output_map() @ center
+        res_free = estimator.constrained_correct(state, center.copy(), P_pred,
                                                  y, None)
-        res = estimator.constrained_correct(state, poly.witness.copy(), P_pred,
+        res = estimator.constrained_correct(state, center.copy(), P_pred,
                                             y, poly)
         if poly.violation(res_free.zeta) <= 0:
             assert res.projection_loss == 0.0
@@ -270,7 +277,7 @@ class TestConstrainedCorrect:
         zeta_pred[0] = 1.0
         A = np.zeros((1, n))
         A[0, 0] = 1.0
-        poly = estimator.FeasibilityPolytope(A=A, b=np.array([1.0]), witness=np.zeros(n))
+        poly = estimator.FeasibilityPolytope(A=A, b=np.array([1.0]))
         y = np.array([2.0])  # update: 1 + 0.5*(2-1) = 1.5, variance (1-K)*2 = 1
         res = estimator.constrained_correct(state, zeta_pred, P_pred, y, poly)
         assert res.zeta[0] == pytest.approx(1.0, abs=1e-7)
@@ -287,7 +294,7 @@ class TestConstrainedCorrect:
         A_x = np.zeros((1, n))
         A_x[0, 0] = 1.0
         poly = estimator.FeasibilityPolytope(
-            A=np.vstack([A, A_x]), b=np.array([-1.0, -1.0, 10.0]), witness=np.zeros(n))
+            A=np.vstack([A, A_x]), b=np.array([-1.0, -1.0, 10.0]))
         res = estimator.constrained_correct(state, zeta_pred, P_pred,
                                             np.array([0.3]), poly)
         assert res.fallback

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualmpc import qlpv
+from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import box_template
 from conftest import random_model
 from oracles import central_difference_jacobian, hull_membership_lp
@@ -11,22 +12,19 @@ SHAPES = [(2, 1, 3), (3, 2, 2), (1, 1, 1)]
 SHAPE_IDS = ["2-1-3", "3-2-2", "1-1-1"]
 
 
-def test_paper_configuration_has_42_parameters():
-    assert qlpv.theta_dim(n_x=2, n_u=1, n_p=3, n_h=3) == 42
+def test_paper_configuration_has_42_parameters(rng):
+    assert random_model(rng, n_x=2, n_u=1, n_p=3, n_h=3).n_theta == 42
 
 
 def test_pack_unpack_roundtrip_bit_exact(rng, small_model):
     theta = small_model.pack()
     assert theta.size == 42
-    rebuilt = qlpv.unpack(theta, 2, 1, 3, 3, small_model.C)
+    rebuilt = small_model.replace_theta(theta)
     assert np.array_equal(rebuilt.pack(), theta)
-
-
-def test_json_roundtrip(small_model):
-    text = small_model.to_json()
-    again = qlpv.ModelParams.from_json(text)
-    assert np.array_equal(again.pack(), small_model.pack())
-    assert np.array_equal(again.C, small_model.C)
+    assert np.array_equal(rebuilt.C, small_model.C)
+    for wrong in (np.append(theta, 0.0), theta[:-1]):
+        with pytest.raises(ConfigurationError, match="theta has"):
+            small_model.replace_theta(wrong)
 
 
 class TestScheduling:

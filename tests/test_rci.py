@@ -4,6 +4,7 @@ import pytest
 from dualmpc import qlpv, qp, rci
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
+from oracles import perturbation_vertices, verify_rci
 
 
 TEMPLATE = box_template(2, 1)
@@ -20,11 +21,16 @@ def stable_single_mode(rng=None, radius=0.5):
                             C=np.array([[1.0, 0.0]]))
 
 
+def verify(sol, model, beta):
+    """The invariance oracle at an invariant-set solution over TEMPLATE."""
+    return verify_rci(model.A, model.B, TEMPLATE.F, TEMPLATE.V, sol.z_s, sol.s,
+                      sol.v_s, sol.c, beta, EPS_U)
+
+
 def test_row_count_matches_symbolic_formula(small_model):
     A, b = rci.rci_constraint_block(small_model, TEMPLATE, 0.3, EPS_U, Y)
-    expected = rci.constraint_row_count(TEMPLATE, small_model.n_p, Y.H.shape[0])
     # 3 modes x 4 vertices x 4 template rows + 4 x (2 + 2) + 8 sign rows
-    assert expected == 48 + 16 + 8
+    expected = 48 + 16 + 8
     assert A.shape == (expected, rci.XrLayout.of(TEMPLATE).dim)
     assert b.shape == (expected,)
 
@@ -115,7 +121,7 @@ class TestVerifyRci:
     def test_feasible_solution_certified(self, rng):
         model = random_model(rng, infnorm=0.6, gain=0.2)
         sol, _ = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, EPS_U, Y)
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.3, EPS_U)
+        report = verify(sol, model, 0.3)
         assert report.worst_violation <= 1e-7
         assert report.ok
 
@@ -123,16 +129,16 @@ class TestVerifyRci:
         model = random_model(rng, infnorm=0.7, gain=0.5)
         sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, EPS_U, Y)
         assert qsol.status == qp.QpStatus.OPTIMAL
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.6, EPS_U)
+        report = verify(sol, model, 0.6)
         assert report.worst_violation > 0
 
     def test_zero_budget_reduces_to_nominal_invariance(self):
         model = stable_single_mode()
         sol, _ = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.0, EPS_U, Y)
-        report = rci.verify_rci(sol, model, TEMPLATE, 0.0, EPS_U)
+        report = verify(sol, model, 0.0)
         assert report.worst_violation <= 1e-9
         # All disturbance candidates collapse to the origin.
-        assert np.abs(rci.perturbation_vertices(model, 0.0, EPS_U)).max() == 0.0
+        assert np.abs(perturbation_vertices(model.B, 0.0, EPS_U)).max() == 0.0
 
     def test_vertex_check_dominates_samples(self, rng):
         # Each successor row is affine in the disturbance, so no point of the
@@ -142,8 +148,8 @@ class TestVerifyRci:
             sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.25, EPS_U, Y)
             if qsol.status != qp.QpStatus.OPTIMAL:
                 continue
-            report = rci.verify_rci(sol, model, TEMPLATE, 0.25, EPS_U)
-            w_vertices = rci.perturbation_vertices(model, 0.25, EPS_U)
+            report = verify(sol, model, 0.25)
+            w_vertices = perturbation_vertices(model.B, 0.25, EPS_U)
             samples = np.random.default_rng(k).dirichlet(
                 np.ones(len(w_vertices)), size=2000) @ w_vertices
             verts = TEMPLATE.vertices(sol.z_s, sol.s)

@@ -266,19 +266,6 @@ def test_record_of_other_rank_is_rejected(shape):
         sysid.IoDataset(u_seq=np.zeros(shape), y_seq=np.zeros(shape))
 
 
-def test_csv_round_trip_is_bit_exact(record):
-    again = sysid.IoDataset.from_csv(record.to_csv(), scale=record.scale)
-    assert again.u_seq.tobytes() == record.u_seq.tobytes()
-    assert again.y_seq.tobytes() == record.y_seq.tobytes()
-
-
-@pytest.mark.parametrize("n_u,n_y", [(2, 1), (1, 2)])
-def test_csv_rejects_vector_records(n_u, n_y):
-    data = sysid.IoDataset(u_seq=np.zeros((4, n_u)), y_seq=np.zeros((4, n_y)))
-    with pytest.raises(ConfigurationError):
-        data.to_csv()
-
-
 def test_feasibility_gate():
     model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
     ok, diag = sysid.feasibility_gate(model, CONTROLLER, np.zeros(2), TEMPLATE, Y, EPS_U)
@@ -311,8 +298,7 @@ def _gate_failing(monkeypatch, failures):
 def test_retry_ladder_raises_weight_decay_tenfold(record, monkeypatch, failures):
     decays = _gate_failing(monkeypatch, failures)
     cfg = sysid.TrainConfig(max_epochs=1, weight_decay=1e-4)
-    _, report = sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U,
-                                         max_retries=3)
+    _, report = sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U)
     assert decays == pytest.approx([1e-4 * 10.0 ** k for k in range(failures + 1)],
                                    rel=1e-12)
     assert report.weight_decay == decays[-1]
@@ -322,7 +308,6 @@ def test_retry_ladder_raises_weight_decay_tenfold(record, monkeypatch, failures)
 def test_retry_ladder_gives_up_with_last_diagnostics(record, monkeypatch):
     decays = _gate_failing(monkeypatch, failures=10)
     cfg = sysid.TrainConfig(max_epochs=1)
-    with pytest.raises(ConfigurationError, match=r"after 3 attempts.*'attempt': 3"):
-        sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U,
-                                 max_retries=2)
-    assert len(decays) == 3
+    with pytest.raises(ConfigurationError, match=r"after 4 attempts.*'attempt': 4"):
+        sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U)
+    assert len(decays) == 4
