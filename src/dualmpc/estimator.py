@@ -2,7 +2,8 @@
 
 The augmented state zeta = (x, theta) follows the scheduled model for x and a
 random walk with zero drift for theta.  Prediction and gain are the standard
-extended-filter recursion; the correction is projected onto a polytope built
+extended-filter recursion, and the prediction moves only the x rows of zeta
+and of P.  The correction is projected onto a polytope built
 from the current tube solution so that the controller's QP stays feasible at
 the next step no matter what the measurement says (the estimate-projection
 method of Simon 2010).  Its (x, theta) rows are the tube QP's own rows at the
@@ -23,9 +24,10 @@ and of the process noise exactly 0, the prediction and the gain leave them
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import compress
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import qlpv, qp, tmpc
 from .errors import ConfigurationError
@@ -94,19 +96,29 @@ class EstimatorState:
 
 
 def predict(state: EstimatorState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step prior (zeta_pred, P_pred); parameters propagate unchanged."""
+    """One-step prior (zeta_pred, P_pred = J P J' + Qe); parameters propagate
+    unchanged.  The augmented Jacobian J differs from I only in its x rows
+    J_x = [f_x f_theta], so J P and then (J P) J' differ from P only there."""
     params = state.model()
+    n_x = state.n_x
     x_next = qlpv.step(params, state.x_hat, u)
     zeta_pred = np.concatenate([x_next, state.theta_hat])
-    J = qlpv.augmented_jacobian(params, state.x_hat, u)
-    P_pred = J @ state.P @ J.T + state.Qe
+    J_x = np.hstack(qlpv.jacobians(params, state.x_hat, u))
+    JP = state.P.copy()
+    JP[:n_x] = J_x @ state.P
+    JP[:, :n_x] = JP @ J_x.T
+    P_pred = JP + state.Qe
     P_pred = 0.5 * (P_pred + P_pred.T)
     return zeta_pred, P_pred
 
 
 def gain(P_pred: np.ndarray, C_tilde: np.ndarray, Re: np.ndarray) -> np.ndarray:
-    S = C_tilde @ P_pred @ C_tilde.T + Re
-    return P_pred @ C_tilde.T @ np.linalg.inv(S)
+    """K = P C' S^-1 by a Cholesky solve (LAPACK dposv) with S = C P C' + Re."""
+    PCt = P_pred @ C_tilde.T
+    _, K_t, info = lapack.dposv(C_tilde @ PCt + Re, PCt.T)
+    if info:
+        raise np.linalg.LinAlgError("innovation covariance is not positive definite")
+    return K_t.T
 
 
 @dataclass
@@ -144,22 +156,23 @@ def build_theta_polytope(
     vertex blocks whose points are roundoff are left out
     (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
     each mode's scaled input image below the frozen disturbance allowance d
-    (dist), one input corner per +/- pair, since F = [I; -I] gives the rows
-    of -r as those of r reordered.
+    (dist), at the points ``TubeQp.dist_points``.  beta, eps_u and gamma must
+    be the tube's controller's, whose d and points these are; others raise
+    ``ConfigurationError``.
     """
     tq = tube.tube_qp
     lay = tq.layout
     n_x, n_u, f = lay.n_x, lay.n_u, template.n_rows
     n_p, n_theta = params.n_p, params.n_theta
     N = lay.N
-    if tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u) or gamma != tq.gamma:
-        raise ConfigurationError("tube solution malformed or from a controller with other gamma")
+    if (tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u)
+            or (gamma, beta) != (tq.gamma, tq.beta) or not np.array_equal(eps_u, tq.eps_u)):
+        raise ConfigurationError("tube solution malformed or from a controller with "
+                                 "other gamma, beta or eps_u")
     d = tube.rci.d
     F = template.F
     y = tmpc.warm_start_vector(tube, gamma).x
-    signs = np.array(list(product((-1.0, 1.0), repeat=n_u)))
-    r = beta * signs[signs[:, 0] > 0] * np.atleast_1d(np.asarray(eps_u, dtype=float))
-    dist_A = qlpv.theta_rows(params, F, np.hstack([np.zeros((len(r), n_x)), r]))
+    dist_A = qlpv.theta_rows(params, F, tq.dist_points)
     mode_A, mode_b, mode_kept = tq.mode.over_theta(params, y)
     rci_A, rci_b, rci_kept = tq.rci.vertex_rows(d).over_theta(params, y[lay.xr_cols])
     mode_names = list(compress(["tube"] * (N - 1) + ["tube_plus", "terminal"], mode_kept))
@@ -171,7 +184,8 @@ def build_theta_polytope(
     # (family of each block of f rows, rows, right-hand sides)
     blocks = [
         (["state_s"], np.hstack([F, np.zeros((f, n_theta))]), -tq.initial @ y),
-        (["dist"] * n_p * len(r), theta_only(dist_A), np.tile(d, n_p * len(r))),
+        (["dist"] * n_p * len(tq.dist_points), theta_only(dist_A),
+         np.tile(d, n_p * len(tq.dist_points))),
         (mode_names * n_p, theta_only(mode_A), mode_b),
         (["rci"] * n_p * int(rci_kept.sum()), theta_only(rci_A), rci_b),
     ]
@@ -184,14 +198,14 @@ def build_theta_polytope(
 
 
 def _inverse_psd(M: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
-    """Inverse through Cholesky, ridged on failure."""
-    M = 0.5 * (M + M.T)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(M + ridge * max(1.0, np.abs(M).max()) * np.eye(M.shape[0]))
-    Linv = np.linalg.inv(L)
-    return Linv.T @ Linv
+    """U^-1 U^-T for the Cholesky factor M = U'U (LAPACK dpotrf), ridged if M is singular."""
+    U, info = lapack.dpotrf(M)
+    if info:
+        U, info = lapack.dpotrf(M + ridge * max(1.0, np.abs(M).max()) * np.eye(len(M)))
+    if info:
+        raise np.linalg.LinAlgError("matrix is not positive semidefinite")
+    U_inv, _ = lapack.dtrtri(U)
+    return U_inv @ U_inv.T
 
 
 @dataclass
@@ -226,7 +240,7 @@ def constrained_correct(
     n_x = state.n_x
     K = gain(P_pred, C_tilde, state.Re)
     zeta = zeta_pred + K @ (y - C_tilde @ zeta_pred)
-    P_new = (np.eye(zeta_pred.size) - K @ C_tilde) @ P_pred
+    P_new = P_pred - K @ (C_tilde @ P_pred)
     P_new = 0.5 * (P_new + P_new.T)
 
     if theta_poly is None:

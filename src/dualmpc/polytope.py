@@ -11,6 +11,7 @@ downstream stay linear in the decision variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -73,6 +74,11 @@ class PolytopeTemplate:
     @property
     def n_vertices(self) -> int:
         return len(self.V)
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Mask (v, n_x): V_j maps s+_k to x_k, so vertex j is on axis k's upper face."""
+        return np.array([Vj.diagonal() for Vj in self.V]) > 0
 
     def vertices(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Stack of the polytope vertices z + V_j s, shape (v, n_x)."""
@@ -150,8 +156,6 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
     near = np.clip(x - pset.z, -s_lo, s_up)      # nearest point of the box, minus z
     # near + s_lo lies in [0, width], so t needs no clip of its own.
     t = np.divide(near + s_lo, width, out=np.full(n, 0.5), where=width > 0)
-    # Vertex j is on the upper face of axis k when V_j maps s+_k to x_k.
-    upper = np.array([Vj.diagonal() for Vj in template.V]) > 0
-    weights = np.where(upper, t, 1.0 - t).prod(axis=1)
+    weights = np.where(template.upper, t, 1.0 - t).prod(axis=1)
     residual = float(np.linalg.norm(x - pset.z - near))
     return LambdaResult(weights, residual, relaxed=residual > LAMBDA_TOL)

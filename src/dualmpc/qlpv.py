@@ -14,8 +14,8 @@ columns of the Jacobian in :func:`jacobians`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit
@@ -40,12 +40,10 @@ class ModelParams:
         n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
         if len(self.B) != n_p:
             raise ConfigurationError("A and B must list one matrix per scheduling mode")
-        for M in self.A:
-            if M.shape != (n_x, n_x):
-                raise ConfigurationError("inconsistent A_i shape")
-        for M in self.B:
-            if M.shape != (n_x, n_u):
-                raise ConfigurationError("inconsistent B_i shape")
+        if any(M.shape != (n_x, n_x) for M in self.A):
+            raise ConfigurationError("inconsistent A_i shape")
+        if any(M.shape != (n_x, n_u) for M in self.B):
+            raise ConfigurationError("inconsistent B_i shape")
         if self.W1.shape != (n_h, n_x + n_u) or self.b1.shape != (n_h,):
             raise ConfigurationError("hidden-layer shape mismatch")
         if self.W2.shape != (n_p, n_h) or self.b2.shape != (n_p,):
@@ -86,28 +84,20 @@ class ModelParams:
         return np.concatenate(parts)
 
     def replace_theta(self, theta: np.ndarray) -> "ModelParams":
-        """The model of these shapes and this C with the parameters theta."""
+        """The model of these shapes and a copy of this C with the parameters
+        theta; the shapes and C are validated, so the checks are skipped."""
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != self.n_theta:
             raise ConfigurationError(
                 f"theta has {theta.size} entries, expected {self.n_theta}")
         n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
-        pos = 0
-
-        def take(shape):
-            nonlocal pos
-            size = math.prod(shape)
-            block = theta[pos:pos + size].reshape(shape)
-            pos += size
-            return block
-
-        A = [take((n_x, n_x)) for _ in range(n_p)]
-        B = [take((n_x, n_u)) for _ in range(n_p)]
-        W1 = take((n_h, n_x + n_u))
-        b1 = take((n_h,))
-        W2 = take((n_p, n_h))
-        b2 = take((n_p,))
-        return ModelParams(A=A, B=B, W1=W1, b1=b1, W2=W2, b2=b2, C=self.C.copy())
+        sizes = [n_p * n_x * n_x, n_p * n_x * n_u, n_h * (n_x + n_u), n_h, n_p * n_h, n_p]
+        A, B, W1, b1, W2, b2 = (theta[e - s:e] for s, e in zip(sizes, accumulate(sizes)))
+        model = object.__new__(ModelParams)
+        vars(model).update(A=list(A.reshape(n_p, n_x, n_x)), B=list(B.reshape(n_p, n_x, n_u)),
+                           W1=W1.reshape(n_h, n_x + n_u), b1=b1, W2=W2.reshape(n_p, n_h),
+                           b2=b2, C=self.C.copy())
+        return model
 
 
 def _stacked(params: ModelParams) -> np.ndarray:
@@ -199,15 +189,6 @@ def jacobians(params: ModelParams, x: np.ndarray, u: np.ndarray
     return fx, ftheta
 
 
-def augmented_jacobian(params: ModelParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Jacobian of the augmented map (x, theta) -> (f(x, u, theta), theta)."""
-    fx, ftheta = jacobians(params, x, u)
-    n_theta = params.n_theta
-    top = np.hstack([fx, ftheta])
-    bottom = np.hstack([np.zeros((n_theta, params.n_x)), np.eye(n_theta)])
-    return np.vstack([top, bottom])
-
-
 def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Coefficients over theta of F (A_i w + B_i r) at fixed points (w, r).
 
@@ -216,14 +197,14 @@ def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.nda
     B_i blocks of theta: d/dA_i[k, l] = F[:, k] w_l, d/dB_i[k, l] = F[:, k] r_l.
     """
     n_x, n_u, n_p = params.n_x, params.n_u, params.n_p
-    shape = (n_p, len(points), F.shape[0])
-    modes = np.eye(n_p)
-    A = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, :n_x])
-    B = np.einsum("ij,ak,pl->ipajkl", modes, F, points[:, n_x:])
-    A = A.reshape(shape + (n_p * n_x * n_x,))
-    B = B.reshape(shape + (n_p * n_x * n_u,))
-    net = np.zeros(shape + (params.n_theta - n_p * n_x * (n_x + n_u),))
-    return np.concatenate([A, B, net], axis=3)
+    n_a, n_b = n_x * n_x, n_x * n_u
+    out = np.zeros((n_p, len(points), F.shape[0], params.n_theta))
+    dA = np.einsum("ak,pl->pakl", F, points[:, :n_x]).reshape(out.shape[1:3] + (n_a,))
+    dB = np.einsum("ak,pl->pakl", F, points[:, n_x:]).reshape(out.shape[1:3] + (n_b,))
+    for i in range(n_p):
+        out[i, :, :, i * n_a:(i + 1) * n_a] = dA
+        out[i, :, :, n_p * n_a + i * n_b:n_p * n_a + (i + 1) * n_b] = dB
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,5 +254,4 @@ def disturbance_vector(params: ModelParams, template: PolytopeTemplate,
     eps_u = np.atleast_1d(np.asarray(eps_u, dtype=float))
     if (eps_u < 0).any():
         raise ConfigurationError("input bounds must be nonnegative")
-    cols = [beta * np.abs(template.F @ Bi) @ eps_u for Bi in params.B]
-    return np.max(np.column_stack(cols), axis=1)
+    return (beta * np.abs(template.F @ np.array(params.B)) @ eps_u).max(axis=0)

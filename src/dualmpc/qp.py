@@ -71,8 +71,8 @@ _MAX_ITER = 500
 class QpProblem:
     """Dense QP data. A missing constraint block is an empty (0-row) array.
 
-    Build problems with :meth:`build`, which validates them once; the solver
-    does not validate again.
+    :meth:`build` validates a problem and the solver does not.  ``tmpc.TubeQp``
+    validates its fixed H once and constructs each step's problem directly.
     """
 
     H: np.ndarray

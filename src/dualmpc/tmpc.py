@@ -10,10 +10,12 @@ part of the QP, feasibility for any reference is preserved and the optimal
 value minus the standalone set-tracking optimum acts as a Lyapunov function.
 
 :class:`TubeQp` holds what is built once per controller (cfg, template, Y,
-eps_u, C): H, the y_ref -> g map, the model-free rows and both ``ModeRows``.
-Each step refreshes only d, their model rows, -F x_hat and g.  solve_tmpc
-caches TubeQps by the identity of cfg, template and Y and the values of
-eps_u and C; change neither those objects nor a TubeQp's arrays in place.
+eps_u, C): H, validated once, the y_ref -> g map, the model-free rows, both
+``ModeRows`` and the estimator's dist points.  Each step computes d, the
+model rows of both, -F x_hat and g, and checks only those for finiteness.
+solve_tmpc caches TubeQps by the identity of cfg, template and Y and the
+values of eps_u and C; change neither those objects nor a TubeQp's arrays
+in place.
 
 :func:`warm_start_vector` gives the next solve the time-shifted plan with
 this solve's duals, which qp.solve accepts without iterating while it is
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -151,6 +154,8 @@ class TubeQp:
     """The tube QP of one controller; :meth:`rows` and :meth:`cost` fill in a step."""
 
     gamma: float
+    beta: float
+    eps_u: np.ndarray
     layout: TmpcLayout
     H: np.ndarray
     set_cost: rci.SetCost         # the x_r part of the cost
@@ -159,6 +164,7 @@ class TubeQp:
     A_box: np.ndarray             # vertex outputs and inputs along the tube
     b_box: np.ndarray
     initial: np.ndarray           # G with G y <= -F x_hat
+    dist_points: np.ndarray       # the estimator's dist points (0, r)
 
     @classmethod
     def build(cls, cfg: ControllerConfig, template: PolytopeTemplate, Y: Hpoly,
@@ -170,9 +176,9 @@ class TubeQp:
             W = P if k == lay.N else Q
             H += 2.0 * D.T @ W @ D
         set_cost = rci.SetCost.build(template, C)
-        # A sum of 2 D'WD with W > 0 and the set cost's H: positive semidefinite
-        # by construction, so solve_tmpc skips the eigenvalue check.
         H[lay.xr_cols, lay.xr_cols] += set_cost.H
+        # Sums of 2 D'WD, W > 0, and the set cost are PSD: validate H once, no eigvalsh.
+        qp.QpProblem.build(H, np.zeros(lay.dim), check_psd=False)
 
         mode = mode_rows(cfg.gamma, template, lay)
         rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C)
@@ -187,7 +193,12 @@ class TubeQp:
         # keeps x_hat inside X(z_0, s), so the barycentric weights reproduce it.
         initial = np.zeros((template.n_rows, lay.dim))
         initial[:, lay.z(0)], initial[:, lay.s] = -template.F, -np.eye(template.n_rows)
-        return cls(cfg.gamma, lay, H, set_cost, mode, rci_rows, A_box, b_box, initial)
+        # r = beta eps_u o sign with sign_0 = +1: F = [I; -I] gives the rows of
+        # -r as those of r reordered.
+        signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
+        dist = np.hstack([np.zeros((len(signs), lay.n_x)), cfg.beta * signs * eps_u])
+        return cls(cfg.gamma, cfg.beta, eps_u, lay, H, set_cost, mode, rci_rows, A_box,
+                   b_box, initial, dist)
 
     def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
              d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +241,10 @@ def solve_tmpc(
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     A, b = tq.rows(params, x_hat, d)
     g, const = tq.cost(y_ref)
-    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False), warm_start=warm_start)
+    # H was validated with tq, and the shapes of the rest are tq's.
+    if not (np.isfinite(g).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ConfigurationError("problem data must be finite")
+    sol = qp.solve(qp.QpProblem(tq.H, g, A, b), warm_start=warm_start)
 
     z = np.array([sol.x[lay.z(k)] for k in range(cfg.N + 1)])
     v = np.array([sol.x[lay.v(k)] for k in range(cfg.N + 1)])

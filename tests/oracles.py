@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: the QP oracle
 enumerates active sets instead of running an interior-point iteration, the
-Kalman oracle is the textbook recursion, derivative checks use central
-finite differences, and the invariant-set check evaluates every successor
-state directly.
+Kalman oracle is the textbook recursion, the filter's prior covariance is the
+dense triple product over the augmented Jacobian, derivative checks use
+central finite differences, and the invariant-set check evaluates every
+successor state directly.
 """
 
 import itertools
@@ -61,6 +62,21 @@ def kalman_filter_oracle(A, B, C, Q, R, x0, P0, u_seq, y_seq):
         P = (np.eye(len(x)) - K @ C) @ P
         out.append(x.copy())
     return out
+
+
+def augmented_jacobian(fx, ftheta):
+    """Jacobian of the augmented map (x, theta) -> (f(x, u, theta), theta),
+    from f's Jacobians fx (n_x, n_x) and ftheta (n_x, n_theta)."""
+    n_x, n_theta = ftheta.shape
+    top = np.hstack([fx, ftheta])
+    bottom = np.hstack([np.zeros((n_theta, n_x)), np.eye(n_theta)])
+    return np.vstack([top, bottom])
+
+
+def dense_predicted_covariance(fx, ftheta, P, Qe):
+    """Extended-filter prior covariance J P J' + Qe with the dense augmented J."""
+    J = augmented_jacobian(fx, ftheta)
+    return J @ P @ J.T + Qe
 
 
 def central_difference_jacobian(fun, x, h=1e-6):

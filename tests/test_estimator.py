@@ -7,7 +7,7 @@ from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
-from oracles import kalman_filter_oracle
+from oracles import augmented_jacobian, dense_predicted_covariance, kalman_filter_oracle
 
 
 TEMPLATE = box_template(2, 1)
@@ -74,11 +74,41 @@ class TestPredict:
         state.P = 0.5 * (L @ L.T) / 44 + 1e-3 * np.eye(44)
         u = rng.normal(size=1)
         _, P_pred = estimator.predict(state, u)
-        J = qlpv.augmented_jacobian(state.model(), state.x_hat, u)
+        J = augmented_jacobian(*qlpv.jacobians(state.model(), state.x_hat, u))
         ref = np.longdouble(J) @ np.longdouble(state.P) @ np.longdouble(J).T \
             + np.longdouble(state.Qe)
         ref = 0.5 * (ref + ref.T)
         assert np.abs(P_pred - ref.astype(float)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_x,n_u,n_p", [(2, 1, 3), (3, 2, 2), (1, 1, 1)])
+    def test_block_covariance_matches_dense_oracle(self, rng, n_x, n_u, n_p):
+        # predict moves only the x rows and columns of P; the oracle forms
+        # the full 44 x 44 (for the paper's shapes) J P J' + Qe.
+        for _ in range(20):
+            model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
+            state = estimator.EstimatorState.from_model(model, x0=rng.normal(size=n_x))
+            n = state.zeta.size
+            L = rng.normal(size=(n, n))
+            state.P = L @ L.T / n + 1e-3 * np.eye(n)
+            state.Qe = np.diag(rng.uniform(0.0, 1e-3, size=n))
+            u = rng.normal(size=n_u)
+            _, P_pred = estimator.predict(state, u)
+            ref = dense_predicted_covariance(*qlpv.jacobians(state.model(), state.x_hat, u),
+                                             state.P, state.Qe)
+            assert np.abs(P_pred - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(P_pred, P_pred.T)
+
+    def test_frozen_theta_rows_of_prior_and_posterior_exactly_zero(self, rng):
+        model = random_model(rng)
+        state = estimator.EstimatorState.from_model(model, x0=rng.normal(size=2),
+                                                    freeze_theta=True)
+        for _ in range(10):
+            zeta_pred, P_pred = estimator.predict(state, rng.uniform(-1, 1, size=1))
+            assert not P_pred[2:].any() and not P_pred[:, 2:].any()
+            res = estimator.constrained_correct(state, zeta_pred, P_pred,
+                                                rng.normal(size=1), None)
+            assert not res.P[2:].any() and not res.P[:, 2:].any()
+            state.zeta, state.P = res.zeta, res.P
 
 
 class TestGain:
@@ -100,6 +130,26 @@ class TestGain:
             post = (np.eye(5) - K @ C) @ P
             post = 0.5 * (post + post.T)
             assert np.linalg.eigvalsh(post).min() >= -1e-9
+
+
+class TestInversePsd:
+    def test_matches_inverse_on_spd_input(self, rng):
+        for n in (1, 2, 5, 44):
+            L = rng.normal(size=(n, n))
+            M = L @ L.T + 1e-2 * np.eye(n)
+            inv = estimator._inverse_psd(M)
+            ref = np.linalg.inv(M)
+            assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(inv, inv.T)
+
+    def test_singular_input_takes_the_ridge(self, rng):
+        L = rng.normal(size=(6, 3))
+        for M in (np.ones((2, 2)), L @ L.T, np.zeros((3, 3))):
+            inv = estimator._inverse_psd(M)
+            assert np.isfinite(inv).all()
+            assert np.array_equal(inv, inv.T)
+        # The zero matrix factors only with the ridge 1e-10 I.
+        assert inv == pytest.approx(1e10 * np.eye(3), rel=1e-12)
 
 
 class TestThetaPolytope:
@@ -162,6 +212,17 @@ class TestThetaPolytope:
         model, _, sol = tube_setup
         with pytest.raises(ConfigurationError):
             estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, 0.9)
+
+    def test_beta_or_input_bounds_of_another_controller_rejected(self, tube_setup):
+        # Other beta or eps_u would give dist rows that do not match the
+        # tube's disturbance allowance d.
+        model, _, sol = tube_setup
+        assert CFG.beta == 0.3
+        with pytest.raises(ConfigurationError, match="beta"):
+            estimator.build_theta_polytope(sol, TEMPLATE, model, 0.2, EPS_U, CFG.gamma)
+        with pytest.raises(ConfigurationError, match="beta"):
+            estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, 0.5 * EPS_U,
+                                           CFG.gamma)
 
     def test_settled_plan_leaves_no_roundoff_rows(self, tube_setup):
         # A settled plan makes every tube point z_k - z_s roundoff: the rows

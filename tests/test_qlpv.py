@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dualmpc import qlpv
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import box_template
 from conftest import random_model
-from oracles import central_difference_jacobian, hull_membership_lp
+from oracles import augmented_jacobian, central_difference_jacobian, hull_membership_lp
 
 # (n_x, n_u, n_p) of the Jacobian tests.
 SHAPES = [(2, 1, 3), (3, 2, 2), (1, 1, 1)]
@@ -25,6 +27,25 @@ def test_pack_unpack_roundtrip_bit_exact(rng, small_model):
     for wrong in (np.append(theta, 0.0), theta[:-1]):
         with pytest.raises(ConfigurationError, match="theta has"):
             small_model.replace_theta(wrong)
+
+
+def test_replace_theta_equals_validated_model(rng, small_model):
+    m = small_model
+    n_x, n_u, n_p, n_h = m.n_x, m.n_u, m.n_p, m.n_h
+    theta = rng.normal(size=m.n_theta)
+    cuts = np.cumsum([n_p * n_x * n_x, n_p * n_x * n_u, n_h * (n_x + n_u), n_h, n_p * n_h])
+    A, B, W1, b1, W2, b2 = np.split(theta, cuts)
+    ref = qlpv.ModelParams(A=list(A.reshape(n_p, n_x, n_x)), B=list(B.reshape(n_p, n_x, n_u)),
+                           W1=W1.reshape(n_h, n_x + n_u), b1=b1, W2=W2.reshape(n_p, n_h),
+                           b2=b2, C=m.C.copy())
+    fast = m.replace_theta(theta)
+    assert type(fast) is qlpv.ModelParams and vars(fast).keys() == vars(ref).keys()
+    for f in dataclasses.fields(qlpv.ModelParams):
+        a, b = np.asarray(getattr(fast, f.name)), np.asarray(getattr(ref, f.name))
+        assert a.shape == b.shape and np.array_equal(a, b), f.name
+    assert fast.C is not m.C and not np.shares_memory(fast.C, m.C)
+    with pytest.raises(ConfigurationError, match="theta has"):
+        m.replace_theta(theta[:-1])
 
 
 class TestScheduling:
@@ -99,12 +120,12 @@ class TestAugmentedJacobian:
         model = qlpv.ModelParams(A=m.A, B=m.B, W1=0 * m.W1, b1=0 * m.b1,
                                  W2=0 * m.W2, b2=0 * m.b2, C=m.C)
         x, u = np.array([0.4, -1.1]), np.array([0.2])
-        J = qlpv.augmented_jacobian(model, x, u)
+        J = augmented_jacobian(*qlpv.jacobians(model, x, u))
         mean_A = sum(model.A) / 3
         assert J[:2, :2] == pytest.approx(mean_A, abs=1e-12)
 
     def test_bottom_blocks_are_identity(self, small_model):
-        J = qlpv.augmented_jacobian(small_model, np.ones(2), np.ones(1))
+        J = augmented_jacobian(*qlpv.jacobians(small_model, np.ones(2), np.ones(1)))
         assert np.array_equal(J[2:, 2:], np.eye(42))
         assert np.array_equal(J[2:, :2], np.zeros((42, 2)))
 
@@ -119,7 +140,7 @@ class TestAugmentedJacobian:
                 m = model.replace_theta(zeta[n_x:])
                 return qlpv.step(m, zeta[:n_x], u)
 
-            J = qlpv.augmented_jacobian(model, x, u)
+            J = augmented_jacobian(*qlpv.jacobians(model, x, u))
             J_fd = central_difference_jacobian(f_of_zeta, np.concatenate([x, theta]))
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J[:n_x] - J_fd).max() / scale < 1e-5
@@ -139,6 +160,22 @@ class TestAugmentedJacobian:
                 single = qlpv.jacobians(model, x[t], u[t])
                 for batched, alone in zip((fx[t], ftheta[t]), single):
                     assert np.abs(batched - alone).max() <= 1e-13 * np.abs(alone).max()
+
+
+@pytest.mark.parametrize("n_x,n_u,n_p", SHAPES, ids=SHAPE_IDS)
+def test_theta_rows_equal_rows_at_unit_parameters(rng, n_x, n_u, n_p):
+    # Column j of mode i's rows is F (A_i w + B_i r) at the model whose theta
+    # is the unit vector e_j: one product F[:, k] w_l or F[:, k] r_l, exactly.
+    model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
+    F = rng.normal(size=(2 * n_x, n_x))
+    points = rng.normal(size=(5, n_x + n_u))
+    rows = qlpv.theta_rows(model, F, points)
+    assert rows.shape == (n_p, len(points), len(F), model.n_theta)
+    for j, e in enumerate(np.eye(model.n_theta)):
+        unit = model.replace_theta(e)
+        for i in range(n_p):
+            ref = (unit.A[i] @ points[:, :n_x].T + unit.B[i] @ points[:, n_x:].T).T @ F.T
+            assert np.array_equal(rows[i, :, :, j], ref)
 
 
 class TestDisturbanceVector:
