@@ -149,7 +149,8 @@ class TestInversePsd:
             assert np.isfinite(inv).all()
             assert np.array_equal(inv, inv.T)
         # The zero matrix factors only with the ridge 1e-10 I.
-        assert inv == pytest.approx(1e10 * np.eye(3), rel=1e-12)
+        assert estimator._inverse_psd(np.zeros((3, 3))) == pytest.approx(1e10 * np.eye(3),
+                                                                          rel=1e-12)
 
 
 class TestThetaPolytope:
