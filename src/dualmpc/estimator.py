@@ -29,7 +29,7 @@ from itertools import compress
 import numpy as np
 from scipy.linalg import lapack
 
-from . import qlpv, qp, tmpc
+from . import qlpv, qp
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
 from .tmpc import TubeSolution
@@ -97,13 +97,13 @@ class EstimatorState:
 
 def predict(state: EstimatorState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-step prior (zeta_pred, P_pred = J P J' + Qe); parameters propagate
-    unchanged.  The augmented Jacobian J differs from I only in its x rows
-    J_x = [f_x f_theta], so J P and then (J P) J' differ from P only there."""
-    params = state.model()
+    unchanged.  One ``qlpv.jacobians`` call gives the predicted x and the x
+    rows J_x = [f_x f_theta] of the augmented Jacobian J, which differs from
+    I only there, so J P and then (J P) J' differ from P only there."""
     n_x = state.n_x
-    x_next = qlpv.step(params, state.x_hat, u)
+    x_next, fx, ftheta = qlpv.jacobians(state.model(), state.x_hat, u)
     zeta_pred = np.concatenate([x_next, state.theta_hat])
-    J_x = np.hstack(qlpv.jacobians(params, state.x_hat, u))
+    J_x = np.hstack([fx, ftheta])
     JP = state.P.copy()
     JP[:n_x] = J_x @ state.P
     JP[:, :n_x] = JP @ J_x.T
@@ -146,53 +146,43 @@ def build_theta_polytope(
 ) -> FeasibilityPolytope:
     """Constraint polytope over (x, theta) from the current tube solution.
 
-    The estimate must keep the shifted candidate y =
-    ``tmpc.warm_start_vector(tube, gamma).x`` feasible for the next tube QP.
+    The estimate must keep the shifted plan y = ``tube.shifted``, the x of
+    ``tmpc.warm_start_vector(tube, gamma)``, feasible for the next tube QP.
     Those rows are the tube QP's own, evaluated at y with x and theta free:
-    the initial row puts x in the full first shifted set (state_s), the mode
-    rows give the candidate tube, the last shifted tube row into (z+, v+) and
-    the terminal contraction (tube, tube_plus, terminal), and the vertex
-    dynamics give the invariant-set rows tightened by d + q (rci).  Mode and
-    vertex blocks whose points are roundoff are left out
+    the initial row puts x in the full first shifted set (state_s), and one
+    ``over_theta`` call on the tube QP's model rows gives, mode by mode, the
+    candidate tube, the last shifted tube row into (z+, v+) and the terminal
+    contraction (tube, tube_plus, terminal), then the vertex dynamics
+    tightened by d + q (rci).  Points that are roundoff are left out
     (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
     each mode's scaled input image below the frozen disturbance allowance d
-    (dist), at the points ``TubeQp.dist_points``.  beta, eps_u and gamma must
-    be the tube's controller's, whose d and points these are; others raise
-    ``ConfigurationError``.
+    (dist), at the points ``TubeQp.dist_points``.  The rows are written into
+    one array, in the order state_s, dist, model rows.  beta, eps_u and gamma
+    must be the tube's controller's, whose d and points these are; others
+    raise ``ConfigurationError``.
     """
     tq = tube.tube_qp
     lay = tq.layout
-    n_x, n_u, f = lay.n_x, lay.n_u, template.n_rows
-    n_p, n_theta = params.n_p, params.n_theta
-    N = lay.N
+    n_x, n_u, f, N = lay.n_x, lay.n_u, template.n_rows, lay.N
+    n_theta = params.n_theta
     if (tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u)
             or (gamma, beta) != (tq.gamma, tq.beta) or not np.array_equal(eps_u, tq.eps_u)):
         raise ConfigurationError("tube solution malformed or from a controller with "
                                  "other gamma, beta or eps_u")
-    d = tube.rci.d
-    F = template.F
-    y = tmpc.warm_start_vector(tube, gamma).x
-    dist_A = qlpv.theta_rows(params, F, tq.dist_points)
-    mode_A, mode_b, mode_kept = tq.mode.over_theta(params, y)
-    rci_A, rci_b, rci_kept = tq.rci.vertex_rows(d).over_theta(params, y[lay.xr_cols])
-    mode_names = list(compress(["tube"] * (N - 1) + ["tube_plus", "terminal"], mode_kept))
+    d, y = tube.rci.d, tube.shifted
+    model_A, model_b, kept = tq.model_rows(d).over_theta(params, y)
+    dist_A = qlpv.theta_rows(params, template.F, tq.dist_points).reshape(-1, n_theta)
+    n_dist = params.n_p * len(tq.dist_points)
+    point_names = ["tube"] * (N - 1) + ["tube_plus", "terminal"] + ["rci"] * template.n_vertices
+    names = ["state_s"] + ["dist"] * n_dist + list(compress(point_names, kept)) * params.n_p
 
-    def theta_only(A):
-        A = A.reshape(-1, n_theta)
-        return np.hstack([np.zeros((len(A), n_x)), A])
-
-    # (family of each block of f rows, rows, right-hand sides)
-    blocks = [
-        (["state_s"], np.hstack([F, np.zeros((f, n_theta))]), -tq.initial @ y),
-        (["dist"] * n_p * len(tq.dist_points), theta_only(dist_A),
-         np.tile(d, n_p * len(tq.dist_points))),
-        (mode_names * n_p, theta_only(mode_A), mode_b),
-        (["rci"] * n_p * int(rci_kept.sum()), theta_only(rci_A), rci_b),
-    ]
-    A = np.vstack([blk[1] for blk in blocks])
-    b = np.concatenate([blk[2] for blk in blocks])
+    A = np.zeros((f * len(names), n_x + n_theta))
+    A[:f, :n_x] = template.F
+    A[f:f + len(dist_A), n_x:] = dist_A
+    A[f + len(dist_A):, n_x:] = model_A
+    b = np.concatenate([-tq.initial @ y, np.tile(d, n_dist), model_b])
     families: dict = {}
-    for k, name in enumerate(n for names, _, _ in blocks for n in names):
+    for k, name in enumerate(names):
         families.setdefault(name, []).append(slice(k * f, (k + 1) * f))
     return FeasibilityPolytope(A=A, b=b, families=families)
 

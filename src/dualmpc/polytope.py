@@ -80,14 +80,6 @@ class PolytopeTemplate:
         """Mask (v, n_x): V_j maps s+_k to x_k, so vertex j is on axis k's upper face."""
         return np.array([Vj.diagonal() for Vj in self.V]) > 0
 
-    def vertices(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Stack of the polytope vertices z + V_j s, shape (v, n_x)."""
-        return np.array([z + Vj @ s for Vj in self.V])
-
-    def vertex_input(self, c: np.ndarray, j: int) -> np.ndarray:
-        """The j-th vertex control input, block j of the stacked vector c."""
-        return c.reshape(self.n_vertices, self.n_u)[j]
-
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -119,12 +111,6 @@ def box_template(n_x: int, n_u: int) -> PolytopeTemplate:
                 Vj[k, k] = 1.0
         V.append(Vj)
     return PolytopeTemplate(F=F, V=tuple(V), n_x=n_x, n_u=n_u)
-
-
-def contains(template: PolytopeTemplate, pset: ParamSet, x: np.ndarray,
-             tol: float = DEFAULT_TOL) -> bool:
-    """Membership x in X(z, s), elementwise slack tol."""
-    return bool((template.F @ (np.asarray(x) - pset.z) <= pset.s + tol).all())
 
 
 @dataclass

@@ -163,13 +163,15 @@ def _scheduling_grads(params: ModelParams, xi: np.ndarray):
 
 
 def jacobians(params: ModelParams, x: np.ndarray, u: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dx, df/dtheta) of the one-step map at (x, u).
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, df/dx, df/dtheta) of the one-step map f at (x, u).
 
-    x (T, n_x) and u (T, n_u) give a batch of T points, with df/dx of shape
-    (T, n_x, n_x) and df/dtheta of shape (T, n_x, n_theta); T may be 0.  A
-    single point, x (n_x,) and u (n_u,), is a batch of one and gives the two
-    matrices without the batch axis.
+    The value f = sum_i p_i (A_i x + B_i u) is formed from the mode images and
+    p that the derivatives need, so one call linearises the map and steps it;
+    it equals :func:`step` up to rounding.  x (T, n_x) and u (T, n_u) give a
+    batch of T points, with f of shape (T, n_x), df/dx (T, n_x, n_x) and
+    df/dtheta (T, n_x, n_theta); T may be 0.  A single point, x (n_x,) and
+    u (n_u,), is a batch of one and gives the three without the batch axis.
     """
     n_x, n_u = params.n_x, params.n_u
     x = np.asarray(x, dtype=float)
@@ -179,14 +181,15 @@ def jacobians(params: ModelParams, x: np.ndarray, u: np.ndarray
 
     AB = _stacked(params)
     modes = np.einsum("ijk,tk->tji", AB, xi)               # (T, n_x, n_p)
+    f = np.einsum("tji,ti->tj", modes, p)
     fx = np.einsum("ti,ijk->tjk", p, AB[:, :, :n_x]) + modes @ dp_dxi[:, :, :n_x]
 
     # df/dA_i and df/dB_i are p_i times the rows of A_i x + B_i u over theta.
     ftheta = np.einsum("ti,itjk->tjk", p, theta_rows(params, np.eye(n_x), xi))
     ftheta[:, :, -dp_dnet.shape[2]:] = modes @ dp_dnet
     if x.ndim < 2:
-        return fx[0], ftheta[0]
-    return fx, ftheta
+        return f[0], fx[0], ftheta[0]
+    return f, fx, ftheta
 
 
 def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.ndarray:

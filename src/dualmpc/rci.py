@@ -134,13 +134,10 @@ class RciRows:
                    np.vstack([(box @ vertex.S).reshape(-1, lay.dim), A_sign]),
                    np.concatenate([np.tile(box_h, lay.v), np.zeros(2 * lay.f)]))
 
-    def vertex_rows(self, d: np.ndarray) -> qlpv.ModeRows:
-        """The vertex dynamics with room for the disturbance allowance d."""
-        return replace(self.vertex, h=np.tile(-d, (len(self.vertex.h), 1)))
-
     def over_y(self, params: qlpv.ModelParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with A x_r <= b for the model params and allowance d."""
-        A_dyn, b_dyn = self.vertex_rows(d).over_y(params)
+        vertex = replace(self.vertex, h=np.tile(-d, (len(self.vertex.h), 1)))
+        A_dyn, b_dyn = vertex.over_y(params)
         return np.vstack([A_dyn, self.A_fixed]), np.concatenate([b_dyn, self.b_fixed])
 
 
@@ -170,13 +167,11 @@ class SetCost:
     lay: XrLayout
 
     @classmethod
-    def build(cls, template: PolytopeTemplate, C: np.ndarray, Q1: np.ndarray | None = None,
-              Q2: np.ndarray | None = None) -> "SetCost":
-        """Q1 and Q2 default to :func:`default_weights`."""
+    def build(cls, template: PolytopeTemplate, C: np.ndarray) -> "SetCost":
+        """The cost with the weights of :func:`default_weights`."""
         lay = XrLayout.of(template)
-        dQ1, dQ2 = default_weights(template, C.shape[0])
-        Q1 = dQ1 if Q1 is None else Q1
-        H = 2.0 * (dQ2 if Q2 is None else Q2).copy()
+        Q1, Q2 = default_weights(template, C.shape[0])
+        H = 2.0 * Q2
         H[lay.z_s, lay.z_s] += 2.0 * lay.v * C.T @ Q1 @ C
         return cls(H, -2.0 * lay.v * C.T @ Q1, Q1, lay)
 
@@ -195,14 +190,12 @@ def solve_optimal_rci(
     beta: float,
     eps_u: np.ndarray,
     Y: Hpoly,
-    Q1: np.ndarray | None = None,
-    Q2: np.ndarray | None = None,
 ) -> tuple[RciSolution, qp.QpSolution]:
     """Smallest admissible invariant set whose center output tracks y_ref."""
     lay = XrLayout.of(template)
     d = qlpv.disturbance_vector(params, template, beta, eps_u)
     A, b = rci_constraint_block(params, template, beta, eps_u, Y, d)
-    cost = SetCost.build(template, params.C, Q1, Q2)
+    cost = SetCost.build(template, params.C)
     g, const = cost.at(y_ref)
     sol = qp.solve(qp.QpProblem.build(cost.H, g, A, b))
     if sol.status != qp.QpStatus.OPTIMAL:

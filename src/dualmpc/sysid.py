@@ -160,7 +160,7 @@ def _rollout_gradient(params: qlpv.ModelParams, data: IoDataset, rollout: tuple,
     T = len(data)
     # lam_t = d loss / d x_t = c_t + f_x,t^T lam_{t+1} with c_t = -(2/T) C^T err_t;
     # x_0 is fixed, so the recursion stops at lam_1.
-    fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
+    _, fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
     lam = -(2.0 / T) * err @ params.C
     for t in range(T - 2, 0, -1):
         lam[t] += fx[t].T @ lam[t + 1]

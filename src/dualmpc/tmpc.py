@@ -10,22 +10,25 @@ part of the QP, feasibility for any reference is preserved and the optimal
 value minus the standalone set-tracking optimum acts as a Lyapunov function.
 
 :class:`TubeQp` holds what is built once per controller (cfg, template, Y,
-eps_u, C): H, validated once, the y_ref -> g map, the model-free rows, both
-``ModeRows`` and the estimator's dist points.  Each step computes d, the
-model rows of both, -F x_hat and g, and checks only those for finiteness.
-solve_tmpc caches TubeQps by the identity of cfg, template and Y and the
-values of eps_u and C; change neither those objects nor a TubeQp's arrays
-in place.
+eps_u, C): H and the fixed rows, validated once, the y_ref -> g map, one
+``qlpv.ModeRows`` over the full vector and the estimator's dist points.  A
+step's rows are the model rows, mode-major over the tube points and then the
+invariant-set vertex points, from one ``ModeRows.over_y`` call; the fixed
+rows; the initial row.  Each step computes d, the model rows, -F x_hat and
+g, and checks only those for finiteness.  solve_tmpc caches TubeQps by the
+identity of cfg, template and Y and the values of eps_u and C; change
+neither those objects nor a TubeQp's arrays in place.
 
-:func:`warm_start_vector` gives the next solve the time-shifted plan with
-this solve's duals, which qp.solve accepts without iterating while it is
-still optimal; otherwise the plan alone seeds the interior-point iteration.
+A :class:`TubeSolution` holds its time-shifted plan: :func:`warm_start_vector`
+gives it to the next solve with this solve's duals, which qp.solve accepts
+without iterating while it is still optimal, and the estimator's polytope is
+formed at the same array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -118,6 +121,15 @@ class TubeSolution:
     status: qp.QpStatus
     qp_solution: qp.QpSolution
     tube_qp: TubeQp               # the controller's prebuilt QP
+    # The shifted plan at the controller's gamma, made from z, v and rci with
+    # the solution (dataclasses.replace makes it anew) and read-only.
+    shifted: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        z, v = candidate_shift(self, self.tube_qp.gamma)
+        # Stage k of the vector is (z_k, v_k); the x_r block closes it.
+        self.shifted = np.concatenate([np.hstack([z, v]).ravel(), self.rci.stack(self.layout.xr)])
+        self.shifted.flags.writeable = False
 
     @property
     def layout(self) -> TmpcLayout:
@@ -151,7 +163,9 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv
 
 @dataclass(frozen=True, eq=False)
 class TubeQp:
-    """The tube QP of one controller; :meth:`rows` and :meth:`cost` fill in a step."""
+    """The tube QP of one controller; :meth:`rows` and :meth:`cost` fill in a
+    step.  Its rows: ``mode`` at the tube points, then at the vertex points
+    z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row."""
 
     gamma: float
     beta: float
@@ -159,10 +173,9 @@ class TubeQp:
     layout: TmpcLayout
     H: np.ndarray
     set_cost: rci.SetCost         # the x_r part of the cost
-    mode: qlpv.ModeRows           # tube propagation and terminal rows
-    rci: rci.RciRows              # invariant-set rows over x_r
-    A_box: np.ndarray             # vertex outputs and inputs along the tube
-    b_box: np.ndarray
+    mode: qlpv.ModeRows           # model rows; h is 0, model_rows sets -d
+    A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
+    b_fixed: np.ndarray           # then the sign rows of x_r
     initial: np.ndarray           # G with G y <= -F x_hat
     dist_points: np.ndarray       # the estimator's dist points (0, r)
 
@@ -177,16 +190,24 @@ class TubeQp:
             H += 2.0 * D.T @ W @ D
         set_cost = rci.SetCost.build(template, C)
         H[lay.xr_cols, lay.xr_cols] += set_cost.H
-        # Sums of 2 D'WD, W > 0, and the set cost are PSD: validate H once, no eigvalsh.
-        qp.QpProblem.build(H, np.zeros(lay.dim), check_psd=False)
 
-        mode = mode_rows(cfg.gamma, template, lay)
+        tube = mode_rows(cfg.gamma, template, lay)
         rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C)
+        # The invariant-set block sits on the x_r columns, which close the vector.
+        pad = ((0, 0), (0, 0), (lay.xr_cols.start, 0))
+        vertex_S = np.pad(rci_rows.vertex.S, pad)
+        mode = qlpv.ModeRows(template.F, np.concatenate([tube.S, vertex_S]),
+                             np.concatenate([tube.G, np.pad(rci_rows.vertex.G, pad)]),
+                             np.zeros((lay.N + 1 + template.n_vertices, template.n_rows)))
         # Vertex outputs in Y and vertex inputs in the tracking input share along
         # the tube: vertex j of set k with its input is point k plus vertex j of x_r.
-        vertices = np.pad(rci_rows.vertex.S, ((0, 0), (0, 0), (lay.xr_cols.start, 0)))
-        A_box = (rci_rows.box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
-        b_box = np.tile(rci_rows.box_h, (lay.N + 1) * template.n_vertices)
+        A_box = (rci_rows.box @ (tube.S[:, None] + vertex_S)).reshape(-1, lay.dim)
+        A_fixed = np.vstack([A_box, np.pad(rci_rows.A_fixed, ((0, 0), pad[2]))])
+        b_fixed = np.concatenate([np.tile(rci_rows.box_h, (lay.N + 1) * template.n_vertices),
+                                  rci_rows.b_fixed])
+        # H, a sum of 2 D'WD, W > 0, and the set cost, is PSD by construction:
+        # validate it with the fixed rows once, without eigvalsh.
+        qp.QpProblem.build(H, np.zeros(lay.dim), A_fixed, b_fixed, check_psd=False)
         # The estimate lies in the first tube set X(z_0, s).  The full offset s
         # (not the slack q) is what the time-shift feasibility argument needs:
         # the propagated state is only guaranteed to land in X(z_1, s), and it
@@ -197,18 +218,21 @@ class TubeQp:
         # -r as those of r reordered.
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
         dist = np.hstack([np.zeros((len(signs), lay.n_x)), cfg.beta * signs * eps_u])
-        return cls(cfg.gamma, cfg.beta, eps_u, lay, H, set_cost, mode, rci_rows, A_box,
-                   b_box, initial, dist)
+        return cls(cfg.gamma, cfg.beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed,
+                   initial, dist)
+
+    def model_rows(self, d: np.ndarray) -> qlpv.ModeRows:
+        """The model rows with room for the disturbance allowance d at the vertex points."""
+        h = self.mode.h.copy()
+        h[self.layout.N + 1:] = -d
+        return replace(self.mode, h=h)
 
     def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
              d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) of the step: model rows at (params, d), initial row at x_hat."""
-        A_mode, b_mode = self.mode.over_y(params)
-        A_rci, b_rci = self.rci.over_y(params, d)
-        # The invariant-set block sits on the x_r columns, which close the vector.
-        A_rci = np.hstack([np.zeros((len(b_rci), self.layout.xr_cols.start)), A_rci])
-        return (np.vstack([A_mode, self.A_box, self.initial, A_rci]),
-                np.concatenate([b_mode, self.b_box, -self.mode.F @ x_hat, b_rci]))
+        """(A, b) of the step: model rows at (params, d), fixed rows, initial row at x_hat."""
+        A_model, b_model = self.model_rows(d).over_y(params)
+        return (np.concatenate([A_model, self.A_fixed, self.initial]),
+                np.concatenate([b_model, self.b_fixed, -self.mode.F @ x_hat]))
 
     def cost(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
         """(g, constant) of the cost at the reference; H is fixed."""
@@ -241,8 +265,9 @@ def solve_tmpc(
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     A, b = tq.rows(params, x_hat, d)
     g, const = tq.cost(y_ref)
-    # H was validated with tq, and the shapes of the rest are tq's.
-    if not (np.isfinite(g).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+    # H and the fixed rows were validated with tq, and the shapes of the rest are tq's.
+    if not (np.isfinite(g).all() and np.isfinite(A[:params.n_p * tq.mode.h.size]).all()
+            and np.isfinite(b).all()):
         raise ConfigurationError("problem data must be finite")
     sol = qp.solve(qp.QpProblem(tq.H, g, A, b), warm_start=warm_start)
 
@@ -263,15 +288,15 @@ def candidate_shift(sol: TubeSolution, gamma: float) -> tuple[np.ndarray, np.nda
 
 
 def warm_start_vector(sol: TubeSolution, gamma: float) -> qp.QpSolution:
-    """Warm start for the next solve: the shifted candidate with this solve's
-    duals.  qp.solve returns it unchanged when it still meets the KKT test;
-    otherwise only its x seeds the interior-point iteration.  Its
-    ``kkt_residual`` is nan until that test evaluates it."""
-    z, v = candidate_shift(sol, gamma)
-    # Stage k of the vector is (z_k, v_k); the x_r block closes it.
-    x = np.concatenate([np.hstack([z, v]).ravel(), sol.rci.stack(sol.layout.xr)])
+    """Warm start for the next solve: the shifted plan ``sol.shifted`` with
+    this solve's duals.  qp.solve returns it unchanged when it still meets
+    the KKT test; otherwise only its x seeds the interior-point iteration.
+    Its ``kkt_residual`` is nan until that test evaluates it.  gamma must be
+    the controller's; another raises ``ConfigurationError``."""
+    if gamma != sol.tube_qp.gamma:
+        raise ConfigurationError("gamma differs from the tube's controller's")
     duals = sol.qp_solution
-    return qp.QpSolution(x, duals.ineq_duals, float("nan"), duals.status, 0)
+    return qp.QpSolution(sol.shifted, duals.ineq_duals, float("nan"), duals.status, 0)
 
 
 def nominal_input(

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: the QP oracle
 enumerates active sets instead of running an interior-point iteration, the
 Kalman oracle is the textbook recursion, the filter's prior covariance is the
 dense triple product over the augmented Jacobian, derivative checks use
-central finite differences, and the invariant-set check evaluates every
-successor state directly.
+central finite differences, the invariant-set check evaluates every
+successor state directly, and template sets are read from the arrays F and
+V alone.
 """
 
 import itertools
@@ -105,6 +106,21 @@ def hull_membership_lp(point, generators, tol=1e-9):
         return False
     resid = max(np.abs(A_eq @ lam - b_eq).max(), max(0.0, -lam.min()))
     return resid <= tol
+
+
+def set_contains(F, z, s, x, tol=1e-9):
+    """Membership of x in the template set z + {w : F w <= s}, slack tol per row."""
+    return bool((F @ (np.asarray(x) - z) <= s + tol).all())
+
+
+def set_vertices(V, z, s):
+    """The vertices z + V_j s of a template set, one row each."""
+    return np.array([z + Vj @ s for Vj in V])
+
+
+def vertex_input(c, n_u, j):
+    """Input block j of the stacked vertex inputs c, n_u entries per vertex."""
+    return np.reshape(c, (-1, n_u))[j]
 
 
 POST_CHECK_TOL = 1e-7

@@ -74,7 +74,7 @@ class TestPredict:
         state.P = 0.5 * (L @ L.T) / 44 + 1e-3 * np.eye(44)
         u = rng.normal(size=1)
         _, P_pred = estimator.predict(state, u)
-        J = augmented_jacobian(*qlpv.jacobians(state.model(), state.x_hat, u))
+        J = augmented_jacobian(*qlpv.jacobians(state.model(), state.x_hat, u)[1:])
         ref = np.longdouble(J) @ np.longdouble(state.P) @ np.longdouble(J).T \
             + np.longdouble(state.Qe)
         ref = 0.5 * (ref + ref.T)
@@ -93,7 +93,7 @@ class TestPredict:
             state.Qe = np.diag(rng.uniform(0.0, 1e-3, size=n))
             u = rng.normal(size=n_u)
             _, P_pred = estimator.predict(state, u)
-            ref = dense_predicted_covariance(*qlpv.jacobians(state.model(), state.x_hat, u),
+            ref = dense_predicted_covariance(*qlpv.jacobians(state.model(), state.x_hat, u)[1:],
                                              state.P, state.Qe)
             assert np.abs(P_pred - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.array_equal(P_pred, P_pred.T)
@@ -247,56 +247,77 @@ class TestThetaPolytope:
     def test_rows_are_tube_qp_rows_at_shifted_candidate(self, N):
         # For any (x, theta), the polytope rows derived from the tube QP read
         # the same as the tube QP's own rows, assembled for the model theta
-        # and the estimate x, at the shifted candidate: the initial row as
-        # state_s, the mode rows as tube/tube_plus/terminal, the invariant-set
-        # vertex dynamics as rci, block for kept block.  The blocks left out
-        # hold at the candidate whatever (x, theta) is.
+        # and the estimate x, at the shifted candidate: the initial row (the
+        # QP's last f rows) as state_s, the model rows at the tube points as
+        # tube/tube_plus/terminal and at the invariant-set vertex points as
+        # rci, block for kept block.  The blocks left out hold at the
+        # candidate whatever (x, theta) is.
         rng = np.random.default_rng(100 + N)
         cfg = tmpc.ControllerConfig(N=N)
         model = random_model(rng, infnorm=0.6, gain=0.25)
         solved = tmpc.solve_tmpc(np.array([0.2, -0.1]), model, np.array([0.4]), cfg,
                                  TEMPLATE, Y, EPS_U)
         assert solved.status == qp.QpStatus.OPTIMAL
-        f, v, n_p = TEMPLATE.n_rows, TEMPLATE.n_vertices, model.n_p
-        n_mode = n_p * (N + 1) * f
-        initial = n_mode + (N + 1) * v * (Y.H.shape[0] + 2)
-
-        def blocks(start, kept):
-            # Row indices of the kept and the dropped blocks, mode-major.
-            idx = start + np.arange(n_p * len(kept) * f).reshape(n_p, len(kept), f)
-            return idx[:, kept].ravel(), idx[:, ~kept].ravel()
+        f, n_p = TEMPLATE.n_rows, model.n_p
 
         for sol in (solved, settled(solved)):
             poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
                                                   EPS_U, cfg.gamma)
             cand = tmpc.warm_start_vector(sol, cfg.gamma).x
             tq = sol.tube_qp
-            mode_kept, mode_dropped = blocks(0, tq.mode.over_theta(model, cand)[2])
-            rci_kept, rci_dropped = blocks(initial + f, tq.rci.vertex_rows(sol.rci.d)
-                                           .over_theta(model, cand[tq.layout.xr_cols])[2])
+            kept = tq.model_rows(sol.rci.d).over_theta(model, cand)[2]
+            # Row indices of the model rows, mode-major over the points.
+            idx = np.arange(n_p * len(kept) * f).reshape(n_p, len(kept), f)
+            tube = np.arange(len(kept)) <= N
 
             def rows(*names):
                 slices = sorted((sl for n in names for sl in poly.families.get(n, [])),
                                 key=lambda sl: sl.start)
                 return np.array([i for sl in slices for i in range(sl.start, sl.stop)], int)
 
-            qp_rows = {
-                ("state_s",): np.arange(initial, initial + f),
-                ("tube", "tube_plus", "terminal"): mode_kept,
-                ("rci",): rci_kept,
-            }
-            dropped = np.concatenate([mode_dropped, rci_dropped])
+            dropped = idx[:, ~kept].ravel()
             for _ in range(5):
                 x = rng.uniform(-0.5, 0.5, size=2)
                 theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
                 A, b = tq.rows(model.replace_theta(theta), x, sol.rci.d)
+                qp_rows = {
+                    ("state_s",): np.arange(len(b) - f, len(b)),
+                    ("tube", "tube_plus", "terminal"): idx[:, kept & tube].ravel(),
+                    ("rci",): idx[:, kept & ~tube].ravel(),
+                }
                 qp_resid = A @ cand - b
                 poly_resid = poly.A @ np.concatenate([x, theta]) - poly.b
-                for names, idx in qp_rows.items():
-                    assert len(rows(*names)) == len(idx), names
-                    assert np.abs(poly_resid[rows(*names)] - qp_resid[idx]).max(initial=0.0) \
+                for names, idx_qp in qp_rows.items():
+                    assert len(rows(*names)) == len(idx_qp), names
+                    assert np.abs(poly_resid[rows(*names)] - qp_resid[idx_qp]).max(initial=0.0) \
                         <= 1e-12, names
                 assert qp_resid[dropped].max(initial=-np.inf) <= 1e-12
+
+    def test_rows_formed_at_the_warm_start_plan(self, tube_setup, monkeypatch):
+        # The polytope's model rows are formed at exactly the x of the warm
+        # start, whether or not the warm start was taken first, and that
+        # array is the solution's read-only shifted plan.
+        model, _, sol = tube_setup
+        seen = []
+        over_theta = qlpv.ModeRows.over_theta
+
+        def recording(rows, params, y):
+            seen.append(y)
+            return over_theta(rows, params, y)
+
+        monkeypatch.setattr(qlpv.ModeRows, "over_theta", recording)
+        first = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
+        warm = tmpc.warm_start_vector(sol, CFG.gamma)
+        again = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
+        z, v = tmpc.candidate_shift(sol, CFG.gamma)
+        plan = np.concatenate([np.hstack([z, v]).ravel(), sol.rci.stack(sol.layout.xr)])
+        assert len(seen) == 2
+        for y in seen:
+            assert y.tobytes() == warm.x.tobytes() == plan.tobytes()
+        assert first.A.tobytes() == again.A.tobytes() and first.b.tobytes() == again.b.tobytes()
+        assert not warm.x.flags.writeable
+        with pytest.raises(ConfigurationError):
+            tmpc.warm_start_vector(sol, 0.9)
 
 
 class TestConstrainedCorrect:

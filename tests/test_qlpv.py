@@ -120,12 +120,12 @@ class TestAugmentedJacobian:
         model = qlpv.ModelParams(A=m.A, B=m.B, W1=0 * m.W1, b1=0 * m.b1,
                                  W2=0 * m.W2, b2=0 * m.b2, C=m.C)
         x, u = np.array([0.4, -1.1]), np.array([0.2])
-        J = augmented_jacobian(*qlpv.jacobians(model, x, u))
+        J = augmented_jacobian(*qlpv.jacobians(model, x, u)[1:])
         mean_A = sum(model.A) / 3
         assert J[:2, :2] == pytest.approx(mean_A, abs=1e-12)
 
     def test_bottom_blocks_are_identity(self, small_model):
-        J = augmented_jacobian(*qlpv.jacobians(small_model, np.ones(2), np.ones(1)))
+        J = augmented_jacobian(*qlpv.jacobians(small_model, np.ones(2), np.ones(1))[1:])
         assert np.array_equal(J[2:, 2:], np.eye(42))
         assert np.array_equal(J[2:, :2], np.zeros((42, 2)))
 
@@ -140,7 +140,7 @@ class TestAugmentedJacobian:
                 m = model.replace_theta(zeta[n_x:])
                 return qlpv.step(m, zeta[:n_x], u)
 
-            J = augmented_jacobian(*qlpv.jacobians(model, x, u))
+            J = augmented_jacobian(*qlpv.jacobians(model, x, u)[1:])
             J_fd = central_difference_jacobian(f_of_zeta, np.concatenate([x, theta]))
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J[:n_x] - J_fd).max() / scale < 1e-5
@@ -151,15 +151,36 @@ class TestAugmentedJacobian:
         for _ in range(10):
             model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
             x, u = rng.normal(size=(T, n_x)), rng.normal(size=(T, n_u))
-            fx, ftheta = qlpv.jacobians(model, x, u)
+            _, fx, ftheta = qlpv.jacobians(model, x, u)
             assert fx.shape == (T, n_x, n_x)
             assert ftheta.shape == (T, n_x, model.n_theta)
             # Relative to each matrix's largest entry: an entry that cancels
             # to near zero may round differently in a batch than alone.
             for t in range(T):
-                single = qlpv.jacobians(model, x[t], u[t])
+                single = qlpv.jacobians(model, x[t], u[t])[1:]
                 for batched, alone in zip((fx[t], ftheta[t]), single):
                     assert np.abs(batched - alone).max() <= 1e-13 * np.abs(alone).max()
+
+    @pytest.mark.parametrize("T", [0, 1, 7])
+    @pytest.mark.parametrize("n_x,n_u,n_p", SHAPES, ids=SHAPE_IDS)
+    def test_value_equals_step(self, rng, n_x, n_u, n_p, T):
+        # The value weights the mode images by p = e / sum(e), where step
+        # divides the weighted sum by sum(e): equal up to rounding, in a batch
+        # and at a single point.  Relative to the magnitudes summed into the
+        # images, |A_i| |x| + |B_i| |u|: an image that cancels to near zero
+        # keeps only its rounding.
+        for _ in range(50):
+            model = random_model(rng, n_x=n_x, n_u=n_u, n_p=n_p)
+            x, u = rng.normal(size=(T, n_x)), rng.normal(size=(T, n_u))
+            value = qlpv.jacobians(model, x, u)[0]
+            assert value.shape == (T, n_x)
+            for t in range(T):
+                ref = qlpv.step(model, x[t], u[t])
+                scale = max((np.abs(A) @ np.abs(x[t]) + np.abs(B) @ np.abs(u[t])).max()
+                            for A, B in zip(model.A, model.B))
+                alone = qlpv.jacobians(model, x[t], u[t])[0]
+                for got in (value[t], alone):
+                    assert np.abs(got - ref).max() <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n_x,n_u,n_p", SHAPES, ids=SHAPE_IDS)

@@ -4,7 +4,7 @@ import pytest
 from dualmpc import qlpv, qp, rci
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
-from oracles import perturbation_vertices, verify_rci
+from oracles import perturbation_vertices, set_vertices, vertex_input, verify_rci
 
 
 TEMPLATE = box_template(2, 1)
@@ -71,13 +71,20 @@ class TestSolveOptimalRci:
         assert sol.cost >= -1e-9
 
     def test_achievable_reference_tracked_with_small_size_weights(self):
+        # The set-tracking cost with the default output weight and tiny size
+        # weights, posed over the invariant-set rows: the center tracks y_ref.
         model = stable_single_mode()
         lay = rci.XrLayout.of(TEMPLATE)
-        Q2 = np.eye(lay.dim) * 1e-8
-        Q2[lay.s, lay.s] = 1e-8 * np.eye(4)
-        sol, _ = rci.solve_optimal_rci(model, np.array([0.5]), TEMPLATE, 0.0,
-                                       EPS_U, Y, Q2=Q2 + 1e-10 * np.eye(lay.dim))
-        assert model.C @ sol.z_s == pytest.approx([0.5], abs=1e-3)
+        y_ref = np.array([0.5])
+        Q1, _ = rci.default_weights(TEMPLATE, 1)
+        H = 2.0 * (1e-8 + 1e-10) * np.eye(lay.dim)
+        H[lay.z_s, lay.z_s] += 2.0 * lay.v * model.C.T @ Q1 @ model.C
+        g = np.zeros(lay.dim)
+        g[lay.z_s] = -2.0 * lay.v * model.C.T @ Q1 @ y_ref
+        A, b = rci.rci_constraint_block(model, TEMPLATE, 0.0, EPS_U, Y)
+        sol = qp.solve(qp.QpProblem.build(H, g, A, b))
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert model.C @ sol.x[lay.z_s] == pytest.approx(y_ref, abs=1e-3)
 
     def test_cost_is_minimum_over_random_feasible_points(self, rng):
         model = stable_single_mode()
@@ -152,9 +159,9 @@ class TestVerifyRci:
             w_vertices = perturbation_vertices(model.B, 0.25, EPS_U)
             samples = np.random.default_rng(k).dirichlet(
                 np.ones(len(w_vertices)), size=2000) @ w_vertices
-            verts = TEMPLATE.vertices(sol.z_s, sol.s)
+            verts = set_vertices(TEMPLATE.V, sol.z_s, sol.s)
             for j, xj in enumerate(verts):
-                uj = sol.v_s + TEMPLATE.vertex_input(sol.c, j)
+                uj = sol.v_s + vertex_input(sol.c, TEMPLATE.n_u, j)
                 for Ai, Bi in zip(model.A, model.B):
                     succ = samples + (Ai @ xj + Bi @ uj - sol.z_s)
                     assert (succ @ TEMPLATE.F.T - sol.s).max() <= report.worst_violation + 1e-12

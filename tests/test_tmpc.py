@@ -10,7 +10,7 @@ from dualmpc import estimator, qlpv, qp, rci, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
-from oracles import verify_rci
+from oracles import vertex_input, verify_rci
 
 
 TEMPLATE = box_template(2, 1)
@@ -63,7 +63,7 @@ def test_solution_satisfies_tube_output_and_input_rows(model):
         for j in range(TEMPLATE.n_vertices):
             y = model.C @ (sol.z[k] + TEMPLATE.V[j] @ sol.rci.s)
             assert Y.violation(y) <= 1e-7
-            u = sol.v[k] + TEMPLATE.vertex_input(sol.rci.c, j)
+            u = sol.v[k] + vertex_input(sol.rci.c, TEMPLATE.n_u, j)
             assert np.abs(u).max() <= (1 - CFG.beta) * EPS_U[0] + 1e-7
 
 
@@ -166,7 +166,7 @@ class TestNominalInput:
         x_vert = sol.z[0] + TEMPLATE.V[0] @ sol.rci.s
         u, lam = tmpc.nominal_input(sol, x_vert, TEMPLATE)
         assert lam.weights == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-5)
-        assert u == pytest.approx(sol.v[0] + TEMPLATE.vertex_input(sol.rci.c, 0), abs=1e-4)
+        assert u == pytest.approx(sol.v[0] + vertex_input(sol.rci.c, TEMPLATE.n_u, 0), abs=1e-4)
 
     def test_tracking_input_within_budget_random(self):
         rng = np.random.default_rng(9)
@@ -249,7 +249,10 @@ def test_frozen_configs_compare_and_hash_by_identity(make):
 
 
 def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
-    """(A, b, H, g) of the tube QP written out in one function, row for row."""
+    """(A, b, H, g) of the tube QP written out in one function, row for row:
+    the model rows, mode-major over the tube points and then the vertex
+    points; the vertex box rows along the tube, then at the invariant set's
+    vertices; its sign rows; the initial row."""
     lay = tmpc.TmpcLayout(cfg.N, rci.XrLayout.of(template))
     xr, F = lay.xr, template.F
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
@@ -269,13 +272,18 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     A_dyn, b_dyn = qlpv.ModeRows(F, S, G, np.tile(-d, (xr.v, 1))).over_y(params)
     A_sign = np.zeros((2 * xr.f, xr.dim))
     A_sign[:xr.f, xr.q] = A_sign[xr.f:, xr.s] = -np.eye(xr.f)
-    A_rci = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
+    A_rci = np.zeros((len(A_dyn) + xr.v * len(box) + 2 * xr.f, lay.dim))
+    A_rci[:, lay.xr_cols] = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
+    # Mode i's rows at the tube points, then its rows at the vertex points.
+    n_p = params.n_p
+    A_model = np.concatenate([A_mode.reshape(n_p, -1, lay.dim),
+                              A_rci[:len(A_dyn)].reshape(n_p, -1, lay.dim)], axis=1)
+    b_model = np.concatenate([b_mode.reshape(n_p, -1), b_dyn.reshape(n_p, -1)], axis=1)
     initial = np.zeros((xr.f, lay.dim))
     initial[:, lay.z(0)], initial[:, lay.s] = -F, -np.eye(xr.f)
-    A = np.vstack([A_mode, A_box, initial,
-                   np.hstack([np.zeros((len(A_rci), lay.xr_cols.start)), A_rci])])
-    b = np.concatenate([b_mode, np.tile(h_box, (cfg.N + 1) * xr.v), -F @ x_hat,
-                        b_dyn, np.tile(h_box, xr.v), np.zeros(2 * xr.f)])
+    A = np.vstack([A_model.reshape(-1, lay.dim), A_box, A_rci[len(A_dyn):], initial])
+    b = np.concatenate([b_model.ravel(), np.tile(h_box, (cfg.N + 1) * xr.v),
+                        np.tile(h_box, xr.v), np.zeros(2 * xr.f), -F @ x_hat])
 
     Q, P = cfg.weights(lay.n_x, lay.n_u)
     Q1, Q2 = rci.default_weights(template, params.n_y)
