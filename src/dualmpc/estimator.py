@@ -155,21 +155,21 @@ def build_theta_polytope(
     contraction (tube, tube_plus, terminal), then the vertex dynamics
     tightened by d + q (rci).  Points that are roundoff are left out
     (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
-    each mode's scaled input image below the frozen disturbance allowance d
-    (dist), at the points ``TubeQp.dist_points``.  The rows are written into
-    one array, in the order state_s, dist, model rows.  beta, eps_u and gamma
-    must be the tube's controller's, whose d and points these are; others
-    raise ``ConfigurationError``.
+    each mode's scaled input image below the frozen disturbance allowance
+    d = ``tube.d`` (dist), at the points ``TubeQp.dist_points``.  The rows are
+    written into one array, in the order state_s, dist, model rows.  beta,
+    eps_u and gamma must be the tube's controller's, whose d and points these
+    are; others raise ``ConfigurationError``.
     """
     tq = tube.tube_qp
     lay = tq.layout
-    n_x, n_u, f, N = lay.n_x, lay.n_u, template.n_rows, lay.N
+    n_x, f, N = lay.n_x, template.n_rows, lay.stages - 1
     n_theta = params.n_theta
-    if (tube.z.shape != (N + 1, n_x) or tube.v.shape != (N + 1, n_u)
-            or (gamma, beta) != (tq.gamma, tq.beta) or not np.array_equal(eps_u, tq.eps_u)):
+    if (tube.x.shape != (lay.dim,) or (gamma, beta) != (tq.gamma, tq.beta)
+            or not np.array_equal(eps_u, tq.eps_u)):
         raise ConfigurationError("tube solution malformed or from a controller with "
                                  "other gamma, beta or eps_u")
-    d, y = tube.rci.d, tube.shifted
+    d, y = tube.d, tube.shifted
     model_A, model_b, kept = tq.model_rows(d).over_theta(params, y)
     dist_A = qlpv.theta_rows(params, template.F, tq.dist_points).reshape(-1, n_theta)
     n_dist = params.n_p * len(tq.dist_points)

@@ -1,28 +1,32 @@
 """Tube-based MPC with a jointly optimized invariant terminal set.
 
 One convex QP decides the tube centers z_0..z_N with inputs v_0..v_N and,
-at the same time, the invariant-set block (z_s, v_s, s, c, q) that serves as
-the artificial steady state: tube rows force each mode image of one center
-into the next center's slack-enlarged set, terminal rows contract toward the
-set center at rate gamma, and the initial row anchors the current state
-estimate in the first set.  Because the invariant-set rows are
-part of the QP, feasibility for any reference is preserved and the optimal
-value minus the standalone set-tracking optimum acts as a Lyapunov function.
+at the same time, the invariant-set block x_r = (z_s, v_s, s, c, q) that
+serves as the artificial steady state: tube rows force each mode image of
+one center into the next center's slack-enlarged set, terminal rows contract
+toward the set center at rate gamma, and the initial row anchors the current
+state estimate in the first set.  Because the invariant-set rows are part of
+the QP, feasibility for any reference is preserved and the optimal value
+minus the standalone set-tracking optimum acts as a Lyapunov function.
 
-:class:`TubeQp` holds what is built once per controller (cfg, template, Y,
-eps_u, C): H and the fixed rows, validated once, the y_ref -> g map, one
-``qlpv.ModeRows`` over the full vector and the estimator's dist points.  A
-step's rows are the model rows, mode-major over the tube points and then the
-invariant-set vertex points, from one ``ModeRows.over_y`` call; the fixed
-rows; the initial row.  Each step computes d, the model rows, -F x_hat and
-g, and checks only those for finiteness.  solve_tmpc caches TubeQps by the
-identity of cfg, template and Y and the values of eps_u and C; change
-neither those objects nor a TubeQp's arrays in place.
+The QP's vector is ``rci.Layout.of(template, N + 1)``: the stages (z_k, v_k),
+then x_r.  :class:`TubeQp` holds what is built once per controller (cfg,
+template, Y, eps_u, C): H and the fixed rows, validated once, the set cost
+with its y_ref -> g map, one ``qlpv.ModeRows`` over the full vector and the
+estimator's dist points; the invariant-set rows and cost are built on the
+x_r columns.  A step's rows are the model rows, mode-major over the tube
+points and then the invariant-set vertex points, from one
+``ModeRows.over_y`` call; the fixed rows; the initial row.  Each step
+computes d, the model rows, -F x_hat and g, and checks only those for
+finiteness.  solve_tmpc caches TubeQps by the identity of cfg, template and
+Y and the values of eps_u and C; change neither those objects nor a TubeQp's
+arrays in place.
 
-A :class:`TubeSolution` holds its time-shifted plan: :func:`warm_start_vector`
-gives it to the next solve with this solve's duals, which qp.solve accepts
-without iterating while it is still optimal, and the estimator's polytope is
-formed at the same array.
+A :class:`TubeSolution` is the solver's x, read-only, with its parts as
+views, and its time-shifted plan: :func:`warm_start_vector` gives the plan to
+the next solve with this solve's duals, which qp.solve accepts without
+iterating while it is still optimal, and the estimator's polytope is formed
+at the same array.
 """
 
 from __future__ import annotations
@@ -58,92 +62,25 @@ class ControllerConfig:
         return Q, Q / (1.0 - self.gamma ** 2)
 
 
-@dataclass(frozen=True)
-class TmpcLayout:
-    N: int
-    xr: rci.XrLayout
+@dataclass(frozen=True, eq=False)
+class TubeSolution(rci.RciSolution):
+    """The tube QP's solution: z and v hold one row per stage k = 0..N.
+    ``shifted`` is its time-shifted plan at the controller's gamma, read-only
+    like x; ``dataclasses.replace(sol, x=...)`` makes both anew."""
 
-    @property
-    def n_x(self) -> int:
-        return self.xr.n_x
-
-    @property
-    def n_u(self) -> int:
-        return self.xr.n_u
-
-    @property
-    def stage(self) -> int:
-        return self.n_x + self.n_u
-
-    @property
-    def dim(self) -> int:
-        return (self.N + 1) * self.stage + self.xr.dim
-
-    def z(self, k: int) -> slice:
-        off = k * self.stage
-        return slice(off, off + self.n_x)
-
-    def v(self, k: int) -> slice:
-        off = k * self.stage + self.n_x
-        return slice(off, off + self.n_u)
-
-    @property
-    def xr_cols(self) -> slice:
-        off = (self.N + 1) * self.stage
-        return slice(off, off + self.xr.dim)
-
-    def _in_xr(self, part: slice) -> slice:
-        off = self.xr_cols.start
-        return slice(off + part.start, off + part.stop)
-
-    @property
-    def s(self) -> slice:
-        return self._in_xr(self.xr.s)
-
-    @property
-    def q(self) -> slice:
-        return self._in_xr(self.xr.q)
-
-    @property
-    def deviations(self) -> np.ndarray:
-        """Maps D_k with D_k y = (z_k - z_s, v_k - v_s), k = 0..N."""
-        center = np.eye(self.stage, self.dim, self.xr_cols.start)  # (z_s, v_s) lead x_r
-        return np.array([np.eye(self.stage, self.dim, k * self.stage) - center
-                         for k in range(self.N + 1)])
-
-
-@dataclass
-class TubeSolution:
-    z: np.ndarray                 # (N+1, n_x) tube centers
-    v: np.ndarray                 # (N+1, n_u) tube inputs
-    rci: rci.RciSolution          # embedded invariant-set block
-    cost: float
     status: qp.QpStatus
     qp_solution: qp.QpSolution
     tube_qp: TubeQp               # the controller's prebuilt QP
-    # The shifted plan at the controller's gamma, made from z, v and rci with
-    # the solution (dataclasses.replace makes it anew) and read-only.
     shifted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        z, v = candidate_shift(self, self.tube_qp.gamma)
-        # Stage k of the vector is (z_k, v_k); the x_r block closes it.
-        self.shifted = np.concatenate([np.hstack([z, v]).ravel(), self.rci.stack(self.layout.xr)])
-        self.shifted.flags.writeable = False
-
-    @property
-    def layout(self) -> TmpcLayout:
-        return self.tube_qp.layout
-
-    @property
-    def N(self) -> int:
-        return self.z.shape[0] - 1
-
-    def first_set(self) -> ParamSet:
-        return ParamSet(self.z[0], self.rci.s)
+        super().__post_init__()
+        shifted = candidate_shift(self.x, self.layout, self.tube_qp.gamma)
+        shifted.flags.writeable = False
+        object.__setattr__(self, "shifted", shifted)
 
 
-def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv.ModeRows:
+def mode_rows(gamma: float, template: PolytopeTemplate, lay: rci.Layout) -> qlpv.ModeRows:
     """Tube propagation and terminal rows over the full vector.
 
     Point k is the deviation (z_k - z_s, v_k - v_s) of stage k from the set
@@ -151,7 +88,7 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv
     F(A_i w + B_i r) <= F(z_{k+1} - z_s) + q; for k = N they contract toward
     the set center at rate gamma.
     """
-    F, f, N = template.F, template.n_rows, lay.N
+    F, f, N = template.F, template.n_rows, lay.stages - 1
     D = lay.deviations
     G = np.zeros((N + 1, f, lay.dim))
     for k in range(N + 1):
@@ -163,16 +100,16 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: TmpcLayout) -> qlpv
 
 @dataclass(frozen=True, eq=False)
 class TubeQp:
-    """The tube QP of one controller; :meth:`rows` and :meth:`cost` fill in a
-    step.  Its rows: ``mode`` at the tube points, then at the vertex points
+    """The tube QP of one controller; :meth:`rows` and ``set_cost.at`` fill in
+    a step.  Its rows: ``mode`` at the tube points, then at the vertex points
     z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row."""
 
     gamma: float
     beta: float
     eps_u: np.ndarray
-    layout: TmpcLayout
+    layout: rci.Layout
     H: np.ndarray
-    set_cost: rci.SetCost         # the x_r part of the cost
+    set_cost: rci.SetCost         # the x_r part of the cost; its ``at`` gives g
     mode: qlpv.ModeRows           # model rows; h is 0, model_rows sets -d
     A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
     b_fixed: np.ndarray           # then the sign rows of x_r
@@ -182,29 +119,25 @@ class TubeQp:
     @classmethod
     def build(cls, cfg: ControllerConfig, template: PolytopeTemplate, Y: Hpoly,
               eps_u: np.ndarray, C: np.ndarray) -> "TubeQp":
-        lay = TmpcLayout(cfg.N, rci.XrLayout.of(template))
+        lay = rci.Layout.of(template, cfg.N + 1)
         Q, P = cfg.weights(lay.n_x, lay.n_u)
         H = np.zeros((lay.dim, lay.dim))
         for k, D in enumerate(lay.deviations):
-            W = P if k == lay.N else Q
+            W = P if k == cfg.N else Q
             H += 2.0 * D.T @ W @ D
-        set_cost = rci.SetCost.build(template, C)
-        H[lay.xr_cols, lay.xr_cols] += set_cost.H
+        set_cost = rci.SetCost.build(template, C, lay)
+        H += set_cost.H
 
         tube = mode_rows(cfg.gamma, template, lay)
-        rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C)
-        # The invariant-set block sits on the x_r columns, which close the vector.
-        pad = ((0, 0), (0, 0), (lay.xr_cols.start, 0))
-        vertex_S = np.pad(rci_rows.vertex.S, pad)
-        mode = qlpv.ModeRows(template.F, np.concatenate([tube.S, vertex_S]),
-                             np.concatenate([tube.G, np.pad(rci_rows.vertex.G, pad)]),
-                             np.zeros((lay.N + 1 + template.n_vertices, template.n_rows)))
+        rci_rows = rci.RciRows.build(template, cfg.beta, eps_u, Y, C, lay)
+        mode = qlpv.ModeRows(template.F, np.concatenate([tube.S, rci_rows.vertex.S]),
+                             np.concatenate([tube.G, rci_rows.vertex.G]),
+                             np.zeros((lay.stages + lay.v, lay.f)))
         # Vertex outputs in Y and vertex inputs in the tracking input share along
         # the tube: vertex j of set k with its input is point k plus vertex j of x_r.
-        A_box = (rci_rows.box @ (tube.S[:, None] + vertex_S)).reshape(-1, lay.dim)
-        A_fixed = np.vstack([A_box, np.pad(rci_rows.A_fixed, ((0, 0), pad[2]))])
-        b_fixed = np.concatenate([np.tile(rci_rows.box_h, (lay.N + 1) * template.n_vertices),
-                                  rci_rows.b_fixed])
+        A_box = (rci_rows.box @ (tube.S[:, None] + rci_rows.vertex.S)).reshape(-1, lay.dim)
+        A_fixed = np.vstack([A_box, rci_rows.A_fixed])
+        b_fixed = np.concatenate([np.tile(rci_rows.box_h, lay.stages * lay.v), rci_rows.b_fixed])
         # H, a sum of 2 D'WD, W > 0, and the set cost, is PSD by construction:
         # validate it with the fixed rows once, without eigvalsh.
         qp.QpProblem.build(H, np.zeros(lay.dim), A_fixed, b_fixed, check_psd=False)
@@ -212,8 +145,8 @@ class TubeQp:
         # (not the slack q) is what the time-shift feasibility argument needs:
         # the propagated state is only guaranteed to land in X(z_1, s), and it
         # keeps x_hat inside X(z_0, s), so the barycentric weights reproduce it.
-        initial = np.zeros((template.n_rows, lay.dim))
-        initial[:, lay.z(0)], initial[:, lay.s] = -template.F, -np.eye(template.n_rows)
+        initial = np.zeros((lay.f, lay.dim))    # z_0 leads the vector
+        initial[:, :lay.n_x], initial[:, lay.s] = -template.F, -np.eye(lay.f)
         # r = beta eps_u o sign with sign_0 = +1: F = [I; -I] gives the rows of
         # -r as those of r reordered.
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
@@ -224,7 +157,7 @@ class TubeQp:
     def model_rows(self, d: np.ndarray) -> qlpv.ModeRows:
         """The model rows with room for the disturbance allowance d at the vertex points."""
         h = self.mode.h.copy()
-        h[self.layout.N + 1:] = -d
+        h[self.layout.stages:] = -d
         return replace(self.mode, h=h)
 
     def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
@@ -233,13 +166,6 @@ class TubeQp:
         A_model, b_model = self.model_rows(d).over_y(params)
         return (np.concatenate([A_model, self.A_fixed, self.initial]),
                 np.concatenate([b_model, self.b_fixed, -self.mode.F @ x_hat]))
-
-    def cost(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
-        """(g, constant) of the cost at the reference; H is fixed."""
-        g_xr, const = self.set_cost.at(y_ref)
-        g = np.zeros(self.layout.dim)
-        g[self.layout.xr_cols] += g_xr
-        return g, const
 
 
 @functools.lru_cache(maxsize=8)
@@ -261,30 +187,28 @@ def solve_tmpc(
     x_hat = np.asarray(x_hat, dtype=float).ravel()
     C = np.asarray(params.C, dtype=float)
     tq = _tube_qp(cfg, template, Y, np.asarray(eps_u, dtype=float).tobytes(), C.tobytes(), len(C))
-    lay = tq.layout
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     A, b = tq.rows(params, x_hat, d)
-    g, const = tq.cost(y_ref)
+    g, const = tq.set_cost.at(y_ref)
     # H and the fixed rows were validated with tq, and the shapes of the rest are tq's.
     if not (np.isfinite(g).all() and np.isfinite(A[:params.n_p * tq.mode.h.size]).all()
             and np.isfinite(b).all()):
         raise ConfigurationError("problem data must be finite")
     sol = qp.solve(qp.QpProblem(tq.H, g, A, b), warm_start=warm_start)
-
-    z = np.array([sol.x[lay.z(k)] for k in range(cfg.N + 1)])
-    v = np.array([sol.x[lay.v(k)] for k in range(cfg.N + 1)])
-    rci_sol = rci.RciSolution.unstack(sol.x[lay.xr_cols], lay.xr, float("nan"), d)
-    return TubeSolution(z=z, v=v, rci=rci_sol, cost=sol.value + const, status=sol.status,
-                        qp_solution=sol, tube_qp=tq)
+    return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=d,
+                        status=sol.status, qp_solution=sol, tube_qp=tq)
 
 
-def candidate_shift(sol: TubeSolution, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time-shifted feasible candidate; the new terminal pair interpolates
-    toward the set center at rate gamma and doubles as (z+, v+)."""
-    z_s, v_s = sol.rci.z_s, sol.rci.v_s
-    z = np.vstack([sol.z[1:], z_s + gamma * (sol.z[-1] - z_s)])
-    v = np.vstack([sol.v[1:], v_s + gamma * (sol.v[-1] - v_s)])
-    return z, v
+def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:
+    """Time-shifted feasible candidate of the vector x: stage k takes stage
+    k + 1, and the last stage, (z_N, v_N), interpolates toward the set center
+    at rate gamma and doubles as (z+, v+).  x_r is kept."""
+    end = lay.center.start
+    last, center = slice(end - lay.stage, end), x[lay.center]
+    shifted = x.copy()
+    shifted[:last.start] = x[lay.stage:end]
+    shifted[last] = center + gamma * (x[last] - center)
+    return shifted
 
 
 def warm_start_vector(sol: TubeSolution, gamma: float) -> qp.QpSolution:
@@ -305,8 +229,8 @@ def nominal_input(
     template: PolytopeTemplate,
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
     """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at x_hat."""
-    lam = polytope.barycentric_lambda(template, sol.first_set(), x_hat)
-    c = sol.rci.c.reshape(template.n_vertices, template.n_u)
+    lam = polytope.barycentric_lambda(template, ParamSet(sol.z[0], sol.s), x_hat)
+    c = sol.c.reshape(template.n_vertices, template.n_u)
     return sol.v[0] + c.T @ lam.weights, lam
 
 

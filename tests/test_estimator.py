@@ -27,10 +27,12 @@ def linear_model(A, B, n_h=1):
 def settled(sol):
     """sol with its plan settled at the set center, z_k = z_s and v_k = v_s,
     up to one unit in the last place at odd stages."""
-    z_s, v_s = sol.rci.z_s, sol.rci.v_s
-    odd = (np.arange(sol.N + 1) % 2)[:, None]
-    return dataclasses.replace(sol, z=z_s + odd * np.spacing(z_s),
-                               v=np.tile(v_s, (sol.N + 1, 1)))
+    z_s, v_s, lay = sol.z_s, sol.v_s, sol.layout
+    odd = (np.arange(lay.stages) % 2)[:, None]
+    x = sol.x.copy()
+    stages = x[:lay.center.start].reshape(lay.stages, lay.stage)
+    stages[:, :lay.n_x], stages[:, lay.n_x:] = z_s + odd * np.spacing(z_s), v_s
+    return dataclasses.replace(sol, x=x)
 
 
 def witness(sol, model):
@@ -265,7 +267,7 @@ class TestThetaPolytope:
                                                   EPS_U, cfg.gamma)
             cand = tmpc.warm_start_vector(sol, cfg.gamma).x
             tq = sol.tube_qp
-            kept = tq.model_rows(sol.rci.d).over_theta(model, cand)[2]
+            kept = tq.model_rows(sol.d).over_theta(model, cand)[2]
             # Row indices of the model rows, mode-major over the points.
             idx = np.arange(n_p * len(kept) * f).reshape(n_p, len(kept), f)
             tube = np.arange(len(kept)) <= N
@@ -279,7 +281,7 @@ class TestThetaPolytope:
             for _ in range(5):
                 x = rng.uniform(-0.5, 0.5, size=2)
                 theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
-                A, b = tq.rows(model.replace_theta(theta), x, sol.rci.d)
+                A, b = tq.rows(model.replace_theta(theta), x, sol.d)
                 qp_rows = {
                     ("state_s",): np.arange(len(b) - f, len(b)),
                     ("tube", "tube_plus", "terminal"): idx[:, kept & tube].ravel(),
@@ -309,8 +311,7 @@ class TestThetaPolytope:
         first = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
         again = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
-        z, v = tmpc.candidate_shift(sol, CFG.gamma)
-        plan = np.concatenate([np.hstack([z, v]).ravel(), sol.rci.stack(sol.layout.xr)])
+        plan = tmpc.candidate_shift(sol.x, sol.layout, CFG.gamma)
         assert len(seen) == 2
         for y in seen:
             assert y.tobytes() == warm.x.tobytes() == plan.tobytes()

@@ -31,14 +31,14 @@ def test_row_count_matches_symbolic_formula(small_model):
     A, b = rci.rci_constraint_block(small_model, TEMPLATE, 0.3, EPS_U, Y)
     # 3 modes x 4 vertices x 4 template rows + 4 x (2 + 2) + 8 sign rows
     expected = 48 + 16 + 8
-    assert A.shape == (expected, rci.XrLayout.of(TEMPLATE).dim)
+    assert A.shape == (expected, rci.Layout.of(TEMPLATE, 0).dim)
     assert b.shape == (expected,)
 
 
 def test_hand_feasible_point_single_stable_mode():
     model = stable_single_mode()
     A, b = rci.rci_constraint_block(model, TEMPLATE, 0.0, EPS_U, Y)
-    lay = rci.XrLayout.of(TEMPLATE)
+    lay = rci.Layout.of(TEMPLATE, 0)
     # z_s = 0, v_s = 0, c = 0, s small: each vertex maps to 0.5*vertex, so
     # q = s/2 slack is available; use q = 0 which satisfies strictly.
     x = np.zeros(lay.dim)
@@ -50,7 +50,7 @@ def test_unstable_mode_with_tiny_inputs_infeasible():
     model = stable_single_mode(radius=2.0)
     model.B[0][:] = np.array([[0.01], [0.01]])
     A, b = rci.rci_constraint_block(model, TEMPLATE, 0.0, np.array([0.05]), Y)
-    lay = rci.XrLayout.of(TEMPLATE)
+    lay = rci.Layout.of(TEMPLATE, 0)
     # Force a nondegenerate set: the first offset must be at least 0.1.
     extra = np.zeros((1, lay.dim))
     extra[0, lay.s.start] = -1.0
@@ -59,6 +59,28 @@ def test_unstable_mode_with_tiny_inputs_infeasible():
     prob = qp.QpProblem.build(np.eye(lay.dim), np.zeros(lay.dim), A, b)
     sol = qp.solve(prob)
     assert sol.status == qp.QpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("n_x, n_u", [(2, 1), (3, 2)])
+def test_layout_partitions_the_vector(n_x, n_u):
+    # The stage blocks, then z_s, v_s, s, c and q, each a view of x, cover
+    # the vector once and in that order: for the stand-alone invariant-set
+    # problem (no stages) and the tube QPs of N = 1, 2, 3 (N + 1 stages).
+    template = box_template(n_x, n_u)
+    f, v = template.n_rows, template.n_vertices
+    for stages in (0, 2, 3, 4):
+        lay = rci.Layout.of(template, stages)
+        assert lay.dim == stages * (n_x + n_u) + n_x + n_u + 2 * f + v * n_u
+        sol = rci.RciSolution(np.arange(lay.dim, dtype=float), lay, 0.0, np.zeros(f))
+        assert sol.z.shape == (stages, n_x) and sol.v.shape == (stages, n_u)
+        parts = [sol.z, sol.v, sol.z_s, sol.v_s, sol.s, sol.c, sol.q]
+        assert all(np.shares_memory(p, sol.x) for p in parts if p.size)
+        stage_blocks = np.hstack([sol.z, sol.v]).ravel()
+        assert np.concatenate([stage_blocks, *parts[2:]]).tolist() == list(range(lay.dim))
+        slices = [lay.z_s, lay.v_s, lay.s, lay.c, lay.q]
+        assert [i for sl in slices for i in range(lay.dim)[sl]] == \
+            list(range(stages * lay.stage, lay.dim))
+        assert lay.center == slice(lay.z_s.start, lay.v_s.stop)
 
 
 class TestSolveOptimalRci:
@@ -74,9 +96,9 @@ class TestSolveOptimalRci:
         # The set-tracking cost with the default output weight and tiny size
         # weights, posed over the invariant-set rows: the center tracks y_ref.
         model = stable_single_mode()
-        lay = rci.XrLayout.of(TEMPLATE)
+        lay = rci.Layout.of(TEMPLATE, 0)
         y_ref = np.array([0.5])
-        Q1, _ = rci.default_weights(TEMPLATE, 1)
+        Q1, _ = rci.default_weights(1, lay)
         H = 2.0 * (1e-8 + 1e-10) * np.eye(lay.dim)
         H[lay.z_s, lay.z_s] += 2.0 * lay.v * model.C.T @ Q1 @ model.C
         g = np.zeros(lay.dim)
@@ -91,9 +113,9 @@ class TestSolveOptimalRci:
         y_ref = np.array([0.2])
         sol, qsol = rci.solve_optimal_rci(model, y_ref, TEMPLATE, 0.1, EPS_U, Y)
         A, b = rci.rci_constraint_block(model, TEMPLATE, 0.1, EPS_U, Y)
-        cost = rci.SetCost.build(TEMPLATE, model.C)
+        lay = rci.Layout.of(TEMPLATE, 0)
+        cost = rci.SetCost.build(TEMPLATE, model.C, lay)
         H, (g, const) = cost.H, cost.at(y_ref)
-        lay = rci.XrLayout.of(TEMPLATE)
         for _ in range(25):
             target = qsol.x + rng.normal(scale=0.1, size=lay.dim)
             proj = qp.project_weighted(target, np.eye(lay.dim), A_in=A, b_in=b)
@@ -119,9 +141,24 @@ class TestSolveOptimalRci:
         sol, qsol = rci.solve_optimal_rci(model, np.array([0.3]), TEMPLATE, 0.2, EPS_U, Y)
         assert qsol.status == qp.QpStatus.OPTIMAL
         A, b = rci.rci_constraint_block(model, TEMPLATE, 0.2, EPS_U, Y)
-        assert (A @ sol.stack(rci.XrLayout.of(TEMPLATE)) - b).max() <= 1e-7
+        assert (A @ sol.x - b).max() <= 1e-7
         assert sol.q.min() >= -1e-9
         assert sol.s.min() >= -1e-9
+
+    def test_not_optimal_gives_zero_set_and_infinite_cost(self):
+        # An unstable mode with inputs too small to hold any set around the
+        # center: the solve reports infeasibility, and the solution is x_r = 0
+        # at cost inf with the allowance d of the problem's rows.
+        model = stable_single_mode(radius=2.0)
+        model.B[0][:] = np.array([[0.01], [0.01]])
+        eps_u = np.array([0.05])
+        sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, eps_u, Y)
+        assert qsol.status == qp.QpStatus.INFEASIBLE
+        assert sol.cost == float("inf")
+        assert sol.layout == rci.Layout.of(TEMPLATE, 0)
+        assert sol.x.shape == (sol.layout.dim,) and not sol.x.any()
+        d = qlpv.disturbance_vector(model, TEMPLATE, 0.3, eps_u)
+        assert sol.d.tobytes() == d.tobytes()
 
 
 class TestVerifyRci:

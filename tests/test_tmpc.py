@@ -29,6 +29,17 @@ def solve(model, x_hat, y_ref=0.0, cfg=CFG, **kw):
                            cfg, TEMPLATE, Y, EPS_U, **kw)
 
 
+def stages(x, lay):
+    """The stage blocks (z_k, v_k) of the vector x, one row per stage."""
+    return x[:lay.center.start].reshape(lay.stages, lay.stage)
+
+
+def shifted_stages(sol, gamma):
+    """(z, v) of the time-shifted plan of sol at gamma."""
+    shifted = stages(tmpc.candidate_shift(sol.x, sol.layout, gamma), sol.layout)
+    return shifted[:, :sol.layout.n_x], shifted[:, sol.layout.n_x:]
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigurationError):
         tmpc.ControllerConfig(N=0)
@@ -50,7 +61,7 @@ def test_stationary_at_optimal_set_center(model):
     sol = solve(model, rci_sol.z_s, y_ref)
     assert sol.status == qp.QpStatus.OPTIMAL
     assert sol.cost == pytest.approx(rci_sol.cost, abs=1e-5)
-    for k in range(sol.N + 1):
+    for k in range(len(sol.z)):
         assert sol.z[k] == pytest.approx(rci_sol.z_s, abs=1e-4)
         assert sol.v[k] == pytest.approx(rci_sol.v_s, abs=1e-4)
     assert tmpc.lyapunov_value(sol, rci_sol.cost) == pytest.approx(0.0, abs=1e-5)
@@ -59,44 +70,79 @@ def test_stationary_at_optimal_set_center(model):
 def test_solution_satisfies_tube_output_and_input_rows(model):
     sol = solve(model, [0.3, -0.2], 0.5)
     assert sol.status == qp.QpStatus.OPTIMAL
-    for k in range(sol.N + 1):
+    for k in range(len(sol.z)):
         for j in range(TEMPLATE.n_vertices):
-            y = model.C @ (sol.z[k] + TEMPLATE.V[j] @ sol.rci.s)
+            y = model.C @ (sol.z[k] + TEMPLATE.V[j] @ sol.s)
             assert Y.violation(y) <= 1e-7
-            u = sol.v[k] + vertex_input(sol.rci.c, TEMPLATE.n_u, j)
+            u = sol.v[k] + vertex_input(sol.c, TEMPLATE.n_u, j)
             assert np.abs(u).max() <= (1 - CFG.beta) * EPS_U[0] + 1e-7
 
 
 def test_initial_row_and_embedded_rci_rows_hold(model):
     x_hat = np.array([0.25, 0.1])
     sol = solve(model, x_hat, -0.4)
-    assert (TEMPLATE.F @ (x_hat - sol.z[0]) <= sol.rci.s + 1e-7).all()
-    A, b = rci.rci_constraint_block(model, TEMPLATE, CFG.beta, EPS_U, Y, sol.rci.d)
-    assert (A @ sol.rci.stack(sol.layout.xr) - b).max() <= 1e-7
+    assert (TEMPLATE.F @ (x_hat - sol.z[0]) <= sol.s + 1e-7).all()
+    A, b = rci.rci_constraint_block(model, TEMPLATE, CFG.beta, EPS_U, Y, sol.d)
+    assert (A @ sol.x[sol.layout.center.start:] - b).max() <= 1e-7
 
 
 class TestCandidateShift:
     def test_fixed_point_at_set_center(self, model):
         sol = solve(model, [0.0, 0.0])
-        sol.z[-1] = sol.rci.z_s
-        sol.v[-1] = sol.rci.v_s
-        z, v = tmpc.candidate_shift(sol, CFG.gamma)
-        assert z[-1] == pytest.approx(sol.rci.z_s)
-        assert v[-1] == pytest.approx(sol.rci.v_s)
+        x = sol.x.copy()
+        stages(x, sol.layout)[-1] = x[sol.layout.center]
+        sol = dataclasses.replace(sol, x=x)
+        z, v = shifted_stages(sol, CFG.gamma)
+        assert z[-1] == pytest.approx(sol.z_s)
+        assert v[-1] == pytest.approx(sol.v_s)
 
     def test_terminal_deviation_contracts_by_gamma(self, model):
         sol = solve(model, [0.1, 0.0])
-        sol.z[-1] = sol.rci.z_s + np.array([1.0, 0.0])
-        z, _ = tmpc.candidate_shift(sol, 0.95)
-        assert z[-1] - sol.rci.z_s == pytest.approx([0.95, 0.0])
+        x = sol.x.copy()
+        stages(x, sol.layout)[-1, :2] = sol.z_s + np.array([1.0, 0.0])
+        sol = dataclasses.replace(sol, x=x)
+        z, _ = shifted_stages(sol, 0.95)
+        assert z[-1] - sol.z_s == pytest.approx([0.95, 0.0])
 
     def test_double_shift_contracts_by_gamma_squared(self, model):
         sol = solve(model, [0.1, 0.0])
-        dev0 = sol.z[-1] - sol.rci.z_s
-        z1, v1 = tmpc.candidate_shift(sol, CFG.gamma)
-        sol.z, sol.v = z1, v1
-        z2, _ = tmpc.candidate_shift(sol, CFG.gamma)
-        assert z2[-1] - sol.rci.z_s == pytest.approx(CFG.gamma ** 2 * dev0, abs=1e-12)
+        dev0 = sol.z[-1] - sol.z_s
+        sol = dataclasses.replace(sol, x=tmpc.candidate_shift(sol.x, sol.layout, CFG.gamma))
+        z2, _ = shifted_stages(sol, CFG.gamma)
+        assert z2[-1] - sol.z_s == pytest.approx(CFG.gamma ** 2 * dev0, abs=1e-12)
+
+    def test_shifted_plan_is_the_stagewise_formula_bitwise(self):
+        # The shift on the vector is the shift of the stage rows, written
+        # out: stage k takes stage k + 1, the last one interpolates toward
+        # the set center, and x_r follows unchanged.
+        rng = np.random.default_rng(12)
+        for cfg in (tmpc.ControllerConfig(N=1), CFG, tmpc.ControllerConfig(N=3, gamma=0.7)):
+            model = random_model(rng, infnorm=0.6, gain=0.25)
+            sol = solve(model, rng.uniform(-0.2, 0.2, size=2), 0.3, cfg=cfg)
+            z, v, z_s, v_s, g = sol.z, sol.v, sol.z_s, sol.v_s, cfg.gamma
+            z_plus = np.vstack([z[1:], z_s + g * (z[-1] - z_s)])
+            v_plus = np.vstack([v[1:], v_s + g * (v[-1] - v_s)])
+            want = np.concatenate([np.hstack([z_plus, v_plus]).ravel(),
+                                   sol.x[sol.layout.center.start:]])
+            assert sol.shifted.tobytes() == want.tobytes()
+            assert tmpc.candidate_shift(sol.x, sol.layout, g).tobytes() == want.tobytes()
+
+    def test_solution_read_only_and_replaced_anew(self, model):
+        sol = solve(model, [0.1, 0.0])
+        for part in (sol.x, sol.z, sol.v, sol.z_s, sol.v_s, sol.s, sol.c, sol.q, sol.shifted):
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.x = sol.x.copy()
+        assert not sol.qp_solution.x.flags.writeable
+        x = sol.x.copy()
+        x[sol.layout.s] += 0.1
+        stages(x, sol.layout)[-1] += 0.2
+        edited = dataclasses.replace(sol, x=x)
+        assert edited.s.tobytes() == x[sol.layout.s].tobytes()
+        want = tmpc.candidate_shift(x, sol.layout, CFG.gamma)
+        assert edited.shifted.tobytes() == want.tobytes() != sol.shifted.tobytes()
+        assert tmpc.warm_start_vector(edited, CFG.gamma).x is edited.shifted
 
     def test_shifted_candidate_feasible_next_step_frozen_theta(self, model):
         x_hat = np.array([0.2, -0.1])
@@ -107,10 +153,10 @@ class TestCandidateShift:
         # Propagate through the model with a perturbation inside the budget.
         u = u_c + np.array([CFG.beta * 0.9])
         x_next = qlpv.step(model, x_hat, u)
-        A, b = sol.tube_qp.rows(model, x_next, sol.rci.d)
+        A, b = sol.tube_qp.rows(model, x_next, sol.d)
         cand = tmpc.warm_start_vector(sol, CFG.gamma).x
         assert (A @ cand - b).max() <= 1e-9
-        assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.rci.s).max() <= 1e-9
+        assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.s).max() <= 1e-9
         # And the next solve, warm-started from the candidate, succeeds.
         nxt = solve(model, x_next, 0.6, warm_start=cand)
         assert nxt.status == qp.QpStatus.OPTIMAL
@@ -151,22 +197,26 @@ class TestNominalInput:
         sol = solve(model, [0.05, 0.05])
         # Symmetrize: equal and opposite vertex inputs cancel under uniform
         # weights at the set center of a symmetric box.
-        sol.rci.c[:] = np.array([0.2, -0.2, -0.2, 0.2])
-        sol.rci.s[:] = np.array([0.3, 0.4, 0.3, 0.4])
-        sol.z[0] = np.array([0.05, 0.05])
+        lay, x = sol.layout, sol.x.copy()
+        x[lay.c] = np.array([0.2, -0.2, -0.2, 0.2])
+        x[lay.s] = np.array([0.3, 0.4, 0.3, 0.4])
+        stages(x, lay)[0, :2] = np.array([0.05, 0.05])
+        sol = dataclasses.replace(sol, x=x)
         u, lam = tmpc.nominal_input(sol, np.array([0.05, 0.05]), TEMPLATE)
         assert lam.weights == pytest.approx([0.25] * 4, abs=1e-6)
         assert u == pytest.approx(sol.v[0], abs=1e-6)
 
     def test_at_vertex_adds_that_vertex_input(self, model):
         sol = solve(model, [0.0, 0.0])
-        s = sol.rci.s
+        s = sol.s
         if s.min() < 1e-6:  # ensure a nondegenerate vertex for the check
-            sol.rci.s[:] = np.maximum(s, 0.1)
-        x_vert = sol.z[0] + TEMPLATE.V[0] @ sol.rci.s
+            x = sol.x.copy()
+            x[sol.layout.s] = np.maximum(s, 0.1)
+            sol = dataclasses.replace(sol, x=x)
+        x_vert = sol.z[0] + TEMPLATE.V[0] @ sol.s
         u, lam = tmpc.nominal_input(sol, x_vert, TEMPLATE)
         assert lam.weights == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-5)
-        assert u == pytest.approx(sol.v[0] + vertex_input(sol.rci.c, TEMPLATE.n_u, 0), abs=1e-4)
+        assert u == pytest.approx(sol.v[0] + vertex_input(sol.c, TEMPLATE.n_u, 0), abs=1e-4)
 
     def test_tracking_input_within_budget_random(self):
         rng = np.random.default_rng(9)
@@ -201,7 +251,7 @@ class TestLyapunov:
         lyap_prev = tmpc.lyapunov_value(sol, rci_sol.cost)
         for _ in range(40):
             u_c, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
-            m0 = np.concatenate([sol.z[0] - sol.rci.z_s, sol.v[0] - sol.rci.v_s])
+            m0 = np.concatenate([sol.z[0] - sol.z_s, sol.v[0] - sol.v_s])
             x_hat = qlpv.step(model, x_hat, u_c)
             sol = solve(model, x_hat, y_ref, warm_start=tmpc.warm_start_vector(sol, CFG.gamma))
             assert sol.status == qp.QpStatus.OPTIMAL
@@ -226,9 +276,8 @@ def test_tube_invariant_set_certified_along_closed_loop(cfg):
             y_ref = 0.4 * (-1) ** (k // 10)
             sol = solve(model, x_hat, y_ref, cfg=cfg, warm_start=warm)
             assert sol.status == qp.QpStatus.OPTIMAL
-            r = sol.rci
-            report = verify_rci(model.A, model.B, TEMPLATE.F, TEMPLATE.V, r.z_s, r.s,
-                                r.v_s, r.c, cfg.beta, EPS_U)
+            report = verify_rci(model.A, model.B, TEMPLATE.F, TEMPLATE.V, sol.z_s, sol.s,
+                                sol.v_s, sol.c, cfg.beta, EPS_U)
             assert report.ok, (k, report)
             u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
             x_hat = qlpv.step(model, x_hat, u + cfg.beta * EPS_U * (-1) ** k)
@@ -252,20 +301,21 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     """(A, b, H, g) of the tube QP written out in one function, row for row:
     the model rows, mode-major over the tube points and then the vertex
     points; the vertex box rows along the tube, then at the invariant set's
-    vertices; its sign rows; the initial row."""
-    lay = tmpc.TmpcLayout(cfg.N, rci.XrLayout.of(template))
-    xr, F = lay.xr, template.F
+    vertices; its sign rows; the initial row.  The invariant-set rows and
+    cost are formed over x_r alone and then placed on its columns."""
+    lay, xr = rci.Layout.of(template, cfg.N + 1), rci.Layout.of(template, 0)
+    F, xr_cols = template.F, slice((cfg.N + 1) * lay.stage, lay.dim)
     d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     mode = tmpc.mode_rows(cfg.gamma, template, lay)
     A_mode, b_mode = mode.over_y(params)
     U = Hpoly.box(eps_u).scale(1.0 - cfg.beta)
     box, h_box = block_diag(Y.H @ params.C, U.H), np.concatenate([Y.h, U.h])
     S = np.zeros((xr.v, lay.stage, xr.dim))   # vertex j with its input, over x_r
-    S[:, :, :lay.stage] = np.eye(lay.stage)
+    S[:, :, :lay.stage] = np.eye(lay.stage)   # (z_s, v_s) lead x_r
     S[:, :xr.n_x, xr.s] = template.V
     S[:, xr.n_x:, xr.c] = np.eye(xr.v * xr.n_u).reshape(xr.v, xr.n_u, -1)
     vertices = np.zeros((xr.v, lay.stage, lay.dim))
-    vertices[..., lay.xr_cols] = S
+    vertices[..., xr_cols] = S
     A_box = (box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
     G = np.zeros((xr.v, xr.f, xr.dim))
     G[:, :, xr.z_s], G[:, :, xr.s], G[:, :, xr.q] = -F, -np.eye(xr.f), np.eye(xr.f)
@@ -273,29 +323,29 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     A_sign = np.zeros((2 * xr.f, xr.dim))
     A_sign[:xr.f, xr.q] = A_sign[xr.f:, xr.s] = -np.eye(xr.f)
     A_rci = np.zeros((len(A_dyn) + xr.v * len(box) + 2 * xr.f, lay.dim))
-    A_rci[:, lay.xr_cols] = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
+    A_rci[:, xr_cols] = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
     # Mode i's rows at the tube points, then its rows at the vertex points.
     n_p = params.n_p
     A_model = np.concatenate([A_mode.reshape(n_p, -1, lay.dim),
                               A_rci[:len(A_dyn)].reshape(n_p, -1, lay.dim)], axis=1)
     b_model = np.concatenate([b_mode.reshape(n_p, -1), b_dyn.reshape(n_p, -1)], axis=1)
     initial = np.zeros((xr.f, lay.dim))
-    initial[:, lay.z(0)], initial[:, lay.s] = -F, -np.eye(xr.f)
+    initial[:, :lay.n_x], initial[:, lay.s] = -F, -np.eye(xr.f)
     A = np.vstack([A_model.reshape(-1, lay.dim), A_box, A_rci[len(A_dyn):], initial])
     b = np.concatenate([b_model.ravel(), np.tile(h_box, (cfg.N + 1) * xr.v),
                         np.tile(h_box, xr.v), np.zeros(2 * xr.f), -F @ x_hat])
 
     Q, P = cfg.weights(lay.n_x, lay.n_u)
-    Q1, Q2 = rci.default_weights(template, params.n_y)
+    Q1, Q2 = rci.default_weights(params.n_y, xr)
     H, g = np.zeros((lay.dim, lay.dim)), np.zeros(lay.dim)
     for k, D in enumerate(lay.deviations):
-        W = P if k == lay.N else Q
+        W = P if k == cfg.N else Q
         H += 2.0 * D.T @ W @ D
     H_xr, g_xr = 2.0 * Q2.copy(), np.zeros(xr.dim)
     H_xr[xr.z_s, xr.z_s] += 2.0 * xr.v * params.C.T @ Q1 @ params.C
     g_xr[xr.z_s] = -2.0 * xr.v * params.C.T @ Q1 @ y_ref
-    H[lay.xr_cols, lay.xr_cols] += H_xr
-    g[lay.xr_cols] += g_xr
+    H[xr_cols, xr_cols] += H_xr
+    g[xr_cols] += g_xr
     return A, b, H, g
 
 
@@ -311,14 +361,14 @@ def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
         x_hat, y_ref = rng.uniform(-0.3, 0.3, size=2), rng.uniform(-0.5, 0.5, size=n_y)
         tq = tmpc.TubeQp.build(cfg, TEMPLATE, Y_n, EPS_U, model.C)
         d = qlpv.disturbance_vector(model, TEMPLATE, cfg.beta, EPS_U)
-        g, const = tq.cost(y_ref)
+        g, const = tq.set_cost.at(y_ref)
         built = (*tq.rows(model, x_hat, d), tq.H, g)
         for got, want in zip(built, assemble_from_scratch(model, x_hat, y_ref, cfg,
                                                           TEMPLATE, Y_n, EPS_U)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # H is positive semidefinite by construction, so the solve skips the check.
         assert np.linalg.eigvalsh(tq.H).min() >= -1e-9 * np.abs(tq.H).max()
-        Q1, _ = rci.default_weights(TEMPLATE, n_y)
+        Q1, _ = rci.default_weights(n_y, tq.layout)
         assert const == float(TEMPLATE.n_vertices * y_ref @ Q1 @ y_ref)
 
 
