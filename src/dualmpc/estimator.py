@@ -171,7 +171,10 @@ def build_theta_polytope(
                                  "other gamma, beta or eps_u")
     d, y = tube.d, tube.shifted
     model_A, model_b, kept = tq.model_rows(d).over_theta(params, y)
-    dist_A = qlpv.theta_rows(params, template.F, tq.dist_points).reshape(-1, n_theta)
+    shape = (params.n_p, n_theta)    # theta's layout, given the tube's n_x and n_u
+    if shape not in tq.dist_rows:
+        tq.dist_rows[shape] = qlpv.theta_rows(params, tq.mode.F, tq.dist_points).reshape(-1, n_theta)
+    dist_A = tq.dist_rows[shape]
     n_dist = params.n_p * len(tq.dist_points)
     point_names = ["tube"] * (N - 1) + ["tube_plus", "terminal"] + ["rci"] * template.n_vertices
     names = ["state_s"] + ["dist"] * n_dist + list(compress(point_names, kept)) * params.n_p

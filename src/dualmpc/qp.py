@@ -32,9 +32,14 @@ at the start point x0, which A_in' lam must balance; a projection starts at
 the point it projects, where that gradient is 0.  Scaling (H, g) by s then
 scales every dual iterate by s and keeps the primal ones and the iteration
 count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
-end).  Each iteration evaluates the KKT residuals once, for the termination
-test and the Newton step; predictor and corrector share one LU factorization,
-and one ratio test over the stacked (slack, dual) vector bounds each step.
+end).
+
+Each iteration evaluates the KKT residuals once: one matvec with [H; A_in]
+gives Hx and A_in x, and the predictor reuses the A_in' lam computed there.
+Predictor and corrector share one Cholesky factorization of the positive
+definite K = H + A_in' D A_in (Wright 1997, ch. 11; Rao, Wright & Rawlings
+1998), or a least-squares solve when it fails.  The iterate (x, w, lam) is one
+vector stepped in place; one ratio test over (w, lam) bounds each step.
 
 The solver is deterministic: identical inputs produce identical iterates.  It
 never raises on a numerical failure: a non-finite iterate or Newton step ends
@@ -137,32 +142,36 @@ class QpSolution:
     value: float = field(default=float("nan"))
 
 
-def _kkt_residual(prob: QpProblem, H: np.ndarray, x, lam, g_inf: float):
-    """(scaled KKT residual, absolute primal infeasibility, r_d, r_in) at a
-    primal-dual point of min 0.5 x'Hx + g'x s.t. A_in x <= b_in, where
-    r_d = Hx + g + A_in' lam and r_in = A_in x - b_in feed the Newton step.
-    Stationarity and complementarity are divided by
-    max(1, |Hx|, |g|, |A_in' lam|); ``g_inf`` is |g|_inf."""
-    Hx, Gl = H @ x, prob.A_in.T @ lam
-    r_d = Hx + prob.g + Gl
-    r_in = prob.A_in @ x - prob.b_in
-    scale = max(1.0, g_inf, float(np.abs(Hx).max(initial=0.0)), float(np.abs(Gl).max(initial=0.0)))
-    p_inf = float(r_in.max(initial=0.0))
-    stat = float(np.abs(r_d).max(initial=0.0)) / scale
-    comp = max(float(np.abs(lam * r_in).max(initial=0.0)), -float(lam.min(initial=0.0))) / scale
-    return max(stat, p_inf, comp), p_inf, r_d, r_in
+def _kkt_residual(prob: QpProblem, HA: np.ndarray, At: np.ndarray, x, lam, g_inf: float):
+    """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, A_in' lam)
+    at a primal-dual point, where r_d = Hx + g + A_in' lam and r_in = A_in x - b_in
+    feed the Newton step; ``HA`` = [H; A_in], ``At`` = A_in' and ``g_inf`` = |g|_inf."""
+    Hx_Ax, n, m = HA @ x, x.size, lam.size
+    Hx, r_in, Atl = Hx_Ax[:n], Hx_Ax[n:] - prob.b_in, At @ lam
+    r_d = Hx + prob.g + Atl
+    # One reduction gives |Hx|, |A_in' lam|, |r_d|, |lam o r_in|, max r_in and -min lam.
+    parts = np.concatenate([Hx, Atl, r_d, lam * r_in, r_in, -lam])
+    np.abs(parts[:3 * n + m], out=parts[:3 * n + m])
+    Hx_inf, Atl_inf, stat, comp, p_inf, lam_neg = np.maximum.reduceat(
+        parts, [0, n, 2 * n, 3 * n, 3 * n + m, 3 * n + 2 * m]).tolist()
+    scale, p_inf = max(1.0, g_inf, Hx_inf, Atl_inf), max(p_inf, 0.0)
+    return max(stat / scale, p_inf, max(comp, lam_neg, 0.0) / scale), p_inf, r_d, r_in, Atl
 
 
-def _linear_solve(M: np.ndarray, lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """M^-1 rhs for a finite M, given ``lu = lapack.dgetrf(M)``, or by least
-    squares when M is singular.  A failed least-squares solve gives NaNs,
-    which the caller checks for."""
-    if lu[2] == 0:
-        return lapack.dgetrs(lu[0], lu[1], rhs)[0]
-    try:
-        return np.linalg.lstsq(M, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return np.full(M.shape[0], np.nan)
+def _newton_direction(K, chol, G, r_p, d, rc_w, dx, dwl) -> None:
+    """Overwrite the right-hand side dx with K^-1 dx, by ``chol = lapack.dpotrf(K)``
+    or else least squares (NaN if that fails), and dwl = (dw, dlam) with
+    dw = -r_p - G dx and dlam = -rc_w - d o dw."""
+    if chol[1] == 0:
+        dx[:] = lapack.dpotrs(chol[0], dx, overwrite_b=1)[0]
+    else:
+        try:
+            dx[:] = np.linalg.lstsq(K, dx, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            dx[:] = np.nan
+    dw, dlam = dwl[:len(r_p)], dwl[len(r_p):]
+    np.negative(np.add(G @ dx, r_p, out=dw), out=dw)
+    np.negative(np.add(d * dw, rc_w, out=dlam), out=dlam)
 
 
 def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
@@ -177,17 +186,11 @@ def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
 # Overflow and division by zero show up as non-finite values, which the
 # iteration checks for, instead of as warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve(
-    prob: QpProblem,
-    tol: float = 1e-8,
-    warm_start: QpSolution | np.ndarray | None = None,
-) -> QpSolution:
+def solve(prob: QpProblem, tol: float = 1e-8,
+          warm_start: QpSolution | np.ndarray | None = None) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. A_in x <= b_in to scaled KKT residual
-    <= tol; a problem without rows raises ``ConfigurationError``.
-
-    Primal infeasibility must be at most ``tol`` in absolute terms;
-    stationarity and complementarity are divided by
-    max(1, |Hx|, |g|, |A_in' lam|) (infinity norms) first.
+    <= tol (see the module docstring); a problem without rows raises
+    ``ConfigurationError``.
 
     A warm start carrying duals (a :class:`QpSolution`) is first checked
     against the KKT conditions and accepted outright when it already
@@ -204,15 +207,17 @@ def solve(
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
         raise ConfigurationError("a QP without rows is not posed by this package")
-    H = prob.H + _RIDGE * np.eye(n)
-    g_inf = float(np.abs(prob.g).max(initial=0.0))
+    G, h = prob.A_in, prob.b_in
+    HA = np.concatenate([prob.H + _RIDGE * np.eye(n), G])
+    H, Gt = HA[:n], np.ascontiguousarray(G.T)
+    g_inf = float(np.maximum.reduce(np.abs(prob.g), initial=0.0))
 
     x0 = warm_start
     if isinstance(warm_start, QpSolution):
         x0, lam = warm_start.x, warm_start.ineq_duals
         if (x0.size, lam.size) != (n, m):
             raise ConfigurationError("warm start has wrong dimension")
-        kkt, p_inf, *_ = _kkt_residual(prob, H, x0, lam, g_inf)
+        kkt, p_inf, *_ = _kkt_residual(prob, HA, Gt, x0, lam, g_inf)
         if kkt <= tol:
             return QpSolution(x0.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0,
                               p_inf, prob.objective(x0))
@@ -221,74 +226,65 @@ def solve(
         if x0.size != n:
             raise ConfigurationError("warm start has wrong dimension")
 
-    G, h = prob.A_in, prob.b_in
-    x = x0.copy() if x0 is not None else np.zeros(n)
-    # Slacks w and duals lam, stacked so one ratio test covers both.  The
-    # duals start at the cost's gradient norm (see the module docstring).
-    lam0 = max(1.0, float(np.abs(H @ x + prob.g).max(initial=0.0)))
-    wl = np.concatenate([np.maximum(h - G @ x, 1.0), np.full(m, lam0)])
-    K = np.empty((n, n))
+    # Iterate v = (x, w, lam), slacks w and duals lam, step dv and predictor
+    # (dw, dlam), read through views; the duals start at the cost's gradient norm.
+    v, dv, dwl_a = np.empty(n + 2 * m), np.empty(n + 2 * m), np.empty(2 * m)
+    x, w, lam = v[:n], v[n:n + m], v[n + m:]
+    dx, dwl, wl = dv[:n], dv[n:], v[n:]
+    Gd, K = np.empty((n, m)), np.empty((n, n))
+    x[:] = 0.0 if x0 is None else x0
+    lam0 = max(1.0, float(np.maximum.reduce(np.abs(H @ x + prob.g), initial=0.0)))
+    w[:], lam[:] = np.maximum(h - G @ x, 1.0), lam0
 
-    best = (x, wl[m:], np.inf)
+    best, best_kkt = v.copy(), np.inf
     p_inf_hist: list[float] = []
-
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        w, lam = wl[:m], wl[m:]
-        kkt, p_inf, r_d, r_in = _kkt_residual(prob, H, x, lam, g_inf)
+        kkt, p_inf, r_d, r_in, Gl = _kkt_residual(prob, HA, Gt, x, lam, g_inf)
         p_inf_hist.append(p_inf)
-        if kkt < best[2]:
-            best = (x, lam, kkt)
         if kkt <= tol:
-            return QpSolution(x, lam.copy(), kkt, QpStatus.OPTIMAL,
+            return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL,
                               it, p_inf, prob.objective(x))
-        stalled = (
-            len(p_inf_hist) > _STALL_WINDOW
-            and min(p_inf_hist) > tol
-            and min(p_inf_hist[-_STALL_WINDOW:]) >= 0.999 * min(p_inf_hist[:-_STALL_WINDOW])
-        )
-        if stalled or (lam.max() > 1e13 * lam0 and p_inf > tol):
-            return QpSolution(x, lam.copy(), kkt, QpStatus.INFEASIBLE,
+        if kkt < best_kkt:
+            best, best_kkt = v.copy(), kkt
+        stalled = (len(p_inf_hist) > _STALL_WINDOW and min(p_inf_hist) > tol and
+                   min(p_inf_hist[-_STALL_WINDOW:]) >= 0.999 * min(p_inf_hist[:-_STALL_WINDOW]))
+        if stalled or (p_inf > tol and np.maximum.reduce(lam) > 1e13 * lam0):
+            return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.INFEASIBLE,
                               it, min(p_inf_hist), prob.objective(x))
 
         # Newton step for complementarity target r_c (w o lam -> r_c), with
         # d = lam / w: dw = -r_p - G dx, dlam = -r_c / w - d o dw, and
-        # (H + G'DG) dx = G'(r_c / w - d o r_p) - r_d.
+        # (H + G'DG) dx = G'(r_c / w) - q, q = G'(d o r_p) + r_d.
         r_p, d, wlam = r_in + w, lam / w, w * lam
-        d_rp = d * r_p
-        mu = float(wlam.sum()) / m
-        np.matmul(G.T * d, G, out=K)
+        q = Gt @ (d * r_p) + r_d
+        mu = float(np.add.reduce(wlam)) / m
+        np.matmul(np.multiply(Gt, d, out=Gd), G, out=K)
         K += H
-        if not np.isfinite(K).all():
+        if not np.logical_and.reduce(np.isfinite(K), axis=None):
             break
-        lu = lapack.dgetrf(K)
+        chol = lapack.dpotrf(K, clean=0)
 
-        # Predictor (affine scaling) step, r_c = w o lam.
-        rhs = G.T @ (lam - d_rp) - r_d
-        dx = _linear_solve(K, lu, rhs)
-        dw = -r_p - G @ dx
-        dwl_a = np.concatenate([dw, -lam - d * dw])
-        wl_a = wl + dwl_a / _step_divisor(dwl_a, wl)
+        # Predictor (affine scaling) step, r_c = w o lam: G'(r_c / w) = G'lam.
+        np.subtract(Gl, q, out=dx)
+        _newton_direction(K, chol, G, r_p, d, lam, dx, dwl_a)
+        wl_a = dwl_a / _step_divisor(dwl_a, wl) + wl
         mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
         # Corrector step with centering, on the same factorization.
-        rc_w = (wlam + dwl_a[:m] * dwl_a[m:] - sigma * mu) / w
-        rhs = G.T @ (rc_w - d_rp) - r_d
-        dx = _linear_solve(K, lu, rhs)
-        dw = -r_p - G @ dx
-        dwl = np.concatenate([dw, -rc_w - d * dw])
-        alpha = max(0.99, 1.0 - mu) / _step_divisor(dwl, wl)
-
-        x = x + alpha * dx
-        wl = wl + alpha * dwl
-        if not np.isfinite(np.concatenate([x, wl])).all():
+        rc_w = (dwl_a[:m] * dwl_a[m:] + wlam - sigma * mu) / w
+        np.subtract(Gt @ rc_w, q, out=dx)
+        _newton_direction(K, chol, G, r_p, d, rc_w, dx, dwl)
+        dv *= max(0.99, 1.0 - mu) / _step_divisor(dwl, wl)
+        v += dv
+        if not np.logical_and.reduce(np.isfinite(v)):
             break
 
-    x, lam, kkt = best
+    x, lam = best[:n], best[n + m:]
     p_inf = min(p_inf_hist)
     status = QpStatus.INFEASIBLE if p_inf > tol else QpStatus.MAX_ITER
-    return QpSolution(x, lam.copy(), kkt, status, it, p_inf, prob.objective(x))
+    return QpSolution(x, lam, best_kkt, status, it, p_inf, prob.objective(x))
 
 
 def project_weighted(

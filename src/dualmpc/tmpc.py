@@ -12,15 +12,15 @@ minus the standalone set-tracking optimum acts as a Lyapunov function.
 The QP's vector is ``rci.Layout.of(template, N + 1)``: the stages (z_k, v_k),
 then x_r.  :class:`TubeQp` holds what is built once per controller (cfg,
 template, Y, eps_u, C): H and the fixed rows, validated once, the set cost
-with its y_ref -> g map, one ``qlpv.ModeRows`` over the full vector and the
-estimator's dist points; the invariant-set rows and cost are built on the
-x_r columns.  A step's rows are the model rows, mode-major over the tube
-points and then the invariant-set vertex points, from one
-``ModeRows.over_y`` call; the fixed rows; the initial row.  Each step
-computes d, the model rows, -F x_hat and g, and checks only those for
-finiteness.  solve_tmpc caches TubeQps by the identity of cfg, template and
-Y and the values of eps_u and C; change neither those objects nor a TubeQp's
-arrays in place.
+with its y_ref -> g map, one ``qlpv.ModeRows`` over the full vector, and the
+estimator's dist points with their rows per model shape, which the estimator
+fills in; the invariant-set rows and cost are built on the x_r columns.  A
+step's rows are the model rows, mode-major over the tube points and then the
+invariant-set vertex points, from one ``ModeRows.over_y`` call; the fixed
+rows; the initial row.  Each step computes d, the model rows, -F x_hat and g,
+and checks only those for finiteness.  solve_tmpc caches TubeQps by the
+identity of cfg, template and Y and the values of eps_u and C; change
+neither those objects nor a TubeQp's arrays in place.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
 views, and its time-shifted plan: :func:`warm_start_vector` gives the plan to
@@ -115,6 +115,7 @@ class TubeQp:
     b_fixed: np.ndarray           # then the sign rows of x_r
     initial: np.ndarray           # G with G y <= -F x_hat
     dist_points: np.ndarray       # the estimator's dist points (0, r)
+    dist_rows: dict = field(default_factory=dict, init=False)  # their rows per model shape
 
     @classmethod
     def build(cls, cfg: ControllerConfig, template: PolytopeTemplate, Y: Hpoly,

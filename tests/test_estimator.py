@@ -179,6 +179,45 @@ class TestThetaPolytope:
         assert set(poly.families) <= {"state_s", "dist", "tube", "tube_plus",
                                       "terminal", "rci"}
 
+    def test_dist_rows_match_their_formula_across_steps_and_model_shapes(self):
+        # The dist rows are formed once per tube QP and model shape.  At two
+        # steps of a warm-started loop, for two models that share the tube QP
+        # but not theta's layout, block (i, p) reads F B_i r_p <= d at the
+        # dist point (0, r_p): F[:, k] r_p[l] on B_i's entry (k, l), which
+        # follows the n_p A_i in theta, and zero on x and every other entry.
+        n_x, n_u = 2, 2
+        template, eps_u = box_template(n_x, n_u), np.ones(n_u)
+        f = template.n_rows
+        for n_p, n_h in ((3, 3), (2, 4)):
+            model = random_model(np.random.default_rng(8), n_u=n_u, n_p=n_p, n_h=n_h,
+                                 infnorm=0.6, gain=0.25)
+            x_hat, warm = np.array([0.2, -0.1]), None
+            for _ in range(2):
+                sol = tmpc.solve_tmpc(x_hat, model, np.array([0.4]), CFG, template, Y,
+                                      eps_u, warm_start=warm)
+                assert sol.status == qp.QpStatus.OPTIMAL
+                poly = estimator.build_theta_polytope(sol, template, model, CFG.beta,
+                                                      eps_u, CFG.gamma)
+                r = sol.tube_qp.dist_points[:, n_x:]
+                assert len(r) == 2
+                expected = np.zeros((n_p, len(r), f, n_x + model.n_theta))
+                for i in range(n_p):
+                    for p in range(len(r)):
+                        for k in range(n_x):
+                            for l in range(n_u):
+                                col = n_x + n_p * n_x * n_x + (i * n_x + k) * n_u + l
+                                expected[i, p, :, col] = template.F[:, k] * r[p, l]
+                dist = poly.families["dist"]
+                A = np.vstack([poly.A[sl] for sl in dist])
+                assert np.array_equal(A, expected.reshape(-1, n_x + model.n_theta))
+                assert np.array_equal(np.concatenate([poly.b[sl] for sl in dist]),
+                                      np.tile(sol.d, n_p * len(r)))
+                # Bytewise the rows formed from this step's model.
+                rows = qlpv.theta_rows(model, template.F, sol.tube_qp.dist_points)
+                assert A[:, n_x:].tobytes() == rows.reshape(len(A), -1).tobytes()
+                u = tmpc.nominal_input(sol, x_hat, template)[0]
+                x_hat, warm = qlpv.step(model, x_hat, u), tmpc.warm_start_vector(sol, CFG.gamma)
+
     def test_witness_satisfies_every_row(self, tube_setup):
         model, _, sol = tube_setup
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta,

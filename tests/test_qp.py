@@ -204,6 +204,78 @@ def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, norm):
     assert sol.iterations == len(calls) > 0
 
 
+def scaled_kkt_residual(prob, x, lam):
+    """The module docstring's KKT residual, written out: absolute primal
+    infeasibility, and stationarity and complementarity over
+    max(1, |Hx|, |g|, |A' lam|)."""
+    Hx, Al, r_in = prob.H @ x, prob.A_in.T @ lam, prob.A_in @ x - prob.b_in
+    scale = max(1.0, *(np.abs(v).max() for v in (Hx, prob.g, Al)))
+    comp = max(np.abs(lam * r_in).max(), -min(lam.min(), 0.0))
+    return max(max(r_in.max(), 0.0), np.abs(Hx + prob.g + Al).max() / scale, comp / scale)
+
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "qp_recorded_seed11.json").read_text())
+
+
+@pytest.mark.parametrize("rec", RECORDED, ids=[r["name"] for r in RECORDED])
+def test_recorded_problem_keeps_its_iterations(rec):
+    # Seed-11 bench problems: a tube QP whose warm start (the shifted plan
+    # with the last duals) fails the KKT test, and a projection started at
+    # the point it projects, from dual_track and from twomass_track, with
+    # the status, iteration count and objective of the LU-factored solver
+    # they were recorded with.  Each ends with its KKT residual at least a
+    # factor 1.9 from tol on both sides of the last iteration, so rounding
+    # does not move the count.  x is not compared: the tube QP's optimal
+    # face is not a point, and x moves by up to 4e-9 under rounding.
+    prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"], check_psd=False)
+    warm = np.array(rec["warm_x"])
+    if rec["warm_duals"] is not None:
+        warm = qp.QpSolution(warm, np.array(rec["warm_duals"]), float("nan"),
+                             qp.QpStatus.OPTIMAL, 0)
+    sol = qp.solve(prob, tol=rec["tol"], warm_start=warm)
+    assert sol.status.value == rec["status"]
+    assert sol.iterations == rec["iterations"] > 0
+    assert prob.objective(sol.x) == pytest.approx(rec["objective"], rel=1e-12)
+    assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= rec["tol"]
+
+
+def test_factorization_failure_falls_back_to_least_squares(rng, monkeypatch):
+    # Every Cholesky factorization reports K not positive definite, with a
+    # factor of NaNs, so each Newton step is the least-squares solve; the
+    # solve still reaches the oracle's optimum, without a warning.
+    calls = []
+    monkeypatch.setattr(qp.lapack, "dpotrf",
+                        lambda K, **kw: (calls.append(1), (np.full_like(K, np.nan), 1))[1])
+    for _ in range(10):
+        H, g, A, b = random_strictly_convex(rng, 5, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_simple(H, g, A_in=A, b_in=b)
+        x_ref, _ = qp_active_set_oracle(H, g, A, b)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert np.abs(sol.x - x_ref).max() <= 1e-6
+    assert calls
+
+
+def test_non_finite_newton_matrix_ends_with_the_best_point(monkeypatch):
+    # A cost of norm 1e305 with its minimiser x = 2 outside x <= 1: as the
+    # slack closes, d = lam / w grows until K = H + A'DA overflows.  That K
+    # never reaches the factorization; the solve ends at the iteration that
+    # formed it, with the best point seen.
+    prob = qp.QpProblem.build([[1e305]], [-2e305], [[1.0]], [1.0])
+    dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
+    finite, kkts = [], []
+    monkeypatch.setattr(qp.lapack, "dpotrf",
+                        lambda K, **kw: (finite.append(np.isfinite(K).all()), dpotrf(K, **kw))[1])
+    monkeypatch.setattr(qp, "_kkt_residual",
+                        lambda *a: (lambda out: (kkts.append(out[0]), out)[1])(residual(*a)))
+    sol = qp.solve(prob, tol=1e-16)
+    assert sol.status in (qp.QpStatus.MAX_ITER, qp.QpStatus.INFEASIBLE)
+    assert all(finite) and sol.iterations == len(finite) + 1 == len(kkts) > 1
+    assert sol.kkt_residual == min(kkts)
+    assert np.isfinite(sol.x).all() and sol.x[0] <= 1.0
+
+
 def test_dual_loop_projection_converges(monkeypatch):
     # Closed loop on a random scheduled model: the true plant is the model
     # with perturbed parameters, the tube QP is warm-started and the
