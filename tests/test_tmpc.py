@@ -297,6 +297,26 @@ def test_frozen_configs_compare_and_hash_by_identity(make):
     assert len({a, make()}) == 2
 
 
+def invariant_set_from_scratch(params, template, beta, eps_u, Y):
+    """The invariant-set rows over x_r alone, written out: the vertex points
+    S_j with their inputs, the vertex dynamics (A_dyn, b_dyn), mode-major, the
+    box rows (box, h_box) that each vertex point keeps, and the sign rows."""
+    xr, F = rci.Layout.of(template, 0), template.F
+    d = qlpv.disturbance_vector(params, template, beta, eps_u)
+    U = Hpoly.box(eps_u).scale(1.0 - beta)
+    box, h_box = block_diag(Y.H @ params.C, U.H), np.concatenate([Y.h, U.h])
+    S = np.zeros((xr.v, xr.stage, xr.dim))    # vertex j with its input
+    S[:, :, :xr.stage] = np.eye(xr.stage)     # (z_s, v_s) lead x_r
+    S[:, :xr.n_x, xr.s] = template.V
+    S[:, xr.n_x:, xr.c] = np.eye(xr.v * xr.n_u).reshape(xr.v, xr.n_u, -1)
+    G = np.zeros((xr.v, xr.f, xr.dim))
+    G[:, :, xr.z_s], G[:, :, xr.s], G[:, :, xr.q] = -F, -np.eye(xr.f), np.eye(xr.f)
+    A_dyn, b_dyn = qlpv.ModeRows(F, S, G, np.tile(-d, (xr.v, 1))).over_y(params)
+    A_sign = np.zeros((2 * xr.f, xr.dim))
+    A_sign[:xr.f, xr.q] = A_sign[xr.f:, xr.s] = -np.eye(xr.f)
+    return S, (A_dyn, b_dyn), (box, h_box), A_sign
+
+
 def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     """(A, b, H, g) of the tube QP written out in one function, row for row:
     the model rows, mode-major over the tube points and then the vertex
@@ -305,23 +325,13 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     cost are formed over x_r alone and then placed on its columns."""
     lay, xr = rci.Layout.of(template, cfg.N + 1), rci.Layout.of(template, 0)
     F, xr_cols = template.F, slice((cfg.N + 1) * lay.stage, lay.dim)
-    d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
     mode = tmpc.mode_rows(cfg.gamma, template, lay)
     A_mode, b_mode = mode.over_y(params)
-    U = Hpoly.box(eps_u).scale(1.0 - cfg.beta)
-    box, h_box = block_diag(Y.H @ params.C, U.H), np.concatenate([Y.h, U.h])
-    S = np.zeros((xr.v, lay.stage, xr.dim))   # vertex j with its input, over x_r
-    S[:, :, :lay.stage] = np.eye(lay.stage)   # (z_s, v_s) lead x_r
-    S[:, :xr.n_x, xr.s] = template.V
-    S[:, xr.n_x:, xr.c] = np.eye(xr.v * xr.n_u).reshape(xr.v, xr.n_u, -1)
+    S, (A_dyn, b_dyn), (box, h_box), A_sign = invariant_set_from_scratch(
+        params, template, cfg.beta, eps_u, Y)
     vertices = np.zeros((xr.v, lay.stage, lay.dim))
     vertices[..., xr_cols] = S
     A_box = (box @ (mode.S[:, None] + vertices)).reshape(-1, lay.dim)
-    G = np.zeros((xr.v, xr.f, xr.dim))
-    G[:, :, xr.z_s], G[:, :, xr.s], G[:, :, xr.q] = -F, -np.eye(xr.f), np.eye(xr.f)
-    A_dyn, b_dyn = qlpv.ModeRows(F, S, G, np.tile(-d, (xr.v, 1))).over_y(params)
-    A_sign = np.zeros((2 * xr.f, xr.dim))
-    A_sign[:xr.f, xr.q] = A_sign[xr.f:, xr.s] = -np.eye(xr.f)
     A_rci = np.zeros((len(A_dyn) + xr.v * len(box) + 2 * xr.f, lay.dim))
     A_rci[:, xr_cols] = np.vstack([A_dyn, (box @ S).reshape(-1, xr.dim), A_sign])
     # Mode i's rows at the tube points, then its rows at the vertex points.
@@ -349,16 +359,38 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     return A, b, H, g
 
 
-@pytest.mark.parametrize("cfg, n_y", [(tmpc.ControllerConfig(N=1, beta=0.0), 1),
-                                      (CFG, 1), (tmpc.ControllerConfig(N=3, beta=0.1), 2)])
-def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
-    rng = np.random.default_rng(31 + cfg.N)
-    Y_n = Hpoly.box(0.8 * np.ones(n_y))
+# (cfg, n_y): no disturbance budget with N = 1, the default controller, and
+# two outputs with N = 3.
+SCRATCH_SETTINGS = [(tmpc.ControllerConfig(N=1, beta=0.0), 1), (CFG, 1),
+                    (tmpc.ControllerConfig(N=3, beta=0.1), 2)]
+
+
+def random_settings(rng, n_y):
+    """Five (model with an n_y-output C, x_hat, y_ref) draws."""
     for _ in range(5):
         model = random_model(rng, infnorm=0.6, gain=0.25)
         C = np.eye(2)[:n_y] + 0.1 * rng.normal(size=(n_y, 2))
-        model = dataclasses.replace(model, C=C)
         x_hat, y_ref = rng.uniform(-0.3, 0.3, size=2), rng.uniform(-0.5, 0.5, size=n_y)
+        yield dataclasses.replace(model, C=C), x_hat, y_ref
+
+
+@pytest.mark.parametrize("cfg, n_y", SCRATCH_SETTINGS)
+def test_invariant_set_rows_equal_assembly_from_scratch_bitwise(cfg, n_y):
+    Y_n = Hpoly.box(0.8 * np.ones(n_y))
+    for model, _, _ in random_settings(np.random.default_rng(37 + cfg.N), n_y):
+        S, (A_dyn, b_dyn), (box, h_box), A_sign = invariant_set_from_scratch(
+            model, TEMPLATE, cfg.beta, EPS_U, Y_n)
+        want = (np.vstack([A_dyn, (box @ S).reshape(-1, S.shape[2]), A_sign]),
+                np.concatenate([b_dyn, np.tile(h_box, len(S)), np.zeros(len(A_sign))]))
+        got = rci.rci_constraint_block(model, TEMPLATE, cfg.beta, EPS_U, Y_n)
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("cfg, n_y", SCRATCH_SETTINGS)
+def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
+    Y_n = Hpoly.box(0.8 * np.ones(n_y))
+    for model, x_hat, y_ref in random_settings(np.random.default_rng(31 + cfg.N), n_y):
         tq = tmpc.TubeQp.build(cfg, TEMPLATE, Y_n, EPS_U, model.C)
         d = qlpv.disturbance_vector(model, TEMPLATE, cfg.beta, EPS_U)
         g, const = tq.set_cost.at(y_ref)
