@@ -156,7 +156,7 @@ def build_theta_polytope(
     tightened by d + q (rci).  Points that are roundoff are left out
     (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
     each mode's scaled input image below the frozen disturbance allowance
-    d = ``tube.d`` (dist), at the points ``TubeQp.dist_points``.  The rows are
+    d = ``tube.d`` (dist), at the points ``rci.TubeQp.dist_points``.  The rows are
     written into one array, in the order state_s, dist, model rows.  beta,
     eps_u and gamma must be the tube's controller's, whose d and points these
     are; others raise ``ConfigurationError``.
@@ -206,7 +206,6 @@ class CorrectionResult:
     zeta: np.ndarray
     P: np.ndarray
     projection_loss: float
-    theta_poly_violation: float
     fallback: bool = False
 
 
@@ -237,7 +236,7 @@ def constrained_correct(
     P_new = 0.5 * (P_new + P_new.T)
 
     if theta_poly is None:
-        return CorrectionResult(zeta, P_new, 0.0, 0.0)
+        return CorrectionResult(zeta, P_new, 0.0)
 
     A, b = theta_poly.A, theta_poly.b
     k = zeta.size if P_new[n_x:].any() else n_x
@@ -250,4 +249,4 @@ def constrained_correct(
             break
         zeta, k = np.concatenate([zeta[:n_x], state.theta_hat]), n_x
     zeta = np.concatenate([proj.x, zeta[k:]])
-    return CorrectionResult(zeta, P_new, proj.value, theta_poly.violation(zeta), fallback)
+    return CorrectionResult(zeta, P_new, proj.value, fallback)

@@ -76,8 +76,9 @@ _MAX_ITER = 500
 class QpProblem:
     """Dense QP data. A missing constraint block is an empty (0-row) array.
 
-    :meth:`build` validates a problem and the solver does not.  ``tmpc.TubeQp``
-    validates its fixed H once and constructs each step's problem directly.
+    :meth:`build` validates a problem and the solver does not.
+    ``tmpc.solve_tmpc`` validates the H and fixed rows of each controller's
+    ``rci.TubeQp`` once and constructs each step's problem directly.
     """
 
     H: np.ndarray

@@ -1,23 +1,31 @@
-"""Robust control-invariant set synthesis over the box template.
+"""The tube QP and the invariant-set QP over the box template: one builder.
 
-Its QP and the tube QP share one decision vector (z_0, v_0, ..., z_N, v_N,
-z_s, v_s, s, c, q), tube stages (none here) and then the invariant-set block
-x_r: :class:`Layout` gives its offsets, and a solution's parts are views.
+:class:`TubeQp` builds the QP of any number of tube stages.  Its vector holds
+the stages (z_k, v_k), then the invariant-set block x_r = (z_s, v_s, s, c, q):
+:class:`Layout` gives the offsets, and a solution's parts are views.  The
+stand-alone invariant-set QP is the build with no stages, without the initial
+row; :func:`rci_constraint_block` gives its rows and :func:`solve_optimal_rci`
+solves it.
 
-The invariant-set conditions are linear in x_r: for every scheduling mode i
-and template vertex j the one-step image of the vertex under the vertex input
-must land inside the set shrunk by the disturbance allowance d and the slack
-q, while vertex outputs stay in the output set and vertex inputs in the
-tracking share of the input box.  The optimal set trades output-tracking error
-of its center against the size weights, as a strictly convex QP.
+The rows are linear in the vector.  For every scheduling mode i, the images
+of each tube center land in the next center's slack-enlarged set, those of
+the last contract toward the set center at rate gamma, and the image of each
+template vertex j under its vertex input lands inside the set shrunk by the
+disturbance allowance d and the slack q.  These model rows are one
+``qlpv.ModeRows``, mode-major over the tube points and then the vertex
+points.  The fixed rows keep the vertex outputs of every set in the output
+set and its vertex inputs in the tracking share of the input box, and s and
+q nonnegative.  The initial row puts the state estimate in the first set.
+The cost weighs the stages' deviations from the set center, plus the set
+cost, which trades output-tracking error of the center against set size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import qlpv, qp
 from .polytope import Hpoly, PolytopeTemplate
@@ -77,9 +85,9 @@ class Layout:
     @property
     def deviations(self) -> np.ndarray:
         """Maps D_k with D_k x = (z_k - z_s, v_k - v_s), one per stage."""
-        center = np.eye(self.stage, self.dim, self.center.start)
-        return np.array([np.eye(self.stage, self.dim, k * self.stage) - center
-                         for k in range(self.stages)])
+        stacked = np.eye(self.stages * self.stage, self.dim)
+        return (stacked.reshape(self.stages, self.stage, self.dim)
+                - np.eye(self.stage, self.dim, self.center.start))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,59 +147,6 @@ def default_weights(n_y: int, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class RciRows:
-    """Invariant-set rows on a layout's x_r columns.  Only the vertex dynamics
-    depend on the model and the disturbance allowance d; the vertex box rows
-    and the sign rows are fixed by (template, beta, eps_u, Y, C)."""
-
-    vertex: qlpv.ModeRows    # vertex dynamics; h is set from d per call
-    box: np.ndarray          # block_diag(Y.H C, U.H) over (x, u)
-    box_h: np.ndarray
-    A_fixed: np.ndarray      # box rows at every vertex, then the sign rows
-    b_fixed: np.ndarray
-
-    @classmethod
-    def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray,
-              Y: Hpoly, C: np.ndarray, lay: Layout) -> "RciRows":
-        # Points S_j x = (z_s + V_j s, v_s + c_j), each vertex with its input, whose
-        # mode images stay inside the set with room for the disturbance d and slack q.
-        S = np.zeros((lay.v, lay.stage, lay.dim))
-        S[:, :, lay.center] = np.eye(lay.stage)
-        S[:, :lay.n_x, lay.s] = template.V
-        S[:, lay.n_x:, lay.c] = np.eye(lay.v * lay.n_u).reshape(lay.v, lay.n_u, -1)
-        G = np.zeros((lay.v, lay.f, lay.dim))
-        G[:, :, lay.z_s], G[:, :, lay.s] = -template.F, -np.eye(lay.f)
-        G[:, :, lay.q] = np.eye(lay.f)
-        vertex = qlpv.ModeRows(template.F, S, G, np.zeros((lay.v, lay.f)))
-        # Vertex outputs inside Y; vertex inputs inside the tracking input share.
-        U_box = Hpoly.box(eps_u).scale(1.0 - beta)
-        box = block_diag(Y.H @ C, U_box.H)
-        box_h = np.concatenate([Y.h, U_box.h])
-        # Sign constraints q >= 0 and s >= 0.
-        A_sign = np.zeros((2 * lay.f, lay.dim))
-        A_sign[:lay.f, lay.q] = A_sign[lay.f:, lay.s] = -np.eye(lay.f)
-        return cls(vertex, box, box_h,
-                   np.vstack([(box @ vertex.S).reshape(-1, lay.dim), A_sign]),
-                   np.concatenate([np.tile(box_h, lay.v), np.zeros(2 * lay.f)]))
-
-
-def rci_constraint_block(
-    params: qlpv.ModelParams,
-    template: PolytopeTemplate,
-    beta: float,
-    eps_u: np.ndarray,
-    Y: Hpoly,
-    d: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear inequalities A x_r <= b encoding the invariant-set conditions."""
-    if d is None:
-        d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    rows = RciRows.build(template, beta, eps_u, Y, params.C, Layout.of(template, 0))
-    A_dyn, b_dyn = replace(rows.vertex, h=np.tile(-d, (template.n_vertices, 1))).over_y(params)
-    return np.vstack([A_dyn, rows.A_fixed]), np.concatenate([b_dyn, rows.b_fixed])
-
-
-@dataclass(frozen=True, eq=False)
 class SetCost:
     """Set-tracking objective 0.5 x' H x + g' x + constant on ``lay``'s x_r, where
     only g (G y_ref on z_s) and the constant depend on the reference.  The output
@@ -218,6 +173,139 @@ class SetCost:
         return g, float(self.lay.v * y_ref @ self.Q1 @ y_ref)
 
 
+def stage_weights(gamma: float, n_x: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, P) of the stage deviations: Q = I, and P = Q / (1 - gamma^2), on the
+    last stage, gives the terminal decrement."""
+    Q = np.eye(n_x + n_u)
+    return Q, Q / (1.0 - gamma ** 2)
+
+
+def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.ModeRows:
+    """Tube propagation and terminal rows over the full vector.
+
+    Point k is the deviation (z_k - z_s, v_k - v_s) of stage k from the set
+    center.  For k < N its mode images land in the next tube set with slack q,
+    F(A_i w + B_i r) <= F(z_{k+1} - z_s) + q; for k = N they contract toward
+    the set center at rate gamma.
+    """
+    F, f, N = template.F, template.n_rows, lay.stages - 1
+    D = lay.deviations
+    G = np.zeros((N + 1, f, lay.dim))
+    for k in range(N + 1):
+        nxt, rate = (k + 1, 1.0) if k < N else (N, gamma)
+        G[k] = -rate * F @ D[nxt, :lay.n_x]
+    G[:, :, lay.q] = -np.eye(f)
+    return qlpv.ModeRows(F, D, G, np.zeros((N + 1, f)))
+
+
+@dataclass(frozen=True, eq=False)
+class TubeQp:
+    """The QP over ``layout``; :meth:`rows` and ``set_cost.at`` fill in a step.
+    Its rows: ``mode`` at the tube points, then at the vertex points
+    z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row.  Only
+    the estimator adds to ``dist_rows``; change none of its arrays in place."""
+
+    gamma: float
+    beta: float
+    eps_u: np.ndarray
+    layout: Layout
+    H: np.ndarray
+    set_cost: SetCost             # the x_r part of the cost; its ``at`` gives g
+    mode: qlpv.ModeRows           # model rows; h is 0, model_rows sets -d
+    A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
+    b_fixed: np.ndarray           # then the sign rows of x_r
+    initial: np.ndarray           # G with G y <= -F x_hat
+    dist_points: np.ndarray       # the estimator's dist points (0, r)
+    dist_rows: dict = field(default_factory=dict, init=False)  # their rows per model shape
+
+    @classmethod
+    def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
+              C: np.ndarray, gamma: float, stages: int) -> "TubeQp":
+        """The QP of ``stages`` tube stages.  H, a sum of 2 D'WD, W > 0, and the
+        set cost, is positive semidefinite by construction."""
+        lay = Layout.of(template, stages)
+        Q, P = stage_weights(gamma, lay.n_x, lay.n_u)
+        H = np.zeros((lay.dim, lay.dim))
+        for k, D in enumerate(lay.deviations):
+            W = P if k == stages - 1 else Q
+            H += 2.0 * D.T @ W @ D
+        set_cost = SetCost.build(template, C, lay)
+        H += set_cost.H
+
+        # Vertex points S_j x = (z_s + V_j s, v_s + c_j), each vertex with its input,
+        # whose mode images stay inside the set with room for the disturbance d and slack q.
+        tube = mode_rows(gamma, template, lay)
+        S = np.zeros((lay.v, lay.stage, lay.dim))
+        S[:, :, lay.center] = np.eye(lay.stage)
+        S[:, :lay.n_x, lay.s] = template.V
+        S[:, lay.n_x:, lay.c] = np.eye(lay.v * lay.n_u).reshape(lay.v, lay.n_u, -1)
+        G = np.zeros((lay.v, lay.f, lay.dim))
+        G[:, :, lay.z_s], G[:, :, lay.s] = -template.F, -np.eye(lay.f)
+        G[:, :, lay.q] = np.eye(lay.f)
+        mode = qlpv.ModeRows(template.F, np.concatenate([tube.S, S]), np.concatenate([tube.G, G]),
+                             np.zeros((stages + lay.v, lay.f)))
+        # Vertex outputs in Y and vertex inputs in the tracking input share: vertex j
+        # of tube set k with its input is point k plus vertex point j, and then the
+        # vertex points themselves.  Then the sign rows q >= 0 and s >= 0.
+        U_box = Hpoly.box(eps_u).scale(1.0 - beta)
+        box = np.block([[Y.H @ C, np.zeros((len(Y.h), lay.n_u))],
+                        [np.zeros((len(U_box.h), lay.n_x)), U_box.H]])
+        points = np.concatenate([(tube.S[:, None] + S).reshape(-1, lay.stage, lay.dim), S])
+        A_sign = np.zeros((2 * lay.f, lay.dim))
+        A_sign[:lay.f, lay.q] = A_sign[lay.f:, lay.s] = -np.eye(lay.f)
+        A_fixed = np.vstack([(box @ points).reshape(-1, lay.dim), A_sign])
+        b_fixed = np.concatenate([np.tile(np.concatenate([Y.h, U_box.h]), len(points)),
+                                  np.zeros(2 * lay.f)])
+        # The estimate lies in the first tube set X(z_0, s).  The full offset s
+        # (not the slack q) is what the time-shift feasibility argument needs:
+        # the propagated state is only guaranteed to land in X(z_1, s), and it
+        # keeps x_hat inside X(z_0, s), so the barycentric weights reproduce it.
+        initial = np.zeros((lay.f, lay.dim))    # z_0 leads the vector
+        initial[:, :lay.n_x], initial[:, lay.s] = -template.F, -np.eye(lay.f)
+        # r = beta eps_u o sign with sign_0 = +1: F = [I; -I] gives the rows of
+        # -r as those of r reordered.
+        signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
+        dist = np.hstack([np.zeros((len(signs), lay.n_x)), beta * signs * eps_u])
+        return cls(gamma, beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed, initial, dist)
+
+    def model_rows(self, d: np.ndarray) -> qlpv.ModeRows:
+        """The model rows with room for the disturbance allowance d at the vertex points."""
+        h = self.mode.h.copy()
+        h[self.layout.stages:] = -d
+        return replace(self.mode, h=h)
+
+    def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
+             d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of the step: model rows at (params, d), fixed rows, initial row at x_hat."""
+        A_model, b_model = self.model_rows(d).over_y(params)
+        return (np.concatenate([A_model, self.A_fixed, self.initial]),
+                np.concatenate([b_model, self.b_fixed, -self.mode.F @ x_hat]))
+
+
+def _rci_qp(params: qlpv.ModelParams, template: PolytopeTemplate, beta: float,
+            eps_u: np.ndarray, Y: Hpoly, d: np.ndarray) -> tuple[TubeQp, np.ndarray, np.ndarray]:
+    """The invariant-set QP, which is the tube QP with no stages, so gamma (0
+    here) enters no row; and its rows A x_r <= b at (params, d), all but the
+    initial row."""
+    tq = TubeQp.build(template, beta, eps_u, Y, params.C, 0.0, 0)
+    A, b = tq.model_rows(d).over_y(params)
+    return tq, np.vstack([A, tq.A_fixed]), np.concatenate([b, tq.b_fixed])
+
+
+def rci_constraint_block(
+    params: qlpv.ModelParams,
+    template: PolytopeTemplate,
+    beta: float,
+    eps_u: np.ndarray,
+    Y: Hpoly,
+    d: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear inequalities A x_r <= b encoding the invariant-set conditions."""
+    if d is None:
+        d = qlpv.disturbance_vector(params, template, beta, eps_u)
+    return _rci_qp(params, template, beta, eps_u, Y, d)[1:]
+
+
 def solve_optimal_rci(
     params: qlpv.ModelParams,
     y_ref: np.ndarray,
@@ -228,12 +316,11 @@ def solve_optimal_rci(
 ) -> tuple[RciSolution, qp.QpSolution]:
     """Smallest admissible invariant set whose center output tracks y_ref.
     A solve that is not optimal gives x_r = 0 and cost inf."""
-    lay = Layout.of(template, 0)
     d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    A, b = rci_constraint_block(params, template, beta, eps_u, Y, d)
-    cost = SetCost.build(template, params.C, lay)
-    g, const = cost.at(y_ref)
-    sol = qp.solve(qp.QpProblem.build(cost.H, g, A, b))
+    tq, A, b = _rci_qp(params, template, beta, eps_u, Y, d)
+    g, const = tq.set_cost.at(y_ref)
+    # One validation, without eigvalsh: H is positive semidefinite by construction.
+    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False))
     if sol.status != qp.QpStatus.OPTIMAL:
-        return RciSolution(np.zeros(lay.dim), lay, float("inf"), d), sol
-    return RciSolution(sol.x, lay, sol.value + const, d), sol
+        return RciSolution(np.zeros(tq.layout.dim), tq.layout, float("inf"), d), sol
+    return RciSolution(sol.x, tq.layout, sol.value + const, d), sol

@@ -33,6 +33,8 @@ _CHUNK = 50                  # rows rolled out between two checks of the states
 _REJECT_MARGIN = 1e-9        # relative margin of the early-rejection test
 _ARMIJO_C = 1e-4             # sufficient-decrease constant of the line search
 _MAX_RETRIES = 3             # refits with stronger weight decay after a failed gate
+_TARGET_MSE = 0.01           # a fit stops once its simulation MSE is this low
+_MAX_HALVINGS = 50           # step halvings before the line search gives up
 _N_X, _N_P, _N_H, _N_U, _N_Y = 2, 3, 3, 1, 1   # fitted model's n_x, n_p, n_h, n_u, n_y
 
 
@@ -178,17 +180,14 @@ def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
 
 @dataclass
 class TrainConfig:
-    target: float = 0.01
     max_epochs: int = 4000
     weight_decay: float = 1e-4
-    max_halvings: int = 50
 
 
 @dataclass
 class FitReport:
     train_mse: float
     epochs: int                  # accepted descent steps, len(history) - 1
-    reached_target: bool
     weight_decay: float
     history: list = field(default_factory=list)
     rollout_steps: int = 0       # model steps simulated, abandoned probes included
@@ -232,7 +231,7 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
     prev_theta, prev_grad = None, None
 
     for _ in range(cfg.max_epochs):
-        if best_mse <= cfg.target:
+        if best_mse <= _TARGET_MSE:
             break
         gnorm2 = float(grad @ grad)
         if gnorm2 <= 1e-30:
@@ -254,7 +253,7 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
         # it fails the Armijo test; the gradient at the accepted probe
         # differentiates that same roll-out.  No accepted probe ends the fit.
         alpha = step
-        for _ in range(cfg.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = theta - alpha * grad
             cand_params = params.replace_theta(cand)
             threshold = loss - _ARMIJO_C * alpha * gnorm2
@@ -277,7 +276,6 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
 
     best = params.replace_theta(best_theta)
     return best, FitReport(train_mse=best_mse, epochs=len(history) - 1,
-                           reached_target=best_mse <= cfg.target,
                            weight_decay=cfg.weight_decay, history=history,
                            rollout_steps=steps)
 

@@ -282,7 +282,7 @@ class TestThetaPolytope:
         res = estimator.constrained_correct(state, zeta_pred, P_pred, y, poly)
         assert res.projection_loss > 0.0
         assert not res.fallback
-        assert res.theta_poly_violation <= 1e-9
+        assert poly.violation(res.zeta) <= 1e-9
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_rows_are_tube_qp_rows_at_shifted_candidate(self, N):
@@ -438,7 +438,7 @@ class TestConstrainedCorrect:
         (state_s,) = poly.families["state_s"]
         assert (poly.A[state_s] @ res.zeta - poly.b[state_s]).max() <= 1e-9
         assert res.projection_loss > 0.0
-        assert res.theta_poly_violation <= 1e-9
+        assert poly.violation(res.zeta) <= 1e-9
         assert not res.fallback
 
     def test_frozen_theta_mode_never_touches_theta(self, rng):

@@ -239,6 +239,44 @@ def test_recorded_problem_keeps_its_iterations(rec):
     assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= rec["tol"]
 
 
+# Finding H: the twomass_track tube QP at seed 14, episode 4, step 177 (two
+# steps after a reference switch), with the shifted plan and duals of the
+# step before as its warm start.  Near the solution the slacks of some rows
+# reach ~3e-17 while their duals stay ~8, the Cholesky factorization fails,
+# and the solve ends MAX_ITER after 17 iterations with KKT residual 1.05e-8
+# against tol 1e-8, and the bench loop ends the episode.
+(FINDING_H,) = json.loads(
+    (Path(__file__).parent / "data" / "qp_tube_twomass_seed14.json").read_text())
+
+
+def finding_h():
+    """(problem, warm start, tol) of the recorded Finding H tube QP."""
+    rec = FINDING_H
+    prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"], check_psd=False)
+    warm = qp.QpSolution(np.array(rec["warm_x"]), np.array(rec["warm_duals"]), float("nan"),
+                         qp.QpStatus.OPTIMAL, 0)
+    return prob, warm, rec["tol"]
+
+
+def test_finding_h_warm_start_is_feasible():
+    # Recursive feasibility: the shifted plan meets every row of the next QP.
+    prob, warm, _ = finding_h()
+    assert (prob.A_in @ warm.x - prob.b_in).max() <= 1e-11
+
+
+def test_finding_h_returned_point_is_feasible():
+    prob, warm, tol = finding_h()
+    sol = qp.solve(prob, tol=tol, warm_start=warm)
+    assert (prob.A_in @ sol.x - prob.b_in).max() <= tol
+
+
+@pytest.mark.xfail(strict=True, reason="Finding H: stationarity stalls at 1.05e-8 against "
+                   "tol 1e-8 once the Newton matrix cannot be factored")
+def test_finding_h_tube_qp_solves_to_optimal():
+    prob, warm, tol = finding_h()
+    assert qp.solve(prob, tol=tol, warm_start=warm).status == qp.QpStatus.OPTIMAL
+
+
 def test_factorization_failure_falls_back_to_least_squares(rng, monkeypatch):
     # Every Cholesky factorization reports K not positive definite, with a
     # factor of NaNs, so each Newton step is the least-squares solve; the

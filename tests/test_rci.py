@@ -81,6 +81,10 @@ def test_layout_partitions_the_vector(n_x, n_u):
         assert [i for sl in slices for i in range(lay.dim)[sl]] == \
             list(range(stages * lay.stage, lay.dim))
         assert lay.center == slice(lay.z_s.start, lay.v_s.stop)
+        # One deviation map per stage, none without stages: D_k x = stage k - center.
+        assert lay.deviations.shape == (stages, lay.stage, lay.dim)
+        assert np.array_equal(lay.deviations @ sol.x,
+                              np.hstack([sol.z, sol.v]) - sol.x[lay.center])
 
 
 class TestSolveOptimalRci:

@@ -144,11 +144,11 @@ def test_fit_is_deterministic(record):
     assert np.array_equal(first.pack(), second.pack())
 
 
-@pytest.mark.parametrize("cfg", [sysid.TrainConfig(target=1e9),
-                                 sysid.TrainConfig(max_halvings=0)],
+@pytest.mark.parametrize("constant, value", [("_TARGET_MSE", 1e9), ("_MAX_HALVINGS", 0)],
                          ids=["target-met", "line-search-fails"])
-def test_early_stop_counts_only_accepted_steps(record, cfg):
-    _, report = sysid.fit_initial_model(record, cfg, seed=0)
+def test_early_stop_counts_only_accepted_steps(record, monkeypatch, constant, value):
+    monkeypatch.setattr(sysid, constant, value)
+    _, report = sysid.fit_initial_model(record, sysid.TrainConfig(), seed=0)
     assert report.epochs == 0
     assert len(report.history) == 1
 

@@ -50,7 +50,7 @@ def test_invalid_configs_rejected():
 
 
 def test_default_terminal_weight_zeroes_decrement_matrix():
-    Q, P = CFG.weights(2, 1)
+    Q, P = rci.stage_weights(CFG.gamma, 2, 1)
     M = Q + CFG.gamma ** 2 * P - P
     assert np.abs(M).max() <= 1e-12
 
@@ -244,7 +244,7 @@ class TestLyapunov:
     def test_frozen_theta_decrease_along_nominal_loop(self, model):
         y_ref = np.array([0.4])
         rci_sol, _ = rci.solve_optimal_rci(model, y_ref, TEMPLATE, CFG.beta, EPS_U, Y)
-        Q, _ = CFG.weights(2, 1)
+        Q, _ = rci.stage_weights(CFG.gamma, 2, 1)
         x_hat = np.array([0.3, -0.3])
         sol = solve(model, x_hat, y_ref)
         assert sol.status == qp.QpStatus.OPTIMAL
@@ -325,7 +325,7 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     cost are formed over x_r alone and then placed on its columns."""
     lay, xr = rci.Layout.of(template, cfg.N + 1), rci.Layout.of(template, 0)
     F, xr_cols = template.F, slice((cfg.N + 1) * lay.stage, lay.dim)
-    mode = tmpc.mode_rows(cfg.gamma, template, lay)
+    mode = rci.mode_rows(cfg.gamma, template, lay)
     A_mode, b_mode = mode.over_y(params)
     S, (A_dyn, b_dyn), (box, h_box), A_sign = invariant_set_from_scratch(
         params, template, cfg.beta, eps_u, Y)
@@ -345,7 +345,7 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     b = np.concatenate([b_model.ravel(), np.tile(h_box, (cfg.N + 1) * xr.v),
                         np.tile(h_box, xr.v), np.zeros(2 * xr.f), -F @ x_hat])
 
-    Q, P = cfg.weights(lay.n_x, lay.n_u)
+    Q, P = rci.stage_weights(cfg.gamma, lay.n_x, lay.n_u)
     Q1, Q2 = rci.default_weights(params.n_y, xr)
     H, g = np.zeros((lay.dim, lay.dim)), np.zeros(lay.dim)
     for k, D in enumerate(lay.deviations):
@@ -391,7 +391,7 @@ def test_invariant_set_rows_equal_assembly_from_scratch_bitwise(cfg, n_y):
 def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
     Y_n = Hpoly.box(0.8 * np.ones(n_y))
     for model, x_hat, y_ref in random_settings(np.random.default_rng(31 + cfg.N), n_y):
-        tq = tmpc.TubeQp.build(cfg, TEMPLATE, Y_n, EPS_U, model.C)
+        tq = rci.TubeQp.build(TEMPLATE, cfg.beta, EPS_U, Y_n, model.C, cfg.gamma, cfg.N + 1)
         d = qlpv.disturbance_vector(model, TEMPLATE, cfg.beta, EPS_U)
         g, const = tq.set_cost.at(y_ref)
         built = (*tq.rows(model, x_hat, d), tq.H, g)
@@ -427,7 +427,7 @@ def test_tube_qp_built_once_per_controller(model, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(tmpc, "mode_rows", counted("mode_rows", tmpc.mode_rows))
+    monkeypatch.setattr(rci, "mode_rows", counted("mode_rows", rci.mode_rows))
     cfg = tmpc.ControllerConfig()          # a new controller: its QP is not built yet
     x_hat, warm = np.array([0.2, -0.1]), None
     for _ in range(5):
