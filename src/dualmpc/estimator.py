@@ -3,14 +3,15 @@
 The augmented state zeta = (x, theta) follows the scheduled model for x and a
 random walk with zero drift for theta.  Prediction and gain are the standard
 extended-filter recursion, and the prediction moves only the x rows of zeta
-and of P.  The correction is projected onto a polytope built
-from the current tube solution so that the controller's QP stays feasible at
-the next step no matter what the measurement says (the estimate-projection
-method of Simon 2010).  Its (x, theta) rows are the tube QP's own rows at the
-shifted candidate with x and theta free, less those whose theta normal is
-roundoff; only one family, the scaled input images below the disturbance
-allowance, is the estimator's own.  The rows constrain the state block and
-the vertex-matrix entries of theta; scheduling-network weights are left free.
+and of P.  The correction is projected, in the metric P^-1 of its
+covariance P, onto a polytope built from the current tube solution so that
+the controller's QP stays feasible at the next step no matter what the
+measurement says (the estimate-projection method of Simon 2010).  Its
+(x, theta) rows are the tube QP's own rows at the shifted candidate with x
+and theta free, less those whose theta normal is roundoff; only one family,
+the scaled input images below the disturbance allowance, is the estimator's
+own.  The rows constrain the state block and the vertex-matrix entries of
+theta; scheduling-network weights are left free.
 
 The state keeps the model it started from, ``prior``: its shapes give
 theta's layout and its C the output map, and the model at the estimate is
@@ -190,17 +191,6 @@ def build_theta_polytope(
     return FeasibilityPolytope(A=A, b=b, families=families)
 
 
-def _inverse_psd(M: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
-    """U^-1 U^-T for the Cholesky factor M = U'U (LAPACK dpotrf), ridged if M is singular."""
-    U, info = lapack.dpotrf(M)
-    if info:
-        U, info = lapack.dpotrf(M + ridge * max(1.0, np.abs(M).max()) * np.eye(len(M)))
-    if info:
-        raise np.linalg.LinAlgError("matrix is not positive semidefinite")
-    U_inv, _ = lapack.dtrtri(U)
-    return U_inv @ U_inv.T
-
-
 @dataclass
 class CorrectionResult:
     zeta: np.ndarray
@@ -218,14 +208,14 @@ def constrained_correct(
 ) -> CorrectionResult:
     """Measurement update followed by projection onto the feasibility polytope.
 
-    Standard update, then project the mean under the posterior-information
-    metric; the covariance is left at the unconstrained posterior.  The
-    projection moves the prefix zeta[:k] of variables with posterior
-    variance, all of zeta or, for a frozen theta, x alone, over the rows
-    that involve it with the rest substituted.  When it fails (a numerically
-    empty polytope) theta reverts to its pre-update value, which the
-    construction guarantees feasible, x alone is projected, and ``fallback``
-    is set.
+    Standard update, then project the mean in the metric P^-1 of the
+    posterior covariance P (``qp.project_weighted`` takes P itself); the
+    covariance is left at the unconstrained posterior.  The projection moves
+    the prefix zeta[:k] of variables with posterior variance, all of zeta
+    or, for a frozen theta, x alone, over the rows that involve it with the
+    rest substituted.  When it fails (a numerically empty polytope) theta
+    reverts to its pre-update value, which the construction guarantees
+    feasible, x alone is projected, and ``fallback`` is set.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     C_tilde = state.output_map()
@@ -242,7 +232,7 @@ def constrained_correct(
     k = zeta.size if P_new[n_x:].any() else n_x
     for fallback in (False, True):
         rows = A[:, :k].any(axis=1)
-        proj = qp.project_weighted(zeta[:k], _inverse_psd(P_new[:k, :k]),
+        proj = qp.project_weighted(zeta[:k], P_new[:k, :k],
                                    A_in=A[:, :k].compress(rows, axis=0),
                                    b_in=(b - A[:, k:] @ zeta[k:])[rows], tol=1e-10)
         if proj.status == qp.QpStatus.OPTIMAL or fallback:

@@ -30,11 +30,11 @@ class PlantConfig:
     output_scale: float = 2.5
 
     def __post_init__(self):
-        if self.m1 <= 0 or self.m2 <= 0:
+        if not (self.m1 > 0 and self.m2 > 0):
             raise ConfigurationError("masses must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
-        if self.v0 <= 0:
+        if not self.v0 > 0:
             raise ConfigurationError("friction velocity scale v0 must be positive")
 
 

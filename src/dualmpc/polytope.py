@@ -81,14 +81,6 @@ class PolytopeTemplate:
         return np.array([Vj.diagonal() for Vj in self.V]) > 0
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    """One instance X(z, s) of the template family."""
-
-    z: np.ndarray
-    s: np.ndarray
-
-
 def box_template(n_x: int, n_u: int) -> PolytopeTemplate:
     """Axis-aligned box template: F = [I; -I], 2^n_x vertices.
 
@@ -122,9 +114,10 @@ class LambdaResult:
     relaxed: bool
 
 
-def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
+def barycentric_lambda(template: PolytopeTemplate, z: np.ndarray, s: np.ndarray,
                        x: np.ndarray) -> LambdaResult:
-    """Multilinear vertex weights reproducing x from the vertices of the box.
+    """Multilinear vertex weights reproducing x from the vertices of the box
+    X(z, s), one instance of the template family.
 
     On axis k, t_k = (x_k - z_k + s-_k) / (s+_k + s-_k) with s+ = s[:n_x] and
     s- = s[n_x:] is the position of x between the lower and the upper face,
@@ -137,11 +130,11 @@ def barycentric_lambda(template: PolytopeTemplate, pset: ParamSet,
     """
     n = template.n_x
     x = np.asarray(x, dtype=float).ravel()
-    s_up, s_lo = pset.s[:n], pset.s[n:]
+    s_up, s_lo = s[:n], s[n:]
     width = s_up + s_lo
-    near = np.clip(x - pset.z, -s_lo, s_up)      # nearest point of the box, minus z
+    near = np.clip(x - z, -s_lo, s_up)      # nearest point of the box, minus z
     # near + s_lo lies in [0, width], so t needs no clip of its own.
     t = np.divide(near + s_lo, width, out=np.full(n, 0.5), where=width > 0)
     weights = np.where(template.upper, t, 1.0 - t).prod(axis=1)
-    residual = float(np.linalg.norm(x - pset.z - near))
+    residual = float(np.linalg.norm(x - z - near))
     return LambdaResult(weights, residual, relaxed=residual > LAMBDA_TOL)

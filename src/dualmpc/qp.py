@@ -38,13 +38,13 @@ Each iteration evaluates the KKT residuals once: one matvec with [H; A_in]
 gives Hx and A_in x, and the predictor reuses the A_in' lam computed there.
 Predictor and corrector share one Cholesky factorization of the positive
 definite K = H + A_in' D A_in (Wright 1997, ch. 11; Rao, Wright & Rawlings
-1998), or a least-squares solve when it fails.  The iterate (x, w, lam) is one
-vector stepped in place; one ratio test over (w, lam) bounds each step.
+1998).  The iterate (x, w, lam) is one vector stepped in place; one ratio
+test over (w, lam) bounds each step.
 
 The solver is deterministic: identical inputs produce identical iterates.  It
-never raises on a numerical failure: a non-finite iterate or Newton step ends
-the iteration with the best point seen and status ``MAX_ITER`` or
-``INFEASIBLE``.
+never raises on a numerical failure: a non-finite iterate or Newton matrix,
+or a Newton matrix that fails its Cholesky factorization, ends the iteration
+with the best point seen and status ``MAX_ITER`` or ``INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class QpStatus(Enum):
     MAX_ITER = "max_iter"
 
 
-# Ridge added to H so positive-semidefinite costs factor reliably.
+# Ridge added to H, and relative to its scale to a singular projection
+# covariance, so positive-semidefinite matrices factor reliably.
 _RIDGE = 1e-10
 # Iterations of primal-residual stagnation before declaring infeasibility.
 _STALL_WINDOW = 50
@@ -159,17 +160,11 @@ def _kkt_residual(prob: QpProblem, HA: np.ndarray, At: np.ndarray, x, lam, g_inf
     return max(stat / scale, p_inf, max(comp, lam_neg, 0.0) / scale), p_inf, r_d, r_in, Atl
 
 
-def _newton_direction(K, chol, G, r_p, d, rc_w, dx, dwl) -> None:
-    """Overwrite the right-hand side dx with K^-1 dx, by ``chol = lapack.dpotrf(K)``
-    or else least squares (NaN if that fails), and dwl = (dw, dlam) with
+def _newton_direction(U, G, r_p, d, rc_w, dx, dwl) -> None:
+    """Overwrite the right-hand side dx with K^-1 dx, where K = U'U is the
+    factor ``lapack.dpotrf`` returns, and dwl = (dw, dlam) with
     dw = -r_p - G dx and dlam = -rc_w - d o dw."""
-    if chol[1] == 0:
-        dx[:] = lapack.dpotrs(chol[0], dx, overwrite_b=1)[0]
-    else:
-        try:
-            dx[:] = np.linalg.lstsq(K, dx, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            dx[:] = np.nan
+    dx[:] = lapack.dpotrs(U, dx, overwrite_b=1)[0]
     dw, dlam = dwl[:len(r_p)], dwl[len(r_p):]
     np.negative(np.add(G @ dx, r_p, out=dw), out=dw)
     np.negative(np.add(d * dw, rc_w, out=dlam), out=dlam)
@@ -197,13 +192,14 @@ def solve(prob: QpProblem, tol: float = 1e-8,
     against the KKT conditions and accepted outright when it already
     satisfies them; otherwise, and for a bare primal vector, its x only
     seeds the interior-point iteration.  A warm start of another size raises
-    ``ConfigurationError``.  A numerical failure (non-finite iterate or
-    Newton step) ends the iteration with the best point seen, status
-    ``MAX_ITER`` when that point is feasible to ``tol`` and ``INFEASIBLE``
-    otherwise.  Without convergence the best point seen is returned, and
-    ``iterations`` counts the iterations run, not the index of that point.
+    ``ConfigurationError``.  A numerical failure (a non-finite iterate or
+    Newton matrix, or a Newton matrix that fails its Cholesky factorization)
+    ends the iteration with the best point seen, status ``MAX_ITER`` when
+    that point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.  Without
+    convergence the best point seen is returned, and ``iterations`` counts
+    the iterations run, not the index of that point.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigurationError("tol must be positive")
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
@@ -264,11 +260,13 @@ def solve(prob: QpProblem, tol: float = 1e-8,
         K += H
         if not np.logical_and.reduce(np.isfinite(K), axis=None):
             break
-        chol = lapack.dpotrf(K, clean=0)
+        U, info = lapack.dpotrf(K, clean=0)
+        if info:
+            break
 
         # Predictor (affine scaling) step, r_c = w o lam: G'(r_c / w) = G'lam.
         np.subtract(Gl, q, out=dx)
-        _newton_direction(K, chol, G, r_p, d, lam, dx, dwl_a)
+        _newton_direction(U, G, r_p, d, lam, dx, dwl_a)
         wl_a = dwl_a / _step_divisor(dwl_a, wl) + wl
         mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
@@ -276,7 +274,7 @@ def solve(prob: QpProblem, tol: float = 1e-8,
         # Corrector step with centering, on the same factorization.
         rc_w = (dwl_a[:m] * dwl_a[m:] + wlam - sigma * mu) / w
         np.subtract(Gt @ rc_w, q, out=dx)
-        _newton_direction(K, chol, G, r_p, d, rc_w, dx, dwl)
+        _newton_direction(U, G, r_p, d, rc_w, dx, dwl)
         dv *= max(0.99, 1.0 - mu) / _step_divisor(dwl, wl)
         v += dv
         if not np.logical_and.reduce(np.isfinite(v)):
@@ -290,28 +288,36 @@ def solve(prob: QpProblem, tol: float = 1e-8,
 
 def project_weighted(
     x0: np.ndarray,
-    M: np.ndarray,
+    P: np.ndarray,
     A_in: np.ndarray,
     b_in: np.ndarray,
     tol: float = 1e-9,
 ) -> QpSolution:
-    """Projection arg min ||x - x0||_M^2 onto {x : A_in x <= b_in}, M
-    symmetric PD: the QP min x'Mx - 2 x0'Mx s.t. A_in x <= b_in.
+    """Projection arg min ||x - x0||_M^2 onto {x : A_in x <= b_in} in the
+    metric M = P^-1 of the covariance P (the estimate projection of Simon
+    2010): the QP min x'Mx - 2 x0'Mx s.t. A_in x <= b_in.
 
-    The interior-point iteration starts at x0, where the cost's gradient is
-    zero, so the duals start at 1 (Wright 1997).  Returns the full solution
-    so callers can inspect status; when x0 is already feasible, as it is for
-    a polyhedron without rows, it is returned unchanged with zero distance.
+    P is factored once, P = U'U (LAPACK dpotrf); a singular P takes a ridge
+    of _RIDGE max(1, |P|_max) I, and a P that does not factor even then
+    raises ``ConfigurationError``.  M = U^-1 U^-T is formed only when x0 is
+    infeasible.  The interior-point iteration starts at x0, where the cost's
+    gradient is zero, so the duals start at 1 (Wright 1997).  Returns the
+    full solution so callers can inspect status; when x0 is already
+    feasible, as it is for a polyhedron without rows, it is returned
+    unchanged with zero distance.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    M = np.asarray(M, dtype=float)
-    try:
-        # Proves the cost 2M positive definite, so the problem skips that check.
-        np.linalg.cholesky(0.5 * (M + M.T))
-    except np.linalg.LinAlgError:
-        raise ConfigurationError("projection weight matrix must be positive definite")
+    P = np.asarray(P, dtype=float)
+    U, info = lapack.dpotrf(P)
+    if info:
+        U, info = lapack.dpotrf(P + _RIDGE * max(1.0, np.abs(P).max()) * np.eye(len(P)))
+    if info:
+        raise ConfigurationError("projection covariance must be positive semidefinite")
     if (b_in - A_in @ x0).min(initial=0.0) >= 0.0:
         return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
+    U_inv, _ = lapack.dtrtri(U)
+    M = U_inv @ U_inv.T
+    # M is positive definite by construction, so the problem skips that check.
     prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, check_psd=False)
     sol = solve(prob, tol=tol, warm_start=x0)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import polytope, qlpv, qp, rci
 from .errors import ConfigurationError
-from .polytope import Hpoly, ParamSet, PolytopeTemplate
+from .polytope import Hpoly, PolytopeTemplate
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +131,7 @@ def nominal_input(
     template: PolytopeTemplate,
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
     """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at x_hat."""
-    lam = polytope.barycentric_lambda(template, ParamSet(sol.z[0], sol.s), x_hat)
+    lam = polytope.barycentric_lambda(template, sol.z[0], sol.s, x_hat)
     c = sol.c.reshape(template.n_vertices, template.n_u)
     return sol.v[0] + c.T @ lam.weights, lam
 

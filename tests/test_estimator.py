@@ -134,27 +134,6 @@ class TestGain:
             assert np.linalg.eigvalsh(post).min() >= -1e-9
 
 
-class TestInversePsd:
-    def test_matches_inverse_on_spd_input(self, rng):
-        for n in (1, 2, 5, 44):
-            L = rng.normal(size=(n, n))
-            M = L @ L.T + 1e-2 * np.eye(n)
-            inv = estimator._inverse_psd(M)
-            ref = np.linalg.inv(M)
-            assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(inv, inv.T)
-
-    def test_singular_input_takes_the_ridge(self, rng):
-        L = rng.normal(size=(6, 3))
-        for M in (np.ones((2, 2)), L @ L.T, np.zeros((3, 3))):
-            inv = estimator._inverse_psd(M)
-            assert np.isfinite(inv).all()
-            assert np.array_equal(inv, inv.T)
-        # The zero matrix factors only with the ridge 1e-10 I.
-        assert estimator._inverse_psd(np.zeros((3, 3))) == pytest.approx(1e10 * np.eye(3),
-                                                                          rel=1e-12)
-
-
 class TestThetaPolytope:
     @pytest.mark.parametrize("n_u", [1, 2])
     def test_families_partition_rows(self, n_u):

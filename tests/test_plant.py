@@ -124,7 +124,7 @@ def test_measure_scales_second_mass_position():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ConfigurationError):
-        plant.PlantConfig(m1=-1.0)
-    with pytest.raises(ConfigurationError):
-        plant.PlantConfig(dt=0.0)
+    nan = float("nan")
+    for bad in ({"m1": -1.0}, {"dt": 0.0}, {"m1": nan}, {"m2": nan}, {"dt": nan}, {"v0": nan}):
+        with pytest.raises(ConfigurationError):
+            plant.PlantConfig(**bad)

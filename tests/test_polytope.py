@@ -96,7 +96,7 @@ class TestBarycentricLambda:
     def test_center_of_symmetric_box_gives_uniform_weights(self):
         t = box2()
         s = np.array([1.0, 2.0, 1.0, 2.0])
-        res = polytope.barycentric_lambda(t, polytope.ParamSet(np.zeros(2), s), np.zeros(2))
+        res = polytope.barycentric_lambda(t, np.zeros(2), s, np.zeros(2))
         assert res.weights == pytest.approx([0.25] * 4, abs=1e-7)
         assert not res.relaxed
 
@@ -105,14 +105,14 @@ class TestBarycentricLambda:
         s = np.array([1.0, 2.0, 3.0, 4.0])
         z = np.array([0.1, 0.2])
         x = z + t.V[1] @ s
-        res = polytope.barycentric_lambda(t, polytope.ParamSet(z, s), x)
+        res = polytope.barycentric_lambda(t, z, s, x)
         assert res.weights == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-6)
 
     def test_edge_midpoint_splits_between_adjacent_vertices(self):
         t = box2()
         s = np.array([1.0, 2.0, 3.0, 4.0])
         x = 0.5 * (t.V[0] @ s) + 0.5 * (t.V[1] @ s)
-        res = polytope.barycentric_lambda(t, polytope.ParamSet(np.zeros(2), s), x)
+        res = polytope.barycentric_lambda(t, np.zeros(2), s, x)
         assert res.weights == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-6)
 
     def test_reconstruction_properties_random(self, rng):
@@ -122,7 +122,7 @@ class TestBarycentricLambda:
             z = rng.normal(size=2)
             lam_true = rng.dirichlet(np.ones(4))
             x = z + sum(l * (Vj @ s) for l, Vj in zip(lam_true, t.V))
-            res = polytope.barycentric_lambda(t, polytope.ParamSet(z, s), x)
+            res = polytope.barycentric_lambda(t, z, s, x)
             assert res.weights.sum() == pytest.approx(1.0, abs=1e-8)
             assert res.weights.min() >= -1e-9
             recon = z + sum(l * (Vj @ s) for l, Vj in zip(res.weights, t.V))
@@ -144,13 +144,12 @@ def test_closed_form_weights_on_box_templates(seed, n_x, n_flat):
     s = rng.uniform(0.05, 5.0, size=2 * n_x) * (rng.uniform(size=2 * n_x) > 0.2)
     flat = rng.permutation(n_x)[:n_flat]
     s[flat] = s[n_x + flat] = 0.0
-    pset = polytope.ParamSet(z, s)
     W = np.column_stack([Vj @ s for Vj in t.V])
     lo, hi = z - s[n_x:], z + s[:n_x]
     tol = 1e-12 * max(1.0, np.abs(s).max())
 
     def weights_at(x):
-        res = polytope.barycentric_lambda(t, pset, x)
+        res = polytope.barycentric_lambda(t, z, s, x)
         assert res.weights.min() >= 0.0
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
         return res

@@ -34,6 +34,12 @@ def test_problem_without_rows_rejected():
         solve_simple(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_tolerance_not_positive_rejected(tol):
+    with pytest.raises(ConfigurationError, match="tol must be positive"):
+        solve_simple([[2.0]], [-4.0], A_in=[[1.0]], b_in=[1.0], tol=tol)
+
+
 def test_ratio_test_skips_an_exact_zero_at_rest():
     # A (slack, dual) entry exactly at 0 that does not move reads 0/0 in the
     # ratio test; it must not hide the entry that does bound the step.
@@ -243,7 +249,7 @@ def test_recorded_problem_keeps_its_iterations(rec):
 # steps after a reference switch), with the shifted plan and duals of the
 # step before as its warm start.  Near the solution the slacks of some rows
 # reach ~3e-17 while their duals stay ~8, the Cholesky factorization fails,
-# and the solve ends MAX_ITER after 17 iterations with KKT residual 1.05e-8
+# and the solve ends MAX_ITER after 13 iterations with KKT residual 1.05e-8
 # against tol 1e-8, and the bench loop ends the episode.
 (FINDING_H,) = json.loads(
     (Path(__file__).parent / "data" / "qp_tube_twomass_seed14.json").read_text())
@@ -264,9 +270,20 @@ def test_finding_h_warm_start_is_feasible():
     assert (prob.A_in @ warm.x - prob.b_in).max() <= 1e-11
 
 
-def test_finding_h_returned_point_is_feasible():
+def test_finding_h_returned_point_is_feasible(monkeypatch):
+    # The solve stops at its first failed factorization, the last one it
+    # makes, and returns the point of the smallest KKT residual it saw.
     prob, warm, tol = finding_h()
+    dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
+    infos, kkts = [], []
+    monkeypatch.setattr(qp.lapack, "dpotrf",
+                        lambda K, **kw: (lambda out: (infos.append(out[1]), out)[1])(dpotrf(K, **kw)))
+    monkeypatch.setattr(qp, "_kkt_residual",
+                        lambda *a: (lambda out: (kkts.append(out[0]), out)[1])(residual(*a)))
     sol = qp.solve(prob, tol=tol, warm_start=warm)
+    assert infos[-1] != 0 and not any(infos[:-1])
+    assert sol.iterations == len(infos)
+    assert sol.kkt_residual == min(kkts)
     assert (prob.A_in @ sol.x - prob.b_in).max() <= tol
 
 
@@ -277,39 +294,36 @@ def test_finding_h_tube_qp_solves_to_optimal():
     assert qp.solve(prob, tol=tol, warm_start=warm).status == qp.QpStatus.OPTIMAL
 
 
-def test_factorization_failure_falls_back_to_least_squares(rng, monkeypatch):
-    # Every Cholesky factorization reports K not positive definite, with a
-    # factor of NaNs, so each Newton step is the least-squares solve; the
-    # solve still reaches the oracle's optimum, without a warning.
-    calls = []
-    monkeypatch.setattr(qp.lapack, "dpotrf",
-                        lambda K, **kw: (calls.append(1), (np.full_like(K, np.nan), 1))[1])
-    for _ in range(10):
-        H, g, A, b = random_strictly_convex(rng, 5, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = solve_simple(H, g, A_in=A, b_in=b)
-        x_ref, _ = qp_active_set_oracle(H, g, A, b)
-        assert sol.status == qp.QpStatus.OPTIMAL
-        assert np.abs(sol.x - x_ref).max() <= 1e-6
-    assert calls
-
-
-def test_non_finite_newton_matrix_ends_with_the_best_point(monkeypatch):
+@pytest.mark.parametrize("fail_from", [None, 3], ids=["non_finite_matrix", "factorization_failure"])
+def test_non_finite_newton_matrix_ends_with_the_best_point(monkeypatch, fail_from):
     # A cost of norm 1e305 with its minimiser x = 2 outside x <= 1: as the
-    # slack closes, d = lam / w grows until K = H + A'DA overflows.  That K
-    # never reaches the factorization; the solve ends at the iteration that
-    # formed it, with the best point seen.
+    # slack closes, d = lam / w grows until K = H + A'DA overflows at the
+    # fourth iteration.  That K never reaches the factorization; the solve
+    # ends at the iteration that formed it, with the best point seen.  A
+    # factorization that reports failure, here from its third call on, ends
+    # the solve the same way at the iteration that made it.
     prob = qp.QpProblem.build([[1e305]], [-2e305], [[1.0]], [1.0])
     dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
     finite, kkts = [], []
-    monkeypatch.setattr(qp.lapack, "dpotrf",
-                        lambda K, **kw: (finite.append(np.isfinite(K).all()), dpotrf(K, **kw))[1])
+
+    def factor(K, **kw):
+        finite.append(np.isfinite(K).all())
+        if fail_from is not None and len(finite) >= fail_from:
+            return np.full_like(K, np.nan), 1
+        return dpotrf(K, **kw)
+
+    monkeypatch.setattr(qp.lapack, "dpotrf", factor)
     monkeypatch.setattr(qp, "_kkt_residual",
                         lambda *a: (lambda out: (kkts.append(out[0]), out)[1])(residual(*a)))
-    sol = qp.solve(prob, tol=1e-16)
-    assert sol.status in (qp.QpStatus.MAX_ITER, qp.QpStatus.INFEASIBLE)
-    assert all(finite) and sol.iterations == len(finite) + 1 == len(kkts) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = qp.solve(prob, tol=1e-16)
+    # A non-finite K ends its iteration before the factorization, a failed
+    # factorization after it.
+    assert all(finite) and sol.iterations == len(finite) + (fail_from is None) == len(kkts) > 1
+    assert fail_from in (None, len(finite))
+    assert sol.status == (qp.QpStatus.INFEASIBLE if sol.primal_infeasibility > 1e-16
+                          else qp.QpStatus.MAX_ITER)
     assert sol.kkt_residual == min(kkts)
     assert np.isfinite(sol.x).all() and sol.x[0] <= 1.0
 
@@ -398,31 +412,66 @@ class TestProjectWeighted:
         assert sol.x == pytest.approx([1.0, 0.0], abs=1e-8)
 
     def test_weighted_projection_matches_hand_kkt(self):
-        # min (x-x0)'M(x-x0) with M=diag(1,4) onto x1+x2<=2: stationarity
-        # gives x = x0 - M^{-1} a mu/2 with mu fixed by the active row.
-        M = np.diag([1.0, 4.0])
+        # min (x-x0)'P^-1(x-x0) with P=diag(1,0.25) onto x1+x2<=2:
+        # stationarity gives x = x0 - P a mu/2 with mu fixed by the active row.
+        P = np.diag([1.0, 0.25])
         x0 = np.array([2.0, 2.0])
         a = np.array([1.0, 1.0])
-        mu = (a @ x0 - 2.0) / (0.5 * a @ np.linalg.inv(M) @ a)
-        x_ref = x0 - 0.5 * np.linalg.inv(M) @ a * mu
-        sol = qp.project_weighted(x0, M, A_in=a[None, :], b_in=np.array([2.0]))
+        mu = (a @ x0 - 2.0) / (0.5 * a @ P @ a)
+        x_ref = x0 - 0.5 * P @ a * mu
+        sol = qp.project_weighted(x0, P, A_in=a[None, :], b_in=np.array([2.0]))
         assert sol.x == pytest.approx(x_ref, abs=1e-8)
+
+    def test_metric_is_the_inverse_covariance(self, rng):
+        # The projection under P is the projection in the metric P^-1.
+        for n in (1, 2, 5, 44):
+            L = rng.normal(size=(n, n))
+            P = L @ L.T + 1e-2 * np.eye(n)
+            x0 = rng.normal(size=n)
+            A = rng.normal(size=(3, n))
+            b = A @ (x0 - 2.0 * rng.normal(size=n)) + rng.uniform(0.1, 1.0, size=3)
+            assert (A @ x0 > b).any()
+            sol = qp.project_weighted(x0, P, A_in=A, b_in=b, tol=1e-10)
+            M = np.linalg.inv(P)
+            x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
+            assert sol.status == qp.QpStatus.OPTIMAL
+            assert np.abs(sol.x - x_ref).max() <= 1e-6
+            assert sol.value == pytest.approx((sol.x - x0) @ M @ (sol.x - x0), rel=1e-9)
+
+    def test_singular_covariance_takes_the_ridge(self, monkeypatch):
+        # A singular P fails its first factorization and factors with the
+        # ridge 1e-10 max(1, |P|_max) I; projecting 2 onto the box [-1, 1]^n
+        # is then finite and OPTIMAL.  The zero matrix gives M = 1e10 I.
+        L = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 1], [0, 1, 0]], float)
+        dpotrf, infos = qp.lapack.dpotrf, []
+        monkeypatch.setattr(qp.lapack, "dpotrf",
+                            lambda K, **kw: (lambda out: (infos.append(out[1]), out)[1])(dpotrf(K, **kw)))
+        for P in (np.ones((2, 2)), L @ L.T, np.zeros((3, 3))):
+            n = len(P)
+            x0 = np.full(n, 2.0)
+            infos.clear()
+            sol = qp.project_weighted(x0, P, A_in=np.vstack([np.eye(n), -np.eye(n)]),
+                                      b_in=np.ones(2 * n))
+            assert infos[0] > 0 and infos[1] == 0
+            assert sol.status == qp.QpStatus.OPTIMAL
+            assert np.isfinite(sol.x).all() and np.isfinite(sol.value)
+        assert sol.value == pytest.approx(1e10 * ((sol.x - x0) ** 2).sum(), rel=1e-12)
 
     def test_nearly_settled_rows_solve_from_the_projected_point(self):
         # Rows of norm ~1e-10, as a nearly settled tube plan gives the
         # estimator, hold at x0 by 1e-13 to 1e-11; only the last row is violated,
         # and x[3] alone moves, to 0.2 / 0.7.  Started at 0 with its duals at
-        # |2 M x0| ~ 2e4, the iteration ran all 500 iterations into MAX_ITER
-        # with duals up to 1.4e9.
+        # |2 M x0| ~ 2e4, M = P^-1, the iteration ran all 500 iterations into
+        # MAX_ITER with duals up to 1.4e9.
         x0 = np.array([0.95, -0.0249, 0.553, 0.0, -0.16])
-        M = np.diag([1e4, 1e4, 1.4e4, 1e4, 3e4])
+        P = np.diag(1.0 / np.array([1e4, 1e4, 1.4e4, 1e4, 3e4]))
         A = np.array([[-2e-10, 0.0, 0.0, 0.0, 0.0],
                       [2e-10, 0.0, 0.0, 0.0, 0.0],
                       [0.0, -1.86e-10, -3.6e-12, 0.0, 2.4e-11],
                       [0.0, 0.47, 0.1235, 0.0, 0.073],
                       [0.0, 0.0, 0.0, -0.7, 0.0]])
         b = np.array([-1.8e-10, 2e-10, -1.1e-12, 0.0453, -0.2])
-        sol = qp.project_weighted(x0, M, A_in=A, b_in=b, tol=1e-10)
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b, tol=1e-10)
         assert sol.status == qp.QpStatus.OPTIMAL
         x_ref = x0.copy()
         x_ref[3] = 2.0 / 7.0
@@ -443,6 +492,6 @@ class TestProjectWeighted:
         assert sol.status == qp.QpStatus.INFEASIBLE
 
     def test_indefinite_weight_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="covariance"):
             qp.project_weighted(np.zeros(2), np.diag([1.0, -1.0]),
                                 A_in=np.eye(2), b_in=np.ones(2))
