@@ -36,8 +36,10 @@ class Hpoly:
 
     @classmethod
     def box(cls, half_width) -> "Hpoly":
-        """Symmetric box {|y_k| <= half_width_k}."""
+        """Symmetric box {|y_k| <= half_width_k}; the half-widths must be >= 0."""
         hw = np.atleast_1d(np.asarray(half_width, dtype=float))
+        if not (hw >= 0.0).all():
+            raise ConfigurationError(f"box half-widths must be >= 0, got {hw}")
         n = hw.size
         return cls(H=np.vstack([np.eye(n), -np.eye(n)]), h=np.concatenate([hw, hw]))
 

@@ -75,7 +75,7 @@ _MAX_ITER = 500
 
 @dataclass
 class QpProblem:
-    """Dense QP data. A missing constraint block is an empty (0-row) array.
+    """Dense QP data.
 
     :meth:`build` validates a problem and the solver does not.
     ``tmpc.solve_tmpc`` validates the H and fixed rows of each controller's
@@ -88,14 +88,12 @@ class QpProblem:
     b_in: np.ndarray
 
     @classmethod
-    def build(cls, H, g, A_in=None, b_in=None, check_psd: bool = True) -> "QpProblem":
+    def build(cls, H, g, A_in, b_in, check_psd: bool = True) -> "QpProblem":
         """Validated problem; ``check_psd=False`` skips the eigenvalue check
         for a caller that has already proved H positive semidefinite."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
         g = np.asarray(g, dtype=float).ravel()
         n = g.size
-        if A_in is None:
-            A_in, b_in = np.zeros((0, n)), np.zeros(0)
         prob = cls(
             H=H,
             g=g,

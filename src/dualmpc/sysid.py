@@ -1,18 +1,19 @@
 """Offline identification of the initial scheduled model.
 
 Fits the flattened parameter vector by minimizing open-loop simulation MSE
-over an input-output record.  One batched call of :func:`qlpv.jacobians`
-gives f_x and f_theta at every simulated step of the record; the adjoint
-recursion lambda_t = c_t + f_x,t^T lambda_{t+1} runs backwards through them,
-and the gradient is sum_t f_theta,t^T lambda_{t+1} plus the weight decay's.
+over an input-output record.  :func:`mse_and_gradient` is the fit's one
+objective.  One batched call of :func:`qlpv.jacobians` gives f_x and f_theta
+at every simulated step of the record; the adjoint recursion
+lambda_t = c_t + f_x,t^T lambda_{t+1} runs backwards through them, and the
+gradient is sum_t f_theta,t^T lambda_{t+1} plus the weight decay's.
 Full-batch gradient descent with a backtracking Armijo line search keeps
 training deterministic; the trial step is seeded by a safeguarded
 Barzilai-Borwein estimate so the line search starts near the right scale.
-The fit rolls each distinct theta out at most once, and the gradient at an
-accepted probe reuses that probe's states and residuals.  A probe stops after
-the first chunk of rows whose squared output error already rules out the
-Armijo decrease, with a margin that keeps every decision, and so every
-iterate, that of the full roll-out.
+Each distinct theta is rolled out once, by one call of the objective, which
+also differentiates an accepted probe.  The early rejection lives there too:
+a probe stops after the first chunk of rows whose squared output error
+already rules out the Armijo decrease, with a margin that keeps every
+decision, and so every iterate, that of the full roll-out.
 A feasibility gate then checks that the tube controller is actually
 solvable at the identified model before it is let anywhere near the closed
 loop.
@@ -122,8 +123,9 @@ def _rollout(params: qlpv.ModelParams, u_seq: np.ndarray, x0: np.ndarray,
 
 def _output_error(params: qlpv.ModelParams, data: IoDataset,
                   xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Residuals y - C x and their MSE, which is inf for a diverged or
-    abandoned roll-out."""
+    """Residuals y - C x and their MSE, inf for a diverged or abandoned roll-out."""
+    if len(data) == 0:
+        raise ConfigurationError("dataset is empty")
     with np.errstate(over="ignore", invalid="ignore"):
         err = data.y_seq - xs @ params.C.T
         mse = float(np.sum(err ** 2) / len(data))
@@ -131,57 +133,51 @@ def _output_error(params: qlpv.ModelParams, data: IoDataset,
 
 
 def simulate_mse(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray) -> float:
-    return _rollout_loss(params, data, x0, 0.0)[1]
-
-
-def _rollout_loss(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
-                  weight_decay: float,
-                  reject_above: float = np.inf) -> tuple[float, float, tuple, int]:
-    """(total loss, bare MSE, (states, residuals), model steps) of one roll-out.
-
-    The roll-out is abandoned, and both losses read inf, once its finished
-    chunks put the total loss above reject_above by _REJECT_MARGIN relative to
-    the bound's terms, far above the rounding of the sums: the loss of the
-    full roll-out would exceed reject_above too.
-    """
-    if len(data) == 0:
-        raise ConfigurationError("dataset is empty")
-    theta = params.pack()
-    decay = weight_decay * float(theta @ theta)
-    sse_bound = len(data) * (reject_above - decay
-                             + _REJECT_MARGIN * (abs(reject_above) + decay))
-    xs, steps = _rollout(params, data.u_seq, x0, data.y_seq, sse_bound)
-    err, mse = _output_error(params, data, xs)
-    return mse + decay, mse, (xs, err), steps
-
-
-def _rollout_gradient(params: qlpv.ModelParams, data: IoDataset, rollout: tuple,
-                      weight_decay: float) -> np.ndarray:
-    """d loss / d theta by the adjoint recursion through a finite roll-out."""
-    xs, err = rollout
-    T = len(data)
-    # lam_t = d loss / d x_t = c_t + f_x,t^T lam_{t+1} with c_t = -(2/T) C^T err_t;
-    # x_0 is fixed, so the recursion stops at lam_1.
-    _, fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
-    lam = -(2.0 / T) * err @ params.C
-    for t in range(T - 2, 0, -1):
-        lam[t] += fx[t].T @ lam[t + 1]
-    return 2.0 * weight_decay * params.pack() + np.einsum("tjk,tj->k", ftheta, lam[1:])
+    """Simulation MSE of a full roll-out of the record; inf if it diverges."""
+    return _output_error(params, data, _rollout(params, data.u_seq, x0)[0])[1]
 
 
 def mse_and_gradient(params: qlpv.ModelParams, data: IoDataset, x0: np.ndarray,
-                     weight_decay: float = 0.0) -> tuple[float, float, np.ndarray]:
-    """(total loss, bare MSE, d loss / d theta); (inf, inf, 0) if the roll-out diverges."""
-    loss, mse, rollout, _ = _rollout_loss(params, data, x0, weight_decay)
-    if mse == float("inf"):
-        return loss, mse, np.zeros(params.n_theta)
-    return loss, mse, _rollout_gradient(params, data, rollout, weight_decay)
+                     weight_decay: float = 0.0,
+                     accept_below: float = np.inf) -> tuple[float, float, np.ndarray, int]:
+    """(total loss, bare MSE, d loss / d theta, model steps) of one roll-out.
+
+    The roll-out is abandoned, and both losses read inf, once its finished
+    chunks put the total loss above accept_below by _REJECT_MARGIN relative to
+    the bound's terms, far above the rounding of the sums: the loss of the
+    full roll-out would exceed accept_below too.  The gradient, by the adjoint
+    recursion, is taken only of a finite roll-out whose loss is at most
+    accept_below; otherwise it reads 0.
+    """
+    theta = params.pack()
+    decay = weight_decay * float(theta @ theta)
+    sse_bound = len(data) * (accept_below - decay
+                             + _REJECT_MARGIN * (abs(accept_below) + decay))
+    xs, steps = _rollout(params, data.u_seq, x0, data.y_seq, sse_bound)
+    err, mse = _output_error(params, data, xs)
+    loss = mse + decay
+    if mse == float("inf") or not loss <= accept_below:
+        return loss, mse, np.zeros(params.n_theta), steps
+    # lam_t = d loss / d x_t = c_t + f_x,t^T lam_{t+1} with c_t = -(2/T) C^T err_t;
+    # x_0 is fixed, so the recursion stops at lam_1.
+    _, fx, ftheta = qlpv.jacobians(params, xs[:-1], data.u_seq[:-1])
+    lam = -(2.0 / len(data)) * err @ params.C
+    for t in range(len(data) - 2, 0, -1):
+        lam[t] += fx[t].T @ lam[t + 1]
+    grad = 2.0 * weight_decay * theta + np.einsum("tjk,tj->k", ftheta, lam[1:])
+    return loss, mse, grad, steps
 
 
 @dataclass
 class TrainConfig:
     max_epochs: int = 4000
     weight_decay: float = 1e-4
+
+    def __post_init__(self):
+        if not self.max_epochs >= 0:
+            raise ConfigurationError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigurationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -214,17 +210,17 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
                       x0: np.ndarray | None = None) -> tuple[qlpv.ModelParams, FitReport]:
     """Deterministic full-batch descent to the simulation-MSE target.
 
-    A line-search probe is rolled out only until it fails the Armijo test;
-    the iterates are those of full roll-outs.
+    :func:`mse_and_gradient` is the fit's one objective: one call evaluates
+    the start and one each line-search probe.  Its early rejection rolls a
+    probe out only until it fails the Armijo test; the iterates are those of
+    full roll-outs.
     """
     if len(data) < 2:
         raise ConfigurationError("need at least two samples to fit")
     params = initial_guess(seed)
     x0 = np.zeros(_N_X) if x0 is None else np.asarray(x0, dtype=float)
     theta = params.pack()
-    loss, mse, rollout, steps = _rollout_loss(params, data, x0, cfg.weight_decay)
-    grad = (np.zeros(params.n_theta) if mse == float("inf")
-            else _rollout_gradient(params, data, rollout, cfg.weight_decay))
+    loss, mse, grad, steps = mse_and_gradient(params, data, x0, cfg.weight_decay)
     best_theta, best_mse = theta.copy(), mse
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     history = [mse]
@@ -250,21 +246,20 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
         step = float(np.clip(step, 1e-14, 1e6))
 
         # Each probe rolls the record out at most once, and stops as soon as
-        # it fails the Armijo test; the gradient at the accepted probe
-        # differentiates that same roll-out.  No accepted probe ends the fit.
+        # it fails the Armijo test; the accepted probe's call also returns
+        # its gradient.  No accepted probe ends the fit.
         alpha = step
         for _ in range(_MAX_HALVINGS):
             cand = theta - alpha * grad
             cand_params = params.replace_theta(cand)
             threshold = loss - _ARMIJO_C * alpha * gnorm2
-            cand_loss, cand_mse, rollout, cand_steps = _rollout_loss(
+            cand_loss, cand_mse, cand_grad, cand_steps = mse_and_gradient(
                 cand_params, data, x0, cfg.weight_decay, threshold)
             steps += cand_steps
             if cand_loss <= threshold:
                 prev_theta, prev_grad = theta, grad
-                theta, loss, mse = cand, cand_loss, cand_mse
+                theta, loss, mse, grad = cand, cand_loss, cand_mse, cand_grad
                 params = cand_params
-                grad = _rollout_gradient(params, data, rollout, cfg.weight_decay)
                 step = alpha
                 break
             alpha *= 0.5
@@ -312,8 +307,11 @@ def fit_feasible_model(
 ) -> tuple[qlpv.ModelParams, FitReport]:
     """Fit, then gate; on gate failure retrain with 10x stronger weight decay.
 
-    Aborts with the gate diagnostics once the retry ladder is exhausted.
+    Aborts with the gate diagnostics once the retry ladder is exhausted.  A
+    zero weight decay has no ladder: the deterministic fit would repeat.
     """
+    if cfg.weight_decay == 0.0:
+        raise ConfigurationError("the retry ladder needs weight_decay > 0")
     x0 = np.zeros(_N_X) if x0 is None else x0
     wd = cfg.weight_decay
     last_diag: dict = {}

@@ -185,6 +185,14 @@ def test_scale_multiplies_offsets_and_rejects_negative_factor():
             box.scale(factor)
 
 
+def test_box_rejects_negative_or_nan_half_width():
+    assert polytope.Hpoly.box([0.0, 1.0]).contains(np.zeros(2))
+    # Hpoly.box(-1.0) would be {y <= -1, y >= 1}, an empty set.
+    for half_width in (-1.0, [1.0, float("nan")]):
+        with pytest.raises(ConfigurationError, match="half-widths"):
+            polytope.Hpoly.box(half_width)
+
+
 def test_invalid_dimension_rejected():
     with pytest.raises(ConfigurationError):
         polytope.box_template(0, 1)

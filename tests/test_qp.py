@@ -13,7 +13,7 @@ from conftest import random_model
 from oracles import qp_active_set_oracle
 
 
-def solve_simple(H, g, A_in=None, b_in=None, **kw):
+def solve_simple(H, g, A_in, b_in, **kw):
     return qp.solve(qp.QpProblem.build(H, g, A_in, b_in), **kw)
 
 
@@ -31,7 +31,7 @@ def test_separable_projection_onto_corner():
 
 def test_problem_without_rows_rejected():
     with pytest.raises(ConfigurationError, match="without rows"):
-        solve_simple(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]))
+        solve_simple(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]), np.zeros((0, 2)), np.zeros(0))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
@@ -389,14 +389,14 @@ def test_semidefinite_cost_accepted():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        qp.QpProblem.build(np.eye(2), np.zeros(3))
+        qp.QpProblem.build(np.eye(2), np.zeros(3), [[1.0, 0.0, 0.0]], [1.0])
     with pytest.raises(ConfigurationError):
         qp.QpProblem.build(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=np.zeros(3))
 
 
 def test_indefinite_cost_rejected():
     with pytest.raises(ConfigurationError):
-        qp.QpProblem.build([[1.0, 0.0], [0.0, -1.0]], np.zeros(2))
+        qp.QpProblem.build([[1.0, 0.0], [0.0, -1.0]], np.zeros(2), [[1.0, 0.0]], [1.0])
 
 
 class TestProjectWeighted:

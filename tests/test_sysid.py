@@ -28,14 +28,15 @@ def test_gradient_matches_central_differences(record, n_x, n_u, n_p, weight_deca
     data = record if n_u == 1 else sysid.IoDataset(
         u_seq=rng.uniform(-1.0, 1.0, size=(len(record), n_u)), y_seq=record.y_seq)
     x0 = np.zeros(params.n_x)
-    loss, mse, grad = sysid.mse_and_gradient(params, data, x0, weight_decay)
+    loss, mse, grad, _ = sysid.mse_and_gradient(params, data, x0, weight_decay)
 
     def loss_only(theta):
-        return sysid._rollout_loss(params.replace_theta(theta), data, x0, weight_decay)[0]
+        return sysid.mse_and_gradient(params.replace_theta(theta), data, x0, weight_decay)[0]
 
-    expected = sysid._rollout_loss(params, data, x0, weight_decay)[:2]
-    assert (loss, mse) == pytest.approx(expected, rel=1e-12)
-    jac = central_difference_jacobian(loss_only, params.pack())
+    theta = params.pack()
+    bare = sysid.simulate_mse(params, data, x0)
+    assert (loss, mse) == pytest.approx((bare + weight_decay * theta @ theta, bare), rel=1e-12)
+    jac = central_difference_jacobian(loss_only, theta)
     assert np.abs(grad - jac[0]).max() <= 1e-7
 
 
@@ -130,7 +131,7 @@ def test_one_sample_record_gradient_is_weight_decay():
     params = random_model(np.random.default_rng(5), infnorm=0.6)
     data = sysid.IoDataset(u_seq=[[0.3]], y_seq=[[0.2]])
     theta = params.pack()
-    loss, mse, grad = sysid.mse_and_gradient(params, data, np.array([0.5, -1.0]), 1e-3)
+    loss, mse, grad, _ = sysid.mse_and_gradient(params, data, np.array([0.5, -1.0]), 1e-3)
     assert mse == pytest.approx(0.3 ** 2, rel=1e-12)
     assert loss == pytest.approx(mse + 1e-3 * theta @ theta, rel=1e-12)
     assert np.array_equal(grad, 2.0 * 1e-3 * theta)
@@ -182,11 +183,11 @@ def twomass_fit():
     step count of every roll-out, and the number of model steps taken."""
     data = sysid.collect_dataset(plant.PlantConfig(), 300, seed=0)
     rollouts, steps = [], []
-    rollout_loss, step_at = sysid._rollout_loss, qlpv._step_at
+    mse_and_gradient, step_at = sysid.mse_and_gradient, qlpv._step_at
 
-    def spy_rollout_loss(params, data, x0, weight_decay, reject_above=np.inf):
-        out = rollout_loss(params, data, x0, weight_decay, reject_above)
-        rollouts.append((params, x0, weight_decay, reject_above, out[3]))
+    def spy_mse_and_gradient(params, data, x0, weight_decay=0.0, accept_below=np.inf):
+        out = mse_and_gradient(params, data, x0, weight_decay, accept_below)
+        rollouts.append((params, x0, weight_decay, accept_below, out[3]))
         return out
 
     def spy_step_at(*args):
@@ -194,7 +195,7 @@ def twomass_fit():
         return step_at(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sysid, "_rollout_loss", spy_rollout_loss)
+        mp.setattr(sysid, "mse_and_gradient", spy_mse_and_gradient)
         mp.setattr(qlpv, "_step_at", spy_step_at)
         params, report = sysid.fit_initial_model(data, sysid.TrainConfig(max_epochs=40), 0)
     return data, params, report, rollouts, len(steps)
@@ -217,16 +218,36 @@ def test_abandoned_probes_fail_the_armijo_test_in_full(twomass_fit):
     abandoned = [r for r in rollouts if r[4] < len(data) - 1]
     assert abandoned
     for params, x0, weight_decay, threshold, _ in abandoned:
-        loss, _, (xs, _), steps = sysid._rollout_loss(params, data, x0, weight_decay)
+        loss, _, _, steps = sysid.mse_and_gradient(params, data, x0, weight_decay)
+        xs = sysid.simulate(params, data.u_seq, x0)
         assert steps == len(data) - 1 and np.isfinite(xs).all()
         assert not loss <= threshold
+
+
+def test_gradient_is_taken_only_at_or_below_accept_below(twomass_fit):
+    data, _, _, rollouts, _ = twomass_fit
+    params, x0, weight_decay, _, _ = rollouts[-1]
+    loss, mse, grad, steps = sysid.mse_and_gradient(params, data, x0, weight_decay)
+    assert np.isfinite(loss) and grad.any()
+    for accept_below in (loss, 2.0 * loss):
+        out = sysid.mse_and_gradient(params, data, x0, weight_decay, accept_below)
+        assert out[:2] == (loss, mse) and out[3] == steps
+        assert np.array_equal(out[2], grad)
+    # Inside the rejection margin the roll-out runs in full, but its loss is
+    # above accept_below.
+    below = np.nextafter(loss, -np.inf)
+    out = sysid.mse_and_gradient(params, data, x0, weight_decay, below)
+    assert out[:2] == (loss, mse) and out[3] == steps == len(data) - 1
+    assert not out[2].any()
 
 
 def test_rollout_steps_counts_model_steps(twomass_fit):
     _, _, report, rollouts, steps = twomass_fit
     assert report.rollout_steps == steps == sum(r[4] for r in rollouts)
-    # 73 full roll-outs of the record without early rejection.
+    # 73 full roll-outs of the record without early rejection, each one call
+    # of the fit's objective.
     assert report.rollout_steps < 73 * 299
+    assert len(rollouts) == 73
 
 
 @pytest.mark.parametrize("n_steps", [200, 300])
@@ -238,8 +259,7 @@ def test_diverging_model_gives_inf_loss(n_steps):
     data = sysid.collect_dataset(plant.PlantConfig(), n_steps, seed=3)
     x0 = np.ones(2)
     assert sysid.simulate_mse(params, data, x0) == np.inf
-    assert sysid._rollout_loss(params, data, x0, 1e-3)[:2] == (np.inf, np.inf)
-    loss, mse, grad = sysid.mse_and_gradient(params, data, x0, 1e-3)
+    loss, mse, grad, _ = sysid.mse_and_gradient(params, data, x0, 1e-3)
     assert loss == mse == np.inf
     assert np.array_equal(grad, np.zeros(params.n_theta))
 
@@ -303,6 +323,32 @@ def test_retry_ladder_raises_weight_decay_tenfold(record, monkeypatch, failures)
                                    rel=1e-12)
     assert report.weight_decay == decays[-1]
     assert cfg.weight_decay == 1e-4
+
+
+def test_retry_ladder_rejects_zero_weight_decay(record, monkeypatch):
+    # Ten times zero is zero, and the fit is deterministic: every rung of
+    # the ladder would refit the same model.
+    decays = _gate_failing(monkeypatch, failures=0)
+    cfg = sysid.TrainConfig(max_epochs=1, weight_decay=0.0)
+    with pytest.raises(ConfigurationError, match="weight_decay > 0"):
+        sysid.fit_feasible_model(record, cfg, 0, CONTROLLER, TEMPLATE, Y, EPS_U)
+    assert decays == []
+
+
+@pytest.mark.parametrize("field, value", [("max_epochs", -2), ("weight_decay", -1e-4),
+                                          ("weight_decay", float("nan")),
+                                          ("weight_decay", float("inf"))],
+                         ids=["negative-epochs", "negative-decay", "nan-decay", "inf-decay"])
+def test_invalid_train_config_is_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        sysid.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_epochs_and_decay(record):
+    cfg = sysid.TrainConfig(max_epochs=0, weight_decay=0.0)
+    params, report = sysid.fit_initial_model(record, cfg, seed=0)
+    assert report.epochs == 0
+    assert np.array_equal(params.pack(), sysid.initial_guess(0).pack())
 
 
 def test_retry_ladder_gives_up_with_last_diagnostics(record, monkeypatch):
