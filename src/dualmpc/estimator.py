@@ -15,7 +15,12 @@ theta; scheduling-network weights are left free.
 
 The state keeps the model it started from, ``prior``: its shapes give
 theta's layout and its C the output map, and the model at the estimate is
-the prior with theta_hat in place of its parameters.
+the prior with theta_hat in place of its parameters.  ``model()`` memoises
+that model on theta_hat's bytes, so it returns the same object while
+theta_hat is unchanged, and the tube QP's memo, keyed on that object, serves
+its rows again.  The model owns a read-only copy of theta_hat: editing zeta
+in place changes no model already returned, and the next ``model()`` sees
+the edit.
 
 A frozen theta is one with zero covariance.  With its rows and columns of P
 and of the process noise exactly 0, the prediction and the gain leave them
@@ -43,6 +48,7 @@ class EstimatorState:
     Qe: np.ndarray
     Re: np.ndarray
     prior: qlpv.ModelParams
+    _model: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.zeta.size
@@ -81,8 +87,14 @@ class EstimatorState:
         return self.zeta[self.n_x:]
 
     def model(self) -> qlpv.ModelParams:
-        """The prior's model at the estimate theta_hat."""
-        return self.prior.replace_theta(self.theta_hat)
+        """The prior's model at the estimate theta_hat, the same object while
+        theta_hat's bytes are unchanged; it shares no memory with zeta."""
+        key = self.theta_hat.tobytes()
+        if self._model[0] != key:
+            theta = self.theta_hat.copy()
+            theta.flags.writeable = False
+            self._model = (key, self.prior.replace_theta(theta))
+        return self._model[1]
 
     def output_map(self) -> np.ndarray:
         """C_tilde = [C 0] over the augmented state."""

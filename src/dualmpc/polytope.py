@@ -91,8 +91,8 @@ def box_template(n_x: int, n_u: int) -> PolytopeTemplate:
     For this template s >= 0 alone guarantees a nonempty set with constant
     normal fan.
     """
-    if n_x < 1:
-        raise ConfigurationError("n_x must be >= 1")
+    if n_x < 1 or n_u < 1:
+        raise ConfigurationError(f"n_x and n_u must be >= 1, got {n_x} and {n_u}")
     F = np.vstack([np.eye(n_x), -np.eye(n_x)])
     f = 2 * n_x
     V = []

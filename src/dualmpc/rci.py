@@ -5,7 +5,8 @@ the stages (z_k, v_k), then the invariant-set block x_r = (z_s, v_s, s, c, q):
 :class:`Layout` gives the offsets, and a solution's parts are views.  The
 stand-alone invariant-set QP is the build with no stages, without the initial
 row; :func:`rci_constraint_block` gives its rows and :func:`solve_optimal_rci`
-solves it.
+solves it.  Both builds come from one cache, :func:`tube_qp`, and
+:meth:`TubeQp.at` keeps a QP's rows at the last model it was given.
 
 The rows are linear in the vector.  For every scheduling mode i, the images
 of each tube center land in the next center's slack-enlarged set, those of
@@ -22,12 +23,14 @@ cost, which trades output-tracking error of the center against set size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from . import qlpv, qp
+from .errors import ConfigurationError
 from .polytope import Hpoly, PolytopeTemplate
 
 
@@ -199,12 +202,26 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.Mod
 
 
 @dataclass(frozen=True, eq=False)
-class TubeQp:
-    """The QP over ``layout``; :meth:`rows` and ``set_cost.at`` fill in a step.
-    Its rows: ``mode`` at the tube points, then at the vertex points
-    z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row.  Only
-    the estimator adds to ``dist_rows``; change none of its arrays in place."""
+class StepRows:
+    """The rows A y <= b of a step at the model ``params``, with its
+    disturbance allowance d; all three are read-only.  b's initial row is 0:
+    a step writes -F x_hat there in a copy of b."""
 
+    params: qlpv.ModelParams
+    d: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class TubeQp:
+    """The QP over ``layout``; :meth:`at` or :meth:`rows`, and ``set_cost.at``,
+    fill in a step.  Its rows: ``mode`` at the tube points, then at the vertex
+    points z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row.
+    Only :meth:`at` sets ``last`` and only the estimator adds to
+    ``dist_rows``; change none of its arrays in place."""
+
+    template: PolytopeTemplate
     gamma: float
     beta: float
     eps_u: np.ndarray
@@ -217,12 +234,16 @@ class TubeQp:
     initial: np.ndarray           # G with G y <= -F x_hat
     dist_points: np.ndarray       # the estimator's dist points (0, r)
     dist_rows: dict = field(default_factory=dict, init=False)  # their rows per model shape
+    last: StepRows | None = field(default=None, init=False, repr=False)  # of the last model
 
     @classmethod
     def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
               C: np.ndarray, gamma: float, stages: int) -> "TubeQp":
         """The QP of ``stages`` tube stages.  H, a sum of 2 D'WD, W > 0, and the
         set cost, is positive semidefinite by construction."""
+        if C.shape[1] != template.n_x:
+            raise ConfigurationError(
+                f"template has n_x={template.n_x}; C has {C.shape[1]} columns")
         lay = Layout.of(template, stages)
         Q, P = stage_weights(gamma, lay.n_x, lay.n_u)
         H = np.zeros((lay.dim, lay.dim))
@@ -266,7 +287,8 @@ class TubeQp:
         # -r as those of r reordered.
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
         dist = np.hstack([np.zeros((len(signs), lay.n_x)), beta * signs * eps_u])
-        return cls(gamma, beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed, initial, dist)
+        return cls(template, gamma, beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed,
+                   initial, dist)
 
     def model_rows(self, d: np.ndarray) -> qlpv.ModeRows:
         """The model rows with room for the disturbance allowance d at the vertex points."""
@@ -281,13 +303,55 @@ class TubeQp:
         return (np.concatenate([A_model, self.A_fixed, self.initial]),
                 np.concatenate([b_model, self.b_fixed, -self.mode.F @ x_hat]))
 
+    def at(self, params: qlpv.ModelParams) -> StepRows:
+        """The rows and d at params, kept for the last params object given:
+        another object, even of equal values, builds them anew.  That build
+        checks the template's n_x and n_u against the model's and the model
+        rows for finiteness."""
+        last = self.last
+        if last is not None and last.params is params:
+            return last
+        lay = self.layout
+        if (params.n_x, params.n_u) != (lay.n_x, lay.n_u):
+            raise ConfigurationError(
+                f"template has n_x={lay.n_x}, n_u={lay.n_u}; the model has "
+                f"n_x={params.n_x}, n_u={params.n_u}")
+        d = qlpv.disturbance_vector(params, self.template, self.beta, self.eps_u)
+        A, b = self.rows(params, np.zeros(lay.n_x), d)
+        if not np.isfinite(A[:params.n_p * self.mode.h.size]).all():
+            raise ConfigurationError("problem data must be finite")
+        for a in (d, A, b):
+            a.flags.writeable = False
+        last = StepRows(params, d, A, b)
+        object.__setattr__(self, "last", last)
+        return last
+
+
+def tube_qp(template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
+            C: np.ndarray, gamma: float, stages: int) -> TubeQp:
+    """:meth:`TubeQp.build`, through an 8-entry cache keyed by the identity of
+    template and Y and the values of the rest; change none of them in place.
+    A QP's H and fixed rows are validated once, when it is built."""
+    eps_u, C = np.asarray(eps_u, dtype=float), np.asarray(C, dtype=float)
+    return _tube_qp(template, Y, beta, eps_u.tobytes(), C.tobytes(), len(C), gamma, stages)
+
+
+@functools.lru_cache(maxsize=8)
+def _tube_qp(template, Y, beta, eps_u: bytes, C: bytes, n_y: int, gamma, stages) -> TubeQp:
+    tq = TubeQp.build(template, beta, np.frombuffer(eps_u), Y,
+                      np.frombuffer(C).reshape(n_y, -1), gamma, stages)
+    # H is positive semidefinite by construction: validate it with the fixed
+    # rows, without eigvalsh.
+    qp.QpProblem.build(tq.H, np.zeros(tq.layout.dim), tq.A_fixed, tq.b_fixed, check_psd=False)
+    return tq
+
 
 def _rci_qp(params: qlpv.ModelParams, template: PolytopeTemplate, beta: float,
             eps_u: np.ndarray, Y: Hpoly, d: np.ndarray) -> tuple[TubeQp, np.ndarray, np.ndarray]:
     """The invariant-set QP, which is the tube QP with no stages, so gamma (0
     here) enters no row; and its rows A x_r <= b at (params, d), all but the
     initial row."""
-    tq = TubeQp.build(template, beta, eps_u, Y, params.C, 0.0, 0)
+    tq = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0)
     A, b = tq.model_rows(d).over_y(params)
     return tq, np.vstack([A, tq.A_fixed]), np.concatenate([b, tq.b_fixed])
 

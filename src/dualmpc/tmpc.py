@@ -7,11 +7,19 @@ steady state.  Because the invariant-set rows are part of the QP,
 feasibility for any reference is preserved, and the optimal value minus the
 stand-alone set-tracking optimum acts as a Lyapunov function.
 
-solve_tmpc builds one TubeQp per controller (cfg, template, Y, eps_u, C) and
-validates its H and fixed rows once.  It caches TubeQps by the identity of
-cfg, template and Y and the values of eps_u and C; change neither those
-objects nor a TubeQp's arrays in place.  Each step computes d, the model
-rows, -F x_hat and g, and checks only those for finiteness.
+solve_tmpc takes each controller's TubeQp from ``rci.tube_qp``, which
+builds it once, validates its H and fixed rows then, and caches it by the
+identity of template and Y and the values of beta, gamma, N, eps_u and C.
+The TubeQp memoises the step rows of the last model object it was given
+(``rci.TubeQp.at``), keyed on that object's identity: d, the model rows and
+the assembled row block A, all read-only.  Building them checks the
+template's n_x and n_u against the model's and the model rows for
+finiteness.  A step at that same model writes only b's initial row,
+-F x_hat, into a copy of b, and g from y_ref, and checks those two for
+finiteness; a step at a new model builds its rows first.  Both end in the
+same qp.solve call.  So neither the cache keys nor the memo see an edit
+made in place: change no ModelParams, cfg, template or Y, nor a TubeQp's
+arrays, in place.  The memo holds on to the last model.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
 views, and its time-shifted plan: :func:`warm_start_vector` gives the plan to
@@ -22,8 +30,8 @@ at the same array.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +47,8 @@ class ControllerConfig:
     beta: float = 0.3
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigurationError("horizon N must be >= 1")
+        if not isinstance(self.N, Integral) or self.N < 1:
+            raise ConfigurationError(f"horizon N must be an integer >= 1, got {self.N!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigurationError("gamma must lie in (0, 1)")
         if not 0.0 <= self.beta < 1.0:
@@ -65,16 +73,6 @@ class TubeSolution(rci.RciSolution):
         object.__setattr__(self, "shifted", shifted)
 
 
-@functools.lru_cache(maxsize=8)
-def _tube_qp(cfg, template, Y, eps_u: bytes, C: bytes, n_y: int) -> rci.TubeQp:
-    tq = rci.TubeQp.build(template, cfg.beta, np.frombuffer(eps_u), Y,
-                          np.frombuffer(C).reshape(n_y, -1), cfg.gamma, cfg.N + 1)
-    # H is positive semidefinite by construction: validate it with the fixed
-    # rows once, without eigvalsh.
-    qp.QpProblem.build(tq.H, np.zeros(tq.layout.dim), tq.A_fixed, tq.b_fixed, check_psd=False)
-    return tq
-
-
 def solve_tmpc(
     x_hat: np.ndarray,
     params: qlpv.ModelParams,
@@ -87,17 +85,15 @@ def solve_tmpc(
 ) -> TubeSolution:
     """Solve the tube QP at the current estimate; d comes from these params."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
-    C = np.asarray(params.C, dtype=float)
-    tq = _tube_qp(cfg, template, Y, np.asarray(eps_u, dtype=float).tobytes(), C.tobytes(), len(C))
-    d = qlpv.disturbance_vector(params, template, cfg.beta, eps_u)
-    A, b = tq.rows(params, x_hat, d)
+    tq = rci.tube_qp(template, cfg.beta, eps_u, Y, params.C, cfg.gamma, cfg.N + 1)
+    rows = tq.at(params)
+    b = rows.b.copy()
+    b[-len(tq.initial):] = -tq.mode.F @ x_hat
     g, const = tq.set_cost.at(y_ref)
-    # H and the fixed rows were validated with tq, and the shapes of the rest are tq's.
-    if not (np.isfinite(g).all() and np.isfinite(A[:params.n_p * tq.mode.h.size]).all()
-            and np.isfinite(b).all()):
+    if not (np.isfinite(g).all() and np.isfinite(b).all()):
         raise ConfigurationError("problem data must be finite")
-    sol = qp.solve(qp.QpProblem(tq.H, g, A, b), warm_start=warm_start)
-    return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=d,
+    sol = qp.solve(qp.QpProblem(tq.H, g, rows.A, b), warm_start=warm_start)
+    return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
                         status=sol.status, qp_solution=sol, tube_qp=tq)
 
 

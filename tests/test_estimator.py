@@ -470,3 +470,29 @@ def test_covariance_valid_over_long_random_run(rng):
         res = estimator.constrained_correct(state, zeta_pred, P_pred, y, None)
         state.zeta, state.P = res.zeta, res.P
     state.assert_valid_covariance()
+
+
+class TestModelMemo:
+    def test_same_model_while_theta_hat_keeps_its_bytes(self, rng):
+        state = estimator.EstimatorState.from_model(random_model(rng))
+        model = state.model()
+        assert state.model() is model
+        state.zeta = state.zeta.copy()         # a new array, the same bytes
+        assert state.model() is model
+        assert model.pack().tobytes() == state.theta_hat.tobytes()
+        state.zeta = state.zeta + np.r_[np.zeros(state.n_x), 1e-12, np.zeros(model.n_theta - 1)]
+        moved = state.model()
+        assert moved is not model
+        assert moved.pack().tobytes() == state.theta_hat.tobytes()
+
+    def test_model_shares_no_memory_with_zeta(self, rng):
+        state = estimator.EstimatorState.from_model(random_model(rng))
+        model = state.model()
+        assert not any(np.shares_memory(part, state.zeta)
+                       for part in (*model.A, *model.B, model.W1, model.b1, model.W2, model.b2))
+        a00 = model.A[0][0, 0]
+        state.zeta[state.n_x] += 1.0           # theta's first entry is A_0[0, 0]
+        assert model.A[0][0, 0] == a00
+        assert state.model().A[0][0, 0] == a00 + 1.0
+        with pytest.raises(ValueError):
+            model.A[0][0, 0] = 0.0

@@ -194,5 +194,6 @@ def test_box_rejects_negative_or_nan_half_width():
 
 
 def test_invalid_dimension_rejected():
-    with pytest.raises(ConfigurationError):
-        polytope.box_template(0, 1)
+    for n_x, n_u in ((0, 1), (2, 0)):
+        with pytest.raises(ConfigurationError):
+            polytope.box_template(n_x, n_u)

@@ -41,8 +41,10 @@ def shifted_stages(sol, gamma):
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ConfigurationError):
-        tmpc.ControllerConfig(N=0)
+    for N in (0, 1.5, np.float64(2.0)):
+        with pytest.raises(ConfigurationError):
+            tmpc.ControllerConfig(N=N)
+    assert tmpc.ControllerConfig(N=np.int64(3)).N == 3
     with pytest.raises(ConfigurationError):
         tmpc.ControllerConfig(gamma=1.0)
     with pytest.raises(ConfigurationError):
@@ -428,7 +430,10 @@ def test_tube_qp_built_once_per_controller(model, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(rci, "mode_rows", counted("mode_rows", rci.mode_rows))
-    cfg = tmpc.ControllerConfig()          # a new controller: its QP is not built yet
+    # The cache is keyed on values, so a new controller with the defaults may
+    # find its QP built by an earlier test: start from an empty cache.
+    rci._tube_qp.cache_clear()
+    cfg = tmpc.ControllerConfig()
     x_hat, warm = np.array([0.2, -0.1]), None
     for _ in range(5):
         sol = solve(model, x_hat, 0.3, cfg=cfg, warm_start=warm)
@@ -437,3 +442,119 @@ def test_tube_qp_built_once_per_controller(model, monkeypatch):
         u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
         x_hat, warm = qlpv.step(model, x_hat, u), tmpc.warm_start_vector(sol, cfg.gamma)
     assert (calls["eigvalsh"], calls["mode_rows"]) == (0, 1)
+
+
+@pytest.mark.parametrize("n_x, n_u", [(3, 1), (2, 2)])
+def test_template_of_other_dimensions_rejected(model, n_x, n_u):
+    with pytest.raises(ConfigurationError, match="template"):
+        tmpc.solve_tmpc(np.zeros(n_x), model, np.zeros(1), CFG, box_template(n_x, n_u), Y,
+                        np.ones(n_u))
+
+
+def spied(monkeypatch) -> Counter:
+    """Counts of the calls that build a step's model-dependent data."""
+    calls = Counter()
+    for owner, name in ((qlpv, "disturbance_vector"), (qlpv.ModeRows, "over_y"),
+                        (qlpv.ModelParams, "replace_theta")):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def dual_loop(model, steps, freeze_theta, calls):
+    """The closed loop of the paper for ``steps`` steps on a perturbed plant:
+    tube solve, tracking input, predict, polytope, correction.  Returns how
+    many steps saw a theta_hat other than the step before's."""
+    rng = np.random.default_rng(5)
+    true = model.replace_theta(model.pack() + 0.002 * rng.normal(size=model.n_theta))
+    calls.clear()
+    state = estimator.EstimatorState.from_model(model, x0=[0.1, -0.05],
+                                                freeze_theta=freeze_theta)
+    x, warm, moves, theta = np.array([0.1, -0.05]), None, 0, None
+    for k in range(steps):
+        moves += theta is not None and theta != state.theta_hat.tobytes()
+        theta = state.theta_hat.tobytes()
+        params = state.model()
+        sol = tmpc.solve_tmpc(state.x_hat, params, np.array([0.4 * (-1) ** (k // 10)]), CFG,
+                              TEMPLATE, Y, EPS_U, warm_start=warm)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        u, _ = tmpc.nominal_input(sol, state.x_hat, TEMPLATE)
+        x = qlpv.step(true, x, u)
+        zeta_pred, P_pred = estimator.predict(state, u)
+        poly = estimator.build_theta_polytope(sol, TEMPLATE, params, CFG.beta, EPS_U, CFG.gamma)
+        corr = estimator.constrained_correct(state, zeta_pred, P_pred,
+                                             true.C @ x + 0.01 * rng.normal(size=1), poly)
+        state.zeta, state.P = corr.zeta, corr.P
+        warm = tmpc.warm_start_vector(sol, CFG.gamma)
+    return moves
+
+
+def test_frozen_theta_builds_the_models_step_data_once(model, monkeypatch):
+    calls = spied(monkeypatch)
+    assert dual_loop(model, 30, True, calls) == 0
+    assert calls == {"disturbance_vector": 1, "over_y": 1, "replace_theta": 1}
+
+
+def test_moving_theta_builds_the_models_step_data_once_per_step(model, monkeypatch):
+    calls = spied(monkeypatch)
+    assert dual_loop(model, 30, False, calls) == 29
+    assert calls == {"disturbance_vector": 30, "over_y": 30, "replace_theta": 30}
+
+
+def test_memoised_solves_equal_solves_from_an_empty_cache(model):
+    other = random_model(np.random.default_rng(43), infnorm=0.6, gain=0.25)
+    twin = model.replace_theta(model.pack())       # equal values, another object
+    rng = np.random.default_rng(3)
+    cases = [(params, rng.uniform(-0.2, 0.2, size=2), rng.uniform(-0.5, 0.5, size=1))
+             for params in (model, model, other, model, twin)]
+    memoised, warm = [], None
+    for params, x_hat, y_ref in cases:
+        sol = solve(params, x_hat, y_ref, warm_start=warm)
+        assert sol.tube_qp.last.params is params
+        memoised.append((sol, warm))
+        warm = tmpc.warm_start_vector(sol, CFG.gamma)
+    # The memo holds the last model object: a hit at the second solve only.
+    d = [sol.d for sol, _ in memoised]
+    assert d[1] is d[0] and all(d[k] is not d[k - 1] for k in (2, 3, 4))
+    for (params, x_hat, y_ref), (sol, warm) in zip(cases, memoised):
+        rci._tube_qp.cache_clear()
+        fresh = solve(params, x_hat, y_ref, warm_start=warm)
+        assert fresh.tube_qp is not sol.tube_qp
+        assert sol.x.tobytes() == fresh.x.tobytes()
+        assert sol.d.tobytes() == fresh.d.tobytes()
+        assert ((sol.status, sol.qp_solution.iterations)
+                == (fresh.status, fresh.qp_solution.iterations))
+
+
+def test_memoised_step_data_are_read_only(model):
+    sol = solve(model, [0.1, 0.0], 0.3)
+    last = sol.tube_qp.last
+    assert last.d is sol.d
+    for part in (last.d, last.A, last.b):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+
+
+def test_invariant_set_qp_built_once_across_set_ups(model, monkeypatch):
+    rci._tube_qp.cache_clear()
+    calls = Counter()
+    build = rci.TubeQp.build.__func__
+
+    def counted(cls, *args):
+        calls["build"] += 1
+        return build(cls, *args)
+    monkeypatch.setattr(rci.TubeQp, "build", classmethod(counted))
+    y_ref = np.array([0.2])
+    first, _ = rci.solve_optimal_rci(model, y_ref, TEMPLATE, CFG.beta, EPS_U, Y)
+    again, _ = rci.solve_optimal_rci(model, y_ref, TEMPLATE, CFG.beta, EPS_U.copy(), Y)
+    rci.rci_constraint_block(model, TEMPLATE, CFG.beta, EPS_U, Y)
+    assert calls["build"] == 1
+    assert first.x.tobytes() == again.x.tobytes()
+    # Each call still validates its own model rows.
+    broken = model.replace_theta(np.where(np.arange(model.n_theta) == 0, np.nan, model.pack()))
+    with pytest.raises(ConfigurationError):
+        rci.solve_optimal_rci(broken, y_ref, TEMPLATE, CFG.beta, EPS_U, Y)
