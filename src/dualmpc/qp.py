@@ -28,8 +28,11 @@ the iteration.  Duals of a nearby problem are a poorly centred
 start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
-at the start point x0, which A_in' lam must balance; a projection starts at
-the point it projects, where that gradient is 0.  Scaling (H, g) by s then
+at the start point x0, which A_in' lam must balance.  A projection
+(:func:`project_weighted`) warm-starts from the closed-form projection onto
+the rows it violates, held as equalities; when that point meets the other
+rows too it is the projection, exact to rounding rather than to the scaled
+``tol``, and is returned with 0 iterations.  Scaling (H, g) by s then
 scales every dual iterate by s and keeps the primal ones and the iteration
 count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
 end).
@@ -298,11 +301,21 @@ def project_weighted(
     P is factored once, P = U'U (LAPACK dpotrf); a singular P takes a ridge
     of _RIDGE max(1, |P|_max) I, and a P that does not factor even then
     raises ``ConfigurationError``.  M = U^-1 U^-T is formed only when x0 is
-    infeasible.  The interior-point iteration starts at x0, where the cost's
-    gradient is zero, so the duals start at 1 (Wright 1997).  Returns the
-    full solution so callers can inspect status; when x0 is already
-    feasible, as it is for a polyhedron without rows, it is returned
-    unchanged with zero distance.
+    infeasible.
+
+    The rows V that x0 violates are then held as equalities (Lawson &
+    Hanson 1974, ch. 23): with r_V = A_V x0 - b_V and S = A_V P A_V', the
+    candidate x = x0 - P A_V' mu, mu = S^-1 r_V, has duals 2 mu on V and 0
+    elsewhere.  When S factors and mu >= 0 the candidate is the exact
+    projection onto {x : A_V x <= b_V}, and :func:`solve` takes it as its
+    warm start: it is accepted with 0 iterations when it also meets the
+    other rows to ``tol``, and otherwise its x starts the iteration.  When S
+    does not factor (dependent violated rows) or some mu < 0 (the violated
+    rows are not the projection's active set), the iteration starts at x0,
+    where the cost's gradient is zero, so the duals start at 1 (Wright
+    1997).  Returns the full solution so callers can inspect status; when
+    x0 is already feasible, as it is for a polyhedron without rows, it is
+    returned unchanged with zero distance.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     P = np.asarray(P, dtype=float)
@@ -311,12 +324,25 @@ def project_weighted(
         U, info = lapack.dpotrf(P + _RIDGE * max(1.0, np.abs(P).max()) * np.eye(len(P)))
     if info:
         raise ConfigurationError("projection covariance must be positive semidefinite")
-    if (b_in - A_in @ x0).min(initial=0.0) >= 0.0:
+    r = A_in @ x0 - b_in
+    if np.logical_and.reduce(r <= 0.0):
         return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
     U_inv, _ = lapack.dtrtri(U)
     M = U_inv @ U_inv.T
     # M is positive definite by construction, so the problem skips that check.
     prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, check_psd=False)
-    sol = solve(prob, tol=tol, warm_start=x0)
+    # The violated rows V held as equalities: with W = U A_V', P A_V' = U'W
+    # and S = A_V P A_V' = W'W.
+    V = r > 0.0
+    W = U @ A_in[V].T
+    L, info = lapack.dpotrf(W.T @ W)
+    warm = x0
+    if not info:
+        mu = lapack.dpotrs(L, r[V])[0]
+        if mu.min() >= 0.0:
+            lam = np.zeros(len(b_in))
+            lam[V] = 2.0 * mu
+            warm = QpSolution(x0 - U.T @ (W @ mu), lam, np.nan, QpStatus.OPTIMAL, 0)
+    sol = solve(prob, tol=tol, warm_start=warm)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

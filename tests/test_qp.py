@@ -245,6 +245,35 @@ def test_recorded_problem_keeps_its_iterations(rec):
     assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= rec["tol"]
 
 
+PROJECTION = json.loads(
+    (Path(__file__).parent / "data" / "qp_projection_dual_seed11.json").read_text())
+
+
+def test_recorded_projection_meets_its_kkt_conditions():
+    # A joint (x, theta) projection of the bench dual_track loop at seed 11
+    # (episode 1, step 39): 44 variables and 100 rows, 3 of them violated at
+    # x0.  Its conditions are checked as those of the same projection in
+    # displacement coordinates, min d'Md s.t. A d <= b - A x0 with M = P^-1,
+    # under the module's KKT rule at the projection's tol: feasibility to
+    # tol, and stationarity and complementarity to tol times
+    # max(1, |2Md|, |A'lam|).  There the cost has no linear term, so the
+    # bound is not scaled up by |2 M x0| ~ 1e6 as it is for the solver's
+    # own test.  Solved from x0 alone, the returned point lay 100 times
+    # farther from x0 than the projection, with complementarity 7e-7.
+    rec = PROJECTION
+    x0, P, A, b = (np.array(rec[k]) for k in ("x0", "P", "A_in", "b_in"))
+    tol = rec["tol"]
+    sol = qp.project_weighted(x0, P, A_in=A, b_in=b, tol=tol)
+    lam, r = sol.ineq_duals, A @ sol.x - b
+    Md2, Al = 2.0 * np.linalg.solve(P, sol.x - x0), A.T @ lam
+    scale = max(1.0, np.abs(Md2).max(), np.abs(Al).max())
+    assert sol.status == qp.QpStatus.OPTIMAL
+    assert r.max() <= tol
+    assert lam.min() >= 0.0
+    assert np.abs(Md2 + Al).max() <= tol * scale
+    assert np.abs(lam * r).max() <= tol * scale
+
+
 # Finding H: the twomass_track tube QP at seed 14, episode 4, step 177 (two
 # steps after a reference switch), with the shifted plan and duals of the
 # step before as its warm start.  Near the solution the slacks of some rows
@@ -335,7 +364,9 @@ def test_dual_loop_projection_converges(monkeypatch):
     # a cost of norm ~1e6.  With stationarity measured in absolute terms the
     # solver ran all 500 iterations on it into MAX_ITER, as it did on the
     # step-12 projection of the loop it drove itself, and the estimator fell
-    # back to the previous theta.
+    # back to the previous theta.  The projection itself now accepts its
+    # closed-form warm start, so the same QP is also solved from the bare
+    # point it projects, the start the interior-point iteration had then.
     template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
     cfg = tmpc.ControllerConfig()
     model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
@@ -344,14 +375,19 @@ def test_dual_loop_projection_converges(monkeypatch):
     noise = 0.01 * np.random.default_rng(0).normal(size=13)
     state = estimator.EstimatorState.from_model(model)
     x, warm = np.array([0.1, -0.05]), None
-    projections = []
+    projections, problems = [], []
 
-    def recording(*args, **kwargs):
-        projections.append(project(*args, **kwargs))
-        return projections[-1]
+    def recording(x0, *args, **kwargs):
+        projections.append((x0, kwargs["tol"], project(x0, *args, **kwargs)))
+        return projections[-1][2]
 
-    project = qp.project_weighted
+    def solving(prob, *args, **kwargs):
+        problems.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    project, solve = qp.project_weighted, qp.solve
     monkeypatch.setattr(qp, "project_weighted", recording)
+    monkeypatch.setattr(qp, "solve", solving)
     for k in range(13):
         tube = tmpc.solve_tmpc(state.x_hat, state.model(), np.array([0.4]), cfg,
                                template, Y, eps_u, warm_start=warm)
@@ -361,16 +397,21 @@ def test_dual_loop_projection_converges(monkeypatch):
         poly = estimator.build_theta_polytope(tube, template, state.model(), cfg.beta,
                                               eps_u, cfg.gamma)
         projections.clear()
+        problems.clear()
         corr = estimator.constrained_correct(state, zeta_pred, P_pred,
                                              qlpv.output(true, x) + noise[k], poly)
         state.zeta, state.P = corr.zeta, corr.P
         warm = tmpc.warm_start_vector(tube, cfg.gamma)
 
-    (sol,) = projections
+    ((x0, tol, sol),) = projections
+    (prob,) = problems
     assert sol.status == qp.QpStatus.OPTIMAL
-    assert 0 < sol.iterations <= 60
+    assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= tol
     assert poly.violation(corr.zeta) <= 1e-10
     assert not corr.fallback
+    cold = solve(prob, tol=tol, warm_start=x0)
+    assert cold.status == qp.QpStatus.OPTIMAL
+    assert 0 < cold.iterations <= 60
 
 
 def test_infeasible_problem_detected():
@@ -437,6 +478,60 @@ class TestProjectWeighted:
             assert sol.status == qp.QpStatus.OPTIMAL
             assert np.abs(sol.x - x_ref).max() <= 1e-6
             assert sol.value == pytest.approx((sol.x - x0) @ M @ (sol.x - x0), rel=1e-9)
+
+    # (x0, P, A, b) that take each path of the closed-form warm start.
+    PATHS = {
+        # x1 <= 1 alone is violated, and held as an equality it gives the
+        # projection, which meets the box: the candidate is accepted.
+        "accepted": ([1.5, 0.2, -0.1], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]],
+                     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                     [1, 2, 2, 2, 2, 2]),
+        # Both rows are violated, but x1 + x2 <= 1 holds once x1 <= 0 does:
+        # its multiplier as an equality is -0.9.
+        "negative_multiplier": ([1.0, 0.1], np.eye(2), [[1, 0], [1, 1]], [0, 1]),
+        # x1 <= 0 twice: S = [[1, 1], [1, 1]] has a zero pivot.
+        "singular": ([1.0, 0.0, 0.0], np.eye(3), [[1, 0, 0], [1, 0, 0], [0, 0, 1]], [0, 0, 5]),
+        # x1 <= 0 held as an equality gives 0, which breaks x1 + x2 >= 0.5,
+        # a row that holds at x0.
+        "kkt_rejected": ([1.0, 0.0], np.eye(2), [[1, 0], [-1, -1]], [0, -0.5]),
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_closed_form_start_on_the_violated_rows(self, monkeypatch, path):
+        # The violated rows V held as equalities give the candidate
+        # x0 - P A_V' mu with mu = (A_V P A_V')^-1 (A_V x0 - b_V).  It is the
+        # warm start when that matrix factors and mu >= 0; the solve accepts
+        # it with 0 iterations when it meets the KKT test, and otherwise
+        # starts from its x.  Every path ends at the active-set optimum.
+        x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS[path])
+        solve, dpotrf = qp.solve, qp.lapack.dpotrf
+        warms, infos = [], []
+        monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
+            warms.append(kw["warm_start"]), solve(prob, **kw))[1])
+        monkeypatch.setattr(qp.lapack, "dpotrf", lambda K, **kw: (
+            lambda out: (infos.append(out[1]), out)[1])(dpotrf(K, **kw)))
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
+        M = np.linalg.inv(P)
+        x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert np.abs(sol.x - x_ref).max() <= 1e-7
+        # dpotrf factors P, then S = A_V P A_V', then the solver's matrices.
+        assert (infos[1] > 0) == (path == "singular")
+        assert isinstance(warms[0], qp.QpSolution) == (path in ("accepted", "kkt_rejected"))
+        assert (sol.iterations == 0) == (path == "accepted")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_covariance_is_not_reported_infeasible(self, seed):
+        # P = L L' has rank 3 in 6 variables.  It factors by rounding, with
+        # pivots ~1e-17 on its null space, or takes the ridge; either way
+        # M = P^-1 is conditioned 1e10 or worse.  Projecting 0 onto x1 <= -1
+        # is feasible; at seed 2 the Newton matrix did not factor at the
+        # first iteration from 0, and the solve returned 0 as INFEASIBLE.
+        L = np.random.default_rng(seed).normal(size=(6, 3))
+        sol = qp.project_weighted(np.zeros(6), L @ L.T, A_in=np.eye(6)[:1],
+                                  b_in=np.array([-1.0]), tol=1e-9)
+        assert sol.status != qp.QpStatus.INFEASIBLE
+        assert sol.x[0] <= -1.0 + 1e-9
 
     def test_singular_covariance_takes_the_ridge(self, monkeypatch):
         # A singular P fails its first factorization and factors with the
