@@ -51,9 +51,10 @@ class EstimatorState:
     _model: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.zeta.size
-        if self.P.shape != (n, n) or self.Qe.shape != (n, n):
-            raise ConfigurationError("covariance dimensions inconsistent")
+        n, n_y = self.prior.n_x + self.prior.n_theta, self.prior.n_y
+        if ((self.zeta.shape, self.P.shape, self.Qe.shape, self.Re.shape)
+                != ((n,), (n, n), (n, n), (n_y, n_y))):
+            raise ConfigurationError("state or covariance dimensions inconsistent with the prior")
         self.assert_valid_covariance()
 
     @classmethod
@@ -163,36 +164,33 @@ def build_theta_polytope(
     ``tmpc.warm_start_vector(tube, gamma)``, feasible for the next tube QP.
     Those rows are the tube QP's own, evaluated at y with x and theta free:
     the initial row puts x in the full first shifted set (state_s), and one
-    ``over_theta`` call on the tube QP's model rows gives, mode by mode, the
-    candidate tube, the last shifted tube row into (z+, v+) and the terminal
-    contraction (tube, tube_plus, terminal), then the vertex dynamics
-    tightened by d + q (rci).  Points that are roundoff are left out
-    (``qlpv.ModeRows.over_theta``).  Only one family is the estimator's own:
-    each mode's scaled input image below the frozen disturbance allowance
-    d = ``tube.d`` (dist), at the points ``rci.TubeQp.dist_points``.  The rows are
-    written into one array, in the order state_s, dist, model rows.  beta,
-    eps_u and gamma must be the tube's controller's, whose d and points these
-    are; others raise ``ConfigurationError``.
+    ``over_theta`` call on the model rows the tube was solved with,
+    ``tube.rows.mode``, gives, mode by mode, the candidate tube, the last
+    shifted tube row into (z+, v+) and the terminal contraction (tube,
+    tube_plus, terminal), then the vertex dynamics tightened by d + q (rci).
+    Points that are roundoff are left out (``qlpv.ModeRows.over_theta``).
+    Only one family is the estimator's own: each mode's scaled input image
+    below the frozen disturbance allowance d = ``tube.rows.d`` (dist), whose
+    rows ``rci.TubeQp.dist_rows`` gives.  The rows are written into one
+    array, in the order state_s, dist, model rows.  beta, eps_u and gamma
+    must be the tube's controller's, whose d and points these are; others
+    raise ``ConfigurationError``.
     """
     tq = tube.tube_qp
     lay = tq.layout
     n_x, f, N = lay.n_x, template.n_rows, lay.stages - 1
-    n_theta = params.n_theta
     if (tube.x.shape != (lay.dim,) or (gamma, beta) != (tq.gamma, tq.beta)
             or not np.array_equal(eps_u, tq.eps_u)):
         raise ConfigurationError("tube solution malformed or from a controller with "
                                  "other gamma, beta or eps_u")
-    d, y = tube.d, tube.shifted
-    model_A, model_b, kept = tq.model_rows(d).over_theta(params, y)
-    shape = (params.n_p, n_theta)    # theta's layout, given the tube's n_x and n_u
-    if shape not in tq.dist_rows:
-        tq.dist_rows[shape] = qlpv.theta_rows(params, tq.mode.F, tq.dist_points).reshape(-1, n_theta)
-    dist_A = tq.dist_rows[shape]
+    d, y = tube.rows.d, tube.shifted
+    model_A, model_b, kept = tube.rows.mode.over_theta(params, y)
+    dist_A = tq.dist_rows(params)
     n_dist = params.n_p * len(tq.dist_points)
     point_names = ["tube"] * (N - 1) + ["tube_plus", "terminal"] + ["rci"] * template.n_vertices
     names = ["state_s"] + ["dist"] * n_dist + list(compress(point_names, kept)) * params.n_p
 
-    A = np.zeros((f * len(names), n_x + n_theta))
+    A = np.zeros((f * len(names), n_x + params.n_theta))
     A[:f, :n_x] = template.F
     A[f:f + len(dist_A), n_x:] = dist_A
     A[f + len(dist_A):, n_x:] = model_A

@@ -37,9 +37,10 @@ class ModelParams:
     C: np.ndarray
 
     def __post_init__(self):
+        if not self.A or len(self.B) != len(self.A):
+            raise ConfigurationError("A and B must list one matrix per scheduling mode, "
+                                     "at least one")
         n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
-        if len(self.B) != n_p:
-            raise ConfigurationError("A and B must list one matrix per scheduling mode")
         if any(M.shape != (n_x, n_x) for M in self.A):
             raise ConfigurationError("inconsistent A_i shape")
         if any(M.shape != (n_x, n_u) for M in self.B):

@@ -81,8 +81,8 @@ class QpProblem:
     """Dense QP data.
 
     :meth:`build` validates a problem and the solver does not.
-    ``tmpc.solve_tmpc`` validates the H and fixed rows of each controller's
-    ``rci.TubeQp`` once and constructs each step's problem directly.
+    ``rci.tube_qp`` validates the H and fixed rows of each ``rci.TubeQp``
+    once, and its users construct each problem directly.
     """
 
     H: np.ndarray

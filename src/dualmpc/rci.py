@@ -3,10 +3,16 @@
 :class:`TubeQp` builds the QP of any number of tube stages.  Its vector holds
 the stages (z_k, v_k), then the invariant-set block x_r = (z_s, v_s, s, c, q):
 :class:`Layout` gives the offsets, and a solution's parts are views.  The
-stand-alone invariant-set QP is the build with no stages, without the initial
-row; :func:`rci_constraint_block` gives its rows and :func:`solve_optimal_rci`
-solves it.  Both builds come from one cache, :func:`tube_qp`, and
-:meth:`TubeQp.at` keeps a QP's rows at the last model it was given.
+stand-alone invariant-set QP is the build with no stages, which has no
+initial row; :func:`rci_constraint_block` gives its rows and
+:func:`solve_optimal_rci` solves it.  Both builds come from one cache,
+:func:`tube_qp`.
+
+:meth:`TubeQp.at` is the one place where a model's rows are made: it forms
+the disturbance allowance d and the model rows with room for it, assembles
+the row block, and keeps the result, a :class:`StepRows`, for the last model
+object it was given.  Every consumer reads the rows from there: both solves,
+and, through ``tmpc.TubeSolution.rows``, the estimator's polytope.
 
 The rows are linear in the vector.  For every scheduling mode i, the images
 of each tube center land in the next center's slack-enlarged set, those of
@@ -169,10 +175,12 @@ class SetCost:
         return cls(H, -2.0 * lay.v * C.T @ Q1, Q1, lay)
 
     def at(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
-        """(g, constant) at the reference."""
+        """(g, constant) at the reference; g must be finite."""
         y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
         g = np.zeros(self.lay.dim)
         g[self.lay.z_s] = self.G @ y_ref
+        if not np.isfinite(g).all():
+            raise ConfigurationError("problem data must be finite")
         return g, float(self.lay.v * y_ref @ self.Q1 @ y_ref)
 
 
@@ -203,23 +211,25 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.Mod
 
 @dataclass(frozen=True, eq=False)
 class StepRows:
-    """The rows A y <= b of a step at the model ``params``, with its
-    disturbance allowance d; all three are read-only.  b's initial row is 0:
-    a step writes -F x_hat there in a copy of b."""
+    """The rows A y <= b of a step at the model ``params``: ``mode``, the
+    model rows with -d at the vertex points, then the fixed rows and the
+    initial row.  b's initial row is 0: a step writes -F x_hat there in a
+    copy of b.  d, A and b are read-only."""
 
     params: qlpv.ModelParams
-    d: np.ndarray
+    d: np.ndarray                 # the disturbance allowance
+    mode: qlpv.ModeRows
     A: np.ndarray
     b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class TubeQp:
-    """The QP over ``layout``; :meth:`at` or :meth:`rows`, and ``set_cost.at``,
-    fill in a step.  Its rows: ``mode`` at the tube points, then at the vertex
-    points z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row.
-    Only :meth:`at` sets ``last`` and only the estimator adds to
-    ``dist_rows``; change none of its arrays in place."""
+    """The QP over ``layout``; :meth:`at` and ``set_cost.at`` fill in a step.
+    Its rows: ``mode`` at the tube points, then at the vertex points
+    z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row, which
+    the zero-stage build has not.  Only :meth:`at` sets ``last``; change none
+    of its arrays in place."""
 
     template: PolytopeTemplate
     gamma: float
@@ -228,12 +238,12 @@ class TubeQp:
     layout: Layout
     H: np.ndarray
     set_cost: SetCost             # the x_r part of the cost; its ``at`` gives g
-    mode: qlpv.ModeRows           # model rows; h is 0, model_rows sets -d
+    mode: qlpv.ModeRows           # model rows with h = 0; ``at`` sets -d
     A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
     b_fixed: np.ndarray           # then the sign rows of x_r
-    initial: np.ndarray           # G with G y <= -F x_hat
+    initial: np.ndarray           # G with G y <= -F x_hat; no rows without stages
     dist_points: np.ndarray       # the estimator's dist points (0, r)
-    dist_rows: dict = field(default_factory=dict, init=False)  # their rows per model shape
+    _dist_rows: dict = field(default_factory=dict, init=False, repr=False)
     last: StepRows | None = field(default=None, init=False, repr=False)  # of the last model
 
     @classmethod
@@ -241,9 +251,10 @@ class TubeQp:
               C: np.ndarray, gamma: float, stages: int) -> "TubeQp":
         """The QP of ``stages`` tube stages.  H, a sum of 2 D'WD, W > 0, and the
         set cost, is positive semidefinite by construction."""
-        if C.shape[1] != template.n_x:
+        if (C.shape[1], np.size(eps_u), Y.H.shape[1]) != (template.n_x, template.n_u, len(C)):
             raise ConfigurationError(
-                f"template has n_x={template.n_x}; C has {C.shape[1]} columns")
+                f"template has n_x={template.n_x}, n_u={template.n_u}; C has shape {C.shape}, "
+                f"eps_u {np.size(eps_u)} entries and Y {Y.H.shape[1]} columns")
         lay = Layout.of(template, stages)
         Q, P = stage_weights(gamma, lay.n_x, lay.n_u)
         H = np.zeros((lay.dim, lay.dim))
@@ -288,20 +299,7 @@ class TubeQp:
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
         dist = np.hstack([np.zeros((len(signs), lay.n_x)), beta * signs * eps_u])
         return cls(template, gamma, beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed,
-                   initial, dist)
-
-    def model_rows(self, d: np.ndarray) -> qlpv.ModeRows:
-        """The model rows with room for the disturbance allowance d at the vertex points."""
-        h = self.mode.h.copy()
-        h[self.layout.stages:] = -d
-        return replace(self.mode, h=h)
-
-    def rows(self, params: qlpv.ModelParams, x_hat: np.ndarray,
-             d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) of the step: model rows at (params, d), fixed rows, initial row at x_hat."""
-        A_model, b_model = self.model_rows(d).over_y(params)
-        return (np.concatenate([A_model, self.A_fixed, self.initial]),
-                np.concatenate([b_model, self.b_fixed, -self.mode.F @ x_hat]))
+                   initial if stages else initial[:0], dist)
 
     def at(self, params: qlpv.ModelParams) -> StepRows:
         """The rows and d at params, kept for the last params object given:
@@ -317,14 +315,29 @@ class TubeQp:
                 f"template has n_x={lay.n_x}, n_u={lay.n_u}; the model has "
                 f"n_x={params.n_x}, n_u={params.n_u}")
         d = qlpv.disturbance_vector(params, self.template, self.beta, self.eps_u)
-        A, b = self.rows(params, np.zeros(lay.n_x), d)
-        if not np.isfinite(A[:params.n_p * self.mode.h.size]).all():
+        h = self.mode.h.copy()
+        h[lay.stages:] = -d
+        mode = replace(self.mode, h=h)
+        A_model, b_model = mode.over_y(params)
+        if not np.isfinite(A_model).all():
             raise ConfigurationError("problem data must be finite")
+        A = np.concatenate([A_model, self.A_fixed, self.initial])
+        b = np.concatenate([b_model, self.b_fixed, np.zeros(len(self.initial))])
         for a in (d, A, b):
             a.flags.writeable = False
-        last = StepRows(params, d, A, b)
+        last = StepRows(params, d, mode, A, b)
         object.__setattr__(self, "last", last)
         return last
+
+    def dist_rows(self, params: qlpv.ModelParams) -> np.ndarray:
+        """The rows over theta of F B_i r at the dist points (0, r), mode-major,
+        in the theta layout of params; built once per model shape, read-only."""
+        shape = (params.n_p, params.n_theta)
+        if shape not in self._dist_rows:
+            rows = qlpv.theta_rows(params, self.mode.F, self.dist_points)
+            self._dist_rows[shape] = rows.reshape(-1, params.n_theta)
+            self._dist_rows[shape].flags.writeable = False
+        return self._dist_rows[shape]
 
 
 def tube_qp(template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
@@ -346,28 +359,18 @@ def _tube_qp(template, Y, beta, eps_u: bytes, C: bytes, n_y: int, gamma, stages)
     return tq
 
 
-def _rci_qp(params: qlpv.ModelParams, template: PolytopeTemplate, beta: float,
-            eps_u: np.ndarray, Y: Hpoly, d: np.ndarray) -> tuple[TubeQp, np.ndarray, np.ndarray]:
-    """The invariant-set QP, which is the tube QP with no stages, so gamma (0
-    here) enters no row; and its rows A x_r <= b at (params, d), all but the
-    initial row."""
-    tq = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0)
-    A, b = tq.model_rows(d).over_y(params)
-    return tq, np.vstack([A, tq.A_fixed]), np.concatenate([b, tq.b_fixed])
-
-
 def rci_constraint_block(
     params: qlpv.ModelParams,
     template: PolytopeTemplate,
     beta: float,
     eps_u: np.ndarray,
     Y: Hpoly,
-    d: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear inequalities A x_r <= b encoding the invariant-set conditions."""
-    if d is None:
-        d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    return _rci_qp(params, template, beta, eps_u, Y, d)[1:]
+    """Linear inequalities A x_r <= b encoding the invariant-set conditions:
+    the rows of the invariant-set QP, the tube QP with no stages, so gamma (0
+    here) enters no row.  Both arrays are read-only."""
+    rows = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0).at(params)
+    return rows.A, rows.b
 
 
 def solve_optimal_rci(
@@ -380,11 +383,10 @@ def solve_optimal_rci(
 ) -> tuple[RciSolution, qp.QpSolution]:
     """Smallest admissible invariant set whose center output tracks y_ref.
     A solve that is not optimal gives x_r = 0 and cost inf."""
-    d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    tq, A, b = _rci_qp(params, template, beta, eps_u, Y, d)
+    tq = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0)
+    rows = tq.at(params)
     g, const = tq.set_cost.at(y_ref)
-    # One validation, without eigvalsh: H is positive semidefinite by construction.
-    sol = qp.solve(qp.QpProblem.build(tq.H, g, A, b, check_psd=False))
+    sol = qp.solve(qp.QpProblem(tq.H, g, rows.A, rows.b))
     if sol.status != qp.QpStatus.OPTIMAL:
-        return RciSolution(np.zeros(tq.layout.dim), tq.layout, float("inf"), d), sol
-    return RciSolution(sol.x, tq.layout, sol.value + const, d), sol
+        return RciSolution(np.zeros(tq.layout.dim), tq.layout, float("inf"), rows.d), sol
+    return RciSolution(sol.x, tq.layout, sol.value + const, rows.d), sol

@@ -206,9 +206,10 @@ def initial_guess(seed: int) -> qlpv.ModelParams:
     )
 
 
-def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
-                      x0: np.ndarray | None = None) -> tuple[qlpv.ModelParams, FitReport]:
-    """Deterministic full-batch descent to the simulation-MSE target.
+def fit_initial_model(data: IoDataset, cfg: TrainConfig,
+                      seed: int) -> tuple[qlpv.ModelParams, FitReport]:
+    """Deterministic full-batch descent to the simulation-MSE target, with the
+    record rolled out from rest, as :func:`collect_dataset` records it.
 
     :func:`mse_and_gradient` is the fit's one objective: one call evaluates
     the start and one each line-search probe.  Its early rejection rolls a
@@ -218,7 +219,7 @@ def fit_initial_model(data: IoDataset, cfg: TrainConfig, seed: int,
     if len(data) < 2:
         raise ConfigurationError("need at least two samples to fit")
     params = initial_guess(seed)
-    x0 = np.zeros(_N_X) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(_N_X)
     theta = params.pack()
     loss, mse, grad, steps = mse_and_gradient(params, data, x0, cfg.weight_decay)
     best_theta, best_mse = theta.copy(), mse
@@ -303,22 +304,20 @@ def fit_feasible_model(
     template: PolytopeTemplate,
     Y: Hpoly,
     eps_u: np.ndarray,
-    x0: np.ndarray | None = None,
 ) -> tuple[qlpv.ModelParams, FitReport]:
-    """Fit, then gate; on gate failure retrain with 10x stronger weight decay.
+    """Fit, then gate at rest; on gate failure retrain with 10x stronger weight decay.
 
     Aborts with the gate diagnostics once the retry ladder is exhausted.  A
     zero weight decay has no ladder: the deterministic fit would repeat.
     """
     if cfg.weight_decay == 0.0:
         raise ConfigurationError("the retry ladder needs weight_decay > 0")
-    x0 = np.zeros(_N_X) if x0 is None else x0
     wd = cfg.weight_decay
     last_diag: dict = {}
     for _ in range(_MAX_RETRIES + 1):
         attempt_cfg = replace(cfg, weight_decay=wd)
-        params, report = fit_initial_model(data, attempt_cfg, seed, x0)
-        ok, diag = feasibility_gate(params, controller, x0, template, Y, eps_u)
+        params, report = fit_initial_model(data, attempt_cfg, seed)
+        ok, diag = feasibility_gate(params, controller, np.zeros(_N_X), template, Y, eps_u)
         if ok:
             return params, report
         last_diag = diag

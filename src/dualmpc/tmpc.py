@@ -10,22 +10,19 @@ stand-alone set-tracking optimum acts as a Lyapunov function.
 solve_tmpc takes each controller's TubeQp from ``rci.tube_qp``, which
 builds it once, validates its H and fixed rows then, and caches it by the
 identity of template and Y and the values of beta, gamma, N, eps_u and C.
-The TubeQp memoises the step rows of the last model object it was given
-(``rci.TubeQp.at``), keyed on that object's identity: d, the model rows and
-the assembled row block A, all read-only.  Building them checks the
-template's n_x and n_u against the model's and the model rows for
-finiteness.  A step at that same model writes only b's initial row,
--F x_hat, into a copy of b, and g from y_ref, and checks those two for
-finiteness; a step at a new model builds its rows first.  Both end in the
-same qp.solve call.  So neither the cache keys nor the memo see an edit
+The step's rows come from the TubeQp's one memo, ``rci.TubeQp.at``, keyed on
+the model object's identity: d, the model rows and the assembled row block,
+all read-only, built once per model and checked then.  A step writes only
+b's initial row, -F x_hat, into a copy of b, and g from y_ref, and checks
+both for finiteness.  So neither the cache keys nor the memo see an edit
 made in place: change no ModelParams, cfg, template or Y, nor a TubeQp's
 arrays, in place.  The memo holds on to the last model.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
-views, and its time-shifted plan: :func:`warm_start_vector` gives the plan to
-the next solve with this solve's duals, which qp.solve accepts without
-iterating while it is still optimal, and the estimator's polytope is formed
-at the same array.
+views, the rows it was solved with, and its time-shifted plan:
+:func:`warm_start_vector` gives the plan to the next solve with this solve's
+duals, which qp.solve accepts without iterating while it is still optimal,
+and the estimator's polytope is formed from the same rows at the same array.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ class TubeSolution(rci.RciSolution):
     status: qp.QpStatus
     qp_solution: qp.QpSolution
     tube_qp: rci.TubeQp           # the controller's prebuilt QP
+    rows: rci.StepRows            # its rows at the model solved for
     shifted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,11 +88,11 @@ def solve_tmpc(
     b = rows.b.copy()
     b[-len(tq.initial):] = -tq.mode.F @ x_hat
     g, const = tq.set_cost.at(y_ref)
-    if not (np.isfinite(g).all() and np.isfinite(b).all()):
+    if not np.isfinite(b).all():
         raise ConfigurationError("problem data must be finite")
     sol = qp.solve(qp.QpProblem(tq.H, g, rows.A, b), warm_start=warm_start)
     return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
-                        status=sol.status, qp_solution=sol, tube_qp=tq)
+                        status=sol.status, qp_solution=sol, tube_qp=tq, rows=rows)
 
 
 def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:

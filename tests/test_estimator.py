@@ -285,7 +285,7 @@ class TestThetaPolytope:
                                                   EPS_U, cfg.gamma)
             cand = tmpc.warm_start_vector(sol, cfg.gamma).x
             tq = sol.tube_qp
-            kept = tq.model_rows(sol.d).over_theta(model, cand)[2]
+            kept = sol.rows.mode.over_theta(model, cand)[2]
             # Row indices of the model rows, mode-major over the points.
             idx = np.arange(n_p * len(kept) * f).reshape(n_p, len(kept), f)
             tube = np.arange(len(kept)) <= N
@@ -299,7 +299,10 @@ class TestThetaPolytope:
             for _ in range(5):
                 x = rng.uniform(-0.5, 0.5, size=2)
                 theta = model.pack() + 0.3 * rng.normal(size=model.n_theta)
-                A, b = tq.rows(model.replace_theta(theta), x, sol.d)
+                # The step's rows at theta, with the frozen d of sol.rows.mode.
+                A_model, b_model = sol.rows.mode.over_y(model.replace_theta(theta))
+                A = np.concatenate([A_model, tq.A_fixed, tq.initial])
+                b = np.concatenate([b_model, tq.b_fixed, -TEMPLATE.F @ x])
                 qp_rows = {
                     ("state_s",): np.arange(len(b) - f, len(b)),
                     ("tube", "tube_plus", "terminal"): idx[:, kept & tube].ravel(),
@@ -312,6 +315,19 @@ class TestThetaPolytope:
                     assert np.abs(poly_resid[rows(*names)] - qp_resid[idx_qp]).max(initial=0.0) \
                         <= 1e-12, names
                 assert qp_resid[dropped].max(initial=-np.inf) <= 1e-12
+
+    def test_rows_come_from_the_solution_not_the_qp_memo(self, tube_setup):
+        # Rows built for another model between the solve and the polytope
+        # leave the polytope byte for byte as it is without them.
+        model, x_hat, sol = tube_setup
+        other = random_model(np.random.default_rng(9), n_p=2, infnorm=0.6, gain=0.25)
+        assert sol.tube_qp.at(other) is sol.tube_qp.last is not sol.rows
+        poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
+        again = tmpc.solve_tmpc(x_hat, model, np.array([0.4]), CFG, TEMPLATE, Y, EPS_U)
+        want = estimator.build_theta_polytope(again, TEMPLATE, model, CFG.beta, EPS_U,
+                                              CFG.gamma)
+        assert again.x.tobytes() == sol.x.tobytes()
+        assert poly.A.tobytes() == want.A.tobytes() and poly.b.tobytes() == want.b.tobytes()
 
     def test_rows_formed_at_the_warm_start_plan(self, tube_setup, monkeypatch):
         # The polytope's model rows are formed at exactly the x of the warm
@@ -337,6 +353,18 @@ class TestThetaPolytope:
         assert not warm.x.flags.writeable
         with pytest.raises(ConfigurationError):
             tmpc.warm_start_vector(sol, 0.9)
+
+
+@pytest.mark.parametrize("case", ["zeta-shorter-than-the-prior", "Re-of-other-n_y"])
+def test_state_of_other_dimensions_rejected(case):
+    # A zeta of another length than the prior's (x, theta), with covariances
+    # that match it, or an Re of another size than the prior's outputs.
+    state = estimator.EstimatorState.from_model(random_model(np.random.default_rng(1)))
+    n = state.zeta.size - 1
+    fields = (dict(zeta=state.zeta[:n], P=state.P[:n, :n], Qe=state.Qe[:n, :n])
+              if case.startswith("zeta") else dict(Re=np.eye(3)))
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(state, **fields)
 
 
 class TestConstrainedCorrect:

@@ -48,6 +48,12 @@ def test_replace_theta_equals_validated_model(rng, small_model):
         m.replace_theta(theta[:-1])
 
 
+def test_model_without_modes_rejected(small_model):
+    m = small_model
+    with pytest.raises(ConfigurationError, match="one matrix per scheduling mode"):
+        dataclasses.replace(m, A=[], B=[], W2=m.W2[:0], b2=m.b2[:0])
+
+
 class TestScheduling:
     def test_zero_network_gives_uniform(self, small_model):
         m = small_model

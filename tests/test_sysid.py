@@ -302,9 +302,9 @@ def _gate_failing(monkeypatch, failures):
     decays = []
     fit = sysid.fit_initial_model
 
-    def spy_fit(data, cfg, seed, x0=None):
+    def spy_fit(data, cfg, seed):
         decays.append(cfg.weight_decay)
-        return fit(data, cfg, seed, x0)
+        return fit(data, cfg, seed)
 
     def gate(*args, **kwargs):
         return len(decays) > failures, {"attempt": len(decays)}

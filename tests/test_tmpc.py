@@ -84,7 +84,7 @@ def test_initial_row_and_embedded_rci_rows_hold(model):
     x_hat = np.array([0.25, 0.1])
     sol = solve(model, x_hat, -0.4)
     assert (TEMPLATE.F @ (x_hat - sol.z[0]) <= sol.s + 1e-7).all()
-    A, b = rci.rci_constraint_block(model, TEMPLATE, CFG.beta, EPS_U, Y, sol.d)
+    A, b = rci.rci_constraint_block(model, TEMPLATE, CFG.beta, EPS_U, Y)
     assert (A @ sol.x[sol.layout.center.start:] - b).max() <= 1e-7
 
 
@@ -155,7 +155,9 @@ class TestCandidateShift:
         # Propagate through the model with a perturbation inside the budget.
         u = u_c + np.array([CFG.beta * 0.9])
         x_next = qlpv.step(model, x_hat, u)
-        A, b = sol.tube_qp.rows(model, x_next, sol.d)
+        rows = sol.tube_qp.at(model)
+        A, b = rows.A, rows.b.copy()
+        b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_next
         cand = tmpc.warm_start_vector(sol, CFG.gamma).x
         assert (A @ cand - b).max() <= 1e-9
         assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.s).max() <= 1e-9
@@ -394,9 +396,11 @@ def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
     Y_n = Hpoly.box(0.8 * np.ones(n_y))
     for model, x_hat, y_ref in random_settings(np.random.default_rng(31 + cfg.N), n_y):
         tq = rci.TubeQp.build(TEMPLATE, cfg.beta, EPS_U, Y_n, model.C, cfg.gamma, cfg.N + 1)
-        d = qlpv.disturbance_vector(model, TEMPLATE, cfg.beta, EPS_U)
+        rows = tq.at(model)
+        b = rows.b.copy()
+        b[-len(tq.initial):] = -TEMPLATE.F @ x_hat
         g, const = tq.set_cost.at(y_ref)
-        built = (*tq.rows(model, x_hat, d), tq.H, g)
+        built = (rows.A, b, tq.H, g)
         for got, want in zip(built, assemble_from_scratch(model, x_hat, y_ref, cfg,
                                                           TEMPLATE, Y_n, EPS_U)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -446,9 +450,21 @@ def test_tube_qp_built_once_per_controller(model, monkeypatch):
 
 @pytest.mark.parametrize("n_x, n_u", [(3, 1), (2, 2)])
 def test_template_of_other_dimensions_rejected(model, n_x, n_u):
+    # The tube QP and both invariant-set entry points.
+    template, eps_u = box_template(n_x, n_u), np.ones(n_u)
     with pytest.raises(ConfigurationError, match="template"):
-        tmpc.solve_tmpc(np.zeros(n_x), model, np.zeros(1), CFG, box_template(n_x, n_u), Y,
-                        np.ones(n_u))
+        tmpc.solve_tmpc(np.zeros(n_x), model, np.zeros(1), CFG, template, Y, eps_u)
+    with pytest.raises(ConfigurationError, match="template"):
+        rci.solve_optimal_rci(model, np.zeros(1), template, CFG.beta, eps_u, Y)
+    with pytest.raises(ConfigurationError, match="template"):
+        rci.rci_constraint_block(model, template, CFG.beta, eps_u, Y)
+
+
+@pytest.mark.parametrize("eps_u, Y_k", [(np.ones(2), Y), (EPS_U, Hpoly.box([0.8, 0.8]))],
+                         ids=["eps_u-of-other-n_u", "Y-of-other-n_y"])
+def test_tube_qp_of_other_input_or_output_dimensions_rejected(model, eps_u, Y_k):
+    with pytest.raises(ConfigurationError):
+        rci.TubeQp.build(TEMPLATE, CFG.beta, eps_u, Y_k, model.C, CFG.gamma, CFG.N + 1)
 
 
 def spied(monkeypatch) -> Counter:
@@ -533,7 +549,7 @@ def test_memoised_solves_equal_solves_from_an_empty_cache(model):
 def test_memoised_step_data_are_read_only(model):
     sol = solve(model, [0.1, 0.0], 0.3)
     last = sol.tube_qp.last
-    assert last.d is sol.d
+    assert sol.rows is last and last.d is sol.d
     for part in (last.d, last.A, last.b):
         with pytest.raises(ValueError):
             part[0] = 1.0
