@@ -13,6 +13,20 @@ the scaled input images below the disturbance allowance, is the estimator's
 own.  The rows constrain the state block and the vertex-matrix entries of
 theta; scheduling-network weights are left free.
 
+Recursive feasibility.  The controller solves at a model theta_c that it
+keeps while its shifted plan stays optimal there (``tmpc``), and the
+polytope is built from the rows of the last tube, ``tube.rows``, at theta_c.
+Let y be that tube's shifted plan and (x, theta) the projected estimate,
+which meets every row of the polytope.  If the next tube keeps theta_c, y
+is feasible for it by the time-shift argument of tube MPC: its model rows
+and d are unchanged, and the state_s row puts x in the first shifted set,
+which is the next QP's initial row at y.  If the next tube replaces theta_c
+by theta, y is feasible there too: the model rows of the polytope are the
+tube QP's own rows at y with theta free, and the dist rows keep theta's
+scaled input image below the kept d, so theta's disturbance allowance is at
+most the one the rows at y were written with.  Either way the next tube QP
+has a feasible point, whatever the measurement said.
+
 The state keeps the model it started from, ``prior``: its shapes give
 theta's layout and its C the output map, and the model at the estimate is
 the prior with theta_hat in place of its parameters.  ``model()`` memoises
@@ -51,11 +65,19 @@ class EstimatorState:
     _model: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, n_y = self.prior.n_x + self.prior.n_theta, self.prior.n_y
-        if ((self.zeta.shape, self.P.shape, self.Qe.shape, self.Re.shape)
-                != ((n,), (n, n), (n, n), (n_y, n_y))):
-            raise ConfigurationError("state or covariance dimensions inconsistent with the prior")
+        self.check_dimensions()
         self.assert_valid_covariance()
+
+    def check_dimensions(self, *predicted: np.ndarray) -> None:
+        """Raise ``ConfigurationError`` unless zeta, P, Qe and Re, and a
+        predicted (zeta, P) when given, have the prior's dimensions.  The
+        fields may be reassigned, so :func:`predict` and
+        :func:`constrained_correct` check them on every call."""
+        n, n_y = self.prior.n_x + self.prior.n_theta, self.prior.n_y
+        want = ((n,), (n, n), (n, n), (n_y, n_y), (n,), (n, n))
+        got = tuple(a.shape for a in (self.zeta, self.P, self.Qe, self.Re, *predicted))
+        if got != want[:len(got)]:
+            raise ConfigurationError("state or covariance dimensions inconsistent with the prior")
 
     @classmethod
     def from_model(cls, params: qlpv.ModelParams, x0=None,
@@ -114,6 +136,7 @@ def predict(state: EstimatorState, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     unchanged.  One ``qlpv.jacobians`` call gives the predicted x and the x
     rows J_x = [f_x f_theta] of the augmented Jacobian J, which differs from
     I only there, so J P and then (J P) J' differ from P only there."""
+    state.check_dimensions()
     n_x = state.n_x
     x_next, fx, ftheta = qlpv.jacobians(state.model(), state.x_hat, u)
     zeta_pred = np.concatenate([x_next, state.theta_hat])
@@ -225,9 +248,14 @@ def constrained_correct(
     or, for a frozen theta, x alone, over the rows that involve it with the
     rest substituted.  When it fails (a numerically empty polytope) theta
     reverts to its pre-update value, which the construction guarantees
-    feasible, x alone is projected, and ``fallback`` is set.
+    feasible, x alone is projected, and ``fallback`` is set.  A state,
+    prediction or y of other dimensions than the prior's raises
+    ``ConfigurationError``.
     """
+    state.check_dimensions(zeta_pred, P_pred)
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (state.prior.n_y,):
+        raise ConfigurationError("measurement dimensions inconsistent with the prior")
     C_tilde = state.output_map()
     n_x = state.n_x
     K = gain(P_pred, C_tilde, state.Re)

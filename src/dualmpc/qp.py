@@ -23,8 +23,9 @@ same rule decides the interior-point loop and the acceptance of a warm
 start.
 
 A warm start is read for its ``x`` and ``ineq_duals`` only: when they meet
-the KKT test they are returned with 0 iterations, otherwise x alone seeds
-the iteration.  Duals of a nearby problem are a poorly centred
+the KKT test (:func:`accept_warm_start`, which the tube controller also
+calls to keep its model) they are returned with 0 iterations, otherwise x
+alone seeds the iteration.  Duals of a nearby problem are a poorly centred
 start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
@@ -180,8 +181,41 @@ def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
     return max(1.0, -float(np.fmin.reduce(dwl / wl)))
 
 
+def _stacked(prob: QpProblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(HA, At, g_inf) of :func:`_kkt_residual`: [H + _RIDGE I; A_in], A_in'
+    and |g|_inf."""
+    HA = np.concatenate([prob.H + _RIDGE * np.eye(prob.n), prob.A_in])
+    g_inf = float(np.maximum.reduce(np.abs(prob.g), initial=0.0))
+    return HA, np.ascontiguousarray(prob.A_in.T), g_inf
+
+
 # Overflow and division by zero show up as non-finite values, which the
-# iteration checks for, instead of as warnings.
+# KKT test and the iteration check for, instead of as warnings.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def accept_warm_start(prob: QpProblem, warm_start: QpSolution,
+                      tol: float = 1e-8) -> QpSolution | None:
+    """The warm start's x and duals as an ``OPTIMAL`` solution with 0
+    iterations when they meet the KKT test at ``tol`` (see the module
+    docstring), and None when they do not.  This is the test :func:`solve`
+    applies to a warm start with duals.  A warm start of another size
+    raises ``ConfigurationError``."""
+    return _accepted(prob, _stacked(prob), warm_start, tol)
+
+
+def _accepted(prob: QpProblem, stacked: tuple, warm_start: QpSolution,
+              tol: float) -> QpSolution | None:
+    """:func:`accept_warm_start` with the problem's :func:`_stacked` arrays,
+    which :func:`solve` has formed already."""
+    x, lam = warm_start.x, warm_start.ineq_duals
+    if (x.size, lam.size) != (prob.n, prob.A_in.shape[0]):
+        raise ConfigurationError("warm start has wrong dimension")
+    HA, At, g_inf = stacked
+    kkt, p_inf, *_ = _kkt_residual(prob, HA, At, x, lam, g_inf)
+    if kkt > tol:
+        return None
+    return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(x))
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve(prob: QpProblem, tol: float = 1e-8,
           warm_start: QpSolution | np.ndarray | None = None) -> QpSolution:
@@ -205,20 +239,14 @@ def solve(prob: QpProblem, tol: float = 1e-8,
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
         raise ConfigurationError("a QP without rows is not posed by this package")
-    G, h = prob.A_in, prob.b_in
-    HA = np.concatenate([prob.H + _RIDGE * np.eye(n), G])
-    H, Gt = HA[:n], np.ascontiguousarray(G.T)
-    g_inf = float(np.maximum.reduce(np.abs(prob.g), initial=0.0))
-
+    HA, Gt, g_inf = stacked = _stacked(prob)
     x0 = warm_start
     if isinstance(warm_start, QpSolution):
-        x0, lam = warm_start.x, warm_start.ineq_duals
-        if (x0.size, lam.size) != (n, m):
-            raise ConfigurationError("warm start has wrong dimension")
-        kkt, p_inf, *_ = _kkt_residual(prob, HA, Gt, x0, lam, g_inf)
-        if kkt <= tol:
-            return QpSolution(x0.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0,
-                              p_inf, prob.objective(x0))
+        accepted = _accepted(prob, stacked, warm_start, tol)
+        if accepted is not None:
+            return accepted
+        x0 = warm_start.x
+    G, h, H = prob.A_in, prob.b_in, HA[:n]
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != n:

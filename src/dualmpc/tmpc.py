@@ -10,19 +10,42 @@ stand-alone set-tracking optimum acts as a Lyapunov function.
 solve_tmpc takes each controller's TubeQp from ``rci.tube_qp``, which
 builds it once, validates its H and fixed rows then, and caches it by the
 identity of template and Y and the values of beta, gamma, N, eps_u and C.
-The step's rows come from the TubeQp's one memo, ``rci.TubeQp.at``, keyed on
-the model object's identity: d, the model rows and the assembled row block,
-all read-only, built once per model and checked then.  A step writes only
-b's initial row, -F x_hat, into a copy of b, and g from y_ref, and checks
-both for finiteness.  So neither the cache keys nor the memo see an edit
+A new model's rows come from the TubeQp's one memo, ``rci.TubeQp.at``,
+keyed on the model object's identity, and a kept model's from the warm
+start: d, the model rows and the assembled row block, all read-only, built
+once per model and checked then.  A step writes only b's initial row,
+-F x_hat, into a copy of b, and g from y_ref, and checks both for
+finiteness.  So neither the cache keys nor the memo see an edit
 made in place: change no ModelParams, cfg, template or Y, nor a TubeQp's
 arrays, in place.  The memo holds on to the last model.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
 views, the rows it was solved with, and its time-shifted plan:
 :func:`warm_start_vector` gives the plan to the next solve with this solve's
-duals, which qp.solve accepts without iterating while it is still optimal,
-and the estimator's polytope is formed from the same rows at the same array.
+duals and rows, and the estimator's polytope is formed from the same rows
+at the same array.
+
+The controller keeps the model of its last solution, theta_c, for as long as
+that plan stays optimal there, and so re-solves only when the plan stops
+being optimal, not whenever the estimate moves (compare the recursive model
+update of Lorenzen, Cannon & Allgower 2019, and the self-triggered tube MPC
+of Brunner, Heemels & Allgower 2016).  Each step, :func:`solve_tmpc` first
+tests the warm start at its own rows, with this step's initial row and g,
+by ``qp.accept_warm_start``, the test qp.solve applies to a warm start, at
+the same tol:
+
+- kept: the plan passes, and is the solution, at theta_c, with 0 iterations;
+- replaced: it fails, and the QP is solved at the estimate's model;
+- retried: that solve is not ``OPTIMAL``, so the QP is solved once more at
+  theta_c from the plan, and that result is taken only if it is ``OPTIMAL``.
+  The QP at a new model can end ``MAX_ITER`` with its KKT residual just
+  above tol, when H's near-null directions stop its Newton matrix from
+  factoring, while the one at theta_c, where the plan is feasible, solves.
+
+The test runs only for a warm start of the same TubeQp whose model is not
+the one passed; the estimator predicts and corrects at its own estimate
+either way.  Its polytope keeps the plan feasible at both models (see
+``estimator``), so keeping theta_c costs no feasibility.
 """
 
 from __future__ import annotations
@@ -81,16 +104,41 @@ def solve_tmpc(
     eps_u: np.ndarray,
     warm_start: qp.QpSolution | np.ndarray | None = None,
 ) -> TubeSolution:
-    """Solve the tube QP at the current estimate; d comes from these params."""
+    """Solve the tube QP at x_hat and y_ref, keeping the warm start's model
+    while its shifted plan is still optimal there.
+
+    A :class:`TubeWarmStart` of this controller whose rows are of another
+    model than params is first tested, by ``qp.accept_warm_start``, against
+    its own rows with this step's initial row and g.  When it passes, it is
+    the solution, at its rows, with 0 iterations (kept).  Otherwise the QP is
+    solved at params (replaced), and when that solve is not ``OPTIMAL`` it
+    is solved once more at the warm start's rows, whose result is taken
+    only if it is ``OPTIMAL`` (retried).  Any other warm start is handed to
+    the solve at params.  ``rows`` and d are those of the model solved for."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
     tq = rci.tube_qp(template, cfg.beta, eps_u, Y, params.C, cfg.gamma, cfg.N + 1)
-    rows = tq.at(params)
-    b = rows.b.copy()
-    b[-len(tq.initial):] = -tq.mode.F @ x_hat
     g, const = tq.set_cost.at(y_ref)
-    if not np.isfinite(b).all():
-        raise ConfigurationError("problem data must be finite")
-    sol = qp.solve(qp.QpProblem(tq.H, g, rows.A, b), warm_start=warm_start)
+
+    def problem(rows: rci.StepRows) -> qp.QpProblem:
+        b = rows.b.copy()
+        b[-len(tq.initial):] = -tq.mode.F @ x_hat
+        if not np.isfinite(b).all():
+            raise ConfigurationError("problem data must be finite")
+        return qp.QpProblem(tq.H, g, rows.A, b)
+
+    kept = sol = None
+    if (isinstance(warm_start, TubeWarmStart) and warm_start.tube_qp is tq
+            and warm_start.rows.params is not params):
+        kept = warm_start.rows
+        sol = qp.accept_warm_start(problem(kept), warm_start)
+    rows = kept
+    if sol is None:
+        rows = tq.at(params)
+        sol = qp.solve(problem(rows), warm_start=warm_start)
+        if sol.status != qp.QpStatus.OPTIMAL and kept is not None:
+            retry = qp.solve(problem(kept), warm_start=warm_start)
+            if retry.status == qp.QpStatus.OPTIMAL:
+                sol, rows = retry, kept
     return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
                         status=sol.status, qp_solution=sol, tube_qp=tq, rows=rows)
 
@@ -107,16 +155,27 @@ def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:
     return shifted
 
 
-def warm_start_vector(sol: TubeSolution, gamma: float) -> qp.QpSolution:
+@dataclass
+class TubeWarmStart(qp.QpSolution):
+    """A shifted plan with its duals, and the QP and rows it was solved with."""
+
+    tube_qp: rci.TubeQp | None = None
+    rows: rci.StepRows | None = None
+
+
+def warm_start_vector(sol: TubeSolution, gamma: float) -> TubeWarmStart:
     """Warm start for the next solve: the shifted plan ``sol.shifted`` with
-    this solve's duals.  qp.solve returns it unchanged when it still meets
-    the KKT test; otherwise only its x seeds the interior-point iteration.
-    Its ``kkt_residual`` is nan until that test evaluates it.  gamma must be
-    the controller's; another raises ``ConfigurationError``."""
+    this solve's duals and rows ``sol.rows``.  :func:`solve_tmpc` keeps those
+    rows' model while the plan still meets the KKT test at them; otherwise
+    qp.solve, at the new model, returns it unchanged when it meets the test
+    there, and else only its x seeds the interior-point iteration.  Its
+    ``kkt_residual`` is nan until a test evaluates it.  gamma must be the
+    controller's; another raises ``ConfigurationError``."""
     if gamma != sol.tube_qp.gamma:
         raise ConfigurationError("gamma differs from the tube's controller's")
     duals = sol.qp_solution
-    return qp.QpSolution(sol.shifted, duals.ineq_duals, float("nan"), duals.status, 0)
+    return TubeWarmStart(sol.shifted, duals.ineq_duals, float("nan"), duals.status, 0,
+                         tube_qp=sol.tube_qp, rows=sol.rows)
 
 
 def nominal_input(

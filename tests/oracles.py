@@ -108,6 +108,16 @@ def hull_membership_lp(point, generators, tol=1e-9):
     return resid <= tol
 
 
+def scaled_kkt_residual(prob, x, lam):
+    """The qp module docstring's KKT residual of (x, lam) on a problem with
+    H, g, A_in and b_in, written out: absolute primal infeasibility, and
+    stationarity and complementarity over max(1, |Hx|, |g|, |A' lam|)."""
+    Hx, Al, r_in = prob.H @ x, prob.A_in.T @ lam, prob.A_in @ x - prob.b_in
+    scale = max(1.0, *(np.abs(v).max() for v in (Hx, prob.g, Al)))
+    comp = max(np.abs(lam * r_in).max(), -min(lam.min(), 0.0))
+    return max(max(r_in.max(), 0.0), np.abs(Hx + prob.g + Al).max() / scale, comp / scale)
+
+
 def set_contains(F, z, s, x, tol=1e-9):
     """Membership of x in the template set z + {w : F w <= s}, slack tol per row."""
     return bool((F @ (np.asarray(x) - z) <= s + tol).all())

@@ -367,6 +367,27 @@ def test_state_of_other_dimensions_rejected(case):
         dataclasses.replace(state, **fields)
 
 
+@pytest.mark.parametrize("name", ["zeta", "P", "Qe", "Re", "predicted", "y"])
+def test_reassigned_or_predicted_arrays_of_other_dimensions_rejected(name):
+    # The loop reassigns the state's fields every step; one of the wrong
+    # shape is refused by the next predict and correction, never by LAPACK,
+    # and a measurement of another size is not broadcast.
+    model = dataclasses.replace(random_model(np.random.default_rng(1)), C=np.eye(2))
+    state = estimator.EstimatorState.from_model(model)
+    zeta_pred, P_pred = estimator.predict(state, np.zeros(1))
+    y = np.zeros(1 if name == "y" else 2)
+    if name == "predicted":
+        zeta_pred, P_pred = zeta_pred[:-1], P_pred[:-1, :-1]
+    elif name != "y":
+        n = state.zeta.size - 1
+        setattr(state, name, {"zeta": state.zeta[:n], "P": state.P[:n, :n],
+                              "Qe": state.Qe[:n, :n], "Re": np.eye(3)}[name])
+        with pytest.raises(ConfigurationError, match="dimensions"):
+            estimator.predict(state, np.zeros(1))
+    with pytest.raises(ConfigurationError, match="dimensions"):
+        estimator.constrained_correct(state, zeta_pred, P_pred, y, None)
+
+
 class TestConstrainedCorrect:
     def test_interior_update_equals_vanilla_ekf(self, tube_setup):
         model, x_hat, sol = tube_setup

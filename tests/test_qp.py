@@ -10,7 +10,7 @@ from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
-from oracles import qp_active_set_oracle
+from oracles import qp_active_set_oracle, scaled_kkt_residual
 
 
 def solve_simple(H, g, A_in, b_in, **kw):
@@ -101,6 +101,14 @@ def test_warm_start_resolve_is_immediate(rng):
     assert resolved.iterations == 0
     assert np.array_equal(resolved.x, sol.x)
     assert (A @ resolved.x - b).max() <= 1e-8
+    # The test is qp.accept_warm_start's, which refuses the solution of a
+    # moved problem, where solve iterates.
+    accepted = qp.accept_warm_start(prob, sol)
+    assert (accepted.x.tobytes(), accepted.kkt_residual, accepted.iterations) == (
+        resolved.x.tobytes(), resolved.kkt_residual, 0)
+    moved = qp.QpProblem.build(H, g + 0.1, A, b)
+    assert qp.accept_warm_start(moved, sol) is None
+    assert qp.solve(moved, warm_start=sol).iterations > 0
 
 
 def test_warm_start_of_wrong_size_rejected(rng):
@@ -113,6 +121,9 @@ def test_warm_start_of_wrong_size_rejected(rng):
     for prob, warm in ((fewer_rows, sol), (fewer_vars, sol), (fewer_vars, sol.x)):
         with pytest.raises(ConfigurationError, match="wrong dimension"):
             qp.solve(prob, warm_start=warm)
+    for prob in (fewer_rows, fewer_vars):
+        with pytest.raises(ConfigurationError, match="wrong dimension"):
+            qp.accept_warm_start(prob, sol)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
@@ -208,16 +219,6 @@ def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, norm):
     sol = solve_simple(scale * H, scale * g, A_in=A, b_in=b, tol=1e-16)
     assert sol.status in (qp.QpStatus.MAX_ITER, qp.QpStatus.INFEASIBLE)
     assert sol.iterations == len(calls) > 0
-
-
-def scaled_kkt_residual(prob, x, lam):
-    """The module docstring's KKT residual, written out: absolute primal
-    infeasibility, and stationarity and complementarity over
-    max(1, |Hx|, |g|, |A' lam|)."""
-    Hx, Al, r_in = prob.H @ x, prob.A_in.T @ lam, prob.A_in @ x - prob.b_in
-    scale = max(1.0, *(np.abs(v).max() for v in (Hx, prob.g, Al)))
-    comp = max(np.abs(lam * r_in).max(), -min(lam.min(), 0.0))
-    return max(max(r_in.max(), 0.0), np.abs(Hx + prob.g + Al).max() / scale, comp / scale)
 
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qp_recorded_seed11.json").read_text())

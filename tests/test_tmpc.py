@@ -10,7 +10,7 @@ from dualmpc import estimator, qlpv, qp, rci, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
-from oracles import vertex_input, verify_rci
+from oracles import scaled_kkt_residual, vertex_input, verify_rci
 
 
 TEMPLATE = box_template(2, 1)
@@ -190,11 +190,79 @@ class TestCandidateShift:
         assert with_duals.iterations == bare.iterations > 0
         assert with_duals.x.tobytes() == bare.x.tobytes()
 
-    def test_warm_start_from_another_controller_rejected(self, model):
+    @pytest.mark.parametrize("moved", [False, True], ids=["same-model", "moved-model"])
+    def test_warm_start_from_another_controller_rejected(self, model, moved):
+        # Its rows are not this controller's to keep, whatever the model.
         sol = solve(model, [0.1, 0.0])
+        params = moved_model(model) if moved else model
         with pytest.raises(ConfigurationError, match="wrong dimension"):
-            solve(model, [0.1, 0.0], cfg=tmpc.ControllerConfig(N=3),
+            solve(params, [0.1, 0.0], cfg=tmpc.ControllerConfig(N=3),
                   warm_start=tmpc.warm_start_vector(sol, CFG.gamma))
+
+
+def moved_model(model):
+    """The model with theta moved, as a measurement update moves theta_hat."""
+    rng = np.random.default_rng(8)
+    return model.replace_theta(model.pack() + 1e-3 * rng.normal(size=model.n_theta))
+
+
+def step_problem(tq, rows, x_hat, y_ref):
+    """The tube QP of tq at ``rows`` with the initial row of x_hat and the g of y_ref."""
+    b = rows.b.copy()
+    b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ np.asarray(x_hat, dtype=float)
+    return qp.QpProblem(tq.H, tq.set_cost.at(np.atleast_1d(y_ref))[0], rows.A, b)
+
+
+class TestKeptModel:
+    """solve_tmpc with a warm start whose rows are of another model than the
+    one passed: kept, replaced or retried."""
+
+    def test_still_optimal_plan_keeps_its_model(self, model):
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        moved = moved_model(model)
+        sol = solve(moved, [0.0, 0.0], warm_start=warm)
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert sol.rows is cold.rows and sol.rows.params is model and sol.d is cold.d
+        assert sol.qp_solution.iterations == 0
+        assert sol.x.tobytes() == warm.x.tobytes()
+        kept = step_problem(sol.tube_qp, sol.rows, [0.0, 0.0], 0.0)
+        assert scaled_kkt_residual(kept, sol.x, sol.qp_solution.ineq_duals) <= 1e-8
+        # At the moved model the plan is not optimal: the solve there iterates.
+        at_moved = step_problem(sol.tube_qp, sol.tube_qp.at(moved), [0.0, 0.0], 0.0)
+        assert qp.accept_warm_start(at_moved, warm) is None
+
+    def test_plan_no_longer_optimal_replaces_the_model(self, model):
+        cold = solve(model, [0.0, 0.0])
+        moved = moved_model(model)
+        sol = solve(moved, [0.0, 0.0], 0.5, warm_start=tmpc.warm_start_vector(cold, CFG.gamma))
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert sol.rows.params is moved and sol.qp_solution.iterations > 0
+
+    @pytest.mark.parametrize("kept_solves", [True, False])
+    def test_failed_solve_retried_at_the_kept_rows(self, model, monkeypatch, kept_solves):
+        # The solve at the new model ends MAX_ITER; the retry at the kept
+        # rows is taken only when it is OPTIMAL.
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        moved, real, solved_at = moved_model(model), qp.solve, []
+
+        def failing(prob, **kw):
+            solved_at.append(prob.A_in)
+            sol = real(prob, **kw)
+            if prob.A_in is not cold.rows.A or not kept_solves:
+                sol.status = qp.QpStatus.MAX_ITER
+            return sol
+        monkeypatch.setattr(qp, "solve", failing)
+        sol = solve(moved, [0.0, 0.0], 0.5, warm_start=warm)
+        assert [A is cold.rows.A for A in solved_at] == [False, True]
+        if kept_solves:
+            assert sol.status == qp.QpStatus.OPTIMAL and sol.rows is cold.rows
+            want = real(step_problem(sol.tube_qp, cold.rows, [0.0, 0.0], 0.5), warm_start=warm)
+            assert sol.x.tobytes() == want.x.tobytes()
+        else:
+            assert sol.status == qp.QpStatus.MAX_ITER and sol.rows.params is moved
+
 
 class TestNominalInput:
     def test_center_with_symmetric_inputs_returns_v0(self, model):
@@ -484,19 +552,21 @@ def spied(monkeypatch) -> Counter:
 def dual_loop(model, steps, freeze_theta, calls):
     """The closed loop of the paper for ``steps`` steps on a perturbed plant:
     tube solve, tracking input, predict, polytope, correction.  Returns how
-    many steps saw a theta_hat other than the step before's."""
+    many steps saw a theta_hat other than the step before's, and each step's
+    (x_hat, tube solution)."""
     rng = np.random.default_rng(5)
     true = model.replace_theta(model.pack() + 0.002 * rng.normal(size=model.n_theta))
     calls.clear()
     state = estimator.EstimatorState.from_model(model, x0=[0.1, -0.05],
                                                 freeze_theta=freeze_theta)
-    x, warm, moves, theta = np.array([0.1, -0.05]), None, 0, None
+    x, warm, moves, theta, tubes = np.array([0.1, -0.05]), None, 0, None, []
     for k in range(steps):
         moves += theta is not None and theta != state.theta_hat.tobytes()
         theta = state.theta_hat.tobytes()
         params = state.model()
         sol = tmpc.solve_tmpc(state.x_hat, params, np.array([0.4 * (-1) ** (k // 10)]), CFG,
                               TEMPLATE, Y, EPS_U, warm_start=warm)
+        tubes.append((state.x_hat.copy(), sol))
         assert sol.status == qp.QpStatus.OPTIMAL
         u, _ = tmpc.nominal_input(sol, state.x_hat, TEMPLATE)
         x = qlpv.step(true, x, u)
@@ -506,19 +576,40 @@ def dual_loop(model, steps, freeze_theta, calls):
                                              true.C @ x + 0.01 * rng.normal(size=1), poly)
         state.zeta, state.P = corr.zeta, corr.P
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
-    return moves
+    return moves, tubes
 
 
 def test_frozen_theta_builds_the_models_step_data_once(model, monkeypatch):
     calls = spied(monkeypatch)
-    assert dual_loop(model, 30, True, calls) == 0
+    assert dual_loop(model, 30, True, calls)[0] == 0
     assert calls == {"disturbance_vector": 1, "over_y": 1, "replace_theta": 1}
 
 
-def test_moving_theta_builds_the_models_step_data_once_per_step(model, monkeypatch):
+def test_moving_theta_builds_the_models_step_data_once_per_replaced_model(model, monkeypatch):
+    # theta_hat moves every step, and the estimator builds its model each
+    # time; the controller builds rows only for the models it replaces its
+    # own with, the first included.
     calls = spied(monkeypatch)
-    assert dual_loop(model, 30, False, calls) == 29
-    assert calls == {"disturbance_vector": 30, "over_y": 30, "replace_theta": 30}
+    moves, tubes = dual_loop(model, 30, False, calls)
+    params = [sol.rows.params for _, sol in tubes]
+    replaced = 1 + sum(b is not a for a, b in zip(params, params[1:]))
+    assert moves == 29 and replaced < 30
+    assert calls == {"disturbance_vector": replaced, "over_y": replaced, "replace_theta": 30}
+
+
+def test_shifted_plan_meets_the_next_tubes_rows_kept_or_replaced(model):
+    # Recursive feasibility along the dual loop: each tube's shifted plan
+    # meets the rows the next tube was solved with, at the model it was
+    # solved at and the initial row of the next x_hat, on steps that kept
+    # the controller's model and on steps that replaced it.
+    _, tubes = dual_loop(model, 30, False, Counter())
+    kept = []
+    for (_, sol), (x_hat, nxt) in zip(tubes, tubes[1:]):
+        b = nxt.rows.b.copy()
+        b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_hat
+        assert (nxt.rows.A @ sol.shifted - b).max() <= 1e-9
+        kept.append(nxt.rows.params is sol.rows.params)
+    assert any(kept) and not all(kept)
 
 
 def test_memoised_solves_equal_solves_from_an_empty_cache(model):
