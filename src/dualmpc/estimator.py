@@ -31,10 +31,10 @@ The state keeps the model it started from, ``prior``: its shapes give
 theta's layout and its C the output map, and the model at the estimate is
 the prior with theta_hat in place of its parameters.  ``model()`` memoises
 that model on theta_hat's bytes, so it returns the same object while
-theta_hat is unchanged, and the tube QP's memo, keyed on that object, serves
-its rows again.  The model owns a read-only copy of theta_hat: editing zeta
-in place changes no model already returned, and the next ``model()`` sees
-the edit.
+theta_hat is unchanged: ``predict`` reuses it, and the controller, finding
+its kept rows to be of that object, solves at them without a rebuild.  The
+model owns a read-only copy of theta_hat: editing zeta in place changes no
+model already returned, and the next ``model()`` sees the edit.
 
 A frozen theta is one with zero covariance.  With its rows and columns of P
 and of the process noise exactly 0, the prediction and the gain leave them
@@ -194,22 +194,22 @@ def build_theta_polytope(
     Points that are roundoff are left out (``qlpv.ModeRows.over_theta``).
     Only one family is the estimator's own: each mode's scaled input image
     below the frozen disturbance allowance d = ``tube.rows.d`` (dist), whose
-    rows ``rci.TubeQp.dist_rows`` gives.  The rows are written into one
-    array, in the order state_s, dist, model rows.  beta, eps_u and gamma
-    must be the tube's controller's, whose d and points these are; others
-    raise ``ConfigurationError``.
+    rows are ``tube.rows.dist``.  The rows are written into one array, in
+    the order state_s, dist, model rows.  beta, eps_u and gamma must be the
+    tube's controller's, whose d and points these are, and params' theta
+    layout that of the tube's model; others raise ``ConfigurationError``.
     """
     tq = tube.tube_qp
     lay = tq.layout
     n_x, f, N = lay.n_x, template.n_rows, lay.stages - 1
-    if (tube.x.shape != (lay.dim,) or (gamma, beta) != (tq.gamma, tq.beta)
-            or not np.array_equal(eps_u, tq.eps_u)):
-        raise ConfigurationError("tube solution malformed or from a controller with "
-                                 "other gamma, beta or eps_u")
-    d, y = tube.rows.d, tube.shifted
-    model_A, model_b, kept = tube.rows.mode.over_theta(params, y)
-    dist_A = tq.dist_rows(params)
+    d, y, dist_A = tube.rows.d, tube.shifted, tube.rows.dist
     n_dist = params.n_p * len(tq.dist_points)
+    if (tube.x.shape != (lay.dim,) or (gamma, beta) != (tq.gamma, tq.beta)
+            or not np.array_equal(eps_u, tq.eps_u)
+            or dist_A.shape != (f * n_dist, params.n_theta)):
+        raise ConfigurationError("tube solution malformed or from a controller with "
+                                 "other gamma, beta, eps_u or theta layout")
+    model_A, model_b, kept = tube.rows.mode.over_theta(params, y)
     point_names = ["tube"] * (N - 1) + ["tube_plus", "terminal"] + ["rci"] * template.n_vertices
     names = ["state_s"] + ["dist"] * n_dist + list(compress(point_names, kept)) * params.n_p
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -83,7 +84,10 @@ class QpProblem:
 
     :meth:`build` validates a problem and the solver does not.
     ``rci.tube_qp`` validates the H and fixed rows of each ``rci.TubeQp``
-    once, and its users construct each problem directly.
+    once, and its users construct each problem directly.  The first KKT
+    test of a problem forms its :attr:`stacked` arrays, which every later
+    test and solve of the same object reuses: change none of its arrays in
+    place.
     """
 
     H: np.ndarray
@@ -131,6 +135,14 @@ class QpProblem:
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x)
 
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(HA, At, g_inf) of :func:`_kkt_residual`: [H + _RIDGE I; A_in],
+        A_in' and |g|_inf."""
+        HA = np.concatenate([self.H + _RIDGE * np.eye(self.n), self.A_in])
+        g_inf = float(np.maximum.reduce(np.abs(self.g), initial=0.0))
+        return HA, np.ascontiguousarray(self.A_in.T), g_inf
+
 
 @dataclass
 class QpSolution:
@@ -146,10 +158,12 @@ class QpSolution:
     value: float = field(default=float("nan"))
 
 
-def _kkt_residual(prob: QpProblem, HA: np.ndarray, At: np.ndarray, x, lam, g_inf: float):
+def _kkt_residual(prob: QpProblem, x, lam):
     """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, A_in' lam)
     at a primal-dual point, where r_d = Hx + g + A_in' lam and r_in = A_in x - b_in
-    feed the Newton step; ``HA`` = [H; A_in], ``At`` = A_in' and ``g_inf`` = |g|_inf."""
+    feed the Newton step; one matvec with ``prob.stacked``'s [H; A_in] gives Hx
+    and A_in x."""
+    HA, At, g_inf = prob.stacked
     Hx_Ax, n, m = HA @ x, x.size, lam.size
     Hx, r_in, Atl = Hx_Ax[:n], Hx_Ax[n:] - prob.b_in, At @ lam
     r_d = Hx + prob.g + Atl
@@ -181,14 +195,6 @@ def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
     return max(1.0, -float(np.fmin.reduce(dwl / wl)))
 
 
-def _stacked(prob: QpProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """(HA, At, g_inf) of :func:`_kkt_residual`: [H + _RIDGE I; A_in], A_in'
-    and |g|_inf."""
-    HA = np.concatenate([prob.H + _RIDGE * np.eye(prob.n), prob.A_in])
-    g_inf = float(np.maximum.reduce(np.abs(prob.g), initial=0.0))
-    return HA, np.ascontiguousarray(prob.A_in.T), g_inf
-
-
 # Overflow and division by zero show up as non-finite values, which the
 # KKT test and the iteration check for, instead of as warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -199,18 +205,10 @@ def accept_warm_start(prob: QpProblem, warm_start: QpSolution,
     docstring), and None when they do not.  This is the test :func:`solve`
     applies to a warm start with duals.  A warm start of another size
     raises ``ConfigurationError``."""
-    return _accepted(prob, _stacked(prob), warm_start, tol)
-
-
-def _accepted(prob: QpProblem, stacked: tuple, warm_start: QpSolution,
-              tol: float) -> QpSolution | None:
-    """:func:`accept_warm_start` with the problem's :func:`_stacked` arrays,
-    which :func:`solve` has formed already."""
     x, lam = warm_start.x, warm_start.ineq_duals
     if (x.size, lam.size) != (prob.n, prob.A_in.shape[0]):
         raise ConfigurationError("warm start has wrong dimension")
-    HA, At, g_inf = stacked
-    kkt, p_inf, *_ = _kkt_residual(prob, HA, At, x, lam, g_inf)
+    kkt, p_inf, *_ = _kkt_residual(prob, x, lam)
     if kkt > tol:
         return None
     return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(x))
@@ -239,13 +237,13 @@ def solve(prob: QpProblem, tol: float = 1e-8,
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
         raise ConfigurationError("a QP without rows is not posed by this package")
-    HA, Gt, g_inf = stacked = _stacked(prob)
     x0 = warm_start
     if isinstance(warm_start, QpSolution):
-        accepted = _accepted(prob, stacked, warm_start, tol)
+        accepted = accept_warm_start(prob, warm_start, tol)
         if accepted is not None:
             return accepted
         x0 = warm_start.x
+    HA, Gt, _ = prob.stacked
     G, h, H = prob.A_in, prob.b_in, HA[:n]
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
@@ -266,7 +264,7 @@ def solve(prob: QpProblem, tol: float = 1e-8,
     p_inf_hist: list[float] = []
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        kkt, p_inf, r_d, r_in, Gl = _kkt_residual(prob, HA, Gt, x, lam, g_inf)
+        kkt, p_inf, r_d, r_in, Gl = _kkt_residual(prob, x, lam)
         p_inf_hist.append(p_inf)
         if kkt <= tol:
             return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL,
@@ -343,10 +341,14 @@ def project_weighted(
     where the cost's gradient is zero, so the duals start at 1 (Wright
     1997).  Returns the full solution so callers can inspect status; when
     x0 is already feasible, as it is for a polyhedron without rows, it is
-    returned unchanged with zero distance.
+    returned unchanged with zero distance.  A P, A_in or b_in whose shape
+    does not fit x0's size raises ``ConfigurationError``, whether x0 is
+    feasible or not.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    P = np.asarray(P, dtype=float)
+    P, n = np.asarray(P, dtype=float), x0.size
+    if P.shape != (n, n) or np.ndim(b_in) != 1 or np.shape(A_in) != (len(b_in), n):
+        raise ConfigurationError(f"P, A_in or b_in inconsistent with x0 of size {n}")
     U, info = lapack.dpotrf(P)
     if info:
         U, info = lapack.dpotrf(P + _RIDGE * max(1.0, np.abs(P).max()) * np.eye(len(P)))

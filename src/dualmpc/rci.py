@@ -10,9 +10,11 @@ initial row; :func:`rci_constraint_block` gives its rows and
 
 :meth:`TubeQp.at` is the one place where a model's rows are made: it forms
 the disturbance allowance d and the model rows with room for it, assembles
-the row block, and keeps the result, a :class:`StepRows`, for the last model
-object it was given.  Every consumer reads the rows from there: both solves,
-and, through ``tmpc.TubeSolution.rows``, the estimator's polytope.
+the row block, and returns them as a :class:`StepRows`, which forms the
+estimator's dist rows on first use.  A TubeQp keeps nothing per model: the
+rows, which name their TubeQp, travel with the solution solved at them,
+``tmpc.TubeSolution.rows``, and with its warm start, from which the
+controller and the estimator's polytope read them.
 
 The rows are linear in the vector.  For every scheduling mode i, the images
 of each tube center land in the next center's slack-enlarged set, those of
@@ -30,7 +32,7 @@ cost, which trades output-tracking error of the center against set size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -175,8 +177,11 @@ class SetCost:
         return cls(H, -2.0 * lay.v * C.T @ Q1, Q1, lay)
 
     def at(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
-        """(g, constant) at the reference; g must be finite."""
+        """(g, constant) at the reference; g must be finite, and a y_ref of
+        another size than C's outputs raises ``ConfigurationError``."""
         y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
+        if y_ref.shape != (len(self.Q1),):
+            raise ConfigurationError(f"y_ref has shape {y_ref.shape}, not ({len(self.Q1)},)")
         g = np.zeros(self.lay.dim)
         g[self.lay.z_s] = self.G @ y_ref
         if not np.isfinite(g).all():
@@ -214,13 +219,24 @@ class StepRows:
     """The rows A y <= b of a step at the model ``params``: ``mode``, the
     model rows with -d at the vertex points, then the fixed rows and the
     initial row.  b's initial row is 0: a step writes -F x_hat there in a
-    copy of b.  d, A and b are read-only."""
+    copy of b.  d, A, b and :attr:`dist` are read-only."""
 
     params: qlpv.ModelParams
     d: np.ndarray                 # the disturbance allowance
     mode: qlpv.ModeRows
     A: np.ndarray
     b: np.ndarray
+    tube_qp: TubeQp               # the QP whose rows these are
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        """The rows over theta of F B_i r at the QP's dist points (0, r),
+        mode-major, in params' theta layout, formed on first use: only the
+        estimator's polytope reads them."""
+        dist = qlpv.theta_rows(self.params, self.mode.F, self.tube_qp.dist_points)
+        dist = dist.reshape(-1, self.params.n_theta)
+        dist.flags.writeable = False
+        return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +244,8 @@ class TubeQp:
     """The QP over ``layout``; :meth:`at` and ``set_cost.at`` fill in a step.
     Its rows: ``mode`` at the tube points, then at the vertex points
     z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row, which
-    the zero-stage build has not.  Only :meth:`at` sets ``last``; change none
-    of its arrays in place."""
+    the zero-stage build has not.  It holds no model's rows; change none of
+    its arrays in place."""
 
     template: PolytopeTemplate
     gamma: float
@@ -243,8 +259,6 @@ class TubeQp:
     b_fixed: np.ndarray           # then the sign rows of x_r
     initial: np.ndarray           # G with G y <= -F x_hat; no rows without stages
     dist_points: np.ndarray       # the estimator's dist points (0, r)
-    _dist_rows: dict = field(default_factory=dict, init=False, repr=False)
-    last: StepRows | None = field(default=None, init=False, repr=False)  # of the last model
 
     @classmethod
     def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
@@ -302,13 +316,9 @@ class TubeQp:
                    initial if stages else initial[:0], dist)
 
     def at(self, params: qlpv.ModelParams) -> StepRows:
-        """The rows and d at params, kept for the last params object given:
-        another object, even of equal values, builds them anew.  That build
-        checks the template's n_x and n_u against the model's and the model
-        rows for finiteness."""
-        last = self.last
-        if last is not None and last.params is params:
-            return last
+        """The rows and d at params, built anew on every call.
+        The build checks the template's n_x and n_u against the model's and
+        the model rows for finiteness."""
         lay = self.layout
         if (params.n_x, params.n_u) != (lay.n_x, lay.n_u):
             raise ConfigurationError(
@@ -325,19 +335,7 @@ class TubeQp:
         b = np.concatenate([b_model, self.b_fixed, np.zeros(len(self.initial))])
         for a in (d, A, b):
             a.flags.writeable = False
-        last = StepRows(params, d, mode, A, b)
-        object.__setattr__(self, "last", last)
-        return last
-
-    def dist_rows(self, params: qlpv.ModelParams) -> np.ndarray:
-        """The rows over theta of F B_i r at the dist points (0, r), mode-major,
-        in the theta layout of params; built once per model shape, read-only."""
-        shape = (params.n_p, params.n_theta)
-        if shape not in self._dist_rows:
-            rows = qlpv.theta_rows(params, self.mode.F, self.dist_points)
-            self._dist_rows[shape] = rows.reshape(-1, params.n_theta)
-            self._dist_rows[shape].flags.writeable = False
-        return self._dist_rows[shape]
+        return StepRows(params, d, mode, A, b, self)
 
 
 def tube_qp(template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,

@@ -10,14 +10,13 @@ stand-alone set-tracking optimum acts as a Lyapunov function.
 solve_tmpc takes each controller's TubeQp from ``rci.tube_qp``, which
 builds it once, validates its H and fixed rows then, and caches it by the
 identity of template and Y and the values of beta, gamma, N, eps_u and C.
-A new model's rows come from the TubeQp's one memo, ``rci.TubeQp.at``,
-keyed on the model object's identity, and a kept model's from the warm
-start: d, the model rows and the assembled row block, all read-only, built
-once per model and checked then.  A step writes only b's initial row,
--F x_hat, into a copy of b, and g from y_ref, and checks both for
-finiteness.  So neither the cache keys nor the memo see an edit
-made in place: change no ModelParams, cfg, template or Y, nor a TubeQp's
-arrays, in place.  The memo holds on to the last model.
+A model's rows, ``rci.TubeQp.at``, are built when the controller takes that
+model, and then travel with the solution and its warm start: d, the model
+rows and the assembled row block, all read-only, built once per model and
+checked then.  A step writes only b's initial row, -F x_hat, into a copy of
+b, and g from y_ref, and checks both for finiteness.  So the cache keys do
+not see an edit made in place: change no ModelParams, cfg, template or Y,
+nor a TubeQp's arrays, in place.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
 views, the rows it was solved with, and its time-shifted plan:
@@ -35,17 +34,20 @@ by ``qp.accept_warm_start``, the test qp.solve applies to a warm start, at
 the same tol:
 
 - kept: the plan passes, and is the solution, at theta_c, with 0 iterations;
-- replaced: it fails, and the QP is solved at the estimate's model;
-- retried: that solve is not ``OPTIMAL``, so the QP is solved once more at
-  theta_c from the plan, and that result is taken only if it is ``OPTIMAL``.
-  The QP at a new model can end ``MAX_ITER`` with its KKT residual just
-  above tol, when H's near-null directions stop its Newton matrix from
-  factoring, while the one at theta_c, where the plan is feasible, solves.
+- replaced: it fails, and the QP is solved from the plan's x at the
+  estimate's model, or at theta_c's rows when the estimate's model is
+  theta_c's object (a frozen theta), so that nothing is rebuilt;
+- retried: a solve at a new model is not ``OPTIMAL``, so the QP is solved
+  once more at theta_c from the plan, and that result is taken only if it
+  is ``OPTIMAL``.  The QP at a new model can end ``MAX_ITER`` with its KKT
+  residual just above tol, when H's near-null directions stop its Newton
+  matrix from factoring, while the one at theta_c, where the plan is
+  feasible, solves.
 
-The test runs only for a warm start of the same TubeQp whose model is not
-the one passed; the estimator predicts and corrects at its own estimate
-either way.  Its polytope keeps the plan feasible at both models (see
-``estimator``), so keeping theta_c costs no feasibility.
+The test runs for every warm start of the same TubeQp; the estimator
+predicts and corrects at its own estimate either way.  Its polytope keeps
+the plan feasible at both models (see ``estimator``), so keeping theta_c
+costs no feasibility.
 """
 
 from __future__ import annotations
@@ -107,16 +109,22 @@ def solve_tmpc(
     """Solve the tube QP at x_hat and y_ref, keeping the warm start's model
     while its shifted plan is still optimal there.
 
-    A :class:`TubeWarmStart` of this controller whose rows are of another
-    model than params is first tested, by ``qp.accept_warm_start``, against
-    its own rows with this step's initial row and g.  When it passes, it is
-    the solution, at its rows, with 0 iterations (kept).  Otherwise the QP is
-    solved at params (replaced), and when that solve is not ``OPTIMAL`` it
-    is solved once more at the warm start's rows, whose result is taken
-    only if it is ``OPTIMAL`` (retried).  Any other warm start is handed to
-    the solve at params.  ``rows`` and d are those of the model solved for."""
+    A :class:`TubeWarmStart` of this controller is first tested, by
+    ``qp.accept_warm_start``, against its own rows with this step's initial
+    row and g.  When it passes, it is the solution, at its rows, with 0
+    iterations (kept).  Otherwise the QP is solved from its x at params
+    (replaced), at the warm start's own rows when they are of params itself.
+    When a solve at other rows is not ``OPTIMAL``, the QP is solved once
+    more at the warm start's rows, whose result is taken only if it is
+    ``OPTIMAL`` (retried).  The warm start's rows make one problem, which
+    the test and every solve at them share.  Any other warm start is handed
+    to the solve at params.  ``rows`` and d are those of the model solved
+    for.  An x_hat or y_ref of another size than the controller's raises
+    ``ConfigurationError``."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
     tq = rci.tube_qp(template, cfg.beta, eps_u, Y, params.C, cfg.gamma, cfg.N + 1)
+    if x_hat.size != tq.layout.n_x:
+        raise ConfigurationError(f"x_hat has {x_hat.size} entries, not n_x={tq.layout.n_x}")
     g, const = tq.set_cost.at(y_ref)
 
     def problem(rows: rci.StepRows) -> qp.QpProblem:
@@ -126,17 +134,17 @@ def solve_tmpc(
             raise ConfigurationError("problem data must be finite")
         return qp.QpProblem(tq.H, g, rows.A, b)
 
-    kept = sol = None
-    if (isinstance(warm_start, TubeWarmStart) and warm_start.tube_qp is tq
-            and warm_start.rows.params is not params):
-        kept = warm_start.rows
-        sol = qp.accept_warm_start(problem(kept), warm_start)
+    kept = kept_qp = sol = None
+    if isinstance(warm_start, TubeWarmStart) and warm_start.rows.tube_qp is tq:
+        kept, kept_qp = warm_start.rows, problem(warm_start.rows)
+        sol = qp.accept_warm_start(kept_qp, warm_start)
+        warm_start = warm_start.x     # tested: the solves below start from it
     rows = kept
     if sol is None:
-        rows = tq.at(params)
-        sol = qp.solve(problem(rows), warm_start=warm_start)
-        if sol.status != qp.QpStatus.OPTIMAL and kept is not None:
-            retry = qp.solve(problem(kept), warm_start=warm_start)
+        rows = kept if kept is not None and kept.params is params else tq.at(params)
+        sol = qp.solve(kept_qp if rows is kept else problem(rows), warm_start=warm_start)
+        if sol.status != qp.QpStatus.OPTIMAL and kept is not None and rows is not kept:
+            retry = qp.solve(kept_qp, warm_start=warm_start)
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
     return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
@@ -155,27 +163,25 @@ def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:
     return shifted
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TubeWarmStart(qp.QpSolution):
-    """A shifted plan with its duals, and the QP and rows it was solved with."""
+    """A shifted plan with its duals, and the rows it was solved with, which
+    name their QP."""
 
-    tube_qp: rci.TubeQp | None = None
-    rows: rci.StepRows | None = None
+    rows: rci.StepRows
 
 
 def warm_start_vector(sol: TubeSolution, gamma: float) -> TubeWarmStart:
     """Warm start for the next solve: the shifted plan ``sol.shifted`` with
     this solve's duals and rows ``sol.rows``.  :func:`solve_tmpc` keeps those
     rows' model while the plan still meets the KKT test at them; otherwise
-    qp.solve, at the new model, returns it unchanged when it meets the test
-    there, and else only its x seeds the interior-point iteration.  Its
-    ``kkt_residual`` is nan until a test evaluates it.  gamma must be the
-    controller's; another raises ``ConfigurationError``."""
+    only its x seeds the interior-point iteration.  Its ``kkt_residual`` is
+    nan until a test evaluates it.  gamma must be the controller's; another
+    raises ``ConfigurationError``."""
     if gamma != sol.tube_qp.gamma:
         raise ConfigurationError("gamma differs from the tube's controller's")
     duals = sol.qp_solution
-    return TubeWarmStart(sol.shifted, duals.ineq_duals, float("nan"), duals.status, 0,
-                         tube_qp=sol.tube_qp, rows=sol.rows)
+    return TubeWarmStart(sol.shifted, duals.ineq_duals, np.nan, duals.status, 0, rows=sol.rows)
 
 
 def nominal_input(
@@ -183,7 +189,11 @@ def nominal_input(
     x_hat: np.ndarray,
     template: PolytopeTemplate,
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
-    """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at x_hat."""
+    """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at
+    x_hat; an x_hat of another size than the template's n_x raises
+    ``ConfigurationError``."""
+    if np.size(x_hat) != template.n_x:
+        raise ConfigurationError(f"x_hat has {np.size(x_hat)} entries, not n_x={template.n_x}")
     lam = polytope.barycentric_lambda(template, sol.z[0], sol.s, x_hat)
     c = sol.c.reshape(template.n_vertices, template.n_u)
     return sol.v[0] + c.T @ lam.weights, lam

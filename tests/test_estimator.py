@@ -159,8 +159,8 @@ class TestThetaPolytope:
                                       "terminal", "rci"}
 
     def test_dist_rows_match_their_formula_across_steps_and_model_shapes(self):
-        # The dist rows are formed once per tube QP and model shape.  At two
-        # steps of a warm-started loop, for two models that share the tube QP
+        # The dist rows come with each model's rows.  At two steps of
+        # a warm-started loop, for two models that share the tube QP
         # but not theta's layout, block (i, p) reads F B_i r_p <= d at the
         # dist point (0, r_p): F[:, k] r_p[l] on B_i's entry (k, l), which
         # follows the n_p A_i in theta, and zero on x and every other entry.
@@ -245,6 +245,14 @@ class TestThetaPolytope:
             estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, 0.5 * EPS_U,
                                            CFG.gamma)
 
+    @pytest.mark.parametrize("n_p, n_h", [(2, 3), (3, 4)], ids=["other-n_p", "other-n_h"])
+    def test_model_of_another_theta_layout_rejected(self, tube_setup, n_p, n_h):
+        # The dist rows travel with the tube's rows, in its model's theta layout.
+        _, _, sol = tube_setup
+        other = random_model(np.random.default_rng(9), n_p=n_p, n_h=n_h, infnorm=0.6, gain=0.25)
+        with pytest.raises(ConfigurationError, match="theta layout"):
+            estimator.build_theta_polytope(sol, TEMPLATE, other, CFG.beta, EPS_U, CFG.gamma)
+
     def test_settled_plan_leaves_no_roundoff_rows(self, tube_setup):
         # A settled plan makes every tube point z_k - z_s roundoff: the rows
         # it would give read 0 <= 0 with random normals of size 1e-16.  They
@@ -316,12 +324,12 @@ class TestThetaPolytope:
                         <= 1e-12, names
                 assert qp_resid[dropped].max(initial=-np.inf) <= 1e-12
 
-    def test_rows_come_from_the_solution_not_the_qp_memo(self, tube_setup):
+    def test_rows_come_from_the_solution(self, tube_setup):
         # Rows built for another model between the solve and the polytope
         # leave the polytope byte for byte as it is without them.
         model, x_hat, sol = tube_setup
         other = random_model(np.random.default_rng(9), n_p=2, infnorm=0.6, gain=0.25)
-        assert sol.tube_qp.at(other) is sol.tube_qp.last is not sol.rows
+        assert sol.tube_qp.at(other).params is other is not sol.rows.params
         poly = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
         again = tmpc.solve_tmpc(x_hat, model, np.array([0.4]), CFG, TEMPLATE, Y, EPS_U)
         want = estimator.build_theta_polytope(again, TEMPLATE, model, CFG.beta, EPS_U,

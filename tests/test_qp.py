@@ -591,3 +591,16 @@ class TestProjectWeighted:
         with pytest.raises(ConfigurationError, match="covariance"):
             qp.project_weighted(np.zeros(2), np.diag([1.0, -1.0]),
                                 A_in=np.eye(2), b_in=np.ones(2))
+
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.full(2, 3.0)], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("P, A_in, b_in", [
+        (np.eye(2), np.eye(3, 2), [1.0]),
+        (np.eye(3), np.eye(2), np.ones(2)),
+        (np.eye(2), np.eye(2, 3), np.ones(2)),
+        (np.eye(2), np.ones(2), np.ones(1)),
+        (np.eye(2), np.eye(2), np.ones((2, 1))),
+    ], ids=["b_in-shorter-than-A_in", "P-of-other-size", "A_in-of-other-width",
+            "A_in-one-dimensional", "b_in-two-dimensional"])
+    def test_shapes_that_do_not_fit_x0_rejected(self, x0, P, A_in, b_in):
+        with pytest.raises(ConfigurationError, match="inconsistent"):
+            qp.project_weighted(x0, P, A_in=A_in, b_in=b_in)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from dualmpc import estimator, qlpv, qp, rci, tmpc
+from dualmpc import estimator, qlpv, qp, rci, sysid, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
@@ -218,8 +218,8 @@ def step_problem(tq, rows, x_hat, y_ref):
 
 
 class TestKeptModel:
-    """solve_tmpc with a warm start whose rows are of another model than the
-    one passed: kept, replaced or retried."""
+    """solve_tmpc with a warm start of its own controller: kept, replaced or
+    retried."""
 
     def test_still_optimal_plan_keeps_its_model(self, model):
         cold = solve(model, [0.0, 0.0])
@@ -266,6 +266,41 @@ class TestKeptModel:
             assert sol.x.tobytes() == want.x.tobytes()
         else:
             assert sol.status == qp.QpStatus.MAX_ITER and sol.rows.params is moved
+
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["same-model", "moved-model"])
+    def test_failed_kept_test_solves_from_the_plan_without_testing_it_again(
+            self, model, monkeypatch, moved):
+        # The plan fails the kept test at y_ref 0.5.  The QP is then solved
+        # from its x: at the kept rows when the model is the kept one, which
+        # builds no rows, and at the moved model's rows otherwise.  The KKT
+        # conditions are tested once before the iterations, each of which
+        # tests them once.
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        params = moved_model(model) if moved else model
+        calls, tests, residual = spied(monkeypatch), [], qp._kkt_residual
+        monkeypatch.setattr(qp, "_kkt_residual", lambda *a: (tests.append(1), residual(*a))[1])
+        sol = solve(params, [0.0, 0.0], 0.5, warm_start=warm)
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.qp_solution.iterations > 0
+        assert len(tests) == 1 + sol.qp_solution.iterations
+        assert sol.rows.params is params and (sol.rows is cold.rows) is not moved
+        assert calls == ({"disturbance_vector": 1, "over_y": 1} if moved else {})
+
+    def test_failed_solve_at_the_kept_rows_not_retried(self, model, monkeypatch):
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        real, solved_at = qp.solve, []
+
+        def failing(prob, **kw):
+            solved_at.append(prob.A_in)
+            sol = real(prob, **kw)
+            sol.status = qp.QpStatus.MAX_ITER
+            return sol
+        monkeypatch.setattr(qp, "solve", failing)
+        sol = solve(model, [0.0, 0.0], 0.5, warm_start=warm)
+        assert [A is cold.rows.A for A in solved_at] == [True]
+        assert sol.status == qp.QpStatus.MAX_ITER and sol.rows is cold.rows
 
 
 class TestNominalInput:
@@ -532,6 +567,19 @@ def test_template_of_other_dimensions_rejected(model, n_x, n_u):
         rci.rci_constraint_block(model, template, CFG.beta, eps_u, Y)
 
 
+@pytest.mark.parametrize("call", [
+    lambda model: tmpc.nominal_input(solve(model, [0.1, 0.0]), np.zeros(1), TEMPLATE),
+    lambda model: solve(model, np.zeros(1)),
+    lambda model: solve(model, np.zeros(3)),
+    lambda model: solve(model, [0.1, 0.0], np.zeros(2)),
+    lambda model: rci.solve_optimal_rci(model, np.zeros(2), TEMPLATE, CFG.beta, EPS_U, Y),
+], ids=["nominal_input-x_hat", "solve_tmpc-short-x_hat", "solve_tmpc-long-x_hat",
+        "solve_tmpc-y_ref", "solve_optimal_rci-y_ref"])
+def test_state_or_reference_of_other_size_rejected(model, call):
+    with pytest.raises(ConfigurationError, match="x_hat|y_ref"):
+        call(model)
+
+
 @pytest.mark.parametrize("eps_u, Y_k", [(np.ones(2), Y), (EPS_U, Hpoly.box([0.8, 0.8]))],
                          ids=["eps_u-of-other-n_u", "Y-of-other-n_y"])
 def test_tube_qp_of_other_input_or_output_dimensions_rejected(model, eps_u, Y_k):
@@ -605,33 +653,42 @@ def test_shifted_plan_meets_the_next_tubes_rows_kept_or_replaced(model):
     # Recursive feasibility along the dual loop: each tube's shifted plan
     # meets the rows the next tube was solved with, at the model it was
     # solved at and the initial row of the next x_hat, on steps that kept
-    # the controller's model and on steps that replaced it.
-    _, tubes = dual_loop(model, 30, False, Counter())
+    # the controller's model and on steps that replaced it, over the fixture
+    # model and five random models that pass the feasibility gate.
+    rng, models = np.random.default_rng(17), [model]
+    while len(models) < 6:
+        other = random_model(rng, infnorm=0.6, gain=0.25)
+        if sysid.feasibility_gate(other, CFG, [0.1, -0.05], TEMPLATE, Y, EPS_U)[0]:
+            models.append(other)
     kept = []
-    for (_, sol), (x_hat, nxt) in zip(tubes, tubes[1:]):
-        b = nxt.rows.b.copy()
-        b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_hat
-        assert (nxt.rows.A @ sol.shifted - b).max() <= 1e-9
-        kept.append(nxt.rows.params is sol.rows.params)
+    for params in models:
+        _, tubes = dual_loop(params, 30, False, Counter())
+        for (_, sol), (x_hat, nxt) in zip(tubes, tubes[1:]):
+            b = nxt.rows.b.copy()
+            b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_hat
+            assert (nxt.rows.A @ sol.shifted - b).max() <= 1e-9
+            kept.append(nxt.rows.params is sol.rows.params)
     assert any(kept) and not all(kept)
 
 
-def test_memoised_solves_equal_solves_from_an_empty_cache(model):
+def test_solves_equal_solves_from_an_empty_cache(model):
+    # A warm-started chain over models, repeated and equal-valued ones
+    # included, gives byte for byte what each solve gives with a new TubeQp.
     other = random_model(np.random.default_rng(43), infnorm=0.6, gain=0.25)
     twin = model.replace_theta(model.pack())       # equal values, another object
     rng = np.random.default_rng(3)
     cases = [(params, rng.uniform(-0.2, 0.2, size=2), rng.uniform(-0.5, 0.5, size=1))
              for params in (model, model, other, model, twin)]
-    memoised, warm = [], None
+    chained, warm = [], None
     for params, x_hat, y_ref in cases:
         sol = solve(params, x_hat, y_ref, warm_start=warm)
-        assert sol.tube_qp.last.params is params
-        memoised.append((sol, warm))
+        assert sol.rows.params is params
+        chained.append((sol, warm))
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
-    # The memo holds the last model object: a hit at the second solve only.
-    d = [sol.d for sol, _ in memoised]
+    # The second solve is at the model of its warm start's rows: it reuses them.
+    d = [sol.d for sol, _ in chained]
     assert d[1] is d[0] and all(d[k] is not d[k - 1] for k in (2, 3, 4))
-    for (params, x_hat, y_ref), (sol, warm) in zip(cases, memoised):
+    for (params, x_hat, y_ref), (sol, warm) in zip(cases, chained):
         rci._tube_qp.cache_clear()
         fresh = solve(params, x_hat, y_ref, warm_start=warm)
         assert fresh.tube_qp is not sol.tube_qp
@@ -641,11 +698,11 @@ def test_memoised_solves_equal_solves_from_an_empty_cache(model):
                 == (fresh.status, fresh.qp_solution.iterations))
 
 
-def test_memoised_step_data_are_read_only(model):
+def test_step_rows_are_read_only(model):
     sol = solve(model, [0.1, 0.0], 0.3)
-    last = sol.tube_qp.last
-    assert sol.rows is last and last.d is sol.d
-    for part in (last.d, last.A, last.b):
+    rows = sol.rows
+    assert rows.d is sol.d
+    for part in (rows.d, rows.A, rows.b, rows.dist):
         with pytest.raises(ValueError):
             part[0] = 1.0
 
