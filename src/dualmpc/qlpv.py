@@ -15,6 +15,7 @@ columns of the Jacobian in :func:`jacobians`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -74,8 +75,9 @@ class ModelParams:
     def n_y(self) -> int:
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def n_theta(self) -> int:
+        """Length of theta, computed once: a model's shapes do not change."""
         n_x, n_u, n_p, n_h = self.n_x, self.n_u, self.n_p, self.n_h
         return n_p * n_x * (n_x + n_u) + n_h * (n_x + n_u) + n_h + n_p * n_h + n_p
 

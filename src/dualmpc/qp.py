@@ -29,14 +29,16 @@ alone seeds the iteration.  Duals of a nearby problem are a poorly centred
 start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
-at the start point x0, which A_in' lam must balance.  A projection
-(:func:`project_weighted`) warm-starts from the closed-form projection onto
-the rows it violates, held as equalities; when that point meets the other
-rows too it is the projection, exact to rounding rather than to the scaled
-``tol``, and is returned with 0 iterations.  Scaling (H, g) by s then
-scales every dual iterate by s and keeps the primal ones and the iteration
-count (up to the floor of 1 and the step rule max(0.99, 1 - mu) near the
-end).
+at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s
+then scales every dual iterate by s and keeps the primal ones and the
+iteration count (up to the floor of 1 and the step rule max(0.99, 1 - mu)
+near the end).
+
+A projection (:func:`project_weighted`) warm-starts from its exact solution
+and duals, which one non-negative least-squares solve of its least-distance
+form gives (Lawson & Hanson 1974, ch. 23).  As in OSQP's solution polishing
+(Stellato et al. 2020), the warm start's KKT test decides: a point exact to
+rounding, rather than to the scaled ``tol``, is returned with 0 iterations.
 
 Each iteration evaluates the KKT residuals once: one matvec with [H; A_in]
 gives Hx and A_in x, and the predictor reuses the A_in' lam computed there.
@@ -59,6 +61,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.optimize import nnls
 
 from .errors import ConfigurationError
 
@@ -76,6 +79,9 @@ _RIDGE = 1e-10
 _STALL_WINDOW = 50
 # Interior-point iterations before giving up with the best point seen.
 _MAX_ITER = 500
+# The least-distance solve of project_weighted gives s = 1 / (1 + |z|^2),
+# which an empty polytope makes 0; at or below this the candidate is dropped.
+_LDP_EMPTY = 1e-12
 
 
 @dataclass
@@ -84,7 +90,8 @@ class QpProblem:
 
     :meth:`build` validates a problem and the solver does not.
     ``rci.tube_qp`` validates the H and fixed rows of each ``rci.TubeQp``
-    once, and its users construct each problem directly.  The first KKT
+    once, and its users construct each problem directly, as
+    :func:`project_weighted` does after checking its own data.  The first KKT
     test of a problem forms its :attr:`stacked` arrays, which every later
     test and solve of the same object reuses: change none of its arrays in
     place.
@@ -139,7 +146,8 @@ class QpProblem:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(HA, At, g_inf) of :func:`_kkt_residual`: [H + _RIDGE I; A_in],
         A_in' and |g|_inf."""
-        HA = np.concatenate([self.H + _RIDGE * np.eye(self.n), self.A_in])
+        HA = np.concatenate([self.H, self.A_in])
+        HA[:self.n].flat[::self.n + 1] += _RIDGE
         g_inf = float(np.maximum.reduce(np.abs(self.g), initial=0.0))
         return HA, np.ascontiguousarray(self.A_in.T), g_inf
 
@@ -329,24 +337,32 @@ def project_weighted(
     raises ``ConfigurationError``.  M = U^-1 U^-T is formed only when x0 is
     infeasible.
 
-    The rows V that x0 violates are then held as equalities (Lawson &
-    Hanson 1974, ch. 23): with r_V = A_V x0 - b_V and S = A_V P A_V', the
-    candidate x = x0 - P A_V' mu, mu = S^-1 r_V, has duals 2 mu on V and 0
-    elsewhere.  When S factors and mu >= 0 the candidate is the exact
-    projection onto {x : A_V x <= b_V}, and :func:`solve` takes it as its
-    warm start: it is accepted with 0 iterations when it also meets the
-    other rows to ``tol``, and otherwise its x starts the iteration.  When S
-    does not factor (dependent violated rows) or some mu < 0 (the violated
-    rows are not the projection's active set), the iteration starts at x0,
-    where the cost's gradient is zero, so the duals start at 1 (Wright
-    1997).  Returns the full solution so callers can inspect status; when
-    x0 is already feasible, as it is for a polyhedron without rows, it is
+    The warm start is the exact projection.  In z = U^-T (x - x0) the
+    problem is the least-distance problem min |z| s.t. -W'z >= r over all
+    rows, with W = U A_in' and r = A_in x0 - b_in (Lawson & Hanson 1974,
+    ch. 23).  One NNLS solve (``scipy.optimize.nnls``) of [-W; r'] u ~ e_n+1
+    gives s = 1 - r'u, the multipliers nu = u / s, the point
+    x = x0 - U'W nu and its duals 2 nu.  nu is computed from the rows where
+    u > 0, held as equalities: (W_a'W_a) nu_a = r_a.  x is the difference
+    of terms of size |P A_in' nu|, and can miss those rows by more than
+    ``tol`` allows, alone or times the duals; then one refinement step,
+    (W_a'W_a) d = A_a x - b_a, nu_a += d and x -= U'W_a d, restores the
+    digits.  :func:`solve` accepts (x, 2 nu) with 0 iterations when it meets
+    the KKT test at ``tol``, and otherwise starts its iteration from x.  The
+    iteration starts from x0 instead, where the cost's gradient is zero, so
+    the duals start at 1 (Wright 1997), when NNLS reaches its iteration
+    limit, when s <= _LDP_EMPTY (the polytope is empty), when W_a'W_a does
+    not factor, or when x is not finite.
+
+    Returns the full solution so callers can inspect status; when x0 is
+    already feasible, as it is for a polyhedron without rows, it is
     returned unchanged with zero distance.  A P, A_in or b_in whose shape
     does not fit x0's size raises ``ConfigurationError``, whether x0 is
-    feasible or not.
+    feasible or not, and so do non-finite data when x0 is infeasible.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     P, n = np.asarray(P, dtype=float), x0.size
+    A_in, b_in = np.asarray(A_in, dtype=float), np.asarray(b_in, dtype=float)
     if P.shape != (n, n) or np.ndim(b_in) != 1 or np.shape(A_in) != (len(b_in), n):
         raise ConfigurationError(f"P, A_in or b_in inconsistent with x0 of size {n}")
     U, info = lapack.dpotrf(P)
@@ -359,20 +375,36 @@ def project_weighted(
         return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
     U_inv, _ = lapack.dtrtri(U)
     M = U_inv @ U_inv.T
-    # M is positive definite by construction, so the problem skips that check.
-    prob = QpProblem.build(2.0 * M, -2.0 * M @ x0, A_in, b_in, check_psd=False)
-    # The violated rows V held as equalities: with W = U A_V', P A_V' = U'W
-    # and S = A_V P A_V' = W'W.
-    V = r > 0.0
-    W = U @ A_in[V].T
-    L, info = lapack.dpotrf(W.T @ W)
+    # M is symmetric positive definite by construction, and r and g carry
+    # every datum (an infinite entry of M, x0, A_in or b_in makes one of
+    # them non-finite), so their check is the only one the problem needs.
+    g = -2.0 * (M @ x0)
+    if not np.logical_and.reduce(np.isfinite(np.concatenate([r, g]))):
+        raise ConfigurationError("problem data must be finite")
+    prob = QpProblem(2.0 * M, g, A_in, b_in)
+    W = U @ A_in.T
     warm = x0
-    if not info:
-        mu = lapack.dpotrs(L, r[V])[0]
-        if mu.min() >= 0.0:
-            lam = np.zeros(len(b_in))
-            lam[V] = 2.0 * mu
-            warm = QpSolution(x0 - U.T @ (W @ mu), lam, np.nan, QpStatus.OPTIMAL, 0)
+    try:
+        u = nnls(np.vstack([-W, r]), np.eye(1, n + 1, n).ravel())[0]
+        s = 1.0 - r @ u
+    except (RuntimeError, ValueError):  # the iteration limit; an overflow in W
+        s = 0.0
+    if s > _LDP_EMPTY:
+        active = np.flatnonzero(u)
+        W_a = W[:, active]
+        L, info = lapack.dpotrf(W_a.T @ W_a)
+        if not info:
+            nu = np.zeros(len(b_in))
+            if active.size:  # u = 0 leaves x0: its violations are below NNLS's tolerance
+                nu[active] = lapack.dpotrs(L, r[active])[0]
+            x = x0 - U.T @ (W_a @ nu[active])
+            res = A_in[active] @ x - b_in[active]
+            if np.maximum.reduce(np.abs(res), initial=0.0) * max(1.0, 2.0 * nu.max()) > tol:
+                step = lapack.dpotrs(L, res)[0]
+                nu[active] += step
+                x -= U.T @ (W_a @ step)
+            if np.logical_and.reduce(np.isfinite(x)):
+                warm = QpSolution(x, 2.0 * nu, np.nan, QpStatus.OPTIMAL, 0)
     sol = solve(prob, tol=tol, warm_start=warm)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

@@ -85,9 +85,13 @@ class TubeSolution(rci.RciSolution):
 
     status: qp.QpStatus
     qp_solution: qp.QpSolution
-    tube_qp: rci.TubeQp           # the controller's prebuilt QP
-    rows: rci.StepRows            # its rows at the model solved for
+    rows: rci.StepRows            # the rows at the model solved for
     shifted: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def tube_qp(self) -> rci.TubeQp:
+        """The controller's prebuilt QP, which the rows name."""
+        return self.rows.tube_qp
 
     def __post_init__(self):
         super().__post_init__()
@@ -148,7 +152,7 @@ def solve_tmpc(
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
     return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
-                        status=sol.status, qp_solution=sol, tube_qp=tq, rows=rows)
+                        status=sol.status, qp_solution=sol, rows=rows)
 
 
 def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:

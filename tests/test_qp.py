@@ -366,7 +366,7 @@ def test_dual_loop_projection_converges(monkeypatch):
     # solver ran all 500 iterations on it into MAX_ITER, as it did on the
     # step-12 projection of the loop it drove itself, and the estimator fell
     # back to the previous theta.  The projection itself now accepts its
-    # closed-form warm start, so the same QP is also solved from the bare
+    # least-distance warm start, so the same QP is also solved from the bare
     # point it projects, the start the interior-point iteration had then.
     template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
     cfg = tmpc.ControllerConfig()
@@ -441,7 +441,27 @@ def test_indefinite_cost_rejected():
         qp.QpProblem.build([[1.0, 0.0], [0.0, -1.0]], np.zeros(2), [[1.0, 0.0]], [1.0])
 
 
+def random_projection(rng, n, m, log_cond):
+    """(x0, P, A, b): P of condition number 10^log_cond, a polytope of m
+    random rows around a known point, and x0 about 3 units from that point."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eig = 10.0 ** rng.uniform(-log_cond / 2, log_cond / 2, size=n)
+    eig[[0, -1]] = 10.0 ** (-log_cond / 2), 10.0 ** (log_cond / 2)
+    P = (Q * eig) @ Q.T
+    x_in, A = rng.normal(size=n), rng.normal(size=(m, n))
+    b = A @ x_in + rng.uniform(0.0, 1.0, size=m)
+    return x_in + 3.0 * rng.normal(size=n), 0.5 * (P + P.T), A, b
+
+
 class TestProjectWeighted:
+    @staticmethod
+    def warm_starts(monkeypatch):
+        """The warm start of every later qp.solve call, in order."""
+        solve, warms = qp.solve, []
+        monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
+            warms.append(kw["warm_start"]), solve(prob, **kw))[1])
+        return warms
+
     def test_interior_point_returned_unchanged(self):
         sol = qp.project_weighted(np.array([0.2, 0.1]), np.eye(2),
                                   A_in=np.eye(2), b_in=np.ones(2))
@@ -480,17 +500,18 @@ class TestProjectWeighted:
             assert np.abs(sol.x - x_ref).max() <= 1e-6
             assert sol.value == pytest.approx((sol.x - x0) @ M @ (sol.x - x0), rel=1e-9)
 
-    # (x0, P, A, b) that take each path of the closed-form warm start.
+    # (x0, P, A, b) of four kinds of violated rows.  Held as equalities,
+    # the violated rows give the projection only in the first.
     PATHS = {
         # x1 <= 1 alone is violated, and held as an equality it gives the
-        # projection, which meets the box: the candidate is accepted.
+        # projection, which meets the box.
         "accepted": ([1.5, 0.2, -0.1], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]],
                      [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
                      [1, 2, 2, 2, 2, 2]),
         # Both rows are violated, but x1 + x2 <= 1 holds once x1 <= 0 does:
         # its multiplier as an equality is -0.9.
         "negative_multiplier": ([1.0, 0.1], np.eye(2), [[1, 0], [1, 1]], [0, 1]),
-        # x1 <= 0 twice: S = [[1, 1], [1, 1]] has a zero pivot.
+        # x1 <= 0 twice: A_V P A_V' = [[1, 1], [1, 1]] is singular.
         "singular": ([1.0, 0.0, 0.0], np.eye(3), [[1, 0, 0], [1, 0, 0], [0, 0, 1]], [0, 0, 5]),
         # x1 <= 0 held as an equality gives 0, which breaks x1 + x2 >= 0.5,
         # a row that holds at x0.
@@ -499,27 +520,70 @@ class TestProjectWeighted:
 
     @pytest.mark.parametrize("path", PATHS)
     def test_closed_form_start_on_the_violated_rows(self, monkeypatch, path):
-        # The violated rows V held as equalities give the candidate
-        # x0 - P A_V' mu with mu = (A_V P A_V')^-1 (A_V x0 - b_V).  It is the
-        # warm start when that matrix factors and mu >= 0; the solve accepts
-        # it with 0 iterations when it meets the KKT test, and otherwise
-        # starts from its x.  Every path ends at the active-set optimum.
+        # The least-distance start over all rows is the projection on every
+        # path: the solve accepts it with 0 iterations, at the active-set
+        # optimum, and is handed it as its warm start.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS[path])
-        solve, dpotrf = qp.solve, qp.lapack.dpotrf
-        warms, infos = [], []
-        monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
-            warms.append(kw["warm_start"]), solve(prob, **kw))[1])
-        monkeypatch.setattr(qp.lapack, "dpotrf", lambda K, **kw: (
-            lambda out: (infos.append(out[1]), out)[1])(dpotrf(K, **kw)))
+        warms = self.warm_starts(monkeypatch)
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
         M = np.linalg.inv(P)
         x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
-        assert sol.status == qp.QpStatus.OPTIMAL
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
-        # dpotrf factors P, then S = A_V P A_V', then the solver's matrices.
-        assert (infos[1] > 0) == (path == "singular")
-        assert isinstance(warms[0], qp.QpSolution) == (path in ("accepted", "kkt_rejected"))
-        assert (sol.iterations == 0) == (path == "accepted")
+        assert isinstance(warms[0], qp.QpSolution)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 6),
+           log_cond=st.floats(0.0, 6.0))
+    def test_projection_is_exact_from_its_start(self, seed, n, m, log_cond):
+        # The start is the projection, accepted with 0 iterations.
+        x0, P, A, b = random_projection(np.random.default_rng(seed), n, m, log_cond)
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
+        M = np.linalg.inv(P)
+        x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
+        assert np.abs(sol.x - x_ref).max() <= 1e-6 * max(1.0, np.abs(x_ref).max())
+
+    @pytest.mark.parametrize("seed, n", [(60, 3), (176, 2)], ids=["row", "dual-times-row"])
+    def test_projection_at_a_vertex_is_refined_to_its_rows(self, seed, n):
+        # Condition number 1e6, 6 rows, and n of them active at a vertex,
+        # with duals of 1e3 to 1e4.  x = x0 - U'W nu then misses an active
+        # row by 4.3e-9 (seed 60), or by less than tol but with a dual that
+        # makes complementarity 1.4e-9 (seed 176), and the solve ran 7
+        # iterations.  The refinement step meets the rows to rounding.
+        x0, P, A, b = random_projection(np.random.default_rng(seed), n, 6, 6.0)
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
+        M = np.linalg.inv(P)
+        x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
+        assert np.sum(np.abs(A @ x_ref - b) <= 1e-9) == n
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
+        assert np.abs(sol.x - x_ref).max() <= 1e-6 * np.abs(x_ref).max()
+
+    def test_violation_below_the_nnls_tolerance_keeps_x0(self):
+        # x1 <= -1e-100 is violated at 0, by less than NNLS may resolve: it
+        # can leave u = 0, and then the start is x0 with zero duals.  Either
+        # way the start meets the rows to tol and is accepted; from x0 the
+        # interior-point iteration ended 1.3e-3 away.
+        sol = qp.project_weighted(np.zeros(2), 1e4 * np.eye(2), A_in=np.eye(2),
+                                  b_in=np.array([-1e-100, 1.0]))
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
+        assert np.abs(sol.x).max() <= 1e-99
+
+    def test_failed_least_distance_solve_starts_from_x0(self, monkeypatch):
+        # NNLS at its iteration limit leaves no candidate: the solve starts
+        # from x0 itself and still ends at the projection.
+        x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS["kkt_rejected"])
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(qp, "nnls", failing)
+        warms = self.warm_starts(monkeypatch)
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
+        x_ref, _ = qp_active_set_oracle(2.0 * np.eye(2), -2.0 * x0, A, b)
+        assert not isinstance(warms[0], qp.QpSolution) and np.array_equal(warms[0], x0)
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations > 0
+        assert np.abs(sol.x - x_ref).max() <= 1e-7
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_deficient_covariance_is_not_reported_infeasible(self, seed):
@@ -581,10 +645,14 @@ class TestProjectWeighted:
         assert sol.x.tolist() == [0.2, 0.1]
         assert sol.value == 0.0
 
-    def test_empty_polyhedron_reports_infeasible(self):
-        sol = qp.project_weighted(np.zeros(1), np.eye(1),
-                                  A_in=np.array([[1.0], [-1.0]]),
+    def test_empty_polyhedron_reports_infeasible(self, monkeypatch):
+        # x1 <= -1 and -x1 <= -1: the least-distance residual vanishes, so
+        # no start is formed and the solve from x0 reports INFEASIBLE.
+        x0 = np.zeros(1)
+        warms = self.warm_starts(monkeypatch)
+        sol = qp.project_weighted(x0, np.eye(1), A_in=np.array([[1.0], [-1.0]]),
                                   b_in=np.array([-1.0, -1.0]))
+        assert not isinstance(warms[0], qp.QpSolution) and np.array_equal(warms[0], x0)
         assert sol.status == qp.QpStatus.INFEASIBLE
 
     def test_indefinite_weight_rejected(self):
