@@ -10,8 +10,9 @@ measurement says (the estimate-projection method of Simon 2010).  Its
 (x, theta) rows are the tube QP's own rows at the shifted candidate with x
 and theta free, less those whose theta normal is roundoff; only one family,
 the scaled input images below the disturbance allowance, is the estimator's
-own.  The rows constrain the state block and the vertex-matrix entries of
-theta; scheduling-network weights are left free.
+own, and ``rci.TubeQp.at`` forms its rows, ``StepRows.dist``, with the
+model's other rows.  The rows constrain the state block and the
+vertex-matrix entries of theta; scheduling-network weights are left free.
 
 Recursive feasibility.  The controller solves at a model theta_c that it
 keeps while its shifted plan stays optimal there (``tmpc``), and the
@@ -36,6 +37,10 @@ its kept rows to be of that object, solves at them without a rebuild.  The
 model owns a read-only copy of theta_hat: editing zeta in place changes no
 model already returned, and the next ``model()`` sees the edit.
 
+A measurement that is not finite is refused before the update, so it never
+reaches zeta; a model's parameters are checked for finiteness when it is
+constructed (``qlpv.ModelParams``).
+
 A frozen theta is one with zero covariance.  With its rows and columns of P
 and of the process noise exactly 0, the prediction and the gain leave them
 0 and theta unchanged, and the projection moves x alone.
@@ -53,6 +58,10 @@ from . import qlpv, qp
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
 from .tmpc import TubeSolution
+
+# Most negative eigenvalue of P, relative to max(1, |P|_max), that a valid
+# covariance may show by rounding.
+_PSD_TOL = 1e-8
 
 
 @dataclass
@@ -123,11 +132,11 @@ class EstimatorState:
         """C_tilde = [C 0] over the augmented state."""
         return np.hstack([self.C, np.zeros((self.C.shape[0], self.prior.n_theta))])
 
-    def assert_valid_covariance(self, tol: float = 1e-8) -> None:
+    def assert_valid_covariance(self) -> None:
         scale = max(1.0, float(np.abs(self.P).max()))
         if np.abs(self.P - self.P.T).max() > 1e-10 * scale:
             raise ConfigurationError("covariance lost symmetry")
-        if float(np.linalg.eigvalsh(self.P).min()) < -tol * scale:
+        if float(np.linalg.eigvalsh(self.P).min()) < -_PSD_TOL * scale:
             raise ConfigurationError("covariance lost positive semidefiniteness")
 
 
@@ -249,13 +258,15 @@ def constrained_correct(
     rest substituted.  When it fails (a numerically empty polytope) theta
     reverts to its pre-update value, which the construction guarantees
     feasible, x alone is projected, and ``fallback`` is set.  A state,
-    prediction or y of other dimensions than the prior's raises
-    ``ConfigurationError``.
+    prediction or y of other dimensions than the prior's, or a y that is not
+    finite, raises ``ConfigurationError`` before the update.
     """
     state.check_dimensions(zeta_pred, P_pred)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (state.prior.n_y,):
         raise ConfigurationError("measurement dimensions inconsistent with the prior")
+    if not np.isfinite(y).all():
+        raise ConfigurationError("measurement must be finite")
     C_tilde = state.output_map()
     n_x = state.n_x
     K = gain(P_pred, C_tilde, state.Re)

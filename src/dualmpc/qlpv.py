@@ -52,6 +52,8 @@ class ModelParams:
             raise ConfigurationError("output-layer shape mismatch")
         if self.C.shape[1] != n_x:
             raise ConfigurationError("C column count must equal n_x")
+        if not (np.isfinite(self.pack()).all() and np.isfinite(self.C).all()):
+            raise ConfigurationError("model parameters must be finite")
         if np.linalg.matrix_rank(self.C) != self.C.shape[0]:
             raise ConfigurationError("C must have full row rank")
 

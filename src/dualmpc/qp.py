@@ -103,9 +103,8 @@ class QpProblem:
     b_in: np.ndarray
 
     @classmethod
-    def build(cls, H, g, A_in, b_in, check_psd: bool = True) -> "QpProblem":
-        """Validated problem; ``check_psd=False`` skips the eigenvalue check
-        for a caller that has already proved H positive semidefinite."""
+    def build(cls, H, g, A_in, b_in) -> "QpProblem":
+        """Validated problem, H positive semidefinite included."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
         g = np.asarray(g, dtype=float).ravel()
         n = g.size
@@ -115,14 +114,20 @@ class QpProblem:
             A_in=np.atleast_2d(np.asarray(A_in, dtype=float)).reshape(-1, n),
             b_in=np.asarray(b_in, dtype=float).ravel(),
         )
-        prob.validate(check_psd)
+        prob.validate()
+        scale = max(1.0, float(np.abs(H).max()))
+        min_eig = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
+        if min_eig < -1e-9 * scale:
+            raise ConfigurationError(f"H must be positive semidefinite (min eig {min_eig:.3e})")
         return prob
 
     @property
     def n(self) -> int:
         return self.g.size
 
-    def validate(self, check_psd: bool = True) -> None:
+    def validate(self) -> None:
+        """Check the shapes, finiteness and symmetry; :meth:`build` also
+        checks that H is positive semidefinite."""
         n = self.n
         if self.H.shape != (n, n):
             raise ConfigurationError(f"H shape {self.H.shape} incompatible with g size {n}")
@@ -133,11 +138,6 @@ class QpProblem:
         scale = max(1.0, float(np.abs(self.H).max()))
         if np.abs(self.H - self.H.T).max() > 1e-8 * scale:
             raise ConfigurationError("H must be symmetric")
-        if not check_psd:
-            return
-        min_eig = float(np.linalg.eigvalsh(0.5 * (self.H + self.H.T)).min())
-        if min_eig < -1e-9 * scale:
-            raise ConfigurationError(f"H must be positive semidefinite (min eig {min_eig:.3e})")
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x)

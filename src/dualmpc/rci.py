@@ -10,11 +10,13 @@ initial row; :func:`rci_constraint_block` gives its rows and
 
 :meth:`TubeQp.at` is the one place where a model's rows are made: it forms
 the disturbance allowance d and the model rows with room for it, assembles
-the row block, and returns them as a :class:`StepRows`, which forms the
-estimator's dist rows on first use.  A TubeQp keeps nothing per model: the
+the row block, forms the estimator's dist rows, and returns them as a
+:class:`StepRows`.  :meth:`TubeQp.problem` is the one place where a step's
+QP is formed from those rows: g from the reference and, with stages, the
+initial row of the state estimate.  A TubeQp keeps nothing per model: the
 rows, which name their TubeQp, travel with the solution solved at them,
-``tmpc.TubeSolution.rows``, and with its warm start, from which the
-controller and the estimator's polytope read them.
+``RciSolution.rows``, and with its warm start, from which the controller
+and the estimator's polytope read them.
 
 The rows are linear in the vector.  For every scheduling mode i, the images
 of each tube center land in the next center's slack-enlarged set, those of
@@ -25,8 +27,13 @@ disturbance allowance d and the slack q.  These model rows are one
 points.  The fixed rows keep the vertex outputs of every set in the output
 set and its vertex inputs in the tracking share of the input box, and s and
 q nonnegative.  The initial row puts the state estimate in the first set.
-The cost weighs the stages' deviations from the set center, plus the set
-cost, which trades output-tracking error of the center against set size.
+
+The cost is the set-tracking cost of MPC for tracking (Limon, Alvarado,
+Alamo & Camacho 2008): the stages' deviations from the set center, weighed
+by Q = I and, on the last stage, by P = Q / (1 - gamma^2), which gives the
+terminal decrement; plus the set cost, which trades the output-tracking
+error of the center, summed over the template's v vertices, against set
+size.  Only g and a constant depend on the reference.
 """
 
 from __future__ import annotations
@@ -103,13 +110,25 @@ class Layout:
 
 @dataclass(frozen=True, eq=False)
 class RciSolution:
-    """A solution over ``layout``.  x is made read-only, and z and v (one row
-    per stage), z_s, v_s, s, c and q are views of it."""
+    """A solution at ``rows``, over their QP's layout.  x is made read-only,
+    and z and v (one row per stage), z_s, v_s, s, c and q are views of it."""
 
     x: np.ndarray
-    layout: Layout
+    rows: StepRows                # the rows solved at, which name their QP
     cost: float
-    d: np.ndarray                 # the disturbance allowance of the rows
+
+    @property
+    def tube_qp(self) -> TubeQp:
+        return self.rows.tube_qp
+
+    @property
+    def layout(self) -> Layout:
+        return self.tube_qp.layout
+
+    @property
+    def d(self) -> np.ndarray:
+        """The disturbance allowance of the rows."""
+        return self.rows.d
 
     def __post_init__(self):
         self.x.flags.writeable = False
@@ -145,57 +164,6 @@ class RciSolution:
         return self.x[self.layout.q]
 
 
-def default_weights(n_y: int, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
-    """(Q1, Q2) tuning on ``lay``'s x_r: strong output tracking, mild center/input preference."""
-    Q1 = 10.0 * np.eye(n_y)
-    Q2 = np.zeros((lay.dim, lay.dim))
-    Q2[lay.z_s, lay.z_s] = 1e-6 * np.eye(lay.n_x)
-    Q2[lay.v_s, lay.v_s] = 1e-6 * np.eye(lay.n_u)
-    Q2[lay.s, lay.s] = 10.0 * np.eye(lay.f)
-    Q2[lay.c, lay.c] = np.eye(lay.v * lay.n_u)
-    Q2[lay.q, lay.q] = np.eye(lay.f)
-    return Q1, Q2
-
-
-@dataclass(frozen=True, eq=False)
-class SetCost:
-    """Set-tracking objective 0.5 x' H x + g' x + constant on ``lay``'s x_r, where
-    only g (G y_ref on z_s) and the constant depend on the reference.  The output
-    term is summed over all vertices of the template, so it enters with multiplicity v."""
-
-    H: np.ndarray
-    G: np.ndarray
-    Q1: np.ndarray
-    lay: Layout
-
-    @classmethod
-    def build(cls, template: PolytopeTemplate, C: np.ndarray, lay: Layout) -> "SetCost":
-        """The cost with the weights of :func:`default_weights`."""
-        Q1, Q2 = default_weights(C.shape[0], lay)
-        H = 2.0 * Q2
-        H[lay.z_s, lay.z_s] += 2.0 * lay.v * C.T @ Q1 @ C
-        return cls(H, -2.0 * lay.v * C.T @ Q1, Q1, lay)
-
-    def at(self, y_ref: np.ndarray) -> tuple[np.ndarray, float]:
-        """(g, constant) at the reference; g must be finite, and a y_ref of
-        another size than C's outputs raises ``ConfigurationError``."""
-        y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
-        if y_ref.shape != (len(self.Q1),):
-            raise ConfigurationError(f"y_ref has shape {y_ref.shape}, not ({len(self.Q1)},)")
-        g = np.zeros(self.lay.dim)
-        g[self.lay.z_s] = self.G @ y_ref
-        if not np.isfinite(g).all():
-            raise ConfigurationError("problem data must be finite")
-        return g, float(self.lay.v * y_ref @ self.Q1 @ y_ref)
-
-
-def stage_weights(gamma: float, n_x: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, P) of the stage deviations: Q = I, and P = Q / (1 - gamma^2), on the
-    last stage, gives the terminal decrement."""
-    Q = np.eye(n_x + n_u)
-    return Q, Q / (1.0 - gamma ** 2)
-
-
 def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.ModeRows:
     """Tube propagation and terminal rows over the full vector.
 
@@ -218,30 +186,24 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.Mod
 class StepRows:
     """The rows A y <= b of a step at the model ``params``: ``mode``, the
     model rows with -d at the vertex points, then the fixed rows and the
-    initial row.  b's initial row is 0: a step writes -F x_hat there in a
-    copy of b.  d, A, b and :attr:`dist` are read-only."""
+    initial row.  b's initial row is 0: :meth:`TubeQp.problem` writes
+    -F x_hat there in a copy of b.  ``dist`` holds the rows over theta of
+    F B_i r at the QP's dist points (0, r), mode-major, in params' theta
+    layout, which only the estimator's polytope reads.  d, A, b and dist are
+    read-only."""
 
     params: qlpv.ModelParams
     d: np.ndarray                 # the disturbance allowance
     mode: qlpv.ModeRows
     A: np.ndarray
     b: np.ndarray
+    dist: np.ndarray
     tube_qp: TubeQp               # the QP whose rows these are
-
-    @functools.cached_property
-    def dist(self) -> np.ndarray:
-        """The rows over theta of F B_i r at the QP's dist points (0, r),
-        mode-major, in params' theta layout, formed on first use: only the
-        estimator's polytope reads them."""
-        dist = qlpv.theta_rows(self.params, self.mode.F, self.tube_qp.dist_points)
-        dist = dist.reshape(-1, self.params.n_theta)
-        dist.flags.writeable = False
-        return dist
 
 
 @dataclass(frozen=True, eq=False)
 class TubeQp:
-    """The QP over ``layout``; :meth:`at` and ``set_cost.at`` fill in a step.
+    """The QP over ``layout``; :meth:`at` and :meth:`problem` fill in a step.
     Its rows: ``mode`` at the tube points, then at the vertex points
     z_s + V_j s with inputs v_s + c_j; the fixed rows; the initial row, which
     the zero-stage build has not.  It holds no model's rows; change none of
@@ -253,11 +215,12 @@ class TubeQp:
     eps_u: np.ndarray
     layout: Layout
     H: np.ndarray
-    set_cost: SetCost             # the x_r part of the cost; its ``at`` gives g
+    G: np.ndarray                 # g[z_s] = G y_ref
+    Q1: np.ndarray                # the output weight
     mode: qlpv.ModeRows           # model rows with h = 0; ``at`` sets -d
     A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
     b_fixed: np.ndarray           # then the sign rows of x_r
-    initial: np.ndarray           # G with G y <= -F x_hat; no rows without stages
+    initial: np.ndarray           # rows with initial y <= -F x_hat; none without stages
     dist_points: np.ndarray       # the estimator's dist points (0, r)
 
     @classmethod
@@ -270,13 +233,20 @@ class TubeQp:
                 f"template has n_x={template.n_x}, n_u={template.n_u}; C has shape {C.shape}, "
                 f"eps_u {np.size(eps_u)} entries and Y {Y.H.shape[1]} columns")
         lay = Layout.of(template, stages)
-        Q, P = stage_weights(gamma, lay.n_x, lay.n_u)
-        H = np.zeros((lay.dim, lay.dim))
+        # Stage deviations weigh Q = I, the last one P = Q / (1 - gamma^2).
+        Q, H = np.eye(lay.stage), np.zeros((lay.dim, lay.dim))
         for k, D in enumerate(lay.deviations):
-            W = P if k == stages - 1 else Q
+            W = Q / (1.0 - gamma ** 2) if k == stages - 1 else Q
             H += 2.0 * D.T @ W @ D
-        set_cost = SetCost.build(template, C, lay)
-        H += set_cost.H
+        # The set cost: strong output tracking of the center, mild center and
+        # input preference, and the set size through s, c and q.  It is summed
+        # apart and then added to the stage terms, an order H's rounding keeps.
+        Q1 = 10.0 * np.eye(len(C))
+        w = np.zeros(lay.dim)
+        w[lay.center], w[lay.s], w[lay.c], w[lay.q] = 1e-6, 10.0, 1.0, 1.0
+        H_set = np.diag(2.0 * w)
+        H_set[lay.z_s, lay.z_s] += 2.0 * lay.v * C.T @ Q1 @ C
+        H += H_set
 
         # Vertex points S_j x = (z_s + V_j s, v_s + c_j), each vertex with its input,
         # whose mode images stay inside the set with room for the disturbance d and slack q.
@@ -312,11 +282,11 @@ class TubeQp:
         # -r as those of r reordered.
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
         dist = np.hstack([np.zeros((len(signs), lay.n_x)), beta * signs * eps_u])
-        return cls(template, gamma, beta, eps_u, lay, H, set_cost, mode, A_fixed, b_fixed,
-                   initial if stages else initial[:0], dist)
+        return cls(template, gamma, beta, eps_u, lay, H, -2.0 * lay.v * C.T @ Q1, Q1, mode,
+                   A_fixed, b_fixed, initial if stages else initial[:0], dist)
 
     def at(self, params: qlpv.ModelParams) -> StepRows:
-        """The rows and d at params, built anew on every call.
+        """The rows, d and dist rows at params, built anew on every call.
         The build checks the template's n_x and n_u against the model's and
         the model rows for finiteness."""
         lay = self.layout
@@ -333,9 +303,35 @@ class TubeQp:
             raise ConfigurationError("problem data must be finite")
         A = np.concatenate([A_model, self.A_fixed, self.initial])
         b = np.concatenate([b_model, self.b_fixed, np.zeros(len(self.initial))])
-        for a in (d, A, b):
+        dist = qlpv.theta_rows(params, self.mode.F, self.dist_points).reshape(-1, params.n_theta)
+        for a in (d, A, b, dist):
             a.flags.writeable = False
-        return StepRows(params, d, mode, A, b, self)
+        return StepRows(params, d, mode, A, b, dist, self)
+
+    def problem(self, rows: StepRows, y_ref: np.ndarray,
+                x_hat: np.ndarray | None = None) -> tuple[qp.QpProblem, float]:
+        """The step's QP at ``rows`` and its cost's constant: g from y_ref
+        and, when the QP has stages, -F x_hat in b's initial row, written
+        into a copy of b; without stages b is ``rows.b`` itself and x_hat is
+        not read.  A y_ref of another size than C's outputs, an x_hat of
+        another size than n_x or not finite, or g or b not finite raises
+        ``ConfigurationError``."""
+        lay = self.layout
+        y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
+        if y_ref.shape != (len(self.Q1),):
+            raise ConfigurationError(f"y_ref has shape {y_ref.shape}, not ({len(self.Q1)},)")
+        g = np.zeros(lay.dim)
+        g[lay.z_s] = self.G @ y_ref
+        b = rows.b
+        if len(self.initial):
+            x_hat = np.asarray(x_hat, dtype=float).ravel()
+            if x_hat.size != lay.n_x or not np.isfinite(x_hat).all():
+                raise ConfigurationError(f"x_hat must be n_x={lay.n_x} finite entries")
+            b = b.copy()
+            b[-len(self.initial):] = -self.mode.F @ x_hat
+        if not (np.isfinite(g).all() and np.isfinite(b).all()):
+            raise ConfigurationError("problem data must be finite")
+        return qp.QpProblem(self.H, g, rows.A, b), float(lay.v * y_ref @ self.Q1 @ y_ref)
 
 
 def tube_qp(template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
@@ -353,7 +349,7 @@ def _tube_qp(template, Y, beta, eps_u: bytes, C: bytes, n_y: int, gamma, stages)
                       np.frombuffer(C).reshape(n_y, -1), gamma, stages)
     # H is positive semidefinite by construction: validate it with the fixed
     # rows, without eigvalsh.
-    qp.QpProblem.build(tq.H, np.zeros(tq.layout.dim), tq.A_fixed, tq.b_fixed, check_psd=False)
+    qp.QpProblem(tq.H, np.zeros(tq.layout.dim), tq.A_fixed, tq.b_fixed).validate()
     return tq
 
 
@@ -383,8 +379,8 @@ def solve_optimal_rci(
     A solve that is not optimal gives x_r = 0 and cost inf."""
     tq = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0)
     rows = tq.at(params)
-    g, const = tq.set_cost.at(y_ref)
-    sol = qp.solve(qp.QpProblem(tq.H, g, rows.A, rows.b))
+    prob, const = tq.problem(rows, y_ref)
+    sol = qp.solve(prob)
     if sol.status != qp.QpStatus.OPTIMAL:
-        return RciSolution(np.zeros(tq.layout.dim), tq.layout, float("inf"), rows.d), sol
-    return RciSolution(sol.x, tq.layout, sol.value + const, rows.d), sol
+        return RciSolution(np.zeros(tq.layout.dim), rows, float("inf")), sol
+    return RciSolution(sol.x, rows, sol.value + const), sol

@@ -12,14 +12,17 @@ builds it once, validates its H and fixed rows then, and caches it by the
 identity of template and Y and the values of beta, gamma, N, eps_u and C.
 A model's rows, ``rci.TubeQp.at``, are built when the controller takes that
 model, and then travel with the solution and its warm start: d, the model
-rows and the assembled row block, all read-only, built once per model and
-checked then.  A step writes only b's initial row, -F x_hat, into a copy of
-b, and g from y_ref, and checks both for finiteness.  So the cache keys do
-not see an edit made in place: change no ModelParams, cfg, template or Y,
-nor a TubeQp's arrays, in place.
+rows, the assembled row block and the estimator's dist rows, all read-only,
+built once per model and checked then.  A step's QP at those rows comes
+from ``rci.TubeQp.problem``, which writes only b's initial row, -F x_hat,
+into a copy of b, and g from y_ref, and checks both for finiteness.  So the
+cache keys do not see an edit made in place: change no ModelParams, cfg,
+template or Y, nor a TubeQp's arrays, in place.
 
 A :class:`TubeSolution` is the solver's x, read-only, with its parts as
-views, the rows it was solved with, and its time-shifted plan:
+views, the rows it was solved with, from which it reads its layout, d and
+TubeQp, the solver's result, from which it reads its status, and its
+time-shifted plan:
 :func:`warm_start_vector` gives the plan to the next solve with this solve's
 duals and rows, and the estimator's polytope is formed from the same rows
 at the same array.
@@ -83,15 +86,12 @@ class TubeSolution(rci.RciSolution):
     ``shifted`` is its time-shifted plan at the controller's gamma, read-only
     like x; ``dataclasses.replace(sol, x=...)`` makes both anew."""
 
-    status: qp.QpStatus
     qp_solution: qp.QpSolution
-    rows: rci.StepRows            # the rows at the model solved for
     shifted: np.ndarray = field(init=False, repr=False)
 
     @property
-    def tube_qp(self) -> rci.TubeQp:
-        """The controller's prebuilt QP, which the rows name."""
-        return self.rows.tube_qp
+    def status(self) -> qp.QpStatus:
+        return self.qp_solution.status
 
     def __post_init__(self):
         super().__post_init__()
@@ -125,34 +125,23 @@ def solve_tmpc(
     to the solve at params.  ``rows`` and d are those of the model solved
     for.  An x_hat or y_ref of another size than the controller's raises
     ``ConfigurationError``."""
-    x_hat = np.asarray(x_hat, dtype=float).ravel()
     tq = rci.tube_qp(template, cfg.beta, eps_u, Y, params.C, cfg.gamma, cfg.N + 1)
-    if x_hat.size != tq.layout.n_x:
-        raise ConfigurationError(f"x_hat has {x_hat.size} entries, not n_x={tq.layout.n_x}")
-    g, const = tq.set_cost.at(y_ref)
-
-    def problem(rows: rci.StepRows) -> qp.QpProblem:
-        b = rows.b.copy()
-        b[-len(tq.initial):] = -tq.mode.F @ x_hat
-        if not np.isfinite(b).all():
-            raise ConfigurationError("problem data must be finite")
-        return qp.QpProblem(tq.H, g, rows.A, b)
-
-    kept = kept_qp = sol = None
+    kept = sol = None
     if isinstance(warm_start, TubeWarmStart) and warm_start.rows.tube_qp is tq:
-        kept, kept_qp = warm_start.rows, problem(warm_start.rows)
+        kept = warm_start.rows
+        kept_qp, const = tq.problem(kept, y_ref, x_hat)
         sol = qp.accept_warm_start(kept_qp, warm_start)
         warm_start = warm_start.x     # tested: the solves below start from it
     rows = kept
     if sol is None:
         rows = kept if kept is not None and kept.params is params else tq.at(params)
-        sol = qp.solve(kept_qp if rows is kept else problem(rows), warm_start=warm_start)
+        prob, const = (kept_qp, const) if rows is kept else tq.problem(rows, y_ref, x_hat)
+        sol = qp.solve(prob, warm_start=warm_start)
         if sol.status != qp.QpStatus.OPTIMAL and kept is not None and rows is not kept:
             retry = qp.solve(kept_qp, warm_start=warm_start)
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
-    return TubeSolution(x=sol.x, layout=tq.layout, cost=sol.value + const, d=rows.d,
-                        status=sol.status, qp_solution=sol, rows=rows)
+    return TubeSolution(x=sol.x, rows=rows, cost=sol.value + const, qp_solution=sol)
 
 
 def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,23 @@ class TestConstrainedCorrect:
         y = state.output_map() @ zeta_pred
         res = estimator.constrained_correct(state, zeta_pred, P_pred, y, None)
         assert res.zeta == pytest.approx(zeta_pred, abs=1e-12)
+
+    @pytest.mark.parametrize("with_poly", [False, True], ids=["no-polytope", "polytope"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_measurement_rejected_before_the_update(self, tube_setup, bad,
+                                                                with_poly):
+        # Without a polytope a NaN y gave a NaN zeta, and an inf y a
+        # non-finite one after a RuntimeWarning; with one, the projection
+        # rejected its data later.  No warning precedes the error now.
+        model, x_hat, sol = tube_setup
+        state = estimator.EstimatorState.from_model(model, x0=x_hat)
+        zeta_pred, P_pred = estimator.predict(state, np.array([0.1]))
+        poly = (estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
+                if with_poly else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="measurement must be finite"):
+                estimator.constrained_correct(state, zeta_pred, P_pred, np.array([bad]), poly)
 
     def test_halfspace_toy_projection(self):
         # 1-D state, theta frozen: posterior mean 1.5 with unit posterior

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -52,6 +53,17 @@ def test_model_without_modes_rejected(small_model):
     m = small_model
     with pytest.raises(ConfigurationError, match="one matrix per scheduling mode"):
         dataclasses.replace(m, A=[], B=[], W2=m.W2[:0], b2=m.b2[:0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["A", "B", "W1", "b1", "W2", "b2", "C"])
+def test_non_finite_parameters_rejected(small_model, name, bad):
+    # Before the check, a NaN in C raised LinAlgError from the rank test, and
+    # a NaN in W1 gave a model whose tube QP solved while its filter went NaN.
+    value = copy.deepcopy(getattr(small_model, name))
+    (value[-1] if isinstance(value, list) else value).flat[0] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        dataclasses.replace(small_model, **{name: value})
 
 
 class TestScheduling:

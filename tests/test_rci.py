@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualmpc import qlpv, qp, rci
+from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
 from oracles import perturbation_vertices, set_vertices, vertex_input, verify_rci
@@ -68,10 +69,15 @@ def test_layout_partitions_the_vector(n_x, n_u):
     # problem (no stages) and the tube QPs of N = 1, 2, 3 (N + 1 stages).
     template = box_template(n_x, n_u)
     f, v = template.n_rows, template.n_vertices
+    model = qlpv.ModelParams(A=[0.5 * np.eye(n_x)], B=[np.ones((n_x, n_u))],
+                             W1=np.zeros((3, n_x + n_u)), b1=np.zeros(3),
+                             W2=np.zeros((1, 3)), b2=np.zeros(1), C=np.eye(1, n_x))
     for stages in (0, 2, 3, 4):
+        rows = rci.tube_qp(template, 0.0, np.ones(n_u), Y, model.C, 0.5, stages).at(model)
         lay = rci.Layout.of(template, stages)
         assert lay.dim == stages * (n_x + n_u) + n_x + n_u + 2 * f + v * n_u
-        sol = rci.RciSolution(np.arange(lay.dim, dtype=float), lay, 0.0, np.zeros(f))
+        sol = rci.RciSolution(np.arange(lay.dim, dtype=float), rows, 0.0)
+        assert sol.layout == lay and sol.d is rows.d and sol.tube_qp is rows.tube_qp
         assert sol.z.shape == (stages, n_x) and sol.v.shape == (stages, n_u)
         parts = [sol.z, sol.v, sol.z_s, sol.v_s, sol.s, sol.c, sol.q]
         assert all(np.shares_memory(p, sol.x) for p in parts if p.size)
@@ -85,6 +91,47 @@ def test_layout_partitions_the_vector(n_x, n_u):
         assert lay.deviations.shape == (stages, lay.stage, lay.dim)
         assert np.array_equal(lay.deviations @ sol.x,
                               np.hstack([sol.z, sol.v]) - sol.x[lay.center])
+
+
+class TestProblem:
+    """TubeQp.problem, which forms a step's QP at a model's rows."""
+
+    def test_zero_stage_b_is_the_rows_b(self, small_model):
+        tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.0, 0)
+        rows = tq.at(small_model)
+        prob, const = tq.problem(rows, [0.2])
+        assert prob.b_in is rows.b and prob.A_in is rows.A and prob.H is tq.H
+        assert const == float(TEMPLATE.n_vertices * 0.2 * 10.0 * 0.2)
+
+    def test_staged_b_is_a_copy_with_the_initial_row(self, small_model):
+        tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.95, 3)
+        rows, x_hat = tq.at(small_model), np.array([0.2, -0.1])
+        before = rows.b.tobytes()
+        prob, _ = tq.problem(rows, [0.2], x_hat)
+        f = TEMPLATE.n_rows
+        assert prob.b_in is not rows.b and rows.b.tobytes() == before
+        assert prob.b_in[:-f].tobytes() == rows.b[:-f].tobytes()
+        assert np.array_equal(prob.b_in[-f:], -TEMPLATE.F @ x_hat)
+        # g is G y_ref on z_s and 0 elsewhere.
+        g = np.zeros(tq.layout.dim)
+        g[tq.layout.z_s] = tq.G @ [0.2]
+        assert prob.g.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("stages", [0, 3])
+    def test_reference_of_another_shape_rejected(self, small_model, stages):
+        tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.5, stages)
+        rows = tq.at(small_model)
+        for y_ref in ([0.1, 0.2], np.zeros((1, 1)), []):
+            with pytest.raises(ConfigurationError, match="y_ref has shape"):
+                tq.problem(rows, y_ref, np.zeros(2))
+
+    def test_non_finite_state_or_reference_rejected(self, small_model):
+        tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.95, 3)
+        rows = tq.at(small_model)
+        for x_hat, y_ref in (([np.nan, 0.0], [0.1]), ([0.0, np.inf], [0.1]),
+                             ([0.0, 0.0], [np.nan]), ([0.0, 0.0, 0.0], [0.1])):
+            with pytest.raises(ConfigurationError, match="finite"):
+                tq.problem(rows, y_ref, np.array(x_hat))
 
 
 class TestSolveOptimalRci:
@@ -102,7 +149,7 @@ class TestSolveOptimalRci:
         model = stable_single_mode()
         lay = rci.Layout.of(TEMPLATE, 0)
         y_ref = np.array([0.5])
-        Q1, _ = rci.default_weights(1, lay)
+        Q1 = 10.0 * np.eye(1)
         H = 2.0 * (1e-8 + 1e-10) * np.eye(lay.dim)
         H[lay.z_s, lay.z_s] += 2.0 * lay.v * model.C.T @ Q1 @ model.C
         g = np.zeros(lay.dim)
@@ -118,8 +165,9 @@ class TestSolveOptimalRci:
         sol, qsol = rci.solve_optimal_rci(model, y_ref, TEMPLATE, 0.1, EPS_U, Y)
         A, b = rci.rci_constraint_block(model, TEMPLATE, 0.1, EPS_U, Y)
         lay = rci.Layout.of(TEMPLATE, 0)
-        cost = rci.SetCost.build(TEMPLATE, model.C, lay)
-        H, (g, const) = cost.H, cost.at(y_ref)
+        tq = rci.tube_qp(TEMPLATE, 0.1, EPS_U, Y, model.C, 0.0, 0)
+        prob, const = tq.problem(tq.at(model), y_ref)
+        H, g = prob.H, prob.g
         for _ in range(25):
             target = qsol.x + rng.normal(scale=0.1, size=lay.dim)
             proj = qp.project_weighted(target, np.eye(lay.dim), A_in=A, b_in=b)

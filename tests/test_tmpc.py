@@ -52,7 +52,13 @@ def test_invalid_configs_rejected():
 
 
 def test_default_terminal_weight_zeroes_decrement_matrix():
-    Q, P = rci.stage_weights(CFG.gamma, 2, 1)
+    # H's diagonal block of stage k is 2 Q, and of the last stage 2 P: only
+    # the deviation of that stage from the set center weighs it.
+    tq = rci.tube_qp(TEMPLATE, CFG.beta, EPS_U, Y, np.array([[1.0, 0.0]]), CFG.gamma, CFG.N + 1)
+    n = tq.layout.stage
+    first, last = slice(0, n), slice(CFG.N * n, (CFG.N + 1) * n)
+    Q, P = tq.H[first, first] / 2.0, tq.H[last, last] / 2.0
+    assert np.array_equal(Q, np.eye(3))
     M = Q + CFG.gamma ** 2 * P - P
     assert np.abs(M).max() <= 1e-12
 
@@ -212,9 +218,7 @@ def moved_model(model):
 
 def step_problem(tq, rows, x_hat, y_ref):
     """The tube QP of tq at ``rows`` with the initial row of x_hat and the g of y_ref."""
-    b = rows.b.copy()
-    b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ np.asarray(x_hat, dtype=float)
-    return qp.QpProblem(tq.H, tq.set_cost.at(np.atleast_1d(y_ref))[0], rows.A, b)
+    return tq.problem(rows, y_ref, x_hat)[0]
 
 
 class TestKeptModel:
@@ -355,7 +359,7 @@ class TestLyapunov:
     def test_frozen_theta_decrease_along_nominal_loop(self, model):
         y_ref = np.array([0.4])
         rci_sol, _ = rci.solve_optimal_rci(model, y_ref, TEMPLATE, CFG.beta, EPS_U, Y)
-        Q, _ = rci.stage_weights(CFG.gamma, 2, 1)
+        Q = np.eye(3)
         x_hat = np.array([0.3, -0.3])
         sol = solve(model, x_hat, y_ref)
         assert sol.status == qp.QpStatus.OPTIMAL
@@ -456,8 +460,11 @@ def assemble_from_scratch(params, x_hat, y_ref, cfg, template, Y, eps_u):
     b = np.concatenate([b_model.ravel(), np.tile(h_box, (cfg.N + 1) * xr.v),
                         np.tile(h_box, xr.v), np.zeros(2 * xr.f), -F @ x_hat])
 
-    Q, P = rci.stage_weights(cfg.gamma, lay.n_x, lay.n_u)
-    Q1, Q2 = rci.default_weights(params.n_y, xr)
+    Q = np.eye(lay.stage)
+    P = Q / (1.0 - cfg.gamma ** 2)
+    Q1 = 10.0 * np.eye(params.n_y)
+    Q2 = np.diag(np.concatenate([np.full(xr.stage, 1e-6), np.full(xr.f, 10.0),
+                                 np.ones(xr.v * xr.n_u), np.ones(xr.f)]))
     H, g = np.zeros((lay.dim, lay.dim)), np.zeros(lay.dim)
     for k, D in enumerate(lay.deviations):
         W = P if k == cfg.N else Q
@@ -503,18 +510,14 @@ def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
     Y_n = Hpoly.box(0.8 * np.ones(n_y))
     for model, x_hat, y_ref in random_settings(np.random.default_rng(31 + cfg.N), n_y):
         tq = rci.TubeQp.build(TEMPLATE, cfg.beta, EPS_U, Y_n, model.C, cfg.gamma, cfg.N + 1)
-        rows = tq.at(model)
-        b = rows.b.copy()
-        b[-len(tq.initial):] = -TEMPLATE.F @ x_hat
-        g, const = tq.set_cost.at(y_ref)
-        built = (rows.A, b, tq.H, g)
+        prob, const = tq.problem(tq.at(model), y_ref, x_hat)
+        built = (prob.A_in, prob.b_in, prob.H, prob.g)
         for got, want in zip(built, assemble_from_scratch(model, x_hat, y_ref, cfg,
                                                           TEMPLATE, Y_n, EPS_U)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # H is positive semidefinite by construction, so the solve skips the check.
         assert np.linalg.eigvalsh(tq.H).min() >= -1e-9 * np.abs(tq.H).max()
-        Q1, _ = rci.default_weights(n_y, tq.layout)
-        assert const == float(TEMPLATE.n_vertices * y_ref @ Q1 @ y_ref)
+        assert const == float(TEMPLATE.n_vertices * y_ref @ (10.0 * np.eye(n_y)) @ y_ref)
 
 
 def test_cache_never_serves_another_controllers_qp(model):
