@@ -16,17 +16,21 @@ vertex-matrix entries of theta; scheduling-network weights are left free.
 
 Recursive feasibility.  The controller solves at a model theta_c that it
 keeps while its shifted plan stays optimal there (``tmpc``), and the
-polytope is built from the rows of the last tube, ``tube.rows``, at theta_c.
-Let y be that tube's shifted plan and (x, theta) the projected estimate,
-which meets every row of the polytope.  If the next tube keeps theta_c, y
-is feasible for it by the time-shift argument of tube MPC: its model rows
-and d are unchanged, and the state_s row puts x in the first shifted set,
-which is the next QP's initial row at y.  If the next tube replaces theta_c
-by theta, y is feasible there too: the model rows of the polytope are the
-tube QP's own rows at y with theta free, and the dist rows keep theta's
-scaled input image below the kept d, so theta's disturbance allowance is at
-most the one the rows at y were written with.  Either way the next tube QP
-has a feasible point, whatever the measurement said.
+polytope is built from the rows of the last tube, ``tube.rows``, at theta_c,
+untightened: without the margin delta (``rci.MARGIN``) of the QP the
+controller solves.  Let y be that tube's shifted plan and (x, theta) the
+projected estimate, which meets every row of the polytope.  At theta_c, y
+is feasible for the next untightened rows by the time-shift argument of
+tube MPC: its model rows and d are unchanged, and the state_s row puts x in
+the first shifted set, which is the next QP's initial row at y.  At the
+estimate's theta, y is feasible for them too: the model rows of the
+polytope are the tube QP's own rows at y with theta free, and the dist rows
+keep theta's scaled input image below the kept d, so theta's disturbance
+allowance is at most the one the rows at y were written with.  The
+controller first solves at delta, whose exact optimum leaves the estimate
+delta of room in each row; when that solve is not ``OPTIMAL``, it solves
+once more at theta_c's rows with delta = 0, where y is feasible.  Either
+way the next tube QP has a feasible point, whatever the measurement said.
 
 The state keeps the model it started from, ``prior``: its shapes give
 theta's layout and its C the output map, and the model at the estimate is

@@ -207,6 +207,8 @@ def theta_rows(params: ModelParams, F: np.ndarray, points: np.ndarray) -> np.nda
     n_x, n_u, n_p = params.n_x, params.n_u, params.n_p
     n_a, n_b = n_x * n_x, n_x * n_u
     out = np.zeros((n_p, len(points), F.shape[0], params.n_theta))
+    if not len(points):
+        return out
     dA = np.einsum("ak,pl->pakl", F, points[:, :n_x]).reshape(out.shape[1:3] + (n_a,))
     dB = np.einsum("ak,pl->pakl", F, points[:, n_x:]).reshape(out.shape[1:3] + (n_b,))
     for i in range(n_p):

@@ -5,8 +5,9 @@ Solves problems of the one form the package poses,
     min  0.5 x'Hx + g'x
     s.t. A_in x <= b_in,
 
-with a Mehrotra predictor-corrector interior-point iteration over dense
-matrices; a problem without rows is rejected.  Every
+from the exact solution of its least-distance form, and else with a
+Mehrotra predictor-corrector interior-point iteration over dense matrices; a
+problem without rows is rejected.  Every
 optimization in this package (invariant-set synthesis, the tube controller,
 the constrained estimator correction) is dispatched through :func:`solve`.
 
@@ -22,11 +23,26 @@ large norm is not asked for more significant digits than one of norm 1.  The
 same rule decides the interior-point loop and the acceptance of a warm
 start.
 
+Every QP :func:`solve` meets starts from its exact solution.  With H
+positive definite, H^-1 = T T', the QP is the projection of its
+unconstrained minimiser x_u = -H^-1 g in the metric H: in z = T^-1 (x - x_u)
+it is the least-distance problem min |z| s.t. -W'z >= r, with W = T'A_in'
+and r = A_in x_u - b_in, and one non-negative least-squares solve gives its
+solution and multipliers (Lawson & Hanson 1974, ch. 23; the dual start of
+Goldfarb & Idnani 1983).  As in OSQP's solution polishing (Stellato et al.
+2020), the start's KKT test decides: a point exact to rounding, rather than
+to the scaled ``tol``, is returned with 0 iterations.  An H that does not
+factor and a least-distance solve that fails or finds the rows empty leave
+the problem to the interior-point iteration, and so does a start the test
+rejects, from which the iteration then starts.
+
 A warm start is read for its ``x`` and ``ineq_duals`` only: when they meet
 the KKT test (:func:`accept_warm_start`, which the tube controller also
-calls to keep its model) they are returned with 0 iterations, otherwise x
-alone seeds the iteration.  Duals of a nearby problem are a poorly centred
-start (Yildirim & Wright 2002), on which some solves stalled near the optimum.
+calls to keep its model) they are returned with 0 iterations, before the
+exact start is formed; otherwise x alone seeds the interior-point iteration
+when there is no exact start.  Duals of a nearby problem are a poorly
+centred start (Yildirim & Wright 2002), on which some solves stalled near
+the optimum.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
 at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s
@@ -34,18 +50,13 @@ then scales every dual iterate by s and keeps the primal ones and the
 iteration count (up to the floor of 1 and the step rule max(0.99, 1 - mu)
 near the end).
 
-A projection (:func:`project_weighted`) warm-starts from its exact solution
-and duals, which one non-negative least-squares solve of its least-distance
-form gives (Lawson & Hanson 1974, ch. 23).  As in OSQP's solution polishing
-(Stellato et al. 2020), the warm start's KKT test decides: a point exact to
-rounding, rather than to the scaled ``tol``, is returned with 0 iterations.
-
-Each iteration evaluates the KKT residuals once: one matvec with [H; A_in]
-gives Hx and A_in x, and the predictor reuses the A_in' lam computed there.
-Predictor and corrector share one Cholesky factorization of the positive
-definite K = H + A_in' D A_in (Wright 1997, ch. 11; Rao, Wright & Rawlings
-1998).  The iterate (x, w, lam) is one vector stepped in place; one ratio
-test over (w, lam) bounds each step.
+Each iteration evaluates the KKT residuals once, and the predictor reuses
+the A_in' lam computed there.  Predictor and corrector share one Cholesky
+factorization of the positive definite K = H + _RIDGE I + A_in' D A_in
+(Wright 1997, ch. 11; Rao, Wright & Rawlings 1998); the ridge lets a
+semidefinite H factor, and enters nothing else, the KKT test included.  The
+iterate (x, w, lam) is one vector stepped in place; one ratio test over
+(w, lam) bounds each step.
 
 The solver is deterministic: identical inputs produce identical iterates.  It
 never raises on a numerical failure: a non-finite iterate or Newton matrix,
@@ -57,8 +68,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import nnls
@@ -72,15 +81,15 @@ class QpStatus(Enum):
     MAX_ITER = "max_iter"
 
 
-# Ridge added to H, and relative to its scale to a singular projection
-# covariance, so positive-semidefinite matrices factor reliably.
+# Ridge added to the Newton matrix, and relative to its scale to a singular
+# projection covariance, so positive-semidefinite matrices factor reliably.
 _RIDGE = 1e-10
 # Iterations of primal-residual stagnation before declaring infeasibility.
 _STALL_WINDOW = 50
 # Interior-point iterations before giving up with the best point seen.
 _MAX_ITER = 500
-# The least-distance solve of project_weighted gives s = 1 / (1 + |z|^2),
-# which an empty polytope makes 0; at or below this the candidate is dropped.
+# The least-distance solve gives s = 1 / (1 + |z|^2), which an empty
+# polytope makes 0; at or below this the start is dropped.
 _LDP_EMPTY = 1e-12
 
 
@@ -91,16 +100,17 @@ class QpProblem:
     :meth:`build` validates a problem and the solver does not.
     ``rci.tube_qp`` validates the H and fixed rows of each ``rci.TubeQp``
     once, and its users construct each problem directly, as
-    :func:`project_weighted` does after checking its own data.  The first KKT
-    test of a problem forms its :attr:`stacked` arrays, which every later
-    test and solve of the same object reuses: change none of its arrays in
-    place.
+    :func:`project_weighted` does after checking its own data.
+    ``unconstrained`` is (T, x_u) with T T' = H^-1 and x_u = -H^-1 g, when
+    the code that forms the problem already holds them; :func:`solve` forms
+    its exact start from it, and without it factors H itself.
     """
 
     H: np.ndarray
     g: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
+    unconstrained: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, H, g, A_in, b_in) -> "QpProblem":
@@ -142,15 +152,6 @@ class QpProblem:
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.H @ x + self.g @ x)
 
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(HA, At, g_inf) of :func:`_kkt_residual`: [H + _RIDGE I; A_in],
-        A_in' and |g|_inf."""
-        HA = np.concatenate([self.H, self.A_in])
-        HA[:self.n].flat[::self.n + 1] += _RIDGE
-        g_inf = float(np.maximum.reduce(np.abs(self.g), initial=0.0))
-        return HA, np.ascontiguousarray(self.A_in.T), g_inf
-
 
 @dataclass
 class QpSolution:
@@ -168,18 +169,16 @@ class QpSolution:
 
 def _kkt_residual(prob: QpProblem, x, lam):
     """(scaled KKT residual, absolute primal infeasibility, r_d, r_in, A_in' lam)
-    at a primal-dual point, where r_d = Hx + g + A_in' lam and r_in = A_in x - b_in
-    feed the Newton step; one matvec with ``prob.stacked``'s [H; A_in] gives Hx
-    and A_in x."""
-    HA, At, g_inf = prob.stacked
-    Hx_Ax, n, m = HA @ x, x.size, lam.size
-    Hx, r_in, Atl = Hx_Ax[:n], Hx_Ax[n:] - prob.b_in, At @ lam
+    at a primal-dual point of the QP as posed, where r_d = Hx + g + A_in' lam
+    and r_in = A_in x - b_in feed the Newton step."""
+    n, m = x.size, lam.size
+    Hx, r_in, Atl = prob.H @ x, prob.A_in @ x - prob.b_in, lam @ prob.A_in
     r_d = Hx + prob.g + Atl
-    # One reduction gives |Hx|, |A_in' lam|, |r_d|, |lam o r_in|, max r_in and -min lam.
-    parts = np.concatenate([Hx, Atl, r_d, lam * r_in, r_in, -lam])
-    np.abs(parts[:3 * n + m], out=parts[:3 * n + m])
-    Hx_inf, Atl_inf, stat, comp, p_inf, lam_neg = np.maximum.reduceat(
-        parts, [0, n, 2 * n, 3 * n, 3 * n + m, 3 * n + 2 * m]).tolist()
+    # One reduction gives |Hx|, |A_in' lam|, |r_d|, |g|, |lam o r_in|, max r_in and -min lam.
+    parts = np.concatenate([Hx, Atl, r_d, prob.g, lam * r_in, r_in, -lam])
+    np.abs(parts[:4 * n + m], out=parts[:4 * n + m])
+    Hx_inf, Atl_inf, stat, g_inf, comp, p_inf, lam_neg = np.maximum.reduceat(
+        parts, [0, n, 2 * n, 3 * n, 4 * n, 4 * n + m, 4 * n + 2 * m]).tolist()
     scale, p_inf = max(1.0, g_inf, Hx_inf, Atl_inf), max(p_inf, 0.0)
     return max(stat / scale, p_inf, max(comp, lam_neg, 0.0) / scale), p_inf, r_d, r_in, Atl
 
@@ -222,6 +221,51 @@ def accept_warm_start(prob: QpProblem, warm_start: QpSolution,
     return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(x))
 
 
+def _least_distance_start(prob: QpProblem, tol: float) -> QpSolution | None:
+    """The exact solution of prob and its duals (see the module docstring),
+    for :func:`solve`'s KKT test at tol.  NNLS of [-W; r'] u ~ e_n+1 gives
+    s = 1 - r'u and the multipliers nu = u / s; nu is computed from the rows
+    where u > 0, held as equalities: (W_a'W_a) nu_a = r_a, and
+    x = x_u - T W_a nu_a.  x is the difference of terms of size |H^-1 A' nu|
+    and can miss those rows by more than tol allows, alone or times the
+    duals; then one refinement step, (W_a'W_a) d = A_a x - b_a, nu_a += d and
+    x -= T W_a d, restores the digits.  None when H or W_a'W_a does not
+    factor, when NNLS raises (its iteration limit; an overflow in W), when
+    s <= _LDP_EMPTY (the rows are empty) or when x is not finite."""
+    A, b = prob.A_in, prob.b_in
+    if prob.unconstrained is None:
+        R, info = lapack.dpotrf(prob.H)
+        if info:
+            return None
+        T = lapack.dtrtri(R)[0]
+        x_u = -(T @ (T.T @ prob.g))
+    else:
+        T, x_u = prob.unconstrained
+    r = A @ x_u - b
+    W = T.T @ A.T
+    try:
+        u = nnls(np.vstack([-W, r]), np.eye(1, len(W) + 1, len(W)).ravel())[0]
+    except (RuntimeError, ValueError):
+        return None
+    active = np.flatnonzero(u)
+    W_a = W[:, active]
+    L, info = lapack.dpotrf(W_a.T @ W_a)
+    if info or not 1.0 - r @ u > _LDP_EMPTY:    # s = 1 - r'u
+        return None
+    nu = np.zeros(len(b))
+    if active.size:  # u = 0 leaves x_u: its violations are below NNLS's tolerance
+        nu[active] = lapack.dpotrs(L, r[active])[0]
+    x = x_u - T @ (W_a @ nu[active])
+    res = A[active] @ x - b[active]
+    if np.maximum.reduce(np.abs(res), initial=0.0) * max(1.0, nu.max()) > tol:
+        step = lapack.dpotrs(L, res)[0]
+        nu[active] += step
+        x -= T @ (W_a @ step)
+    if not np.logical_and.reduce(np.isfinite(x)):
+        return None
+    return QpSolution(x, nu, np.nan, QpStatus.OPTIMAL, 0)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve(prob: QpProblem, tol: float = 1e-8,
           warm_start: QpSolution | np.ndarray | None = None) -> QpSolution:
@@ -231,14 +275,17 @@ def solve(prob: QpProblem, tol: float = 1e-8,
 
     A warm start carrying duals (a :class:`QpSolution`) is first checked
     against the KKT conditions and accepted outright when it already
-    satisfies them; otherwise, and for a bare primal vector, its x only
-    seeds the interior-point iteration.  A warm start of another size raises
-    ``ConfigurationError``.  A numerical failure (a non-finite iterate or
-    Newton matrix, or a Newton matrix that fails its Cholesky factorization)
-    ends the iteration with the best point seen, status ``MAX_ITER`` when
-    that point is feasible to ``tol`` and ``INFEASIBLE`` otherwise.  Without
-    convergence the best point seen is returned, and ``iterations`` counts
-    the iterations run, not the index of that point.
+    satisfies them.  Otherwise the exact start is formed and tested (see
+    the module docstring).  The interior-point iteration starts from the
+    start's x when the test rejects it, and otherwise from the warm start's
+    x, or a bare primal vector, or 0.  A warm start of another size raises
+    ``ConfigurationError``, before the exact start is formed.  A numerical
+    failure (a non-finite iterate or Newton matrix, or a Newton matrix that
+    fails its Cholesky factorization) ends the iteration with the best
+    point seen, status ``MAX_ITER`` when that point is feasible to ``tol``
+    and ``INFEASIBLE`` otherwise.  Without convergence the best point seen
+    is returned, and ``iterations`` counts the iterations run, not the index
+    of that point.
     """
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
@@ -251,12 +298,18 @@ def solve(prob: QpProblem, tol: float = 1e-8,
         if accepted is not None:
             return accepted
         x0 = warm_start.x
-    HA, Gt, _ = prob.stacked
-    G, h, H = prob.A_in, prob.b_in, HA[:n]
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != n:
             raise ConfigurationError("warm start has wrong dimension")
+    start = _least_distance_start(prob, tol)
+    if start is not None:
+        accepted = accept_warm_start(prob, start, tol)
+        if accepted is not None:
+            return accepted
+        x0 = start.x
+    G, h, Gt, H = prob.A_in, prob.b_in, np.ascontiguousarray(prob.A_in.T), prob.H.copy()
+    H.flat[::n + 1] += _RIDGE
 
     # Iterate v = (x, w, lam), slacks w and duals lam, step dv and predictor
     # (dw, dlam), read through views; the duals start at the cost's gradient norm.
@@ -335,24 +388,11 @@ def project_weighted(
     P is factored once, P = U'U (LAPACK dpotrf); a singular P takes a ridge
     of _RIDGE max(1, |P|_max) I, and a P that does not factor even then
     raises ``ConfigurationError``.  M = U^-1 U^-T is formed only when x0 is
-    infeasible.
-
-    The warm start is the exact projection.  In z = U^-T (x - x0) the
-    problem is the least-distance problem min |z| s.t. -W'z >= r over all
-    rows, with W = U A_in' and r = A_in x0 - b_in (Lawson & Hanson 1974,
-    ch. 23).  One NNLS solve (``scipy.optimize.nnls``) of [-W; r'] u ~ e_n+1
-    gives s = 1 - r'u, the multipliers nu = u / s, the point
-    x = x0 - U'W nu and its duals 2 nu.  nu is computed from the rows where
-    u > 0, held as equalities: (W_a'W_a) nu_a = r_a.  x is the difference
-    of terms of size |P A_in' nu|, and can miss those rows by more than
-    ``tol`` allows, alone or times the duals; then one refinement step,
-    (W_a'W_a) d = A_a x - b_a, nu_a += d and x -= U'W_a d, restores the
-    digits.  :func:`solve` accepts (x, 2 nu) with 0 iterations when it meets
-    the KKT test at ``tol``, and otherwise starts its iteration from x.  The
-    iteration starts from x0 instead, where the cost's gradient is zero, so
-    the duals start at 1 (Wright 1997), when NNLS reaches its iteration
-    limit, when s <= _LDP_EMPTY (the polytope is empty), when W_a'W_a does
-    not factor, or when x is not finite.
+    infeasible.  The QP's H = 2M is not factored: its unconstrained
+    minimiser is x0 and T = U' / sqrt(2) has T T' = H^-1, so the exact start
+    of :func:`solve` reads P's factor, with W = U A_in' / sqrt(2).  Without
+    that start, the iteration starts from x0, where the cost's gradient is
+    zero, so the duals start at 1 (Wright 1997).
 
     Returns the full solution so callers can inspect status; when x0 is
     already feasible, as it is for a polyhedron without rows, it is
@@ -381,30 +421,7 @@ def project_weighted(
     g = -2.0 * (M @ x0)
     if not np.logical_and.reduce(np.isfinite(np.concatenate([r, g]))):
         raise ConfigurationError("problem data must be finite")
-    prob = QpProblem(2.0 * M, g, A_in, b_in)
-    W = U @ A_in.T
-    warm = x0
-    try:
-        u = nnls(np.vstack([-W, r]), np.eye(1, n + 1, n).ravel())[0]
-        s = 1.0 - r @ u
-    except (RuntimeError, ValueError):  # the iteration limit; an overflow in W
-        s = 0.0
-    if s > _LDP_EMPTY:
-        active = np.flatnonzero(u)
-        W_a = W[:, active]
-        L, info = lapack.dpotrf(W_a.T @ W_a)
-        if not info:
-            nu = np.zeros(len(b_in))
-            if active.size:  # u = 0 leaves x0: its violations are below NNLS's tolerance
-                nu[active] = lapack.dpotrs(L, r[active])[0]
-            x = x0 - U.T @ (W_a @ nu[active])
-            res = A_in[active] @ x - b_in[active]
-            if np.maximum.reduce(np.abs(res), initial=0.0) * max(1.0, 2.0 * nu.max()) > tol:
-                step = lapack.dpotrs(L, res)[0]
-                nu[active] += step
-                x -= U.T @ (W_a @ step)
-            if np.logical_and.reduce(np.isfinite(x)):
-                warm = QpSolution(x, 2.0 * nu, np.nan, QpStatus.OPTIMAL, 0)
-    sol = solve(prob, tol=tol, warm_start=warm)
+    prob = QpProblem(2.0 * M, g, A_in, b_in, (np.sqrt(0.5) * U.T, x0))
+    sol = solve(prob, tol=tol, warm_start=x0)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

@@ -10,11 +10,15 @@ initial row; :func:`rci_constraint_block` gives its rows and
 
 :meth:`TubeQp.at` is the one place where a model's rows are made: it forms
 the disturbance allowance d and the model rows with room for it, assembles
-the row block, forms the estimator's dist rows, and returns them as a
-:class:`StepRows`.  :meth:`TubeQp.problem` is the one place where a step's
-QP is formed from those rows: g from the reference and, with stages, the
-initial row of the state estimate.  A TubeQp keeps nothing per model: the
-rows, which name their TubeQp, travel with the solution solved at them,
+the row block, forms the estimator's dist rows when the QP has stages, and
+returns them as a :class:`StepRows`.  :meth:`TubeQp.problem` is the one
+place where a step's QP is formed from those rows: g from the reference,
+with stages the initial row of the state estimate, and every row tightened
+by the margin MARGIN.  The solver returns the exact optimum of that QP,
+which lies on its rows; at the untightened rows it keeps MARGIN of room, in
+which the estimator's polytope, formed from the untightened rows, lets the
+estimate move.  A TubeQp keeps nothing per model: the rows, which name
+their TubeQp, travel with the solution solved at them,
 ``RciSolution.rows``, and with its warm start, from which the controller
 and the estimator's polytope read them.
 
@@ -48,6 +52,10 @@ from . import qlpv, qp
 from .errors import ConfigurationError
 from .polytope import Hpoly, PolytopeTemplate
 
+# The margin delta by which TubeQp.problem tightens every row: the exact
+# solution of the tightened QP keeps delta of room in each row, which the
+# untightened rows of the estimator's polytope leave the estimate.
+MARGIN = 1e-5
 
 @dataclass(frozen=True)
 class Layout:
@@ -186,10 +194,11 @@ def mode_rows(gamma: float, template: PolytopeTemplate, lay: Layout) -> qlpv.Mod
 class StepRows:
     """The rows A y <= b of a step at the model ``params``: ``mode``, the
     model rows with -d at the vertex points, then the fixed rows and the
-    initial row.  b's initial row is 0: :meth:`TubeQp.problem` writes
-    -F x_hat there in a copy of b.  ``dist`` holds the rows over theta of
-    F B_i r at the QP's dist points (0, r), mode-major, in params' theta
-    layout, which only the estimator's polytope reads.  d, A, b and dist are
+    initial row, all untightened.  b's initial row is 0:
+    :meth:`TubeQp.problem` writes -F x_hat there in a copy of b.  ``dist``
+    holds the rows over theta of F B_i r at the QP's dist points (0, r),
+    mode-major, in params' theta layout, which only the estimator's polytope
+    reads; without stages it has no rows.  d, A, b and dist are
     read-only."""
 
     params: qlpv.ModelParams
@@ -221,7 +230,7 @@ class TubeQp:
     A_fixed: np.ndarray           # vertex box rows along the tube, then of x_r,
     b_fixed: np.ndarray           # then the sign rows of x_r
     initial: np.ndarray           # rows with initial y <= -F x_hat; none without stages
-    dist_points: np.ndarray       # the estimator's dist points (0, r)
+    dist_points: np.ndarray       # the estimator's dist points (0, r); none without stages
 
     @classmethod
     def build(cls, template: PolytopeTemplate, beta: float, eps_u: np.ndarray, Y: Hpoly,
@@ -279,11 +288,13 @@ class TubeQp:
         initial = np.zeros((lay.f, lay.dim))    # z_0 leads the vector
         initial[:, :lay.n_x], initial[:, lay.s] = -template.F, -np.eye(lay.f)
         # r = beta eps_u o sign with sign_0 = +1: F = [I; -I] gives the rows of
-        # -r as those of r reordered.
+        # -r as those of r reordered.  Only the rows of a QP with stages have
+        # dist rows: the estimator reads no other.
         signs = np.array(list(product((-1.0, 1.0), repeat=lay.n_u)))[2 ** (lay.n_u - 1):]
         dist = np.hstack([np.zeros((len(signs), lay.n_x)), beta * signs * eps_u])
         return cls(template, gamma, beta, eps_u, lay, H, -2.0 * lay.v * C.T @ Q1, Q1, mode,
-                   A_fixed, b_fixed, initial if stages else initial[:0], dist)
+                   A_fixed, b_fixed, initial if stages else initial[:0],
+                   dist if stages else dist[:0])
 
     def at(self, params: qlpv.ModelParams) -> StepRows:
         """The rows, d and dist rows at params, built anew on every call.
@@ -311,24 +322,24 @@ class TubeQp:
     def problem(self, rows: StepRows, y_ref: np.ndarray,
                 x_hat: np.ndarray | None = None) -> tuple[qp.QpProblem, float]:
         """The step's QP at ``rows`` and its cost's constant: g from y_ref
-        and, when the QP has stages, -F x_hat in b's initial row, written
-        into a copy of b; without stages b is ``rows.b`` itself and x_hat is
-        not read.  A y_ref of another size than C's outputs, an x_hat of
-        another size than n_x or not finite, or g or b not finite raises
-        ``ConfigurationError``."""
+        and b, a copy of ``rows.b`` with, when the QP has stages, -F x_hat in
+        its initial row, and then every row tightened by MARGIN; without
+        stages x_hat is not read.  A y_ref of another size than C's outputs,
+        an x_hat of another size than n_x or not finite, or g or b not finite
+        raises ``ConfigurationError``."""
         lay = self.layout
         y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
         if y_ref.shape != (len(self.Q1),):
             raise ConfigurationError(f"y_ref has shape {y_ref.shape}, not ({len(self.Q1)},)")
         g = np.zeros(lay.dim)
         g[lay.z_s] = self.G @ y_ref
-        b = rows.b
+        b = rows.b.copy()
         if len(self.initial):
             x_hat = np.asarray(x_hat, dtype=float).ravel()
             if x_hat.size != lay.n_x or not np.isfinite(x_hat).all():
                 raise ConfigurationError(f"x_hat must be n_x={lay.n_x} finite entries")
-            b = b.copy()
             b[-len(self.initial):] = -self.mode.F @ x_hat
+        b -= MARGIN
         if not (np.isfinite(g).all() and np.isfinite(b).all()):
             raise ConfigurationError("problem data must be finite")
         return qp.QpProblem(self.H, g, rows.A, b), float(lay.v * y_ref @ self.Q1 @ y_ref)

@@ -14,8 +14,9 @@ A model's rows, ``rci.TubeQp.at``, are built when the controller takes that
 model, and then travel with the solution and its warm start: d, the model
 rows, the assembled row block and the estimator's dist rows, all read-only,
 built once per model and checked then.  A step's QP at those rows comes
-from ``rci.TubeQp.problem``, which writes only b's initial row, -F x_hat,
-into a copy of b, and g from y_ref, and checks both for finiteness.  So the
+from ``rci.TubeQp.problem``, which writes b's initial row, -F x_hat, into a
+copy of b, tightens every row by the margin delta = ``rci.MARGIN``, forms g
+from y_ref, and checks both for finiteness.  So the
 cache keys do not see an edit made in place: change no ModelParams, cfg,
 template or Y, nor a TubeQp's arrays, in place.
 
@@ -36,26 +37,28 @@ tests the warm start at its own rows, with this step's initial row and g,
 by ``qp.accept_warm_start``, the test qp.solve applies to a warm start, at
 the same tol:
 
-- kept: the plan passes, and is the solution, at theta_c, with 0 iterations;
-- replaced: it fails, and the QP is solved from the plan's x at the
-  estimate's model, or at theta_c's rows when the estimate's model is
-  theta_c's object (a frozen theta), so that nothing is rebuilt;
-- retried: a solve at a new model is not ``OPTIMAL``, so the QP is solved
-  once more at theta_c from the plan, and that result is taken only if it
-  is ``OPTIMAL``.  The QP at a new model can end ``MAX_ITER`` with its KKT
-  residual just above tol, when H's near-null directions stop its Newton
-  matrix from factoring, while the one at theta_c, where the plan is
-  feasible, solves.
+- kept: the plan passes at the margin delta, and is the solution, at
+  theta_c, with 0 iterations;
+- replaced: it fails, and the QP at delta is solved at the estimate's
+  model, or at theta_c's rows when the estimate's model is theta_c's object
+  (a frozen theta), so that nothing is rebuilt; the solve starts from its
+  exact solution, and iterates from the plan's x only without one;
+- retried: that solve is not ``OPTIMAL``, at a new model or at theta_c, so
+  the QP is solved once more at theta_c's rows with delta = 0, from the
+  plan, and that result is taken only if it is ``OPTIMAL``.
 
-The test runs for every warm start of the same TubeQp; the estimator
-predicts and corrects at its own estimate either way.  Its polytope keeps
-the plan feasible at both models (see ``estimator``), so keeping theta_c
-costs no feasibility.
+The exact solution at delta keeps delta of room in every untightened row,
+and the estimator's polytope, formed from the untightened rows, lets the
+estimate use it.  What the polytope certifies is the plan at the
+untightened rows of the next QP, at both models (see ``estimator``): the
+retry is where that certificate is used, so keeping theta_c costs no
+feasibility.  The test runs for every warm start of the same TubeQp; the
+estimator predicts and corrects at its own estimate either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
@@ -118,10 +121,11 @@ def solve_tmpc(
     row and g.  When it passes, it is the solution, at its rows, with 0
     iterations (kept).  Otherwise the QP is solved from its x at params
     (replaced), at the warm start's own rows when they are of params itself.
-    When a solve at other rows is not ``OPTIMAL``, the QP is solved once
-    more at the warm start's rows, whose result is taken only if it is
-    ``OPTIMAL`` (retried).  The warm start's rows make one problem, which
-    the test and every solve at them share.  Any other warm start is handed
+    When that solve is not ``OPTIMAL``, the QP is solved once more at the
+    warm start's rows with the margin ``rci.MARGIN`` taken off, where its
+    plan is feasible, and that result is taken only if it is ``OPTIMAL``
+    (retried).  The warm start's rows at the margin make one problem, which
+    the test and the solve at them share.  Any other warm start is handed
     to the solve at params.  ``rows`` and d are those of the model solved
     for.  An x_hat or y_ref of another size than the controller's raises
     ``ConfigurationError``."""
@@ -137,8 +141,10 @@ def solve_tmpc(
         rows = kept if kept is not None and kept.params is params else tq.at(params)
         prob, const = (kept_qp, const) if rows is kept else tq.problem(rows, y_ref, x_hat)
         sol = qp.solve(prob, warm_start=warm_start)
-        if sol.status != qp.QpStatus.OPTIMAL and kept is not None and rows is not kept:
-            retry = qp.solve(kept_qp, warm_start=warm_start)
+        if sol.status != qp.QpStatus.OPTIMAL and kept is not None:
+            # The kept rows untightened, where the plan is certified feasible.
+            retry = qp.solve(replace(kept_qp, b_in=kept_qp.b_in + rci.MARGIN),
+                             warm_start=warm_start)
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
     return TubeSolution(x=sol.x, rows=rows, cost=sol.value + const, qp_solution=sol)

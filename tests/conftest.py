@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dualmpc import qlpv
+from dualmpc import qlpv, qp
 from dualmpc.polytope import box_template
 
 
@@ -40,6 +40,18 @@ def random_model(rng, n_x=2, n_u=1, n_p=3, n_h=3, spectral=0.7, gain=0.3,
         b2=rng.uniform(-0.5, 0.5, size=n_p),
         C=np.eye(n_x)[:1],
     )
+
+
+def without_exact_start(monkeypatch):
+    """Make every later qp.solve run its interior-point iteration, as when
+    it forms no exact start; H is then not factored either."""
+    monkeypatch.setattr(qp, "_least_distance_start", lambda prob, tol: None)
+
+
+@pytest.fixture
+def interior_point(monkeypatch):
+    """qp.solve without its exact start, for tests of the iteration itself."""
+    without_exact_start(monkeypatch)
 
 
 @pytest.fixture

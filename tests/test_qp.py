@@ -9,12 +9,17 @@ from hypothesis import given, settings, strategies as st
 from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
-from conftest import random_model
+from conftest import random_model, without_exact_start
 from oracles import qp_active_set_oracle, scaled_kkt_residual
 
 
 def solve_simple(H, g, A_in, b_in, **kw):
     return qp.solve(qp.QpProblem.build(H, g, A_in, b_in), **kw)
+
+
+def failing_nnls(*args, **kwargs):
+    """scipy's NNLS at its iteration limit."""
+    raise RuntimeError("Maximum number of iterations reached.")
 
 
 def test_single_active_constraint_clips_optimum():
@@ -90,7 +95,8 @@ def test_objective_scaling_leaves_argmin_unchanged(rng):
     assert np.abs(sol1.x - sol2.x).max() <= 1e-7
 
 
-def test_warm_start_resolve_is_immediate(rng):
+def test_warm_start_resolve_is_immediate(rng, interior_point):
+    # The interior-point solution, whose KKT residual is near tol.
     H, g, A, b = random_strictly_convex(rng, 4, 8)
     prob = qp.QpProblem.build(H, g, A, b)
     sol = qp.solve(prob)
@@ -127,11 +133,11 @@ def test_warm_start_of_wrong_size_rejected(rng):
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
-def test_cost_scaling_keeps_status_argmin_and_iterations(rng, scale):
+def test_cost_scaling_keeps_status_argmin_and_iterations(rng, interior_point, scale):
     # Stationarity and complementarity are measured relative to the cost, so
-    # scaling (H, g) up leaves the argmin where it was.  Below scale 1 the
-    # floor of the normaliser makes the rule absolute, so the argmin's error
-    # may grow like tol / scale.
+    # scaling (H, g) up leaves the argmin where it was and the iteration
+    # its count.  Below scale 1 the floor of the normaliser makes the rule
+    # absolute, so the argmin's error may grow like tol / scale.
     tol = 1e-10
     for _ in range(5):
         H, g, A, b = random_strictly_convex(rng, 3, 5)
@@ -142,7 +148,7 @@ def test_cost_scaling_keeps_status_argmin_and_iterations(rng, scale):
         assert abs(sol.iterations - ref.iterations) <= 8
 
 
-def test_iteration_count_does_not_grow_with_cost_scale(rng):
+def test_iteration_count_does_not_grow_with_cost_scale(rng, interior_point):
     # The duals start at the cost's gradient at the start point, so scaling
     # (H, g) scales every dual iterate with it and leaves the primal path.
     for _ in range(30):
@@ -166,6 +172,37 @@ def test_solution_matches_active_set_oracle(seed, n, m, log_scale):
     assert sol.status == qp.QpStatus.OPTIMAL
     assert np.abs(sol.x - x_ref).max() <= 1e-6
     assert (A @ sol.x - b).max() <= tol
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 8),
+       nnls_fails=st.booleans())
+def test_exact_start_is_the_interior_point_optimum(seed, n, m, nnls_fails):
+    # Random strictly convex QPs, about 4 in 5 of them with rows violated at
+    # the unconstrained minimiser.  An accepted exact start is feasible to
+    # tol, and its cost is no more than the interior-point solution's, and
+    # less by at most that solution's duality gap, m complementarity terms
+    # of at most tol times the KKT test's scale each.  A least-distance
+    # solve that fails leaves the problem to the iteration.
+    rng, tol = np.random.default_rng(seed), 1e-9
+    H, g, A, b = random_strictly_convex(rng, n, m)
+    prob = qp.QpProblem.build(H, g, A, b)
+    with pytest.MonkeyPatch.context() as mp:
+        without_exact_start(mp)
+        ipm = qp.solve(prob, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        if nnls_fails:
+            mp.setattr(qp, "nnls", failing_nnls)
+        sol = qp.solve(prob, tol=tol)
+    assert ipm.status == sol.status == qp.QpStatus.OPTIMAL and ipm.iterations > 0
+    if nnls_fails:
+        assert (sol.iterations, sol.x.tobytes()) == (ipm.iterations, ipm.x.tobytes())
+    else:
+        assert sol.iterations == 0
+        assert (A @ sol.x - b).max() <= tol
+        f, f_ipm = prob.objective(sol.x), prob.objective(ipm.x)
+        scale = max(1.0, *(np.abs(v).max() for v in (H @ ipm.x, g, A.T @ ipm.ineq_duals)))
+        assert -tol * max(1.0, abs(f)) <= f_ipm - f <= m * tol * scale
 
 
 def test_optimal_point_is_feasible_in_absolute_terms(rng):
@@ -207,7 +244,7 @@ def test_negative_affine_complementarity_returns_status():
 
 
 @pytest.mark.parametrize("norm", [1.0, 4e6])
-def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, norm):
+def test_unconverged_solve_reports_iterations_run(rng, monkeypatch, interior_point, norm):
     # The loop evaluates the KKT residual once per iteration; a solve that
     # ends without meeting tol reports that count, not the index of the best
     # iterate it returns.
@@ -225,7 +262,7 @@ RECORDED = json.loads((Path(__file__).parent / "data" / "qp_recorded_seed11.json
 
 
 @pytest.mark.parametrize("rec", RECORDED, ids=[r["name"] for r in RECORDED])
-def test_recorded_problem_keeps_its_iterations(rec):
+def test_recorded_problem_keeps_its_iterations(rec, interior_point):
     # Seed-11 bench problems: a tube QP whose warm start (the shifted plan
     # with the last duals) fails the KKT test, and a projection started at
     # the point it projects, from dual_track and from twomass_track, with
@@ -233,7 +270,8 @@ def test_recorded_problem_keeps_its_iterations(rec):
     # they were recorded with.  Each ends with its KKT residual at least a
     # factor 1.9 from tol on both sides of the last iteration, so rounding
     # does not move the count.  x is not compared: the tube QP's optimal
-    # face is not a point, and x moves by up to 4e-9 under rounding.
+    # face is not a point, and x moves by up to 4e-9 under rounding.  The
+    # exact start is left out, so that the iteration runs.
     prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"])
     warm = np.array(rec["warm_x"])
     if rec["warm_duals"] is not None:
@@ -300,32 +338,41 @@ def test_finding_h_warm_start_is_feasible():
     assert (prob.A_in @ warm.x - prob.b_in).max() <= 1e-11
 
 
-def test_finding_h_returned_point_is_feasible(monkeypatch):
-    # The solve stops at its first failed factorization, the last one it
-    # makes, and returns the point of the smallest KKT residual it saw.
+def test_finding_h_returned_point_is_feasible(monkeypatch, interior_point):
+    # Without its exact start the iteration reaches tol at its 12th KKT
+    # test, now that the test reads H without the Newton matrix's ridge.  A
+    # factorization that fails at the 11th, the last one it makes, as it
+    # failed on the ridged residual, stops the solve there: it returns the
+    # point of the smallest KKT residual it saw, feasible to tol.
     prob, warm, tol = finding_h()
     dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
     infos, kkts = [], []
-    monkeypatch.setattr(qp.lapack, "dpotrf",
-                        lambda K, **kw: (lambda out: (infos.append(out[1]), out)[1])(dpotrf(K, **kw)))
+
+    def factor(K, **kw):
+        out = dpotrf(K, **kw) if len(infos) < 10 else (np.full_like(K, np.nan), 1)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(qp.lapack, "dpotrf", factor)
     monkeypatch.setattr(qp, "_kkt_residual",
                         lambda *a: (lambda out: (kkts.append(out[0]), out)[1])(residual(*a)))
     sol = qp.solve(prob, tol=tol, warm_start=warm)
     assert infos[-1] != 0 and not any(infos[:-1])
-    assert sol.iterations == len(infos)
-    assert sol.kkt_residual == min(kkts)
+    assert sol.iterations == len(infos) == 11
+    assert sol.status == qp.QpStatus.MAX_ITER and sol.kkt_residual == min(kkts) > tol
     assert (prob.A_in @ sol.x - prob.b_in).max() <= tol
 
 
-@pytest.mark.xfail(strict=True, reason="Finding H: stationarity stalls at 1.05e-8 against "
-                   "tol 1e-8 once the Newton matrix cannot be factored")
 def test_finding_h_tube_qp_solves_to_optimal():
+    # The exact start is the optimum, which the iteration could not reach.
     prob, warm, tol = finding_h()
-    assert qp.solve(prob, tol=tol, warm_start=warm).status == qp.QpStatus.OPTIMAL
+    sol = qp.solve(prob, tol=tol, warm_start=warm)
+    assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
 
 
 @pytest.mark.parametrize("fail_from", [None, 3], ids=["non_finite_matrix", "factorization_failure"])
-def test_non_finite_newton_matrix_ends_with_the_best_point(monkeypatch, fail_from):
+def test_non_finite_newton_matrix_ends_with_the_best_point(monkeypatch, interior_point,
+                                                          fail_from):
     # A cost of norm 1e305 with its minimiser x = 2 outside x <= 1: as the
     # slack closes, d = lam / w grows until K = H + A'DA overflows at the
     # fourth iteration.  That K never reaches the factorization; the solve
@@ -366,7 +413,7 @@ def test_dual_loop_projection_converges(monkeypatch):
     # solver ran all 500 iterations on it into MAX_ITER, as it did on the
     # step-12 projection of the loop it drove itself, and the estimator fell
     # back to the previous theta.  The projection itself now accepts its
-    # least-distance warm start, so the same QP is also solved from the bare
+    # exact start, so the same QP is also solved without it from the bare
     # point it projects, the start the interior-point iteration had then.
     template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
     cfg = tmpc.ControllerConfig()
@@ -410,6 +457,7 @@ def test_dual_loop_projection_converges(monkeypatch):
     assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= tol
     assert poly.violation(corr.zeta) <= 1e-10
     assert not corr.fallback
+    without_exact_start(monkeypatch)
     cold = solve(prob, tol=tol, warm_start=x0)
     assert cold.status == qp.QpStatus.OPTIMAL
     assert 0 < cold.iterations <= 60
@@ -455,12 +503,12 @@ def random_projection(rng, n, m, log_cond):
 
 class TestProjectWeighted:
     @staticmethod
-    def warm_starts(monkeypatch):
-        """The warm start of every later qp.solve call, in order."""
-        solve, warms = qp.solve, []
+    def solves(monkeypatch):
+        """(problem, warm start) of every later qp.solve call, in order."""
+        solve, calls = qp.solve, []
         monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
-            warms.append(kw["warm_start"]), solve(prob, **kw))[1])
-        return warms
+            calls.append((prob, kw["warm_start"])), solve(prob, **kw))[1])
+        return calls
 
     def test_interior_point_returned_unchanged(self):
         sol = qp.project_weighted(np.array([0.2, 0.1]), np.eye(2),
@@ -522,15 +570,19 @@ class TestProjectWeighted:
     def test_closed_form_start_on_the_violated_rows(self, monkeypatch, path):
         # The least-distance start over all rows is the projection on every
         # path: the solve accepts it with 0 iterations, at the active-set
-        # optimum, and is handed it as its warm start.
+        # optimum.  It forms it from P's factor, which the problem carries
+        # with its unconstrained minimiser x0, and is handed x0 alone.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS[path])
-        warms = self.warm_starts(monkeypatch)
+        calls = self.solves(monkeypatch)
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
+        ((prob, warm),) = calls
         M = np.linalg.inv(P)
         x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
-        assert isinstance(warms[0], qp.QpSolution)
+        T, x_u = prob.unconstrained
+        assert np.array_equal(x_u, x0) and np.array_equal(warm, x0)
+        assert np.allclose(T @ T.T, np.linalg.inv(prob.H), rtol=1e-9, atol=1e-12)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 6),
@@ -559,6 +611,21 @@ class TestProjectWeighted:
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert np.abs(sol.x - x_ref).max() <= 1e-6 * np.abs(x_ref).max()
 
+    @pytest.mark.parametrize("seed", [908, 3893])
+    def test_exact_start_is_tested_without_the_newton_ridge(self, seed):
+        # n = 4 variables and 4 or 6 rows at tol 1e-10.  The exact start
+        # meets the KKT conditions of the QP as posed to 2e-15; with the
+        # Newton matrix's ridge 1e-10 I added to H, as the test once read
+        # it, stationarity was 1.5e-10, and the solve ran 6 iterations.
+        rng = np.random.default_rng(seed)
+        n, m, log_cond = int(rng.integers(1, 6)), int(rng.integers(1, 7)), rng.uniform(0, 6)
+        x0, P, A, b = random_projection(rng, n, m, log_cond)
+        sol = qp.project_weighted(x0, P, A_in=A, b_in=b, tol=1e-10)
+        M = np.linalg.inv(P)
+        x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
+        assert n == 4 and sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
+        assert np.abs(sol.x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+
     def test_violation_below_the_nnls_tolerance_keeps_x0(self):
         # x1 <= -1e-100 is violated at 0, by less than NNLS may resolve: it
         # can leave u = 0, and then the start is x0 with zero duals.  Either
@@ -573,15 +640,11 @@ class TestProjectWeighted:
         # NNLS at its iteration limit leaves no candidate: the solve starts
         # from x0 itself and still ends at the projection.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS["kkt_rejected"])
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(qp, "nnls", failing)
-        warms = self.warm_starts(monkeypatch)
+        monkeypatch.setattr(qp, "nnls", failing_nnls)
+        calls = self.solves(monkeypatch)
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
         x_ref, _ = qp_active_set_oracle(2.0 * np.eye(2), -2.0 * x0, A, b)
-        assert not isinstance(warms[0], qp.QpSolution) and np.array_equal(warms[0], x0)
+        assert np.array_equal(calls[0][1], x0)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations > 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
 
@@ -665,10 +728,10 @@ class TestProjectWeighted:
         # x1 <= -1 and -x1 <= -1: the least-distance residual vanishes, so
         # no start is formed and the solve from x0 reports INFEASIBLE.
         x0 = np.zeros(1)
-        warms = self.warm_starts(monkeypatch)
+        calls = self.solves(monkeypatch)
         sol = qp.project_weighted(x0, np.eye(1), A_in=np.array([[1.0], [-1.0]]),
                                   b_in=np.array([-1.0, -1.0]))
-        assert not isinstance(warms[0], qp.QpSolution) and np.array_equal(warms[0], x0)
+        assert np.array_equal(calls[0][1], x0)
         assert sol.status == qp.QpStatus.INFEASIBLE
 
     def test_indefinite_weight_rejected(self):

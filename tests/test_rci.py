@@ -97,11 +97,16 @@ class TestProblem:
     """TubeQp.problem, which forms a step's QP at a model's rows."""
 
     def test_zero_stage_b_is_the_rows_b(self, small_model):
+        # Every row is tightened by the margin 1e-5, in a copy of rows.b.
         tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.0, 0)
         rows = tq.at(small_model)
+        before = rows.b.tobytes()
         prob, const = tq.problem(rows, [0.2])
-        assert prob.b_in is rows.b and prob.A_in is rows.A and prob.H is tq.H
+        assert prob.A_in is rows.A and prob.H is tq.H and rows.b.tobytes() == before
+        assert prob.b_in.tobytes() == (rows.b - 1e-5).tobytes()
         assert const == float(TEMPLATE.n_vertices * 0.2 * 10.0 * 0.2)
+        # Its rows have no dist rows: the estimator reads only a staged QP's.
+        assert rows.dist.shape == (0, small_model.n_theta)
 
     def test_staged_b_is_a_copy_with_the_initial_row(self, small_model):
         tq = rci.tube_qp(TEMPLATE, 0.3, EPS_U, Y, small_model.C, 0.95, 3)
@@ -110,8 +115,8 @@ class TestProblem:
         prob, _ = tq.problem(rows, [0.2], x_hat)
         f = TEMPLATE.n_rows
         assert prob.b_in is not rows.b and rows.b.tobytes() == before
-        assert prob.b_in[:-f].tobytes() == rows.b[:-f].tobytes()
-        assert np.array_equal(prob.b_in[-f:], -TEMPLATE.F @ x_hat)
+        assert prob.b_in[:-f].tobytes() == (rows.b[:-f] - 1e-5).tobytes()
+        assert np.array_equal(prob.b_in[-f:], -TEMPLATE.F @ x_hat - 1e-5)
         # g is G y_ref on z_s and 0 elsewhere.
         g = np.zeros(tq.layout.dim)
         g[tq.layout.z_s] = tq.G @ [0.2]

@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 from dualmpc import estimator, qlpv, qp, rci, sysid, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
-from conftest import random_model
+from conftest import random_model, without_exact_start
 from oracles import scaled_kkt_residual, vertex_input, verify_rci
 
 
@@ -182,15 +182,16 @@ class TestCandidateShift:
         assert nxt.qp_solution.iterations == 0
         assert np.abs(nxt.qp_solution.x - cold.qp_solution.x).max() <= 1e-8
 
-    def test_duals_never_seed_the_interior_point_iteration(self, model):
+    def test_duals_never_seed_the_interior_point_iteration(self, model, monkeypatch):
         # After a reference switch the shifted plan is no longer optimal: the
         # duals then feed only the acceptance test, and the solve is the one
-        # the bare shifted plan seeds, bit for bit.
+        # the bare shifted plan seeds, bit for bit, when the iteration runs.
         x_hat = np.array([0.2, -0.1])
         sol = solve(model, x_hat, 0.6)
         u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
         x_next = qlpv.step(model, x_hat, u)
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
+        without_exact_start(monkeypatch)
         with_duals = solve(model, x_next, -0.3, warm_start=warm).qp_solution
         bare = solve(model, x_next, -0.3, warm_start=warm.x).qp_solution
         assert with_duals.iterations == bare.iterations > 0
@@ -221,6 +222,11 @@ def step_problem(tq, rows, x_hat, y_ref):
     return tq.problem(rows, y_ref, x_hat)[0]
 
 
+def untightened(prob):
+    """prob with its rows at margin 0: the rows tightened by 1e-5 loosened again."""
+    return dataclasses.replace(prob, b_in=prob.b_in + 1e-5)
+
+
 class TestKeptModel:
     """solve_tmpc with a warm start of its own controller: kept, replaced or
     retried."""
@@ -240,17 +246,32 @@ class TestKeptModel:
         at_moved = step_problem(sol.tube_qp, sol.tube_qp.at(moved), [0.0, 0.0], 0.0)
         assert qp.accept_warm_start(at_moved, warm) is None
 
-    def test_plan_no_longer_optimal_replaces_the_model(self, model):
+    def test_plan_no_longer_optimal_replaces_the_model(self, model, interior_point):
+        # Without the exact start, the solve at the moved model iterates.
         cold = solve(model, [0.0, 0.0])
         moved = moved_model(model)
         sol = solve(moved, [0.0, 0.0], 0.5, warm_start=tmpc.warm_start_vector(cold, CFG.gamma))
         assert sol.status == qp.QpStatus.OPTIMAL
         assert sol.rows.params is moved and sol.qp_solution.iterations > 0
 
+    def test_replaced_model_solves_from_the_exact_start(self, model):
+        # The same solve with its exact start: at the moved model, with 0
+        # iterations, and with every row of the QP at the margin 1e-5 met.
+        cold = solve(model, [0.0, 0.0])
+        moved = moved_model(model)
+        sol = solve(moved, [0.0, 0.0], 0.5, warm_start=tmpc.warm_start_vector(cold, CFG.gamma))
+        assert sol.status == qp.QpStatus.OPTIMAL
+        assert sol.rows.params is moved and sol.qp_solution.iterations == 0
+        prob = step_problem(sol.tube_qp, sol.rows, [0.0, 0.0], 0.5)
+        assert (prob.A_in @ sol.x - prob.b_in).max() <= 1e-8
+        b = sol.rows.b.copy()
+        b[-TEMPLATE.n_rows:] = 0.0
+        assert (sol.rows.A @ sol.x - b).max() <= -1e-5 + 1e-8
+
     @pytest.mark.parametrize("kept_solves", [True, False])
     def test_failed_solve_retried_at_the_kept_rows(self, model, monkeypatch, kept_solves):
         # The solve at the new model ends MAX_ITER; the retry at the kept
-        # rows is taken only when it is OPTIMAL.
+        # rows, untightened, is taken only when it is OPTIMAL.
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
         moved, real, solved_at = moved_model(model), qp.solve, []
@@ -266,7 +287,8 @@ class TestKeptModel:
         assert [A is cold.rows.A for A in solved_at] == [False, True]
         if kept_solves:
             assert sol.status == qp.QpStatus.OPTIMAL and sol.rows is cold.rows
-            want = real(step_problem(sol.tube_qp, cold.rows, [0.0, 0.0], 0.5), warm_start=warm)
+            want = real(untightened(step_problem(sol.tube_qp, cold.rows, [0.0, 0.0], 0.5)),
+                        warm_start=warm)
             assert sol.x.tobytes() == want.x.tobytes()
         else:
             assert sol.status == qp.QpStatus.MAX_ITER and sol.rows.params is moved
@@ -277,12 +299,13 @@ class TestKeptModel:
             self, model, monkeypatch, moved):
         # The plan fails the kept test at y_ref 0.5.  The QP is then solved
         # from its x: at the kept rows when the model is the kept one, which
-        # builds no rows, and at the moved model's rows otherwise.  The KKT
-        # conditions are tested once before the iterations, each of which
-        # tests them once.
+        # builds no rows, and at the moved model's rows otherwise.  Without
+        # the exact start, the KKT conditions are tested once before the
+        # iterations, each of which tests them once.
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
         params = moved_model(model) if moved else model
+        without_exact_start(monkeypatch)
         calls, tests, residual = spied(monkeypatch), [], qp._kkt_residual
         monkeypatch.setattr(qp, "_kkt_residual", lambda *a: (tests.append(1), residual(*a))[1])
         sol = solve(params, [0.0, 0.0], 0.5, warm_start=warm)
@@ -291,20 +314,37 @@ class TestKeptModel:
         assert sol.rows.params is params and (sol.rows is cold.rows) is not moved
         assert calls == ({"disturbance_vector": 1, "over_y": 1} if moved else {})
 
-    def test_failed_solve_at_the_kept_rows_not_retried(self, model, monkeypatch):
+    @pytest.mark.parametrize("retry_solves", [True, False])
+    def test_failed_solve_at_the_kept_rows_retried_untightened(self, model, monkeypatch,
+                                                               retry_solves):
+        # The solve at the kept model, at its kept rows tightened by the
+        # margin 1e-5, ends MAX_ITER.  The retry solves the same rows at
+        # margin 0, where the shifted plan is feasible, from the plan, and is
+        # taken only when it is OPTIMAL.
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
-        real, solved_at = qp.solve, []
+        real, solved = qp.solve, []
 
         def failing(prob, **kw):
-            solved_at.append(prob.A_in)
+            solved.append((prob, kw["warm_start"]))
             sol = real(prob, **kw)
-            sol.status = qp.QpStatus.MAX_ITER
+            if len(solved) == 1 or not retry_solves:
+                sol.status = qp.QpStatus.MAX_ITER
             return sol
         monkeypatch.setattr(qp, "solve", failing)
         sol = solve(model, [0.0, 0.0], 0.5, warm_start=warm)
-        assert [A is cold.rows.A for A in solved_at] == [True]
-        assert sol.status == qp.QpStatus.MAX_ITER and sol.rows is cold.rows
+        (at_margin, _), (at_zero, start) = solved
+        assert at_margin.A_in is at_zero.A_in is cold.rows.A and start is warm.x
+        b = cold.rows.b.copy()
+        b[-TEMPLATE.n_rows:] = 0.0        # -F x_hat at x_hat = 0
+        assert np.abs(at_margin.b_in - (b - 1e-5)).max() == 0.0
+        assert np.abs(at_zero.b_in - b).max() <= 1e-15
+        assert sol.rows is cold.rows
+        if retry_solves:
+            assert sol.status == qp.QpStatus.OPTIMAL
+            assert sol.x.tobytes() == real(at_zero, warm_start=warm.x).x.tobytes()
+        else:
+            assert sol.status == qp.QpStatus.MAX_ITER
 
 
 class TestNominalInput:
@@ -512,8 +552,9 @@ def test_prebuilt_qp_equals_assembly_from_scratch_bitwise(cfg, n_y):
         tq = rci.TubeQp.build(TEMPLATE, cfg.beta, EPS_U, Y_n, model.C, cfg.gamma, cfg.N + 1)
         prob, const = tq.problem(tq.at(model), y_ref, x_hat)
         built = (prob.A_in, prob.b_in, prob.H, prob.g)
-        for got, want in zip(built, assemble_from_scratch(model, x_hat, y_ref, cfg,
-                                                          TEMPLATE, Y_n, EPS_U)):
+        A, b, H, g = assemble_from_scratch(model, x_hat, y_ref, cfg, TEMPLATE, Y_n, EPS_U)
+        # Every row is tightened by the margin 1e-5.
+        for got, want in zip(built, (A, b - 1e-5, H, g)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # H is positive semidefinite by construction, so the solve skips the check.
         assert np.linalg.eigvalsh(tq.H).min() >= -1e-9 * np.abs(tq.H).max()
@@ -529,7 +570,7 @@ def test_cache_never_serves_another_controllers_qp(model):
     for cfg, Y_k, eps_u in settings + settings[::-1]:
         sol = tmpc.solve_tmpc(x_hat, model, y_ref, cfg, TEMPLATE, Y_k, eps_u)
         A, b, H, g = assemble_from_scratch(model, x_hat, y_ref, cfg, TEMPLATE, Y_k, eps_u)
-        fresh = qp.solve(qp.QpProblem.build(H, g, A, b), tol=1e-8)
+        fresh = qp.solve(qp.QpProblem.build(H, g, A, b - 1e-5), tol=1e-8)
         assert sol.qp_solution.x.tobytes() == fresh.x.tobytes()
 
 
@@ -655,8 +696,9 @@ def test_moving_theta_builds_the_models_step_data_once_per_replaced_model(model,
 def test_shifted_plan_meets_the_next_tubes_rows_kept_or_replaced(model):
     # Recursive feasibility along the dual loop: each tube's shifted plan
     # meets the rows the next tube was solved with, at the model it was
-    # solved at and the initial row of the next x_hat, on steps that kept
-    # the controller's model and on steps that replaced it, over the fixture
+    # solved at and the initial row of the next x_hat, untightened (margin
+    # 0, where the controller's retry solves), on steps that kept the
+    # controller's model and on steps that replaced it, over the fixture
     # model and five random models that pass the feasibility gate.
     rng, models = np.random.default_rng(17), [model]
     while len(models) < 6:
