@@ -20,8 +20,9 @@ complementarity are divided by
 
 So an OPTIMAL point is feasible to ``tol`` in absolute terms, while a cost of
 large norm is not asked for more significant digits than one of norm 1.  The
-same rule decides the interior-point loop and the acceptance of a warm
-start.
+same rule decides the interior-point loop and, in :func:`accept_warm_start`,
+the acceptance of the exact start and the tube controller's test of its
+kept plan.
 
 Every QP :func:`solve` meets starts from its exact solution.  With H
 positive definite, H^-1 = T T', the QP is the projection of its
@@ -34,15 +35,9 @@ Goldfarb & Idnani 1983).  As in OSQP's solution polishing (Stellato et al.
 to the scaled ``tol``, is returned with 0 iterations.  An H that does not
 factor and a least-distance solve that fails or finds the rows empty leave
 the problem to the interior-point iteration, and so does a start the test
-rejects, from which the iteration then starts.
-
-A warm start is read for its ``x`` and ``ineq_duals`` only: when they meet
-the KKT test (:func:`accept_warm_start`, which the tube controller also
-calls to keep its model) they are returned with 0 iterations, before the
-exact start is formed; otherwise x alone seeds the interior-point iteration
-when there is no exact start.  Duals of a nearby problem are a poorly
-centred start (Yildirim & Wright 2002), on which some solves stalled near
-the optimum.
+rejects, from whose x the iteration then starts.  Without a start, it
+starts from the x_u of ``QpProblem.unconstrained`` when the problem carries
+it, and from 0 otherwise.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
 at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s
@@ -205,13 +200,13 @@ def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
 # Overflow and division by zero show up as non-finite values, which the
 # KKT test and the iteration check for, instead of as warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def accept_warm_start(prob: QpProblem, warm_start: QpSolution,
-                      tol: float = 1e-8) -> QpSolution | None:
+def accept_warm_start(prob: QpProblem, warm_start, tol: float = 1e-8) -> QpSolution | None:
     """The warm start's x and duals as an ``OPTIMAL`` solution with 0
     iterations when they meet the KKT test at ``tol`` (see the module
-    docstring), and None when they do not.  This is the test :func:`solve`
-    applies to a warm start with duals.  A warm start of another size
-    raises ``ConfigurationError``."""
+    docstring), and None when they do not.  Only the warm start's ``x`` and
+    ``ineq_duals`` are read.  This is the test :func:`solve` applies to its
+    exact start.  A warm start of another size raises
+    ``ConfigurationError``."""
     x, lam = warm_start.x, warm_start.ineq_duals
     if (x.size, lam.size) != (prob.n, prob.A_in.shape[0]):
         raise ConfigurationError("warm start has wrong dimension")
@@ -267,41 +262,27 @@ def _least_distance_start(prob: QpProblem, tol: float) -> QpSolution | None:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve(prob: QpProblem, tol: float = 1e-8,
-          warm_start: QpSolution | np.ndarray | None = None) -> QpSolution:
+def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. A_in x <= b_in to scaled KKT residual
     <= tol (see the module docstring); a problem without rows raises
     ``ConfigurationError``.
 
-    A warm start carrying duals (a :class:`QpSolution`) is first checked
-    against the KKT conditions and accepted outright when it already
-    satisfies them.  Otherwise the exact start is formed and tested (see
-    the module docstring).  The interior-point iteration starts from the
-    start's x when the test rejects it, and otherwise from the warm start's
-    x, or a bare primal vector, or 0.  A warm start of another size raises
-    ``ConfigurationError``, before the exact start is formed.  A numerical
-    failure (a non-finite iterate or Newton matrix, or a Newton matrix that
-    fails its Cholesky factorization) ends the iteration with the best
-    point seen, status ``MAX_ITER`` when that point is feasible to ``tol``
-    and ``INFEASIBLE`` otherwise.  Without convergence the best point seen
-    is returned, and ``iterations`` counts the iterations run, not the index
-    of that point.
+    The exact start is formed and tested (see the module docstring).  The
+    interior-point iteration starts from the start's x when the test
+    rejects it, and otherwise from the x_u of ``prob.unconstrained``, or 0.
+    A numerical failure (a non-finite iterate or Newton matrix, or a Newton
+    matrix that fails its Cholesky factorization) ends the iteration with
+    the best point seen, status ``MAX_ITER`` when that point is feasible to
+    ``tol`` and ``INFEASIBLE`` otherwise.  Without convergence the best
+    point seen is returned, and ``iterations`` counts the iterations run,
+    not the index of that point.
     """
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
         raise ConfigurationError("a QP without rows is not posed by this package")
-    x0 = warm_start
-    if isinstance(warm_start, QpSolution):
-        accepted = accept_warm_start(prob, warm_start, tol)
-        if accepted is not None:
-            return accepted
-        x0 = warm_start.x
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).ravel()
-        if x0.size != n:
-            raise ConfigurationError("warm start has wrong dimension")
+    x0 = 0.0 if prob.unconstrained is None else prob.unconstrained[1]
     start = _least_distance_start(prob, tol)
     if start is not None:
         accepted = accept_warm_start(prob, start, tol)
@@ -317,7 +298,7 @@ def solve(prob: QpProblem, tol: float = 1e-8,
     x, w, lam = v[:n], v[n:n + m], v[n + m:]
     dx, dwl, wl = dv[:n], dv[n:], v[n:]
     Gd, K = np.empty((n, m)), np.empty((n, n))
-    x[:] = 0.0 if x0 is None else x0
+    x[:] = x0
     lam0 = max(1.0, float(np.maximum.reduce(np.abs(H @ x + prob.g), initial=0.0)))
     w[:], lam[:] = np.maximum(h - G @ x, 1.0), lam0
 
@@ -391,8 +372,8 @@ def project_weighted(
     infeasible.  The QP's H = 2M is not factored: its unconstrained
     minimiser is x0 and T = U' / sqrt(2) has T T' = H^-1, so the exact start
     of :func:`solve` reads P's factor, with W = U A_in' / sqrt(2).  Without
-    that start, the iteration starts from x0, where the cost's gradient is
-    zero, so the duals start at 1 (Wright 1997).
+    that start, the iteration starts from x_u = x0, where the cost's
+    gradient is zero, so the duals start at 1 (Wright 1997).
 
     Returns the full solution so callers can inspect status; when x0 is
     already feasible, as it is for a polyhedron without rows, it is
@@ -422,6 +403,6 @@ def project_weighted(
     if not np.logical_and.reduce(np.isfinite(np.concatenate([r, g]))):
         raise ConfigurationError("problem data must be finite")
     prob = QpProblem(2.0 * M, g, A_in, b_in, (np.sqrt(0.5) * U.T, x0))
-    sol = solve(prob, tol=tol, warm_start=x0)
+    sol = solve(prob, tol=tol)
     sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
     return sol

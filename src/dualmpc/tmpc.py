@@ -34,18 +34,18 @@ being optimal, not whenever the estimate moves (compare the recursive model
 update of Lorenzen, Cannon & Allgower 2019, and the self-triggered tube MPC
 of Brunner, Heemels & Allgower 2016).  Each step, :func:`solve_tmpc` first
 tests the warm start at its own rows, with this step's initial row and g,
-by ``qp.accept_warm_start``, the test qp.solve applies to a warm start, at
-the same tol:
+by ``qp.accept_warm_start``, the test qp.solve applies to its exact start,
+at the same tol:
 
 - kept: the plan passes at the margin delta, and is the solution, at
   theta_c, with 0 iterations;
 - replaced: it fails, and the QP at delta is solved at the estimate's
   model, or at theta_c's rows when the estimate's model is theta_c's object
   (a frozen theta), so that nothing is rebuilt; the solve starts from its
-  exact solution, and iterates from the plan's x only without one;
+  exact solution;
 - retried: that solve is not ``OPTIMAL``, at a new model or at theta_c, so
-  the QP is solved once more at theta_c's rows with delta = 0, from the
-  plan, and that result is taken only if it is ``OPTIMAL``.
+  the QP is solved once more at theta_c's rows with delta = 0, and that
+  result is taken only if it is ``OPTIMAL``.
 
 The exact solution at delta keeps delta of room in every untightened row,
 and the estimator's polytope, formed from the untightened rows, lets the
@@ -111,7 +111,7 @@ def solve_tmpc(
     template: PolytopeTemplate,
     Y: Hpoly,
     eps_u: np.ndarray,
-    warm_start: qp.QpSolution | np.ndarray | None = None,
+    warm_start: TubeWarmStart | None = None,
 ) -> TubeSolution:
     """Solve the tube QP at x_hat and y_ref, keeping the warm start's model
     while its shifted plan is still optimal there.
@@ -119,32 +119,34 @@ def solve_tmpc(
     A :class:`TubeWarmStart` of this controller is first tested, by
     ``qp.accept_warm_start``, against its own rows with this step's initial
     row and g.  When it passes, it is the solution, at its rows, with 0
-    iterations (kept).  Otherwise the QP is solved from its x at params
-    (replaced), at the warm start's own rows when they are of params itself.
+    iterations (kept).  Otherwise the QP is solved at params (replaced), at
+    the warm start's own rows when they are of params itself.
     When that solve is not ``OPTIMAL``, the QP is solved once more at the
     warm start's rows with the margin ``rci.MARGIN`` taken off, where its
     plan is feasible, and that result is taken only if it is ``OPTIMAL``
     (retried).  The warm start's rows at the margin make one problem, which
-    the test and the solve at them share.  Any other warm start is handed
-    to the solve at params.  ``rows`` and d are those of the model solved
+    the test and the solve at them share.  A warm start of another TubeQp
+    is not tested, and the QP is solved as without one; one whose x has
+    another size than this controller's vector raises
+    ``ConfigurationError``.  ``rows`` and d are those of the model solved
     for.  An x_hat or y_ref of another size than the controller's raises
     ``ConfigurationError``."""
     tq = rci.tube_qp(template, cfg.beta, eps_u, Y, params.C, cfg.gamma, cfg.N + 1)
     kept = sol = None
-    if isinstance(warm_start, TubeWarmStart) and warm_start.rows.tube_qp is tq:
+    if warm_start is not None and warm_start.x.size != tq.layout.dim:
+        raise ConfigurationError("warm start has wrong dimension")
+    if warm_start is not None and warm_start.rows.tube_qp is tq:
         kept = warm_start.rows
         kept_qp, const = tq.problem(kept, y_ref, x_hat)
         sol = qp.accept_warm_start(kept_qp, warm_start)
-        warm_start = warm_start.x     # tested: the solves below start from it
     rows = kept
     if sol is None:
         rows = kept if kept is not None and kept.params is params else tq.at(params)
         prob, const = (kept_qp, const) if rows is kept else tq.problem(rows, y_ref, x_hat)
-        sol = qp.solve(prob, warm_start=warm_start)
+        sol = qp.solve(prob)
         if sol.status != qp.QpStatus.OPTIMAL and kept is not None:
             # The kept rows untightened, where the plan is certified feasible.
-            retry = qp.solve(replace(kept_qp, b_in=kept_qp.b_in + rci.MARGIN),
-                             warm_start=warm_start)
+            retry = qp.solve(replace(kept_qp, b_in=kept_qp.b_in + rci.MARGIN))
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
     return TubeSolution(x=sol.x, rows=rows, cost=sol.value + const, qp_solution=sol)
@@ -162,25 +164,24 @@ def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:
     return shifted
 
 
-@dataclass(kw_only=True)
-class TubeWarmStart(qp.QpSolution):
-    """A shifted plan with its duals, and the rows it was solved with, which
-    name their QP."""
+@dataclass
+class TubeWarmStart:
+    """A shifted plan x with its duals, and the rows it was solved with, which
+    name their QP; ``qp.accept_warm_start`` reads x and ``ineq_duals``."""
 
+    x: np.ndarray
+    ineq_duals: np.ndarray
     rows: rci.StepRows
 
 
 def warm_start_vector(sol: TubeSolution, gamma: float) -> TubeWarmStart:
     """Warm start for the next solve: the shifted plan ``sol.shifted`` with
     this solve's duals and rows ``sol.rows``.  :func:`solve_tmpc` keeps those
-    rows' model while the plan still meets the KKT test at them; otherwise
-    only its x seeds the interior-point iteration.  Its ``kkt_residual`` is
-    nan until a test evaluates it.  gamma must be the controller's; another
-    raises ``ConfigurationError``."""
+    rows' model while the plan still meets the KKT test at them.  gamma
+    must be the controller's; another raises ``ConfigurationError``."""
     if gamma != sol.tube_qp.gamma:
         raise ConfigurationError("gamma differs from the tube's controller's")
-    duals = sol.qp_solution
-    return TubeWarmStart(sol.shifted, duals.ineq_duals, np.nan, duals.status, 0, rows=sol.rows)
+    return TubeWarmStart(sol.shifted, sol.qp_solution.ineq_duals, sol.rows)
 
 
 def nominal_input(

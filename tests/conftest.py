@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dualmpc import qlpv, qp
 from dualmpc.polytope import box_template
+from oracles import scaled_kkt_residual
 
 
 @pytest.fixture
@@ -46,6 +47,20 @@ def without_exact_start(monkeypatch):
     """Make every later qp.solve run its interior-point iteration, as when
     it forms no exact start; H is then not factored either."""
     monkeypatch.setattr(qp, "_least_distance_start", lambda prob, tol: None)
+
+
+def interior_point_from(monkeypatch, x):
+    """Make every later qp.solve start its interior-point iteration from x,
+    the way it starts from an exact start that its KKT test rejects: the
+    start is x with zero duals, which must fail that test."""
+    x = np.array(x, dtype=float)
+
+    def start(prob, tol):
+        lam = np.zeros(prob.A_in.shape[0])
+        assert scaled_kkt_residual(prob, x, lam) > tol
+        return qp.QpSolution(x.copy(), lam, np.nan, qp.QpStatus.OPTIMAL, 0)
+
+    monkeypatch.setattr(qp, "_least_distance_start", start)
 
 
 @pytest.fixture

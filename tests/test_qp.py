@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dualmpc import estimator, qlpv, qp, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
-from conftest import random_model, without_exact_start
+from conftest import interior_point_from, random_model, without_exact_start
 from oracles import qp_active_set_oracle, scaled_kkt_residual
 
 
@@ -20,6 +20,15 @@ def solve_simple(H, g, A_in, b_in, **kw):
 def failing_nnls(*args, **kwargs):
     """scipy's NNLS at its iteration limit."""
     raise RuntimeError("Maximum number of iterations reached.")
+
+
+def kkt_points(monkeypatch):
+    """The x of every later KKT test, in order: a start's test comes first,
+    and each interior-point iteration tests its iterate once."""
+    residual, points = qp._kkt_residual, []
+    monkeypatch.setattr(qp, "_kkt_residual", lambda prob, x, lam: (
+        points.append(x.copy()), residual(prob, x, lam))[1])
+    return points
 
 
 def test_single_active_constraint_clips_optimum():
@@ -96,37 +105,29 @@ def test_objective_scaling_leaves_argmin_unchanged(rng):
 
 
 def test_warm_start_resolve_is_immediate(rng, interior_point):
-    # The interior-point solution, whose KKT residual is near tol.
+    # The interior-point solution, whose KKT residual is near tol, meets the
+    # KKT test, so qp.accept_warm_start takes it without iterating, and the
+    # test alone makes it feasible to tol (1e-8).  It refuses the solution
+    # of a moved problem.
     H, g, A, b = random_strictly_convex(rng, 4, 8)
     prob = qp.QpProblem.build(H, g, A, b)
     sol = qp.solve(prob)
-    resolved = qp.solve(prob, warm_start=sol)
-    # The solution meets the KKT test, so it is accepted without iterating,
-    # and the test alone makes it feasible to tol (1e-8).
-    assert resolved.status == qp.QpStatus.OPTIMAL
-    assert resolved.iterations == 0
-    assert np.array_equal(resolved.x, sol.x)
-    assert (A @ resolved.x - b).max() <= 1e-8
-    # The test is qp.accept_warm_start's, which refuses the solution of a
-    # moved problem, where solve iterates.
     accepted = qp.accept_warm_start(prob, sol)
-    assert (accepted.x.tobytes(), accepted.kkt_residual, accepted.iterations) == (
-        resolved.x.tobytes(), resolved.kkt_residual, 0)
+    assert accepted.status == qp.QpStatus.OPTIMAL
+    assert accepted.iterations == 0 and accepted.kkt_residual <= 1e-8
+    assert accepted.x.tobytes() == sol.x.tobytes()
+    assert (A @ accepted.x - b).max() <= 1e-8
     moved = qp.QpProblem.build(H, g + 0.1, A, b)
     assert qp.accept_warm_start(moved, sol) is None
-    assert qp.solve(moved, warm_start=sol).iterations > 0
 
 
 def test_warm_start_of_wrong_size_rejected(rng):
-    # A solution of another problem is refused, duals or not, like a bare
-    # vector of the wrong length; it is never dropped for a cold start.
+    # A solution of another problem, with fewer rows or fewer variables, is
+    # refused by the KKT test with an error, not read as a failed test.
     H, g, A, b = random_strictly_convex(rng, 4, 8)
     sol = qp.solve(qp.QpProblem.build(H, g, A, b))
     fewer_rows = qp.QpProblem.build(H, g, A[:6], b[:6])
     fewer_vars = qp.QpProblem.build(H[:3, :3], g[:3], A[:, :3], b)
-    for prob, warm in ((fewer_rows, sol), (fewer_vars, sol), (fewer_vars, sol.x)):
-        with pytest.raises(ConfigurationError, match="wrong dimension"):
-            qp.solve(prob, warm_start=warm)
     for prob in (fewer_rows, fewer_vars):
         with pytest.raises(ConfigurationError, match="wrong dimension"):
             qp.accept_warm_start(prob, sol)
@@ -262,7 +263,7 @@ RECORDED = json.loads((Path(__file__).parent / "data" / "qp_recorded_seed11.json
 
 
 @pytest.mark.parametrize("rec", RECORDED, ids=[r["name"] for r in RECORDED])
-def test_recorded_problem_keeps_its_iterations(rec, interior_point):
+def test_recorded_problem_keeps_its_iterations(rec, monkeypatch):
     # Seed-11 bench problems: a tube QP whose warm start (the shifted plan
     # with the last duals) fails the KKT test, and a projection started at
     # the point it projects, from dual_track and from twomass_track, with
@@ -271,13 +272,11 @@ def test_recorded_problem_keeps_its_iterations(rec, interior_point):
     # factor 1.9 from tol on both sides of the last iteration, so rounding
     # does not move the count.  x is not compared: the tube QP's optimal
     # face is not a point, and x moves by up to 4e-9 under rounding.  The
-    # exact start is left out, so that the iteration runs.
+    # exact start is replaced by a rejected one at the recorded start's x,
+    # from which the iteration runs; the recorded duals are not used.
     prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"])
-    warm = np.array(rec["warm_x"])
-    if rec["warm_duals"] is not None:
-        warm = qp.QpSolution(warm, np.array(rec["warm_duals"]), float("nan"),
-                             qp.QpStatus.OPTIMAL, 0)
-    sol = qp.solve(prob, tol=rec["tol"], warm_start=warm)
+    interior_point_from(monkeypatch, rec["warm_x"])
+    sol = qp.solve(prob, tol=rec["tol"])
     assert sol.status.value == rec["status"]
     assert sol.iterations == rec["iterations"] > 0
     assert prob.objective(sol.x) == pytest.approx(rec["objective"], rel=1e-12)
@@ -338,13 +337,15 @@ def test_finding_h_warm_start_is_feasible():
     assert (prob.A_in @ warm.x - prob.b_in).max() <= 1e-11
 
 
-def test_finding_h_returned_point_is_feasible(monkeypatch, interior_point):
-    # Without its exact start the iteration reaches tol at its 12th KKT
-    # test, now that the test reads H without the Newton matrix's ridge.  A
-    # factorization that fails at the 11th, the last one it makes, as it
-    # failed on the ridged residual, stops the solve there: it returns the
-    # point of the smallest KKT residual it saw, feasible to tol.
+def test_finding_h_returned_point_is_feasible(monkeypatch):
+    # From the plan, instead of the exact start, the iteration reaches tol
+    # at its 12th iteration's KKT test, now that the test reads H without
+    # the Newton matrix's ridge.  A factorization that fails at the 11th,
+    # the last one it makes, as it failed on the ridged residual, stops the
+    # solve there: it returns the point of the smallest KKT residual it saw,
+    # feasible to tol.
     prob, warm, tol = finding_h()
+    interior_point_from(monkeypatch, warm.x)
     dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
     infos, kkts = [], []
 
@@ -356,7 +357,7 @@ def test_finding_h_returned_point_is_feasible(monkeypatch, interior_point):
     monkeypatch.setattr(qp.lapack, "dpotrf", factor)
     monkeypatch.setattr(qp, "_kkt_residual",
                         lambda *a: (lambda out: (kkts.append(out[0]), out)[1])(residual(*a)))
-    sol = qp.solve(prob, tol=tol, warm_start=warm)
+    sol = qp.solve(prob, tol=tol)
     assert infos[-1] != 0 and not any(infos[:-1])
     assert sol.iterations == len(infos) == 11
     assert sol.status == qp.QpStatus.MAX_ITER and sol.kkt_residual == min(kkts) > tol
@@ -365,9 +366,34 @@ def test_finding_h_returned_point_is_feasible(monkeypatch, interior_point):
 
 def test_finding_h_tube_qp_solves_to_optimal():
     # The exact start is the optimum, which the iteration could not reach.
-    prob, warm, tol = finding_h()
-    sol = qp.solve(prob, tol=tol, warm_start=warm)
+    prob, _, tol = finding_h()
+    sol = qp.solve(prob, tol=tol)
     assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
+
+
+def test_rejected_start_of_a_tube_qp_is_iterated_from_its_x(monkeypatch):
+    # The interior-point iteration's one entry: a start that the KKT test
+    # rejects.  On the recorded dual_track tube QP, which carries no
+    # unconstrained minimiser, the exact start with its duals zeroed is
+    # rejected; the test and the first iteration are both at its x, and the
+    # iteration ends OPTIMAL.
+    (rec,) = [r for r in RECORDED if r["name"] == "dual_track tube"]
+    prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"])
+    exact, starts = qp._least_distance_start, []
+
+    def rejected(prob, tol):
+        start = exact(prob, tol)
+        start.ineq_duals[:] = 0.0
+        assert scaled_kkt_residual(prob, start.x, start.ineq_duals) > tol
+        starts.append(start.x.copy())
+        return start
+
+    monkeypatch.setattr(qp, "_least_distance_start", rejected)
+    points = kkt_points(monkeypatch)
+    sol = qp.solve(prob, tol=rec["tol"])
+    assert prob.unconstrained is None
+    assert np.array_equal(points[0], starts[0]) and np.array_equal(points[1], starts[0])
+    assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == len(points) - 1 > 0
 
 
 @pytest.mark.parametrize("fail_from", [None, 3], ids=["non_finite_matrix", "factorization_failure"])
@@ -413,8 +439,9 @@ def test_dual_loop_projection_converges(monkeypatch):
     # solver ran all 500 iterations on it into MAX_ITER, as it did on the
     # step-12 projection of the loop it drove itself, and the estimator fell
     # back to the previous theta.  The projection itself now accepts its
-    # exact start, so the same QP is also solved without it from the bare
-    # point it projects, the start the interior-point iteration had then.
+    # exact start, so the same QP is also solved without it: the
+    # interior-point iteration then starts from the point it projects, the
+    # problem's unconstrained minimiser, as it did then.
     template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
     cfg = tmpc.ControllerConfig()
     model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
@@ -457,8 +484,9 @@ def test_dual_loop_projection_converges(monkeypatch):
     assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= tol
     assert poly.violation(corr.zeta) <= 1e-10
     assert not corr.fallback
+    assert np.array_equal(prob.unconstrained[1], x0)
     without_exact_start(monkeypatch)
-    cold = solve(prob, tol=tol, warm_start=x0)
+    cold = solve(prob, tol=tol)
     assert cold.status == qp.QpStatus.OPTIMAL
     assert 0 < cold.iterations <= 60
 
@@ -502,14 +530,6 @@ def random_projection(rng, n, m, log_cond):
 
 
 class TestProjectWeighted:
-    @staticmethod
-    def solves(monkeypatch):
-        """(problem, warm start) of every later qp.solve call, in order."""
-        solve, calls = qp.solve, []
-        monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
-            calls.append((prob, kw["warm_start"])), solve(prob, **kw))[1])
-        return calls
-
     def test_interior_point_returned_unchanged(self):
         sol = qp.project_weighted(np.array([0.2, 0.1]), np.eye(2),
                                   A_in=np.eye(2), b_in=np.ones(2))
@@ -571,17 +591,19 @@ class TestProjectWeighted:
         # The least-distance start over all rows is the projection on every
         # path: the solve accepts it with 0 iterations, at the active-set
         # optimum.  It forms it from P's factor, which the problem carries
-        # with its unconstrained minimiser x0, and is handed x0 alone.
+        # with its unconstrained minimiser x0.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS[path])
-        calls = self.solves(monkeypatch)
+        solve, problems = qp.solve, []
+        monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
+            problems.append(prob), solve(prob, **kw))[1])
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
-        ((prob, warm),) = calls
+        (prob,) = problems
         M = np.linalg.inv(P)
         x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
         T, x_u = prob.unconstrained
-        assert np.array_equal(x_u, x0) and np.array_equal(warm, x0)
+        assert np.array_equal(x_u, x0)
         assert np.allclose(T @ T.T, np.linalg.inv(prob.H), rtol=1e-9, atol=1e-12)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -641,10 +663,10 @@ class TestProjectWeighted:
         # from x0 itself and still ends at the projection.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS["kkt_rejected"])
         monkeypatch.setattr(qp, "nnls", failing_nnls)
-        calls = self.solves(monkeypatch)
+        points = kkt_points(monkeypatch)
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
         x_ref, _ = qp_active_set_oracle(2.0 * np.eye(2), -2.0 * x0, A, b)
-        assert np.array_equal(calls[0][1], x0)
+        assert np.array_equal(points[0], x0)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations > 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
 
@@ -728,10 +750,10 @@ class TestProjectWeighted:
         # x1 <= -1 and -x1 <= -1: the least-distance residual vanishes, so
         # no start is formed and the solve from x0 reports INFEASIBLE.
         x0 = np.zeros(1)
-        calls = self.solves(monkeypatch)
+        points = kkt_points(monkeypatch)
         sol = qp.project_weighted(x0, np.eye(1), A_in=np.array([[1.0], [-1.0]]),
                                   b_in=np.array([-1.0, -1.0]))
-        assert np.array_equal(calls[0][1], x0)
+        assert np.array_equal(points[0], x0)
         assert sol.status == qp.QpStatus.INFEASIBLE
 
     def test_indefinite_weight_rejected(self):

@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 from dualmpc import estimator, qlpv, qp, rci, sysid, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
-from conftest import random_model, without_exact_start
+from conftest import interior_point_from, random_model
 from oracles import scaled_kkt_residual, vertex_input, verify_rci
 
 
@@ -164,11 +164,11 @@ class TestCandidateShift:
         rows = sol.tube_qp.at(model)
         A, b = rows.A, rows.b.copy()
         b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_next
-        cand = tmpc.warm_start_vector(sol, CFG.gamma).x
-        assert (A @ cand - b).max() <= 1e-9
+        warm = tmpc.warm_start_vector(sol, CFG.gamma)
+        assert (A @ warm.x - b).max() <= 1e-9
         assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.s).max() <= 1e-9
         # And the next solve, warm-started from the candidate, succeeds.
-        nxt = solve(model, x_next, 0.6, warm_start=cand)
+        nxt = solve(model, x_next, 0.6, warm_start=warm)
         assert nxt.status == qp.QpStatus.OPTIMAL
 
 
@@ -181,21 +181,6 @@ class TestCandidateShift:
         assert nxt.status == qp.QpStatus.OPTIMAL
         assert nxt.qp_solution.iterations == 0
         assert np.abs(nxt.qp_solution.x - cold.qp_solution.x).max() <= 1e-8
-
-    def test_duals_never_seed_the_interior_point_iteration(self, model, monkeypatch):
-        # After a reference switch the shifted plan is no longer optimal: the
-        # duals then feed only the acceptance test, and the solve is the one
-        # the bare shifted plan seeds, bit for bit, when the iteration runs.
-        x_hat = np.array([0.2, -0.1])
-        sol = solve(model, x_hat, 0.6)
-        u, _ = tmpc.nominal_input(sol, x_hat, TEMPLATE)
-        x_next = qlpv.step(model, x_hat, u)
-        warm = tmpc.warm_start_vector(sol, CFG.gamma)
-        without_exact_start(monkeypatch)
-        with_duals = solve(model, x_next, -0.3, warm_start=warm).qp_solution
-        bare = solve(model, x_next, -0.3, warm_start=warm.x).qp_solution
-        assert with_duals.iterations == bare.iterations > 0
-        assert with_duals.x.tobytes() == bare.x.tobytes()
 
     def test_warm_start_from_another_controller_rejected(self, model):
         sol = solve(model, [0.1, 0.0])
@@ -246,6 +231,22 @@ class TestKeptModel:
         at_moved = step_problem(sol.tube_qp, sol.tube_qp.at(moved), [0.0, 0.0], 0.0)
         assert qp.accept_warm_start(at_moved, warm) is None
 
+    def test_plan_of_a_rebuilt_tube_qp_is_not_tested(self, model):
+        # A warm start of this controller's size whose TubeQp was rebuilt,
+        # as when its cache entry is evicted, names rows that are not this
+        # TubeQp's: it is not tested for keeping, and the solve at the moved
+        # model, where the plan would be kept, is the one without it.
+        cold = solve(model, [0.0, 0.0])
+        warm = tmpc.warm_start_vector(cold, CFG.gamma)
+        moved = moved_model(model)
+        rci._tube_qp.cache_clear()
+        sol = solve(moved, [0.0, 0.0], warm_start=warm)
+        want = solve(moved, [0.0, 0.0])
+        assert sol.tube_qp is not cold.tube_qp and sol.rows.params is moved
+        assert sol.x.tobytes() == want.x.tobytes()
+        assert ((sol.status, sol.qp_solution.iterations)
+                == (want.status, want.qp_solution.iterations))
+
     def test_plan_no_longer_optimal_replaces_the_model(self, model, interior_point):
         # Without the exact start, the solve at the moved model iterates.
         cold = solve(model, [0.0, 0.0])
@@ -287,8 +288,7 @@ class TestKeptModel:
         assert [A is cold.rows.A for A in solved_at] == [False, True]
         if kept_solves:
             assert sol.status == qp.QpStatus.OPTIMAL and sol.rows is cold.rows
-            want = real(untightened(step_problem(sol.tube_qp, cold.rows, [0.0, 0.0], 0.5)),
-                        warm_start=warm)
+            want = real(untightened(step_problem(sol.tube_qp, cold.rows, [0.0, 0.0], 0.5)))
             assert sol.x.tobytes() == want.x.tobytes()
         else:
             assert sol.status == qp.QpStatus.MAX_ITER and sol.rows.params is moved
@@ -297,20 +297,21 @@ class TestKeptModel:
     @pytest.mark.parametrize("moved", [False, True], ids=["same-model", "moved-model"])
     def test_failed_kept_test_solves_from_the_plan_without_testing_it_again(
             self, model, monkeypatch, moved):
-        # The plan fails the kept test at y_ref 0.5.  The QP is then solved
-        # from its x: at the kept rows when the model is the kept one, which
-        # builds no rows, and at the moved model's rows otherwise.  Without
-        # the exact start, the KKT conditions are tested once before the
-        # iterations, each of which tests them once.
+        # The plan fails the kept test at y_ref 0.5.  The QP is then solved:
+        # at the kept rows when the model is the kept one, which builds no
+        # rows, and at the moved model's rows otherwise.  Its exact start is
+        # replaced by a rejected one at the plan's x, from which the
+        # iteration runs.  The KKT conditions are tested once for the plan
+        # and once for the start, and once in each iteration.
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
         params = moved_model(model) if moved else model
-        without_exact_start(monkeypatch)
+        interior_point_from(monkeypatch, warm.x)
         calls, tests, residual = spied(monkeypatch), [], qp._kkt_residual
         monkeypatch.setattr(qp, "_kkt_residual", lambda *a: (tests.append(1), residual(*a))[1])
         sol = solve(params, [0.0, 0.0], 0.5, warm_start=warm)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.qp_solution.iterations > 0
-        assert len(tests) == 1 + sol.qp_solution.iterations
+        assert len(tests) == 2 + sol.qp_solution.iterations
         assert sol.rows.params is params and (sol.rows is cold.rows) is not moved
         assert calls == ({"disturbance_vector": 1, "over_y": 1} if moved else {})
 
@@ -319,22 +320,22 @@ class TestKeptModel:
                                                                retry_solves):
         # The solve at the kept model, at its kept rows tightened by the
         # margin 1e-5, ends MAX_ITER.  The retry solves the same rows at
-        # margin 0, where the shifted plan is feasible, from the plan, and is
-        # taken only when it is OPTIMAL.
+        # margin 0, where the shifted plan is feasible, and is taken only
+        # when it is OPTIMAL.
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
         real, solved = qp.solve, []
 
         def failing(prob, **kw):
-            solved.append((prob, kw["warm_start"]))
+            solved.append(prob)
             sol = real(prob, **kw)
             if len(solved) == 1 or not retry_solves:
                 sol.status = qp.QpStatus.MAX_ITER
             return sol
         monkeypatch.setattr(qp, "solve", failing)
         sol = solve(model, [0.0, 0.0], 0.5, warm_start=warm)
-        (at_margin, _), (at_zero, start) = solved
-        assert at_margin.A_in is at_zero.A_in is cold.rows.A and start is warm.x
+        at_margin, at_zero = solved
+        assert at_margin.A_in is at_zero.A_in is cold.rows.A
         b = cold.rows.b.copy()
         b[-TEMPLATE.n_rows:] = 0.0        # -F x_hat at x_hat = 0
         assert np.abs(at_margin.b_in - (b - 1e-5)).max() == 0.0
@@ -342,7 +343,7 @@ class TestKeptModel:
         assert sol.rows is cold.rows
         if retry_solves:
             assert sol.status == qp.QpStatus.OPTIMAL
-            assert sol.x.tobytes() == real(at_zero, warm_start=warm.x).x.tobytes()
+            assert sol.x.tobytes() == real(at_zero).x.tobytes()
         else:
             assert sol.status == qp.QpStatus.MAX_ITER
 
