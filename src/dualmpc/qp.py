@@ -34,16 +34,17 @@ Goldfarb & Idnani 1983).  As in OSQP's solution polishing (Stellato et al.
 2020), the start's KKT test decides: a point exact to rounding, rather than
 to the scaled ``tol``, is returned with 0 iterations.  An H that does not
 factor and a least-distance solve that fails or finds the rows empty leave
-the problem to the interior-point iteration, and so does a start the test
-rejects, from whose x the iteration then starts.  Without a start, it
-starts from the x_u of ``QpProblem.unconstrained`` when the problem carries
-it, and from 0 otherwise.
+the problem to the interior-point iteration, started from 0; so does a
+start the test rejects, and the iteration then starts from its x.
+:func:`project_weighted` poses its problem already in whitened coordinates,
+H = 2I and g = 0, so its start factors H like every other.
 
 The interior-point duals start at max(1, |Hx0 + g|_inf), the cost's gradient
 at the start point x0, which A_in' lam must balance.  Scaling (H, g) by s
 then scales every dual iterate by s and keeps the primal ones and the
 iteration count (up to the floor of 1 and the step rule max(0.99, 1 - mu)
-near the end).
+near the end).  A whitened projection started at z = 0, where its gradient
+is zero, starts its duals at 1.
 
 Each iteration evaluates the KKT residuals once, and the predictor reuses
 the A_in' lam computed there.  Predictor and corrector share one Cholesky
@@ -96,16 +97,13 @@ class QpProblem:
     ``rci.tube_qp`` validates the H and fixed rows of each ``rci.TubeQp``
     once, and its users construct each problem directly, as
     :func:`project_weighted` does after checking its own data.
-    ``unconstrained`` is (T, x_u) with T T' = H^-1 and x_u = -H^-1 g, when
-    the code that forms the problem already holds them; :func:`solve` forms
-    its exact start from it, and without it factors H itself.
+    :func:`solve` factors H itself to form its exact start.
     """
 
     H: np.ndarray
     g: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
-    unconstrained: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, H, g, A_in, b_in) -> "QpProblem":
@@ -228,14 +226,11 @@ def _least_distance_start(prob: QpProblem, tol: float) -> QpSolution | None:
     factor, when NNLS raises (its iteration limit; an overflow in W), when
     s <= _LDP_EMPTY (the rows are empty) or when x is not finite."""
     A, b = prob.A_in, prob.b_in
-    if prob.unconstrained is None:
-        R, info = lapack.dpotrf(prob.H)
-        if info:
-            return None
-        T = lapack.dtrtri(R)[0]
-        x_u = -(T @ (T.T @ prob.g))
-    else:
-        T, x_u = prob.unconstrained
+    R, info = lapack.dpotrf(prob.H)
+    if info:
+        return None
+    T = lapack.dtrtri(R)[0]
+    x_u = -(T @ (T.T @ prob.g))
     r = A @ x_u - b
     W = T.T @ A.T
     try:
@@ -269,7 +264,7 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
 
     The exact start is formed and tested (see the module docstring).  The
     interior-point iteration starts from the start's x when the test
-    rejects it, and otherwise from the x_u of ``prob.unconstrained``, or 0.
+    rejects it, and from 0 when no start is formed.
     A numerical failure (a non-finite iterate or Newton matrix, or a Newton
     matrix that fails its Cholesky factorization) ends the iteration with
     the best point seen, status ``MAX_ITER`` when that point is feasible to
@@ -282,13 +277,11 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
     n, m = prob.n, prob.A_in.shape[0]
     if m == 0:
         raise ConfigurationError("a QP without rows is not posed by this package")
-    x0 = 0.0 if prob.unconstrained is None else prob.unconstrained[1]
     start = _least_distance_start(prob, tol)
     if start is not None:
         accepted = accept_warm_start(prob, start, tol)
         if accepted is not None:
             return accepted
-        x0 = start.x
     G, h, Gt, H = prob.A_in, prob.b_in, np.ascontiguousarray(prob.A_in.T), prob.H.copy()
     H.flat[::n + 1] += _RIDGE
 
@@ -298,7 +291,7 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
     x, w, lam = v[:n], v[n:n + m], v[n + m:]
     dx, dwl, wl = dv[:n], dv[n:], v[n:]
     Gd, K = np.empty((n, m)), np.empty((n, n))
-    x[:] = x0
+    x[:] = 0.0 if start is None else start.x
     lam0 = max(1.0, float(np.maximum.reduce(np.abs(H @ x + prob.g), initial=0.0)))
     w[:], lam[:] = np.maximum(h - G @ x, 1.0), lam0
 
@@ -364,16 +357,18 @@ def project_weighted(
 ) -> QpSolution:
     """Projection arg min ||x - x0||_M^2 onto {x : A_in x <= b_in} in the
     metric M = P^-1 of the covariance P (the estimate projection of Simon
-    2010): the QP min x'Mx - 2 x0'Mx s.t. A_in x <= b_in.
+    2010).
 
     P is factored once, P = U'U (LAPACK dpotrf); a singular P takes a ridge
     of _RIDGE max(1, |P|_max) I, and a P that does not factor even then
-    raises ``ConfigurationError``.  M = U^-1 U^-T is formed only when x0 is
-    infeasible.  The QP's H = 2M is not factored: its unconstrained
-    minimiser is x0 and T = U' / sqrt(2) has T T' = H^-1, so the exact start
-    of :func:`solve` reads P's factor, with W = U A_in' / sqrt(2).  Without
-    that start, the iteration starts from x_u = x0, where the cost's
-    gradient is zero, so the duals start at 1 (Wright 1997).
+    raises ``ConfigurationError``.  When x0 is infeasible, the substitution
+    x = x0 + U'z whitens the metric, ||x - x0||_M^2 = |z|^2, and
+    :func:`solve` is handed the problem in z: H = 2I, g = 0 and the rows
+    A_in U' z <= b_in - A_in x0.  M is never formed.  Its exact start sees
+    W = U A_in' / sqrt(2), and its interior-point iteration starts at z = 0,
+    which is x0.  The solution's x is mapped back to x0 + U'z; its duals
+    are those of the rows A_in x <= b_in, and its ``value`` is the solver's
+    objective |z|^2.
 
     Returns the full solution so callers can inspect status; when x0 is
     already feasible, as it is for a polyhedron without rows, it is
@@ -394,15 +389,12 @@ def project_weighted(
     r = A_in @ x0 - b_in
     if np.logical_and.reduce(r <= 0.0):
         return QpSolution(x0.copy(), np.zeros(len(b_in)), 0.0, QpStatus.OPTIMAL, 0, 0.0, 0.0)
-    U_inv, _ = lapack.dtrtri(U)
-    M = U_inv @ U_inv.T
-    # M is symmetric positive definite by construction, and r and g carry
-    # every datum (an infinite entry of M, x0, A_in or b_in makes one of
-    # them non-finite), so their check is the only one the problem needs.
-    g = -2.0 * (M @ x0)
-    if not np.logical_and.reduce(np.isfinite(np.concatenate([r, g]))):
+    # r and the whitened rows carry every datum (an infinite entry of U, x0,
+    # A_in or b_in makes one of them non-finite), so their check is the only
+    # one the problem needs.
+    A_z = A_in @ U.T
+    if not np.logical_and.reduce(np.isfinite(np.concatenate([r, A_z.ravel()]))):
         raise ConfigurationError("problem data must be finite")
-    prob = QpProblem(2.0 * M, g, A_in, b_in, (np.sqrt(0.5) * U.T, x0))
-    sol = solve(prob, tol=tol)
-    sol.value = float((sol.x - x0) @ M @ (sol.x - x0))
+    sol = solve(QpProblem(2.0 * np.eye(n), np.zeros(n), A_z, -r), tol=tol)
+    sol.x = x0 + U.T @ sol.x
     return sol

@@ -295,9 +295,9 @@ def test_recorded_projection_meets_its_kkt_conditions():
     # under the module's KKT rule at the projection's tol: feasibility to
     # tol, and stationarity and complementarity to tol times
     # max(1, |2Md|, |A'lam|).  There the cost has no linear term, so the
-    # bound is not scaled up by |2 M x0| ~ 1e6 as it is for the solver's
-    # own test.  Solved from x0 alone, the returned point lay 100 times
-    # farther from x0 than the projection, with complementarity 7e-7.
+    # bound is not scaled up by |2 M x0| ~ 1e6.  Solved from x0 alone, the
+    # returned point lay 100 times farther from x0 than the projection, with
+    # complementarity 7e-7.
     rec = PROJECTION
     x0, P, A, b = (np.array(rec[k]) for k in ("x0", "P", "A_in", "b_in"))
     tol = rec["tol"]
@@ -373,10 +373,9 @@ def test_finding_h_tube_qp_solves_to_optimal():
 
 def test_rejected_start_of_a_tube_qp_is_iterated_from_its_x(monkeypatch):
     # The interior-point iteration's one entry: a start that the KKT test
-    # rejects.  On the recorded dual_track tube QP, which carries no
-    # unconstrained minimiser, the exact start with its duals zeroed is
-    # rejected; the test and the first iteration are both at its x, and the
-    # iteration ends OPTIMAL.
+    # rejects.  On the recorded dual_track tube QP the exact start with its
+    # duals zeroed is rejected; the test and the first iteration are both at
+    # its x, and the iteration ends OPTIMAL.
     (rec,) = [r for r in RECORDED if r["name"] == "dual_track tube"]
     prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"])
     exact, starts = qp._least_distance_start, []
@@ -391,7 +390,6 @@ def test_rejected_start_of_a_tube_qp_is_iterated_from_its_x(monkeypatch):
     monkeypatch.setattr(qp, "_least_distance_start", rejected)
     points = kkt_points(monkeypatch)
     sol = qp.solve(prob, tol=rec["tol"])
-    assert prob.unconstrained is None
     assert np.array_equal(points[0], starts[0]) and np.array_equal(points[1], starts[0])
     assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == len(points) - 1 > 0
 
@@ -439,9 +437,11 @@ def test_dual_loop_projection_converges(monkeypatch):
     # solver ran all 500 iterations on it into MAX_ITER, as it did on the
     # step-12 projection of the loop it drove itself, and the estimator fell
     # back to the previous theta.  The projection itself now accepts its
-    # exact start, so the same QP is also solved without it: the
-    # interior-point iteration then starts from the point it projects, the
-    # problem's unconstrained minimiser, as it did then.
+    # exact start, so the same QP is also solved without it.  It is posed in
+    # whitened coordinates z = U^-T (x - x0), P = U'U: H = 2I, g = 0, rows
+    # A U' and b - A x0, and the KKT test is of that problem at z.  The
+    # interior-point iteration then starts from z = 0, the point it
+    # projects, as it did then.
     template, Y, eps_u = box_template(2, 1), Hpoly.box(0.8), np.ones(1)
     cfg = tmpc.ControllerConfig()
     model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
@@ -452,13 +452,14 @@ def test_dual_loop_projection_converges(monkeypatch):
     x, warm = np.array([0.1, -0.05]), None
     projections, problems = [], []
 
-    def recording(x0, *args, **kwargs):
-        projections.append((x0, kwargs["tol"], project(x0, *args, **kwargs)))
-        return projections[-1][2]
+    def recording(x0, P, **kwargs):
+        projections.append((x0, P, kwargs, project(x0, P, **kwargs)))
+        return projections[-1][-1]
 
     def solving(prob, *args, **kwargs):
-        problems.append(prob)
-        return solve(prob, *args, **kwargs)
+        sol = solve(prob, *args, **kwargs)
+        problems.append((prob, sol.x.copy(), sol.ineq_duals))
+        return sol
 
     project, solve = qp.project_weighted, qp.solve
     monkeypatch.setattr(qp, "project_weighted", recording)
@@ -478,15 +479,21 @@ def test_dual_loop_projection_converges(monkeypatch):
         state.zeta, state.P = corr.zeta, corr.P
         warm = tmpc.warm_start_vector(tube, cfg.gamma)
 
-    ((x0, tol, sol),) = projections
-    (prob,) = problems
+    ((x0, P, kw, sol),) = projections
+    ((prob, z, lam),) = problems
+    A, b, tol = kw["A_in"], kw["b_in"], kw["tol"]
     assert sol.status == qp.QpStatus.OPTIMAL
-    assert scaled_kkt_residual(prob, sol.x, sol.ineq_duals) <= tol
+    assert scaled_kkt_residual(prob, z, lam) <= tol
     assert poly.violation(corr.zeta) <= 1e-10
     assert not corr.fallback
-    assert np.array_equal(prob.unconstrained[1], x0)
+    assert_whitened(prob, x0, P, A, b)
+    Ut = np.linalg.cholesky(P)
+    assert np.abs(sol.x - (x0 + Ut @ z)).max() <= 1e-12 * max(1.0, np.abs(x0).max())
+    assert sol.value == pytest.approx(z @ z, rel=1e-12)
     without_exact_start(monkeypatch)
+    points = kkt_points(monkeypatch)
     cold = solve(prob, tol=tol)
+    assert not np.any(points[0])
     assert cold.status == qp.QpStatus.OPTIMAL
     assert 0 < cold.iterations <= 60
 
@@ -515,6 +522,15 @@ def test_dimension_mismatch_rejected():
 def test_indefinite_cost_rejected():
     with pytest.raises(ConfigurationError):
         qp.QpProblem.build([[1.0, 0.0], [0.0, -1.0]], np.zeros(2), [[1.0, 0.0]], [1.0])
+
+
+def assert_whitened(prob, x0, P, A, b):
+    """prob is the projection of x0 under P onto A x <= b posed in
+    z = U^-T (x - x0), P = U'U: H = 2I, g = 0, rows A U' and b - A x0."""
+    AU = A @ np.linalg.cholesky(P)
+    assert np.array_equal(prob.H, 2.0 * np.eye(len(x0))) and not np.any(prob.g)
+    assert np.abs(prob.A_in - AU).max() <= 1e-12 * max(1.0, np.abs(AU).max())
+    assert np.array_equal(prob.b_in, b - A @ x0)
 
 
 def random_projection(rng, n, m, log_cond):
@@ -590,8 +606,8 @@ class TestProjectWeighted:
     def test_closed_form_start_on_the_violated_rows(self, monkeypatch, path):
         # The least-distance start over all rows is the projection on every
         # path: the solve accepts it with 0 iterations, at the active-set
-        # optimum.  It forms it from P's factor, which the problem carries
-        # with its unconstrained minimiser x0.
+        # optimum.  It forms it from the whitened problem, whose H = 2I it
+        # factors like any other.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS[path])
         solve, problems = qp.solve, []
         monkeypatch.setattr(qp, "solve", lambda prob, **kw: (
@@ -602,9 +618,7 @@ class TestProjectWeighted:
         x_ref, _ = qp_active_set_oracle(2.0 * M, -2.0 * M @ x0, A, b)
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
-        T, x_u = prob.unconstrained
-        assert np.array_equal(x_u, x0)
-        assert np.allclose(T @ T.T, np.linalg.inv(prob.H), rtol=1e-9, atol=1e-12)
+        assert_whitened(prob, x0, P, A, b)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 6),
@@ -660,13 +674,13 @@ class TestProjectWeighted:
 
     def test_failed_least_distance_solve_starts_from_x0(self, monkeypatch):
         # NNLS at its iteration limit leaves no candidate: the solve starts
-        # from x0 itself and still ends at the projection.
+        # from z = 0, which is x0 itself, and still ends at the projection.
         x0, P, A, b = (np.array(v, dtype=float) for v in self.PATHS["kkt_rejected"])
         monkeypatch.setattr(qp, "nnls", failing_nnls)
         points = kkt_points(monkeypatch)
         sol = qp.project_weighted(x0, P, A_in=A, b_in=b)
         x_ref, _ = qp_active_set_oracle(2.0 * np.eye(2), -2.0 * x0, A, b)
-        assert np.array_equal(points[0], x0)
+        assert np.array_equal(points[0], np.zeros(2))
         assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations > 0
         assert np.abs(sol.x - x_ref).max() <= 1e-7
 
@@ -674,26 +688,24 @@ class TestProjectWeighted:
     def test_rank_deficient_covariance_is_not_reported_infeasible(self, seed):
         # P = L L' has rank 3 in 6 variables.  It factors by rounding, with
         # pivots ~1e-17 on its null space, or takes the ridge; either way
-        # M = P^-1 is conditioned 1e10 or worse.  Projecting 0 onto x1 <= -1
-        # is feasible; at seed 2 the Newton matrix did not factor at the
-        # first iteration from 0, and the solve returned 0 as INFEASIBLE.
-        # The point is the projection x = -P e_1 / P_11 to 1e-6 (at most
-        # 2.1e-7 seen), though the status is MAX_ITER (see the xfail below).
+        # M = P^-1 would be conditioned 1e10 or worse.  Projecting 0 onto
+        # x1 <= -1 is feasible; at seed 2 the Newton matrix once did not
+        # factor at the first iteration from 0, and the solve returned 0 as
+        # INFEASIBLE.  Whitened, the problem never forms M, and its exact
+        # start is the projection x = -P e_1 / P_11 (at most 3.8e-9 off).
         L = np.random.default_rng(seed).normal(size=(6, 3))
         P = L @ L.T
         sol = qp.project_weighted(np.zeros(6), P, A_in=np.eye(6)[:1],
                                   b_in=np.array([-1.0]), tol=1e-9)
-        assert sol.status != qp.QpStatus.INFEASIBLE
+        assert sol.status == qp.QpStatus.OPTIMAL and sol.iterations == 0
         assert sol.x[0] <= -1.0 + 1e-9
-        assert np.abs(sol.x + P[:, 0] / P[0, 0]).max() <= 1e-6
+        assert np.abs(sol.x + P[:, 0] / P[0, 0]).max() <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason="the exact start is rejected: stationarity is tested "
-                       "with M = P^-1 of norm ~1e16, and the Newton matrix then does not factor")
     def test_rank_deficient_covariance_projection_is_optimal(self):
         # At seed 2 the least-distance start is the projection to rounding
-        # (error 0), yet the solve ends after 1 iteration at KKT residual 1.0.
-        # The other seeds end 15-110 times above tol, too thin a margin for a
-        # strict xfail.
+        # (error 0).  Its stationarity, tested with M = P^-1 of norm ~1e16,
+        # would reject it, and the Newton matrix then does not factor; the
+        # whitened problem, which never forms M, accepts it.
         L = np.random.default_rng(2).normal(size=(6, 3))
         sol = qp.project_weighted(np.zeros(6), L @ L.T, A_in=np.eye(6)[:1],
                                   b_in=np.array([-1.0]), tol=1e-9)
@@ -748,12 +760,13 @@ class TestProjectWeighted:
 
     def test_empty_polyhedron_reports_infeasible(self, monkeypatch):
         # x1 <= -1 and -x1 <= -1: the least-distance residual vanishes, so
-        # no start is formed and the solve from x0 reports INFEASIBLE.
+        # no start is formed and the solve from z = 0, which is x0, reports
+        # INFEASIBLE.
         x0 = np.zeros(1)
         points = kkt_points(monkeypatch)
         sol = qp.project_weighted(x0, np.eye(1), A_in=np.array([[1.0], [-1.0]]),
                                   b_in=np.array([-1.0, -1.0]))
-        assert np.array_equal(points[0], x0)
+        assert np.array_equal(points[0], np.zeros(1))
         assert sol.status == qp.QpStatus.INFEASIBLE
 
     def test_indefinite_weight_rejected(self):
