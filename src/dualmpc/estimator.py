@@ -58,10 +58,9 @@ from itertools import compress
 import numpy as np
 from scipy.linalg import lapack
 
-from . import qlpv, qp
+from . import qlpv, qp, rci
 from .errors import ConfigurationError
 from .polytope import PolytopeTemplate
-from .tmpc import TubeSolution
 
 # Most negative eigenvalue of P, relative to max(1, |P|_max), that a valid
 # covariance may show by rounding.
@@ -187,7 +186,7 @@ class FeasibilityPolytope:
 
 
 def build_theta_polytope(
-    tube: TubeSolution,
+    tube: rci.TubeSolution,
     template: PolytopeTemplate,
     params: qlpv.ModelParams,
     beta: float,
@@ -196,8 +195,9 @@ def build_theta_polytope(
 ) -> FeasibilityPolytope:
     """Constraint polytope over (x, theta) from the current tube solution.
 
-    The estimate must keep the shifted plan y = ``tube.shifted``, the x of
-    ``tmpc.warm_start_vector(tube, gamma)``, feasible for the next tube QP.
+    The estimate must keep the shifted plan y = ``tube.shifted`` feasible for
+    the next tube QP: the tube is the controller's next warm start, and y
+    the point it tests.
     Those rows are the tube QP's own, evaluated at y with x and theta free:
     the initial row puts x in the full first shifted set (state_s), and one
     ``over_theta`` call on the model rows the tube was solved with,

@@ -43,16 +43,6 @@ class Hpoly:
         n = hw.size
         return cls(H=np.vstack([np.eye(n), -np.eye(n)]), h=np.concatenate([hw, hw]))
 
-    def scale(self, factor: float) -> "Hpoly":
-        """Scaled copy factor * {Hy <= h} = {Hy <= factor * h}.
-
-        Requires the set to contain the origin and factor >= 0: a negative
-        factor would reflect the set, which scaling the offsets cannot do.
-        """
-        if not factor >= 0.0:
-            raise ConfigurationError(f"scale factor must be >= 0, got {factor}")
-        return Hpoly(self.H, factor * self.h)
-
     def contains(self, y, tol: float = DEFAULT_TOL) -> bool:
         return bool((self.H @ np.atleast_1d(y) <= self.h + tol).all())
 

@@ -21,8 +21,10 @@ complementarity are divided by
 So an OPTIMAL point is feasible to ``tol`` in absolute terms, while a cost of
 large norm is not asked for more significant digits than one of norm 1.  The
 same rule decides the interior-point loop and, in :func:`accept_warm_start`,
-the acceptance of the exact start and the tube controller's test of its
-kept plan.
+the acceptance of a start.  A start is a point, x with its duals, and the
+test takes the two arrays: the exact start below and the tube controller's
+kept plan are tested alike, and only a point that passes becomes a
+:class:`QpSolution`.
 
 Every QP :func:`solve` meets starts from its exact solution.  With H
 positive definite, H^-1 = T T', the QP is the projection of its
@@ -62,7 +64,7 @@ with the best point seen and status ``MAX_ITER`` or ``INFEASIBLE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
@@ -156,8 +158,8 @@ class QpSolution:
     status: QpStatus
     iterations: int
     # Best primal infeasibility seen; the certificate residual when infeasible.
-    primal_infeasibility: float = 0.0
-    value: float = field(default=float("nan"))
+    primal_infeasibility: float
+    value: float
 
 
 def _kkt_residual(prob: QpProblem, x, lam):
@@ -198,14 +200,14 @@ def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
 # Overflow and division by zero show up as non-finite values, which the
 # KKT test and the iteration check for, instead of as warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def accept_warm_start(prob: QpProblem, warm_start, tol: float = 1e-8) -> QpSolution | None:
-    """The warm start's x and duals as an ``OPTIMAL`` solution with 0
-    iterations when they meet the KKT test at ``tol`` (see the module
-    docstring), and None when they do not.  Only the warm start's ``x`` and
-    ``ineq_duals`` are read.  This is the test :func:`solve` applies to its
-    exact start.  A warm start of another size raises
-    ``ConfigurationError``."""
-    x, lam = warm_start.x, warm_start.ineq_duals
+def accept_warm_start(prob: QpProblem, x: np.ndarray, lam: np.ndarray,
+                      tol: float = 1e-8) -> QpSolution | None:
+    """The point x with duals lam, copied, as an ``OPTIMAL`` solution with 0
+    iterations when it meets the KKT test at ``tol`` (see the module
+    docstring), and None when it does not.  A start is a point: this is the
+    test :func:`solve` applies to its exact start, and the tube controller
+    to its shifted plan.  An x or lam of another size than prob's
+    variables or rows raises ``ConfigurationError``."""
     if (x.size, lam.size) != (prob.n, prob.A_in.shape[0]):
         raise ConfigurationError("warm start has wrong dimension")
     kkt, p_inf, *_ = _kkt_residual(prob, x, lam)
@@ -214,9 +216,11 @@ def accept_warm_start(prob: QpProblem, warm_start, tol: float = 1e-8) -> QpSolut
     return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(x))
 
 
-def _least_distance_start(prob: QpProblem, tol: float) -> QpSolution | None:
-    """The exact solution of prob and its duals (see the module docstring),
-    for :func:`solve`'s KKT test at tol.  NNLS of [-W; r'] u ~ e_n+1 gives
+def _least_distance_start(prob: QpProblem,
+                          tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The exact solution x of prob and its duals nu (see the module
+    docstring), as the point (x, nu), untested: :func:`solve` hands it to
+    :func:`accept_warm_start` at tol.  NNLS of [-W; r'] u ~ e_n+1 gives
     s = 1 - r'u and the multipliers nu = u / s; nu is computed from the rows
     where u > 0, held as equalities: (W_a'W_a) nu_a = r_a, and
     x = x_u - T W_a nu_a.  x is the difference of terms of size |H^-1 A' nu|
@@ -253,7 +257,7 @@ def _least_distance_start(prob: QpProblem, tol: float) -> QpSolution | None:
         x -= T @ (W_a @ step)
     if not np.logical_and.reduce(np.isfinite(x)):
         return None
-    return QpSolution(x, nu, np.nan, QpStatus.OPTIMAL, 0)
+    return x, nu
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -279,7 +283,7 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
         raise ConfigurationError("a QP without rows is not posed by this package")
     start = _least_distance_start(prob, tol)
     if start is not None:
-        accepted = accept_warm_start(prob, start, tol)
+        accepted = accept_warm_start(prob, *start, tol)
         if accepted is not None:
             return accepted
     G, h, Gt, H = prob.A_in, prob.b_in, np.ascontiguousarray(prob.A_in.T), prob.H.copy()
@@ -291,7 +295,7 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
     x, w, lam = v[:n], v[n:n + m], v[n + m:]
     dx, dwl, wl = dv[:n], dv[n:], v[n:]
     Gd, K = np.empty((n, m)), np.empty((n, n))
-    x[:] = 0.0 if start is None else start.x
+    x[:] = 0.0 if start is None else start[0]
     lam0 = max(1.0, float(np.maximum.reduce(np.abs(H @ x + prob.g), initial=0.0)))
     w[:], lam[:] = np.maximum(h - G @ x, 1.0), lam0
 

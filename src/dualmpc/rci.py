@@ -18,9 +18,15 @@ by the margin MARGIN.  The solver returns the exact optimum of that QP,
 which lies on its rows; at the untightened rows it keeps MARGIN of room, in
 which the estimator's polytope, formed from the untightened rows, lets the
 estimate move.  A TubeQp keeps nothing per model: the rows, which name
-their TubeQp, travel with the solution solved at them,
-``RciSolution.rows``, and with its warm start, from which the controller
-and the estimator's polytope read them.
+their TubeQp, travel with the solution solved at them.
+
+Every solve of a TubeQp, with stages or without, gives one
+:class:`TubeSolution`: the solver's x, read-only, with its parts as views,
+the rows it was solved at, its cost and the solver's result, whose status
+it reports.  A solution with stages is its own warm start: its time-shifted
+plan, ``shifted`` (:func:`candidate_shift`), with the solver's duals, is
+what the controller tests at its rows at the next step, and the same plan
+and rows give the estimator's polytope.  It copies no fact of its rows.
 
 The rows are linear in the vector.  For every scheduling mode i, the images
 of each tube center land in the next center's slack-enlarged set, those of
@@ -116,14 +122,36 @@ class Layout:
                 - np.eye(self.stage, self.dim, self.center.start))
 
 
+def candidate_shift(x: np.ndarray, lay: Layout, gamma: float) -> np.ndarray:
+    """Time-shifted feasible candidate of the vector x, which has stages:
+    stage k takes stage k + 1, and the last stage, (z_N, v_N), interpolates
+    toward the set center at rate gamma and doubles as (z+, v+).  x_r is
+    kept."""
+    end = lay.center.start
+    last, center = slice(end - lay.stage, end), x[lay.center]
+    shifted = x.copy()
+    shifted[:last.start] = x[lay.stage:end]
+    shifted[last] = center + gamma * (x[last] - center)
+    return shifted
+
+
 @dataclass(frozen=True, eq=False)
-class RciSolution:
-    """A solution at ``rows``, over their QP's layout.  x is made read-only,
-    and z and v (one row per stage), z_s, v_s, s, c and q are views of it."""
+class TubeSolution:
+    """A solve at ``rows``, over their QP's layout, with the solver's result
+    ``qp_solution``, whatever its status.  x is made read-only, and z and v
+    (one row per stage), z_s, v_s, s, c and q are views of it.  With stages
+    it is its own warm start: ``shifted``, its time-shifted plan at the
+    QP's gamma, read-only like x, is formed once, when first read;
+    ``dataclasses.replace(sol, x=...)`` makes a solution with its own."""
 
     x: np.ndarray
     rows: StepRows                # the rows solved at, which name their QP
     cost: float
+    qp_solution: qp.QpSolution
+
+    @property
+    def status(self) -> qp.QpStatus:
+        return self.qp_solution.status
 
     @property
     def tube_qp(self) -> TubeQp:
@@ -140,6 +168,12 @@ class RciSolution:
 
     def __post_init__(self):
         self.x.flags.writeable = False
+
+    @functools.cached_property
+    def shifted(self) -> np.ndarray:
+        shifted = candidate_shift(self.x, self.layout, self.tube_qp.gamma)
+        shifted.flags.writeable = False
+        return shifted
 
     @property
     def z(self) -> np.ndarray:
@@ -272,7 +306,7 @@ class TubeQp:
         # Vertex outputs in Y and vertex inputs in the tracking input share: vertex j
         # of tube set k with its input is point k plus vertex point j, and then the
         # vertex points themselves.  Then the sign rows q >= 0 and s >= 0.
-        U_box = Hpoly.box(eps_u).scale(1.0 - beta)
+        U_box = Hpoly.box((1.0 - beta) * eps_u)
         box = np.block([[Y.H @ C, np.zeros((len(Y.h), lay.n_u))],
                         [np.zeros((len(U_box.h), lay.n_x)), U_box.H]])
         points = np.concatenate([(tube.S[:, None] + S).reshape(-1, lay.stage, lay.dim), S])
@@ -385,13 +419,13 @@ def solve_optimal_rci(
     beta: float,
     eps_u: np.ndarray,
     Y: Hpoly,
-) -> tuple[RciSolution, qp.QpSolution]:
-    """Smallest admissible invariant set whose center output tracks y_ref.
-    A solve that is not optimal gives x_r = 0 and cost inf."""
+) -> tuple[TubeSolution, qp.QpSolution]:
+    """Smallest admissible invariant set whose center output tracks y_ref:
+    the zero-stage QP's :class:`TubeSolution`, and its ``qp_solution``
+    beside it.  A solve that is not optimal is wrapped like any other, and
+    its status tells."""
     tq = tube_qp(template, beta, eps_u, Y, params.C, 0.0, 0)
     rows = tq.at(params)
     prob, const = tq.problem(rows, y_ref)
     sol = qp.solve(prob)
-    if sol.status != qp.QpStatus.OPTIMAL:
-        return RciSolution(np.zeros(tq.layout.dim), rows, float("inf")), sol
-    return RciSolution(sol.x, rows, sol.value + const), sol
+    return TubeSolution(sol.x, rows, sol.value + const, sol), sol

@@ -22,6 +22,7 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -174,8 +175,8 @@ class TrainConfig:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        if not self.max_epochs >= 0:
-            raise ConfigurationError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if not isinstance(self.max_epochs, Integral) or self.max_epochs < 0:
+            raise ConfigurationError(f"max_epochs must be an integer >= 0, got {self.max_epochs!r}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ConfigurationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 

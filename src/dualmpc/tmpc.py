@@ -11,21 +11,19 @@ solve_tmpc takes each controller's TubeQp from ``rci.tube_qp``, which
 builds it once, validates its H and fixed rows then, and caches it by the
 identity of template and Y and the values of beta, gamma, N, eps_u and C.
 A model's rows, ``rci.TubeQp.at``, are built when the controller takes that
-model, and then travel with the solution and its warm start: d, the model
-rows, the assembled row block and the estimator's dist rows, all read-only,
-built once per model and checked then.  A step's QP at those rows comes
+model, and then travel with the solution: d, the model rows, the assembled
+row block and the estimator's dist rows, all read-only, built once per
+model and checked then.  A step's QP at those rows comes
 from ``rci.TubeQp.problem``, which writes b's initial row, -F x_hat, into a
 copy of b, tightens every row by the margin delta = ``rci.MARGIN``, forms g
 from y_ref, and checks both for finiteness.  So the
 cache keys do not see an edit made in place: change no ModelParams, cfg,
 template or Y, nor a TubeQp's arrays, in place.
 
-A :class:`TubeSolution` is the solver's x, read-only, with its parts as
-views, the rows it was solved with, from which it reads its layout, d and
-TubeQp, the solver's result, from which it reads its status, and its
-time-shifted plan:
-:func:`warm_start_vector` gives the plan to the next solve with this solve's
-duals and rows, and the estimator's polytope is formed from the same rows
+Each solve gives one ``rci.TubeSolution``, and that solution is the next
+step's warm start (:func:`warm_start_vector` returns it): its time-shifted
+plan ``shifted``, with the duals of its ``qp_solution``, is the point tested
+at its own rows, and the estimator's polytope is formed from the same rows
 at the same array.
 
 The controller keeps the model of its last solution, theta_c, for as long as
@@ -58,7 +56,7 @@ estimator predicts and corrects at its own estimate either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -83,26 +81,6 @@ class ControllerConfig:
             raise ConfigurationError("beta must lie in [0, 1)")
 
 
-@dataclass(frozen=True, eq=False)
-class TubeSolution(rci.RciSolution):
-    """The tube QP's solution: z and v hold one row per stage k = 0..N.
-    ``shifted`` is its time-shifted plan at the controller's gamma, read-only
-    like x; ``dataclasses.replace(sol, x=...)`` makes both anew."""
-
-    qp_solution: qp.QpSolution
-    shifted: np.ndarray = field(init=False, repr=False)
-
-    @property
-    def status(self) -> qp.QpStatus:
-        return self.qp_solution.status
-
-    def __post_init__(self):
-        super().__post_init__()
-        shifted = candidate_shift(self.x, self.layout, self.tube_qp.gamma)
-        shifted.flags.writeable = False
-        object.__setattr__(self, "shifted", shifted)
-
-
 def solve_tmpc(
     x_hat: np.ndarray,
     params: qlpv.ModelParams,
@@ -111,21 +89,23 @@ def solve_tmpc(
     template: PolytopeTemplate,
     Y: Hpoly,
     eps_u: np.ndarray,
-    warm_start: TubeWarmStart | None = None,
-) -> TubeSolution:
+    warm_start: rci.TubeSolution | None = None,
+) -> rci.TubeSolution:
     """Solve the tube QP at x_hat and y_ref, keeping the warm start's model
     while its shifted plan is still optimal there.
 
-    A :class:`TubeWarmStart` of this controller is first tested, by
-    ``qp.accept_warm_start``, against its own rows with this step's initial
-    row and g.  When it passes, it is the solution, at its rows, with 0
-    iterations (kept).  Otherwise the QP is solved at params (replaced), at
-    the warm start's own rows when they are of params itself.
-    When that solve is not ``OPTIMAL``, the QP is solved once more at the
-    warm start's rows with the margin ``rci.MARGIN`` taken off, where its
-    plan is feasible, and that result is taken only if it is ``OPTIMAL``
-    (retried).  The warm start's rows at the margin make one problem, which
-    the test and the solve at them share.  A warm start of another TubeQp
+    The warm start is a solution of this controller: its point, the plan
+    ``warm_start.shifted`` with the duals of ``warm_start.qp_solution``, is
+    first tested, by ``qp.accept_warm_start``, against its own rows,
+    ``warm_start.rows``, with this step's initial row and g.  When it
+    passes, it is the solution, at its rows, with 0 iterations (kept).
+    Otherwise the QP is solved at params (replaced), at the warm start's
+    own rows when they are of params itself.  When that solve is not
+    ``OPTIMAL``, the QP is solved once more at the warm start's rows with
+    the margin ``rci.MARGIN`` taken off, where its plan is feasible, and
+    that result is taken only if it is ``OPTIMAL`` (retried).  The warm
+    start's rows at the margin make one problem, which the test and the
+    solve at them share.  A warm start of another TubeQp
     is not tested, and the QP is solved as without one; one whose x has
     another size than this controller's vector raises
     ``ConfigurationError``.  ``rows`` and d are those of the model solved
@@ -138,7 +118,8 @@ def solve_tmpc(
     if warm_start is not None and warm_start.rows.tube_qp is tq:
         kept = warm_start.rows
         kept_qp, const = tq.problem(kept, y_ref, x_hat)
-        sol = qp.accept_warm_start(kept_qp, warm_start)
+        sol = qp.accept_warm_start(kept_qp, warm_start.shifted,
+                                   warm_start.qp_solution.ineq_duals)
     rows = kept
     if sol is None:
         rows = kept if kept is not None and kept.params is params else tq.at(params)
@@ -149,43 +130,22 @@ def solve_tmpc(
             retry = qp.solve(replace(kept_qp, b_in=kept_qp.b_in + rci.MARGIN))
             if retry.status == qp.QpStatus.OPTIMAL:
                 sol, rows = retry, kept
-    return TubeSolution(x=sol.x, rows=rows, cost=sol.value + const, qp_solution=sol)
+    return rci.TubeSolution(sol.x, rows, sol.value + const, sol)
 
 
-def candidate_shift(x: np.ndarray, lay: rci.Layout, gamma: float) -> np.ndarray:
-    """Time-shifted feasible candidate of the vector x: stage k takes stage
-    k + 1, and the last stage, (z_N, v_N), interpolates toward the set center
-    at rate gamma and doubles as (z+, v+).  x_r is kept."""
-    end = lay.center.start
-    last, center = slice(end - lay.stage, end), x[lay.center]
-    shifted = x.copy()
-    shifted[:last.start] = x[lay.stage:end]
-    shifted[last] = center + gamma * (x[last] - center)
-    return shifted
-
-
-@dataclass
-class TubeWarmStart:
-    """A shifted plan x with its duals, and the rows it was solved with, which
-    name their QP; ``qp.accept_warm_start`` reads x and ``ineq_duals``."""
-
-    x: np.ndarray
-    ineq_duals: np.ndarray
-    rows: rci.StepRows
-
-
-def warm_start_vector(sol: TubeSolution, gamma: float) -> TubeWarmStart:
-    """Warm start for the next solve: the shifted plan ``sol.shifted`` with
-    this solve's duals and rows ``sol.rows``.  :func:`solve_tmpc` keeps those
-    rows' model while the plan still meets the KKT test at them.  gamma
-    must be the controller's; another raises ``ConfigurationError``."""
+def warm_start_vector(sol: rci.TubeSolution, gamma: float) -> rci.TubeSolution:
+    """Warm start for the next solve: ``sol`` itself, whose plan
+    ``sol.shifted`` :func:`solve_tmpc` tests with its duals at its rows
+    ``sol.rows``, and keeps those rows' model while the plan still meets
+    the KKT test at them.  gamma must be the controller's; another raises
+    ``ConfigurationError``."""
     if gamma != sol.tube_qp.gamma:
         raise ConfigurationError("gamma differs from the tube's controller's")
-    return TubeWarmStart(sol.shifted, sol.qp_solution.ineq_duals, sol.rows)
+    return sol
 
 
 def nominal_input(
-    sol: TubeSolution,
+    sol: rci.TubeSolution,
     x_hat: np.ndarray,
     template: PolytopeTemplate,
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
@@ -199,6 +159,6 @@ def nominal_input(
     return sol.v[0] + c.T @ lam.weights, lam
 
 
-def lyapunov_value(sol: TubeSolution, r_value: float) -> float:
+def lyapunov_value(sol: rci.TubeSolution, r_value: float) -> float:
     """Distance-to-optimal-set value; nonnegative up to solver tolerance."""
     return sol.cost - r_value

@@ -52,15 +52,15 @@ def without_exact_start(monkeypatch):
 def interior_point_from(monkeypatch, x):
     """Make every later qp.solve start its interior-point iteration from x,
     the way it starts from an exact start that its KKT test rejects: the
-    start is x with zero duals, which must fail that test.  x is in the
-    coordinates of the problem passed to the solver; for
+    start is the point (x, lam) with zero duals lam, which must fail that
+    test.  x is in the coordinates of the problem passed to the solver; for
     qp.project_weighted that is the whitened z, not the estimate."""
     x = np.array(x, dtype=float)
 
     def start(prob, tol):
         lam = np.zeros(prob.A_in.shape[0])
         assert scaled_kkt_residual(prob, x, lam) > tol
-        return qp.QpSolution(x.copy(), lam, np.nan, qp.QpStatus.OPTIMAL, 0)
+        return x.copy(), lam
 
     monkeypatch.setattr(qp, "_least_distance_start", start)
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualmpc import estimator, qlpv, qp, tmpc
+from dualmpc import estimator, qlpv, qp, rci, tmpc
 from dualmpc.errors import ConfigurationError
 from dualmpc.polytope import Hpoly, box_template
 from conftest import random_model
@@ -123,6 +123,11 @@ class TestGain:
     def test_scalar_halving(self):
         K = estimator.gain(np.eye(1), np.eye(1), np.eye(1))
         assert float(K[0, 0]) == pytest.approx(0.5)
+
+    def test_innovation_covariance_not_positive_definite_raises(self):
+        # S = C P C' + Re = 1 - 2 < 0: no Cholesky factor, no gain.
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            estimator.gain(np.eye(1), np.eye(1), -2.0 * np.eye(1))
 
     def test_posterior_covariance_stays_psd(self, rng):
         for _ in range(20):
@@ -292,7 +297,7 @@ class TestThetaPolytope:
         for sol in (solved, settled(solved)):
             poly = estimator.build_theta_polytope(sol, TEMPLATE, model, cfg.beta,
                                                   EPS_U, cfg.gamma)
-            cand = tmpc.warm_start_vector(sol, cfg.gamma).x
+            cand = tmpc.warm_start_vector(sol, cfg.gamma).shifted
             tq = sol.tube_qp
             kept = sol.rows.mode.over_theta(model, cand)[2]
             # Row indices of the model rows, mode-major over the points.
@@ -339,9 +344,10 @@ class TestThetaPolytope:
         assert poly.A.tobytes() == want.A.tobytes() and poly.b.tobytes() == want.b.tobytes()
 
     def test_rows_formed_at_the_warm_start_plan(self, tube_setup, monkeypatch):
-        # The polytope's model rows are formed at exactly the x of the warm
-        # start, whether or not the warm start was taken first, and that
-        # array is the solution's read-only shifted plan.
+        # The polytope's model rows are formed at exactly the plan the warm
+        # start is tested at, whether or not the warm start was taken first:
+        # the solution is the warm start, and that array is its read-only
+        # shifted plan.
         model, _, sol = tube_setup
         seen = []
         over_theta = qlpv.ModeRows.over_theta
@@ -354,12 +360,12 @@ class TestThetaPolytope:
         first = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
         again = estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
-        plan = tmpc.candidate_shift(sol.x, sol.layout, CFG.gamma)
+        plan = rci.candidate_shift(sol.x, sol.layout, CFG.gamma)
         assert len(seen) == 2
         for y in seen:
-            assert y.tobytes() == warm.x.tobytes() == plan.tobytes()
+            assert y.tobytes() == warm.shifted.tobytes() == plan.tobytes()
         assert first.A.tobytes() == again.A.tobytes() and first.b.tobytes() == again.b.tobytes()
-        assert not warm.x.flags.writeable
+        assert not warm.shifted.flags.writeable
         with pytest.raises(ConfigurationError):
             tmpc.warm_start_vector(sol, 0.9)
 
@@ -374,6 +380,17 @@ def test_state_of_other_dimensions_rejected(case):
               if case.startswith("zeta") else dict(Re=np.eye(3)))
     with pytest.raises(ConfigurationError):
         dataclasses.replace(state, **fields)
+
+
+@pytest.mark.parametrize("entry, value, match", [
+    ((0, 1), 1e-3, "symmetry"), ((0, 0), -1.0, "positive semidefiniteness")],
+    ids=["asymmetric", "indefinite"])
+def test_invalid_covariance_rejected(entry, value, match):
+    state = estimator.EstimatorState.from_model(random_model(np.random.default_rng(1)))
+    P = state.P.copy()
+    P[entry] = value
+    with pytest.raises(ConfigurationError, match=match):
+        dataclasses.replace(state, P=P)
 
 
 @pytest.mark.parametrize("name", ["zeta", "P", "Qe", "Re", "predicted", "y"])

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from dualmpc import plant
-from dualmpc.errors import ConfigurationError
+from dualmpc.errors import ConfigurationError, DivergenceError
 
 
 CFG = plant.PlantConfig()
@@ -19,6 +19,13 @@ def test_paper_parameter_defaults():
 def test_origin_is_equilibrium():
     assert plant.derivative(CFG, np.zeros(4), 0.0) == pytest.approx(np.zeros(4))
     assert plant.rk4_step(CFG, np.zeros(4), 0.0) == pytest.approx(np.zeros(4))
+
+
+def test_diverging_step_raises():
+    # A state whose cubic spring force overflows gives a non-finite step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="diverged"):
+            plant.rk4_step(CFG, np.array([1e120, 0.0, 0.0, 0.0]), 0.0)
 
 
 def test_force_only_accelerates_first_mass():

@@ -6,7 +6,6 @@ import pytest
 
 from dualmpc import qlpv
 from dualmpc.errors import ConfigurationError
-from dualmpc.polytope import box_template
 from conftest import random_model
 from oracles import augmented_jacobian, central_difference_jacobian, hull_membership_lp
 
@@ -64,6 +63,23 @@ def test_non_finite_parameters_rejected(small_model, name, bad):
     (value[-1] if isinstance(value, list) else value).flat[0] = bad
     with pytest.raises(ConfigurationError, match="finite"):
         dataclasses.replace(small_model, **{name: value})
+
+
+@pytest.mark.parametrize("name, edit, match", [
+    ("A", lambda m: m.A[:-1] + [m.A[-1][:, :1]], "A_i shape"),
+    ("B", lambda m: m.B[:-1] + [np.hstack([m.B[-1], m.B[-1]])], "B_i shape"),
+    ("W1", lambda m: m.W1[:, 1:], "hidden-layer"),
+    ("b1", lambda m: m.b1[1:], "hidden-layer"),
+    ("W2", lambda m: m.W2[:, 1:], "output-layer"),
+    ("b2", lambda m: m.b2[1:], "output-layer"),
+    ("C", lambda m: np.hstack([m.C, m.C]), "column count"),
+    ("C", lambda m: np.vstack([m.C, 2.0 * m.C]), "full row rank"),
+], ids=["A_i", "B_i", "W1", "b1", "W2", "b2", "C-columns", "C-rank"])
+def test_parameters_of_inconsistent_shape_rejected(small_model, name, edit, match):
+    # Each block's shape must fit n_x = A_0's rows, n_u = B_0's columns,
+    # n_p = len(A) and n_h = len(b1), and C must have full row rank.
+    with pytest.raises(ConfigurationError, match=match):
+        dataclasses.replace(small_model, **{name: edit(small_model)})
 
 
 class TestScheduling:
@@ -235,6 +251,14 @@ class TestDisturbanceVector:
         d = qlpv.disturbance_vector(model, paper_template, 0.25, eps)
         expected = 0.25 * np.abs(paper_template.F @ model.B[0]) @ eps
         assert d == pytest.approx(expected)
+
+    @pytest.mark.parametrize("beta, eps_u, match", [
+        (1.0, np.ones(1), "beta"), (-0.1, np.ones(1), "beta"),
+        (0.3, -np.ones(1), "nonnegative")], ids=["beta-one", "beta-negative", "eps_u-negative"])
+    def test_budget_out_of_range_rejected(self, small_model, paper_template, beta, eps_u,
+                                          match):
+        with pytest.raises(ConfigurationError, match=match):
+            qlpv.disturbance_vector(small_model, paper_template, beta, eps_u)
 
     def test_monotone_in_beta(self, rng, paper_template):
         model = random_model(rng)

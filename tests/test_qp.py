@@ -112,13 +112,13 @@ def test_warm_start_resolve_is_immediate(rng, interior_point):
     H, g, A, b = random_strictly_convex(rng, 4, 8)
     prob = qp.QpProblem.build(H, g, A, b)
     sol = qp.solve(prob)
-    accepted = qp.accept_warm_start(prob, sol)
+    accepted = qp.accept_warm_start(prob, sol.x, sol.ineq_duals)
     assert accepted.status == qp.QpStatus.OPTIMAL
     assert accepted.iterations == 0 and accepted.kkt_residual <= 1e-8
     assert accepted.x.tobytes() == sol.x.tobytes()
     assert (A @ accepted.x - b).max() <= 1e-8
     moved = qp.QpProblem.build(H, g + 0.1, A, b)
-    assert qp.accept_warm_start(moved, sol) is None
+    assert qp.accept_warm_start(moved, sol.x, sol.ineq_duals) is None
 
 
 def test_warm_start_of_wrong_size_rejected(rng):
@@ -130,7 +130,7 @@ def test_warm_start_of_wrong_size_rejected(rng):
     fewer_vars = qp.QpProblem.build(H[:3, :3], g[:3], A[:, :3], b)
     for prob in (fewer_rows, fewer_vars):
         with pytest.raises(ConfigurationError, match="wrong dimension"):
-            qp.accept_warm_start(prob, sol)
+            qp.accept_warm_start(prob, sol.x, sol.ineq_duals)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
@@ -323,18 +323,16 @@ def test_recorded_projection_meets_its_kkt_conditions():
 
 
 def finding_h():
-    """(problem, warm start, tol) of the recorded Finding H tube QP."""
+    """(problem, recorded shifted plan, tol) of the recorded Finding H tube QP."""
     rec = FINDING_H
     prob = qp.QpProblem.build(rec["H"], rec["g"], rec["A_in"], rec["b_in"])
-    warm = qp.QpSolution(np.array(rec["warm_x"]), np.array(rec["warm_duals"]), float("nan"),
-                         qp.QpStatus.OPTIMAL, 0)
-    return prob, warm, rec["tol"]
+    return prob, np.array(rec["warm_x"]), rec["tol"]
 
 
 def test_finding_h_warm_start_is_feasible():
     # Recursive feasibility: the shifted plan meets every row of the next QP.
-    prob, warm, _ = finding_h()
-    assert (prob.A_in @ warm.x - prob.b_in).max() <= 1e-11
+    prob, plan, _ = finding_h()
+    assert (prob.A_in @ plan - prob.b_in).max() <= 1e-11
 
 
 def test_finding_h_returned_point_is_feasible(monkeypatch):
@@ -344,8 +342,8 @@ def test_finding_h_returned_point_is_feasible(monkeypatch):
     # the last one it makes, as it failed on the ridged residual, stops the
     # solve there: it returns the point of the smallest KKT residual it saw,
     # feasible to tol.
-    prob, warm, tol = finding_h()
-    interior_point_from(monkeypatch, warm.x)
+    prob, plan, tol = finding_h()
+    interior_point_from(monkeypatch, plan)
     dpotrf, residual = qp.lapack.dpotrf, qp._kkt_residual
     infos, kkts = [], []
 
@@ -381,11 +379,11 @@ def test_rejected_start_of_a_tube_qp_is_iterated_from_its_x(monkeypatch):
     exact, starts = qp._least_distance_start, []
 
     def rejected(prob, tol):
-        start = exact(prob, tol)
-        start.ineq_duals[:] = 0.0
-        assert scaled_kkt_residual(prob, start.x, start.ineq_duals) > tol
-        starts.append(start.x.copy())
-        return start
+        x, duals = exact(prob, tol)
+        duals[:] = 0.0
+        assert scaled_kkt_residual(prob, x, duals) > tol
+        starts.append(x.copy())
+        return x, duals
 
     monkeypatch.setattr(qp, "_least_distance_start", rejected)
     points = kkt_points(monkeypatch)
@@ -517,6 +515,19 @@ def test_dimension_mismatch_rejected():
         qp.QpProblem.build(np.eye(2), np.zeros(3), [[1.0, 0.0, 0.0]], [1.0])
     with pytest.raises(ConfigurationError):
         qp.QpProblem.build(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["H", "g", "A_in", "b_in"])
+def test_non_finite_data_rejected(name):
+    data = dict(H=np.eye(2), g=np.zeros(2), A_in=np.eye(2), b_in=np.ones(2))
+    data[name].flat[0] = np.nan
+    with pytest.raises(ConfigurationError, match="finite"):
+        qp.QpProblem.build(**data)
+
+
+def test_asymmetric_cost_rejected():
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        qp.QpProblem.build([[1.0, 0.5], [0.0, 1.0]], np.zeros(2), [[1.0, 0.0]], [1.0])
 
 
 def test_indefinite_cost_rejected():
@@ -768,6 +779,15 @@ class TestProjectWeighted:
                                   b_in=np.array([-1.0, -1.0]))
         assert np.array_equal(points[0], np.zeros(1))
         assert sol.status == qp.QpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("name", ["x0", "A_in", "b_in"])
+    def test_non_finite_data_rejected_when_x0_is_infeasible(self, name):
+        # x0 = (3, 3) violates x <= 1; a NaN in any datum reaches the
+        # residual or the whitened rows.
+        data = dict(x0=np.full(2, 3.0), A_in=np.eye(2), b_in=np.ones(2))
+        data[name].flat[-1] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            qp.project_weighted(data["x0"], np.eye(2), A_in=data["A_in"], b_in=data["b_in"])
 
     def test_indefinite_weight_rejected(self):
         with pytest.raises(ConfigurationError, match="covariance"):

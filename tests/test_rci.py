@@ -76,7 +76,7 @@ def test_layout_partitions_the_vector(n_x, n_u):
         rows = rci.tube_qp(template, 0.0, np.ones(n_u), Y, model.C, 0.5, stages).at(model)
         lay = rci.Layout.of(template, stages)
         assert lay.dim == stages * (n_x + n_u) + n_x + n_u + 2 * f + v * n_u
-        sol = rci.RciSolution(np.arange(lay.dim, dtype=float), rows, 0.0)
+        sol = rci.TubeSolution(np.arange(lay.dim, dtype=float), rows, 0.0, None)
         assert sol.layout == lay and sol.d is rows.d and sol.tube_qp is rows.tube_qp
         assert sol.z.shape == (stages, n_x) and sol.v.shape == (stages, n_u)
         parts = [sol.z, sol.v, sol.z_s, sol.v_s, sol.s, sol.c, sol.q]
@@ -202,18 +202,19 @@ class TestSolveOptimalRci:
         assert sol.q.min() >= -1e-9
         assert sol.s.min() >= -1e-9
 
-    def test_not_optimal_gives_zero_set_and_infinite_cost(self):
+    def test_not_optimal_solve_is_wrapped_with_its_status(self):
         # An unstable mode with inputs too small to hold any set around the
-        # center: the solve reports infeasibility, and the solution is x_r = 0
-        # at cost inf with the allowance d of the problem's rows.
+        # center: the solve reports infeasibility, and the solution wraps it
+        # like any other, carrying its status, its x and the allowance d of
+        # the problem's rows.
         model = stable_single_mode(radius=2.0)
         model.B[0][:] = np.array([[0.01], [0.01]])
         eps_u = np.array([0.05])
         sol, qsol = rci.solve_optimal_rci(model, np.zeros(1), TEMPLATE, 0.3, eps_u, Y)
-        assert qsol.status == qp.QpStatus.INFEASIBLE
-        assert sol.cost == float("inf")
+        assert qsol.status == sol.status == qp.QpStatus.INFEASIBLE
+        assert sol.qp_solution is qsol and sol.x is qsol.x and np.isfinite(sol.cost)
         assert sol.layout == rci.Layout.of(TEMPLATE, 0)
-        assert sol.x.shape == (sol.layout.dim,) and not sol.x.any()
+        assert sol.x.shape == (sol.layout.dim,)
         d = qlpv.disturbance_vector(model, TEMPLATE, 0.3, eps_u)
         assert sol.d.tobytes() == d.tobytes()
 

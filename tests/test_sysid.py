@@ -125,6 +125,12 @@ def test_empty_record_is_rejected():
             fn(params, data, np.zeros(2))
 
 
+def test_fit_of_one_sample_is_rejected():
+    data = sysid.IoDataset(u_seq=[[0.3]], y_seq=[[0.2]])
+    with pytest.raises(ConfigurationError, match="at least two samples"):
+        sysid.fit_initial_model(data, sysid.TrainConfig(max_epochs=1), seed=0)
+
+
 def test_one_sample_record_gradient_is_weight_decay():
     # x_0 is fixed, so a single sample's loss depends on theta only through
     # the weight decay.
@@ -286,6 +292,16 @@ def test_record_of_other_rank_is_rejected(shape):
         sysid.IoDataset(u_seq=np.zeros(shape), y_seq=np.zeros(shape))
 
 
+@pytest.mark.parametrize("u_seq, y_seq, match", [
+    (np.zeros(3), np.zeros(4), "equally long"),
+    (np.array([0.0, np.nan]), np.zeros(2), "non-finite"),
+    (np.zeros(2), np.array([np.inf, 0.0]), "non-finite"),
+], ids=["unequal-lengths", "nan-input", "inf-output"])
+def test_inconsistent_or_non_finite_record_is_rejected(u_seq, y_seq, match):
+    with pytest.raises(ConfigurationError, match=match):
+        sysid.IoDataset(u_seq=u_seq, y_seq=y_seq)
+
+
 def test_feasibility_gate():
     model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
     ok, diag = sysid.feasibility_gate(model, CONTROLLER, np.zeros(2), TEMPLATE, Y, EPS_U)
@@ -337,8 +353,10 @@ def test_retry_ladder_rejects_zero_weight_decay(record, monkeypatch):
 
 @pytest.mark.parametrize("field, value", [("max_epochs", -2), ("weight_decay", -1e-4),
                                           ("weight_decay", float("nan")),
-                                          ("weight_decay", float("inf"))],
-                         ids=["negative-epochs", "negative-decay", "nan-decay", "inf-decay"])
+                                          ("weight_decay", float("inf")),
+                                          ("max_epochs", 2.5), ("max_epochs", float("inf"))],
+                         ids=["negative-epochs", "negative-decay", "nan-decay", "inf-decay",
+                              "fractional-epochs", "inf-epochs"])
 def test_invalid_train_config_is_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
         sysid.TrainConfig(**{field: value})

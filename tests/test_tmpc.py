@@ -36,7 +36,7 @@ def stages(x, lay):
 
 def shifted_stages(sol, gamma):
     """(z, v) of the time-shifted plan of sol at gamma."""
-    shifted = stages(tmpc.candidate_shift(sol.x, sol.layout, gamma), sol.layout)
+    shifted = stages(rci.candidate_shift(sol.x, sol.layout, gamma), sol.layout)
     return shifted[:, :sol.layout.n_x], shifted[:, sol.layout.n_x:]
 
 
@@ -115,7 +115,7 @@ class TestCandidateShift:
     def test_double_shift_contracts_by_gamma_squared(self, model):
         sol = solve(model, [0.1, 0.0])
         dev0 = sol.z[-1] - sol.z_s
-        sol = dataclasses.replace(sol, x=tmpc.candidate_shift(sol.x, sol.layout, CFG.gamma))
+        sol = dataclasses.replace(sol, x=rci.candidate_shift(sol.x, sol.layout, CFG.gamma))
         z2, _ = shifted_stages(sol, CFG.gamma)
         assert z2[-1] - sol.z_s == pytest.approx(CFG.gamma ** 2 * dev0, abs=1e-12)
 
@@ -133,7 +133,7 @@ class TestCandidateShift:
             want = np.concatenate([np.hstack([z_plus, v_plus]).ravel(),
                                    sol.x[sol.layout.center.start:]])
             assert sol.shifted.tobytes() == want.tobytes()
-            assert tmpc.candidate_shift(sol.x, sol.layout, g).tobytes() == want.tobytes()
+            assert rci.candidate_shift(sol.x, sol.layout, g).tobytes() == want.tobytes()
 
     def test_solution_read_only_and_replaced_anew(self, model):
         sol = solve(model, [0.1, 0.0])
@@ -148,9 +148,9 @@ class TestCandidateShift:
         stages(x, sol.layout)[-1] += 0.2
         edited = dataclasses.replace(sol, x=x)
         assert edited.s.tobytes() == x[sol.layout.s].tobytes()
-        want = tmpc.candidate_shift(x, sol.layout, CFG.gamma)
+        want = rci.candidate_shift(x, sol.layout, CFG.gamma)
         assert edited.shifted.tobytes() == want.tobytes() != sol.shifted.tobytes()
-        assert tmpc.warm_start_vector(edited, CFG.gamma).x is edited.shifted
+        assert tmpc.warm_start_vector(edited, CFG.gamma) is edited
 
     def test_shifted_candidate_feasible_next_step_frozen_theta(self, model):
         x_hat = np.array([0.2, -0.1])
@@ -165,7 +165,7 @@ class TestCandidateShift:
         A, b = rows.A, rows.b.copy()
         b[-TEMPLATE.n_rows:] = -TEMPLATE.F @ x_next
         warm = tmpc.warm_start_vector(sol, CFG.gamma)
-        assert (A @ warm.x - b).max() <= 1e-9
+        assert (A @ warm.shifted - b).max() <= 1e-9
         assert (TEMPLATE.F @ (x_next - sol.z[1]) - sol.s).max() <= 1e-9
         # And the next solve, warm-started from the candidate, succeeds.
         nxt = solve(model, x_next, 0.6, warm_start=warm)
@@ -224,12 +224,12 @@ class TestKeptModel:
         assert sol.status == qp.QpStatus.OPTIMAL
         assert sol.rows is cold.rows and sol.rows.params is model and sol.d is cold.d
         assert sol.qp_solution.iterations == 0
-        assert sol.x.tobytes() == warm.x.tobytes()
+        assert sol.x.tobytes() == warm.shifted.tobytes()
         kept = step_problem(sol.tube_qp, sol.rows, [0.0, 0.0], 0.0)
         assert scaled_kkt_residual(kept, sol.x, sol.qp_solution.ineq_duals) <= 1e-8
         # At the moved model the plan is not optimal: the solve there iterates.
         at_moved = step_problem(sol.tube_qp, sol.tube_qp.at(moved), [0.0, 0.0], 0.0)
-        assert qp.accept_warm_start(at_moved, warm) is None
+        assert qp.accept_warm_start(at_moved, warm.shifted, warm.qp_solution.ineq_duals) is None
 
     def test_plan_of_a_rebuilt_tube_qp_is_not_tested(self, model):
         # A warm start of this controller's size whose TubeQp was rebuilt,
@@ -306,7 +306,7 @@ class TestKeptModel:
         cold = solve(model, [0.0, 0.0])
         warm = tmpc.warm_start_vector(cold, CFG.gamma)
         params = moved_model(model) if moved else model
-        interior_point_from(monkeypatch, warm.x)
+        interior_point_from(monkeypatch, warm.shifted)
         calls, tests, residual = spied(monkeypatch), [], qp._kkt_residual
         monkeypatch.setattr(qp, "_kkt_residual", lambda *a: (tests.append(1), residual(*a))[1])
         sol = solve(params, [0.0, 0.0], 0.5, warm_start=warm)
@@ -459,7 +459,7 @@ def invariant_set_from_scratch(params, template, beta, eps_u, Y):
     box rows (box, h_box) that each vertex point keeps, and the sign rows."""
     xr, F = rci.Layout.of(template, 0), template.F
     d = qlpv.disturbance_vector(params, template, beta, eps_u)
-    U = Hpoly.box(eps_u).scale(1.0 - beta)
+    U = Hpoly.box((1.0 - beta) * eps_u)
     box, h_box = block_diag(Y.H @ params.C, U.H), np.concatenate([Y.h, U.h])
     S = np.zeros((xr.v, xr.stage, xr.dim))    # vertex j with its input
     S[:, :, :xr.stage] = np.eye(xr.stage)     # (z_s, v_s) lead x_r
