@@ -52,9 +52,11 @@ Each iteration evaluates the KKT residuals once, and the predictor reuses
 the A_in' lam computed there.  Predictor and corrector share one Cholesky
 factorization of the positive definite K = H + _RIDGE I + A_in' D A_in
 (Wright 1997, ch. 11; Rao, Wright & Rawlings 1998); the ridge lets a
-semidefinite H factor, and enters nothing else, the KKT test included.  The
-iterate (x, w, lam) is one vector stepped in place; one ratio test over
-(w, lam) bounds each step.
+semidefinite H factor, and enters nothing else, the KKT test included.  One
+ratio test over (w, lam) bounds each step.  The iteration runs only from a
+start the KKT test rejects or from no start at all, so it is kept plain
+rather than fast: each iterate (x, w, lam) and each direction is a new
+array that nothing writes into, and the best iterate is kept by reference.
 
 The solver is deterministic: identical inputs produce identical iterates.  It
 never raises on a numerical failure: a non-finite iterate or Newton matrix,
@@ -178,16 +180,6 @@ def _kkt_residual(prob: QpProblem, x, lam):
     return max(stat / scale, p_inf, max(comp, lam_neg, 0.0) / scale), p_inf, r_d, r_in, Atl
 
 
-def _newton_direction(U, G, r_p, d, rc_w, dx, dwl) -> None:
-    """Overwrite the right-hand side dx with K^-1 dx, where K = U'U is the
-    factor ``lapack.dpotrf`` returns, and dwl = (dw, dlam) with
-    dw = -r_p - G dx and dlam = -rc_w - d o dw."""
-    dx[:] = lapack.dpotrs(U, dx, overwrite_b=1)[0]
-    dw, dlam = dwl[:len(r_p)], dwl[len(r_p):]
-    np.negative(np.add(G @ dx, r_p, out=dw), out=dw)
-    np.negative(np.add(d * dw, rc_w, out=dlam), out=dlam)
-
-
 def _step_divisor(dwl: np.ndarray, wl: np.ndarray) -> float:
     """Divisor that keeps wl + dwl / divisor in the closed positive orthant:
     max(1, -min(dwl / wl)).  An exact zero that does not move gives the
@@ -206,12 +198,13 @@ def accept_warm_start(prob: QpProblem, x: np.ndarray, lam: np.ndarray,
     iterations when it meets the KKT test at ``tol`` (see the module
     docstring), and None when it does not.  A start is a point: this is the
     test :func:`solve` applies to its exact start, and the tube controller
-    to its shifted plan.  An x or lam of another size than prob's
-    variables or rows raises ``ConfigurationError``."""
+    to its shifted plan.  A non-finite x or lam, whose residual reads NaN,
+    fails the test.  An x or lam of another size than prob's variables or
+    rows raises ``ConfigurationError``."""
     if (x.size, lam.size) != (prob.n, prob.A_in.shape[0]):
         raise ConfigurationError("warm start has wrong dimension")
     kkt, p_inf, *_ = _kkt_residual(prob, x, lam)
-    if kkt > tol:
+    if not kkt <= tol:
         return None
     return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL, 0, p_inf, prob.objective(x))
 
@@ -289,41 +282,35 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
     G, h, Gt, H = prob.A_in, prob.b_in, np.ascontiguousarray(prob.A_in.T), prob.H.copy()
     H.flat[::n + 1] += _RIDGE
 
-    # Iterate v = (x, w, lam), slacks w and duals lam, step dv and predictor
-    # (dw, dlam), read through views; the duals start at the cost's gradient norm.
-    v, dv, dwl_a = np.empty(n + 2 * m), np.empty(n + 2 * m), np.empty(2 * m)
-    x, w, lam = v[:n], v[n:n + m], v[n + m:]
-    dx, dwl, wl = dv[:n], dv[n:], v[n:]
-    Gd, K = np.empty((n, m)), np.empty((n, n))
-    x[:] = 0.0 if start is None else start[0]
+    # Iterate (x, w, lam), slacks w and duals lam; the duals start at the
+    # cost's gradient norm.
+    x = np.zeros(n) if start is None else start[0]
     lam0 = max(1.0, float(np.maximum.reduce(np.abs(H @ x + prob.g), initial=0.0)))
-    w[:], lam[:] = np.maximum(h - G @ x, 1.0), lam0
+    w, lam = np.maximum(h - G @ x, 1.0), np.full(m, lam0)
 
-    best, best_kkt = v.copy(), np.inf
+    best, best_kkt = (x, lam), np.inf
     p_inf_hist: list[float] = []
     it = 0
     for it in range(1, _MAX_ITER + 1):
         kkt, p_inf, r_d, r_in, Gl = _kkt_residual(prob, x, lam)
         p_inf_hist.append(p_inf)
         if kkt <= tol:
-            return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.OPTIMAL,
-                              it, p_inf, prob.objective(x))
+            return QpSolution(x, lam, kkt, QpStatus.OPTIMAL, it, p_inf, prob.objective(x))
         if kkt < best_kkt:
-            best, best_kkt = v.copy(), kkt
+            best, best_kkt = (x, lam), kkt
         stalled = (len(p_inf_hist) > _STALL_WINDOW and min(p_inf_hist) > tol and
                    min(p_inf_hist[-_STALL_WINDOW:]) >= 0.999 * min(p_inf_hist[:-_STALL_WINDOW]))
         if stalled or (p_inf > tol and np.maximum.reduce(lam) > 1e13 * lam0):
-            return QpSolution(x.copy(), lam.copy(), kkt, QpStatus.INFEASIBLE,
+            return QpSolution(x, lam, kkt, QpStatus.INFEASIBLE,
                               it, min(p_inf_hist), prob.objective(x))
 
         # Newton step for complementarity target r_c (w o lam -> r_c), with
         # d = lam / w: dw = -r_p - G dx, dlam = -r_c / w - d o dw, and
         # (H + G'DG) dx = G'(r_c / w) - q, q = G'(d o r_p) + r_d.
-        r_p, d, wlam = r_in + w, lam / w, w * lam
+        r_p, d, wlam, wl = r_in + w, lam / w, w * lam, np.concatenate([w, lam])
         q = Gt @ (d * r_p) + r_d
         mu = float(np.add.reduce(wlam)) / m
-        np.matmul(np.multiply(Gt, d, out=Gd), G, out=K)
-        K += H
+        K = (Gt * d) @ G + H
         if not np.logical_and.reduce(np.isfinite(K), axis=None):
             break
         U, info = lapack.dpotrf(K, clean=0)
@@ -331,22 +318,24 @@ def solve(prob: QpProblem, tol: float = 1e-8) -> QpSolution:
             break
 
         # Predictor (affine scaling) step, r_c = w o lam: G'(r_c / w) = G'lam.
-        np.subtract(Gl, q, out=dx)
-        _newton_direction(U, G, r_p, d, lam, dx, dwl_a)
-        wl_a = dwl_a / _step_divisor(dwl_a, wl) + wl
-        mu_aff = float(wl_a[:m] @ wl_a[m:]) / m
+        dx = lapack.dpotrs(U, Gl - q)[0]
+        dw_a = -(G @ dx + r_p)
+        dlam_a = -(d * dw_a + lam)
+        divisor = _step_divisor(np.concatenate([dw_a, dlam_a]), wl)
+        mu_aff = float((dw_a / divisor + w) @ (dlam_a / divisor + lam)) / m
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
         # Corrector step with centering, on the same factorization.
-        rc_w = (dwl_a[:m] * dwl_a[m:] + wlam - sigma * mu) / w
-        np.subtract(Gt @ rc_w, q, out=dx)
-        _newton_direction(U, G, r_p, d, rc_w, dx, dwl)
-        dv *= max(0.99, 1.0 - mu) / _step_divisor(dwl, wl)
-        v += dv
-        if not np.logical_and.reduce(np.isfinite(v)):
+        rc_w = (dw_a * dlam_a + wlam - sigma * mu) / w
+        dx = lapack.dpotrs(U, Gt @ rc_w - q)[0]
+        dw = -(G @ dx + r_p)
+        dlam = -(d * dw + rc_w)
+        step = max(0.99, 1.0 - mu) / _step_divisor(np.concatenate([dw, dlam]), wl)
+        x, w, lam = x + dx * step, w + dw * step, lam + dlam * step
+        if not np.logical_and.reduce(np.isfinite(np.concatenate([x, w, lam]))):
             break
 
-    x, lam = best[:n], best[n + m:]
+    x, lam = best
     p_inf = min(p_inf_hist)
     status = QpStatus.INFEASIBLE if p_inf > tol else QpStatus.MAX_ITER
     return QpSolution(x, lam, best_kkt, status, it, p_inf, prob.objective(x))

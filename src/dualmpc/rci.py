@@ -126,7 +126,9 @@ def candidate_shift(x: np.ndarray, lay: Layout, gamma: float) -> np.ndarray:
     """Time-shifted feasible candidate of the vector x, which has stages:
     stage k takes stage k + 1, and the last stage, (z_N, v_N), interpolates
     toward the set center at rate gamma and doubles as (z+, v+).  x_r is
-    kept."""
+    kept.  A layout without stages raises ``ConfigurationError``."""
+    if not lay.stages:
+        raise ConfigurationError("a solution without stages has no shifted plan")
     end = lay.center.start
     last, center = slice(end - lay.stage, end), x[lay.center]
     shifted = x.copy()

@@ -150,10 +150,10 @@ def nominal_input(
     template: PolytopeTemplate,
 ) -> tuple[np.ndarray, polytope.LambdaResult]:
     """Tracking input v_0 + sum_j lambda_j c_j with barycentric weights at
-    x_hat; an x_hat of another size than the template's n_x raises
-    ``ConfigurationError``."""
-    if np.size(x_hat) != template.n_x:
-        raise ConfigurationError(f"x_hat has {np.size(x_hat)} entries, not n_x={template.n_x}")
+    x_hat; an x_hat of another size than the template's n_x, or not
+    finite, raises ``ConfigurationError``."""
+    if np.size(x_hat) != template.n_x or not np.isfinite(x_hat).all():
+        raise ConfigurationError(f"x_hat must be n_x={template.n_x} finite entries")
     lam = polytope.barycentric_lambda(template, sol.z[0], sol.s, x_hat)
     c = sol.c.reshape(template.n_vertices, template.n_u)
     return sol.v[0] + c.T @ lam.weights, lam

@@ -251,6 +251,16 @@ class TestThetaPolytope:
             estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, 0.5 * EPS_U,
                                            CFG.gamma)
 
+    def test_solution_without_stages_rejected(self):
+        # The invariant-set solve has no stages, so no shifted plan, and the
+        # polytope, which is formed at that plan, refuses it too.
+        model = random_model(np.random.default_rng(42), infnorm=0.6, gain=0.25)
+        sol, _ = rci.solve_optimal_rci(model, np.array([0.4]), TEMPLATE, CFG.beta, EPS_U, Y)
+        with pytest.raises(ConfigurationError, match="without stages"):
+            sol.shifted
+        with pytest.raises(ConfigurationError, match="without stages"):
+            estimator.build_theta_polytope(sol, TEMPLATE, model, CFG.beta, EPS_U, CFG.gamma)
+
     @pytest.mark.parametrize("n_p, n_h", [(2, 3), (3, 4)], ids=["other-n_p", "other-n_h"])
     def test_model_of_another_theta_layout_rejected(self, tube_setup, n_p, n_h):
         # The dist rows travel with the tube's rows, in its model's theta layout.

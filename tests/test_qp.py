@@ -133,6 +133,17 @@ def test_warm_start_of_wrong_size_rejected(rng):
             qp.accept_warm_start(prob, sol.x, sol.ineq_duals)
 
 
+@pytest.mark.parametrize("x, lam", [
+    ([np.nan, 0.0], [1.0]), ([np.inf, 0.0], [1.0]),
+    ([0.5, 0.0], [np.nan]), ([0.5, 0.0], [-np.inf]),
+], ids=["x_nan", "x_inf", "lam_nan", "lam_minus_inf"])
+def test_non_finite_warm_start_rejected(x, lam):
+    # A non-finite point has a NaN KKT residual, which is not <= tol: the
+    # test refuses it rather than reading it as met.
+    prob = qp.QpProblem.build(np.diag([2.0, 1.0]), [-2.0, 0.0], [[1.0, 0.0]], [0.5])
+    assert qp.accept_warm_start(prob, np.array(x), np.array(lam)) is None
+
+
 @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4, 1e6])
 def test_cost_scaling_keeps_status_argmin_and_iterations(rng, interior_point, scale):
     # Stationarity and complementarity are measured relative to the cost, so

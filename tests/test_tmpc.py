@@ -614,12 +614,13 @@ def test_template_of_other_dimensions_rejected(model, n_x, n_u):
 
 @pytest.mark.parametrize("call", [
     lambda model: tmpc.nominal_input(solve(model, [0.1, 0.0]), np.zeros(1), TEMPLATE),
+    lambda model: tmpc.nominal_input(solve(model, [0.1, 0.0]), [np.nan, 0.0], TEMPLATE),
     lambda model: solve(model, np.zeros(1)),
     lambda model: solve(model, np.zeros(3)),
     lambda model: solve(model, [0.1, 0.0], np.zeros(2)),
     lambda model: rci.solve_optimal_rci(model, np.zeros(2), TEMPLATE, CFG.beta, EPS_U, Y),
-], ids=["nominal_input-x_hat", "solve_tmpc-short-x_hat", "solve_tmpc-long-x_hat",
-        "solve_tmpc-y_ref", "solve_optimal_rci-y_ref"])
+], ids=["nominal_input-x_hat", "nominal_input-nan-x_hat", "solve_tmpc-short-x_hat",
+        "solve_tmpc-long-x_hat", "solve_tmpc-y_ref", "solve_optimal_rci-y_ref"])
 def test_state_or_reference_of_other_size_rejected(model, call):
     with pytest.raises(ConfigurationError, match="x_hat|y_ref"):
         call(model)
